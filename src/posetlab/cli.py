@@ -59,9 +59,16 @@ def _map_to_json(phi):
 
 def _map_from_json(text):
     doc = json.loads(text)
+    if not (isinstance(doc, dict) and {"source", "target", "assignment"} <= doc.keys()):
+        raise PosetError("a map document must be an object with source, "
+                         "target and assignment")
     source = poset_mod.from_json_dict(doc["source"])
     target = poset_mod.from_json_dict(doc["target"])
-    assignment = {x: y for x, y in doc["assignment"]}
+    assignment = {}
+    for x, y in poset_mod.int_pairs(doc["assignment"], "assignment"):
+        if x in assignment:
+            raise PosetError(f"assignment maps {x} twice")
+        assignment[x] = y
     return cons.PosetMap(source, target, assignment)
 
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .poset import (TOP, GradedPoset, NotALattice, UnknownElement,
-                    iter_chain_indices)
+from .poset import TOP, GradedPoset, NotALattice, UnknownElement, iter_chains
 
 
 @dataclass(frozen=True)
@@ -41,16 +40,6 @@ class PosetMap:
 
     def is_surjective(self):
         return set(self.assignment.values()) == set(self.target.elements())
-
-    def closed_fiber(self, sigma):
-        """Ids x with phi(x) <= sigma."""
-        return frozenset(x for x, y in self.assignment.items()
-                         if self.target.leq(y, sigma))
-
-    def open_fiber(self, sigma):
-        """Ids x with phi(x) < sigma."""
-        return frozenset(x for x, y in self.assignment.items()
-                         if y != sigma and self.target.leq(y, sigma))
 
 
 def single_point():
@@ -242,8 +231,9 @@ def order_complex(P):
     Provenance stores each chain as the ascending tuple of its non-bottom
     source ids, so elements double as simplices of the order complex.
     """
-    root = P
-    chains = sorted(iter_chain_indices(P), key=lambda c: (len(c), c))
+    root = P._root
+    chains = sorted(iter_chains(root, P._mask & ~(1 << P._bottom_idx)),
+                    key=lambda c: (len(c), c))
     ids = {c: i for i, c in enumerate(chains)}
     ranks = {i: len(c) for c, i in ids.items()}
     labels, prov = {}, {}

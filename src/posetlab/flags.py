@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ncpoly import (A, B, NcPoly, NotExpressible, alpha, cd_contract,
+from .ncpoly import (A, B, NcPoly, NotExpressible, alpha, cd_contract, power,
                      pyr_op)
 from .poset import (TOP, GradedPoset, NotALattice, NotComparable, NotEulerian,
-                    SubPoset)
+                    SubPoset, _bits, interval_view)
 
 
 class InvalidChain(Exception):
@@ -24,19 +24,13 @@ class InvalidChain(Exception):
 @lru_cache(maxsize=None)
 def _amb_pow(k):
     """(a - b)^k."""
-    out = NcPoly.one("ab")
-    for _ in range(k):
-        out = out * (A - B)
-    return out
+    return power(A - B, k)
 
 
 @lru_cache(maxsize=None)
 def _bma_pow(k):
     """(b - a)^k."""
-    out = NcPoly.one("ab")
-    for _ in range(k):
-        out = out * (B - A)
-    return out
+    return power(B - A, k)
 
 
 def weight(P, chain):
@@ -54,29 +48,18 @@ def weight(P, chain):
     return out * _amb_pow(P.rho_to_top(chain[-1]) - 1)
 
 
-def ab_index(P):
+def ab_index(P, scale=None):
     """Sum of the weights of all chains of P (the singleton {0-hat}
-    included); homogeneous of degree n."""
+    included); homogeneous of degree n.  With `scale`, each chain's
+    weight is multiplied by scale(i) at the root index i of its largest
+    element (the sheaf engine passes dim F)."""
     root = P._root
-    mask = P._mask
     memo = {}
     order = sorted(P._indices(), key=lambda i: -root._rank[i])
     for i in order:
         acc = _amb_pow(P.n - P._vrank(i))  # rho(i, top) - 1
-        for j in P._up_indices(i):
-            acc = acc + _amb_pow(root._rank[j] - root._rank[i] - 1) * B * memo[j]
-        memo[i] = acc
-    return memo[P._bottom_idx]
-
-
-def sheaf_weighted_ab_index(P, dim_of_idx):
-    """Like ab_index but each chain is weighted by dim(F) at its largest
-    element (used by the sheaf engine)."""
-    root = P._root
-    memo = {}
-    order = sorted(P._indices(), key=lambda i: -root._rank[i])
-    for i in order:
-        acc = _amb_pow(P.n - P._vrank(i)) * dim_of_idx(i)
+        if scale is not None:
+            acc = acc * scale(i)
         for j in P._up_indices(i):
             acc = acc + _amb_pow(root._rank[j] - root._rank[i] - 1) * B * memo[j]
         memo[i] = acc
@@ -112,14 +95,6 @@ class NearCdIndex:
         return self.phi + self.boundary
 
 
-def _boundary_view(P, boundary_ids):
-    root = P._root
-    mask = 0
-    for e in boundary_ids:
-        mask |= 1 << root._index(e)
-    return SubPoset(root, mask & P._mask, P._bottom_idx, P.n - 1)
-
-
 def near_cd_index(P, boundary_ids):
     """Split Psi_P = Phi + Psi_boundary * a and contract both parts.
 
@@ -129,18 +104,13 @@ def near_cd_index(P, boundary_ids):
     boundary_ids = set(boundary_ids)
     psi = ab_index(P)
     if boundary_ids:
-        psi_b = ab_index(_boundary_view(P, boundary_ids))
+        root = P._root
+        psi_b = ab_index(SubPoset(root, root._mask_of(boundary_ids) & P._mask,
+                                  P._bottom_idx, P.n - 1))
     else:
         psi_b = NcPoly.zero("ab")
     phi_ab = psi - psi_b * A
     return NearCdIndex(cd_contract(phi_ab), cd_contract(psi_b))
-
-
-def _open_lower_view(P, pi_idx):
-    """[0-hat, pi) as a SubPoset view of P's root."""
-    root = P._root
-    mask = root._leq[pi_idx] & P._mask & ~(1 << pi_idx)
-    return SubPoset(root, mask, P._bottom_idx, root._rank[pi_idx] - P._rank_offset - 1)
 
 
 def _check_eulerian_lattice(L):
@@ -158,8 +128,8 @@ def lambda_nu_ab_formula(L, nu):
     if ni == L._bottom_idx:
         raise NotComparable("nu must be strictly above the bottom")
     total = NcPoly.zero("ab")
-    for pi in sorted(_iter_mask(L._geq[ni])):
-        lower = ab_index(_open_lower_view(L, pi))
+    for pi in _bits(L._geq[ni]):
+        lower = ab_index(interval_view(L, L._bottom_idx, pi))
         gap = L.n + 1 - L._rank[pi]
         total = total + lower * A * _bma_pow(gap - 1)
     return total
@@ -172,8 +142,8 @@ def star_chain_sum(L, nu):
     _check_eulerian_lattice(L)
     ni = L._index(nu)
     total = NcPoly.zero("ab")
-    for pi in sorted(_iter_mask(L._geq[ni])):
-        lower = ab_index(_open_lower_view(L, pi))
+    for pi in _bits(L._geq[ni]):
+        lower = ab_index(interval_view(L, L._bottom_idx, pi))
         gap = L.n + 1 - L._rank[pi]
         term = _amb_pow(gap - 1)
         if gap % 2 == 0:
@@ -187,29 +157,11 @@ def lambda_nu_prime_cd(L, nu):
     _check_eulerian_lattice(L)
     ni = L._index(nu)
     total = NcPoly.zero("cd")
-    for pi in sorted(_iter_mask(L._geq[ni])):
-        lower = cd_index(_open_lower_view(L, pi))
+    for pi in _bits(L._geq[ni]):
+        lower = cd_index(interval_view(L, L._bottom_idx, pi))
         gap = L.n + 1 - L._rank[pi]
         total = total + lower * alpha(gap)
     return total
-
-
-def _iter_mask(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _interval_view(P, lo_idx, hi_idx_or_top):
-    root = P._root
-    if hi_idx_or_top is TOP:
-        mask = root._geq[lo_idx] & P._mask
-        n = P.n - P._vrank(lo_idx)
-    else:
-        mask = root._geq[lo_idx] & root._leq[hi_idx_or_top] & P._mask & ~(1 << hi_idx_or_top)
-        n = root._rank[hi_idx_or_top] - root._rank[lo_idx] - 1
-    return SubPoset(root, mask, lo_idx, n)
 
 
 def pyr_alpha_recurrence_check(P, tau, pi=TOP):
@@ -218,19 +170,13 @@ def pyr_alpha_recurrence_check(P, tau, pi=TOP):
     exactly on the given interval of an Eulerian poset."""
     root = P._root
     ti = root._index(tau)
-    if pi is TOP:
-        gap = P.n + 1 - P._vrank(ti)
-        between = root._geq[ti] & P._mask & ~(1 << ti)
-        hi = TOP
-    else:
-        hi = root._index(pi)
-        if not P.leq(tau, pi):
-            raise NotComparable(f"{tau!r} is not below {pi!r}")
-        gap = root._rank[hi] - root._rank[ti]
-        between = root._geq[ti] & root._leq[hi] & P._mask & ~(1 << ti) & ~(1 << hi)
-    left = pyr_op(cd_index(_interval_view(P, ti, hi))) - alpha(gap)
+    hi = TOP if pi is TOP else root._index(pi)
+    if hi is not TOP and not P.leq(tau, pi):
+        raise NotComparable(f"{tau!r} is not below {pi!r}")
+    whole = interval_view(P, ti, hi)
+    left = pyr_op(cd_index(whole)) - alpha(whole.n + 1)
     right = NcPoly.zero("cd")
-    for si in sorted(_iter_mask(between)):
+    for si in _bits(whole.mask & ~(1 << ti)):
         g = root._rank[si] - root._rank[ti]
-        right = right + alpha(g) * pyr_op(cd_index(_interval_view(P, si, hi)))
+        right = right + alpha(g) * pyr_op(cd_index(interval_view(P, si, hi)))
     return left == right

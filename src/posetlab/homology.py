@@ -12,8 +12,15 @@ Two routes compute the same facts:
   turns joins into shifted products).
 
 The generic route is the independent oracle for the fast one; the test
-suite checks they agree across the corpus.  All ranks are computed by
-fraction-free elimination over the integers, never floating point.
+suite checks they agree across the corpus.  The routes build their
+complexes and links independently and share one Betti kernel,
+`_faces_betti`: faces by dimension -> boundary rows -> `sparse_rank` ->
+reduced Betti numbers.  Every certification predicate of the fast route
+(Gorenstein*, near-Gorenstein*, Cohen-Macaulay) runs one chain-link walk,
+`_first_bad_link`, and differs only in what it expects of each link.  The
+kernel and the walk are the seams for any change to how interval homology
+is computed or certified.  All ranks are computed by fraction-free
+elimination over the integers, never floating point.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .linalg import sparse_rank
-from .poset import GradedPoset, _bits
+from .linalg import betti_from_ranks, sparse_rank
+from .poset import _bits, iter_chains
 
 
 class SimplexNotFound(Exception):
@@ -143,35 +150,27 @@ class HomologyProfile:
         return sum((-1) ** (i - 1) * b for i, b in enumerate(self.betti))
 
 
-def _boundary_rows(K, d):
-    """Rows of the boundary map C_d -> C_(d-1), one sparse row per
-    d-simplex; d = 0 maps every vertex to the empty simplex."""
-    if d == 0:
-        return [{0: 1} for _ in K.simplices(0)]
-    lower = {s: i for i, s in enumerate(K.simplices(d - 1))}
-    rows = []
-    for s in K.simplices(d):
-        row = {}
-        for j in range(len(s)):
-            face = s[:j] + s[j + 1:]
-            row[lower[face]] = (-1) ** j
-        rows.append(row)
-    return rows
+def _faces_betti(faces):
+    """Reduced Betti numbers {degree: dim}, nonzero only, of the simplicial
+    complex whose d-faces are faces[d] (ascending vertex tuples) for
+    d = -1 .. top, with faces[-1] == [()].  The boundary matrix of degree
+    d has one sparse row per face in faces[d], in that order, with columns
+    indexed by position in faces[d - 1]."""
+    top = len(faces) - 2
+    ranks = []
+    for d in range(top + 1):
+        col = {s: k for k, s in enumerate(faces[d - 1])}
+        ranks.append(sparse_rank([
+            {col[s[:j] + s[j + 1:]]: (-1) ** j for j in range(len(s))}
+            for s in faces[d]]))
+    dims = [len(faces[d]) for d in range(-1, top + 1)]
+    return {k - 1: b for k, b in enumerate(betti_from_ranks(dims, ranks)) if b}
 
 
 def reduced_homology(K):
     """Reduced Betti numbers over Q via exact ranks of the augmented
     boundary matrices."""
-    dims = {-1: 1}
-    for d in range(K.dim + 1):
-        dims[d] = len(K.simplices(d))
-    ranks = {}
-    for d in range(K.dim + 1):
-        ranks[d] = sparse_rank(_boundary_rows(K, d))
-    betti = {}
-    for d in range(-1, K.dim + 1):
-        betti[d] = dims[d] - ranks.get(d, 0) - ranks.get(d + 1, 0)
-    return HomologyProfile.from_dict({d: b for d, b in betti.items() if b})
+    return HomologyProfile.from_dict(_faces_betti({-1: [()], **K.by_dim}))
 
 
 def link(K, s):
@@ -213,31 +212,9 @@ def order_complex_simplicial(P):
     """Chains of P avoiding the bottom, as a simplicial complex of
     dimension n-1 on the vertex set P minus the bottom."""
     root = P._root
-    chains = []
-    from .poset import iter_chain_indices
-    for c in iter_chain_indices(P):
-        if c:
-            chains.append(tuple(root._ids[i] for i in c))
-    return SimplicialComplex(chains)
-
-
-def face_poset(K, labels=None):
-    """The face poset of a simplicial complex (bottom = empty simplex),
-    with each element's simplex recorded in `provenance`."""
-    ids = {(): 0}
-    ranks = {0: 0}
-    for s in K.all_simplices():
-        if s:
-            ids[s] = len(ids)
-            ranks[ids[s]] = len(s)
-    covers = []
-    for s, i in ids.items():
-        for j in range(len(s)):
-            covers.append((ids[s[:j] + s[j + 1:]], i))
-    labs = {i: ",".join(map(str, s)) if s else "{}" for s, i in ids.items()}
-    prov = {i: s for s, i in ids.items()}
-    return GradedPoset.from_covers(K.dim + 1, ranks, covers,
-                                   labels=labs, provenance=prov)
+    vmask = P._mask & ~(1 << P._bottom_idx)
+    return SimplicialComplex(tuple(root._ids[i] for i in c)
+                             for c in iter_chains(root, vmask) if c)
 
 
 # -- fast chain-link engine ---------------------------------------------------
@@ -252,59 +229,16 @@ def _betti_mul(p, q):
     return out
 
 
-def _chains_of_mask(root, mask):
-    """All nonempty chains inside a vertex mask, ascending index tuples."""
-    first = sorted(_bits(mask), key=lambda i: (root._rank[i], i))
-
-    def rec(prefix, candidates):
-        for k, i in enumerate(candidates):
-            nxt = [j for j in root._up_list[i] if (mask >> j) & 1]
-            yield prefix + (i,)
-            yield from rec(prefix + (i,), nxt)
-
-    yield from rec((), first)
-
-
 def _subset_betti(root, mask):
     """Betti polynomial (dict degree -> dim, degree -1 allowed) of the
     complex of chains inside the vertex mask; memoized on the root poset."""
     cache = root._cache.setdefault("subset_betti", {})
-    if mask in cache:
-        return cache[mask]
-    if mask == 0:
-        out = {-1: 1}
-        cache[mask] = out
-        return out
-    by_dim = {}
-    index = {}
-    for c in _chains_of_mask(root, mask):
-        d = len(c) - 1
-        index[c] = len(by_dim.setdefault(d, []))
-        by_dim[d].append(c)
-    top = max(by_dim)
-    ranks = {}
-    for d in range(top + 1):
-        if d == 0:
-            rows = [{0: 1} for _ in by_dim[0]]
-        else:
-            rows = []
-            for c in by_dim[d]:
-                row = {}
-                for j in range(len(c)):
-                    face = c[:j] + c[j + 1:]
-                    row[index[face]] = (-1) ** j
-                rows.append(row)
-        ranks[d] = sparse_rank(rows)
-    betti = {}
-    dims = {-1: 1}
-    for d in range(top + 1):
-        dims[d] = len(by_dim[d])
-    for d in range(-1, top + 1):
-        b = dims[d] - ranks.get(d, 0) - ranks.get(d + 1, 0)
-        if b:
-            betti[d] = b
-    cache[mask] = betti
-    return betti
+    if mask not in cache:
+        faces = {}
+        for c in iter_chains(root, mask):
+            faces.setdefault(len(c) - 1, []).append(c)
+        cache[mask] = _faces_betti(faces)
+    return cache[mask]
 
 
 def _link_betti(root, view_mask, bottom_idx, chain):
@@ -360,6 +294,31 @@ def _structural_check(root, mask, bottom_idx, n):
     return CertResult(True)
 
 
+def _first_bad_link(root, mask, bottom_idx, fits):
+    """The chain-link walk: the first chain of the subposet `mask` (bottom
+    excluded, empty chain first) whose link Betti polynomial fails
+    `fits(chain, betti)`, as (chain, betti); None when every chain fits."""
+    for chain in iter_chains(root, mask & ~(1 << bottom_idx)):
+        betti = _link_betti(root, mask, bottom_idx, chain)
+        if not fits(chain, betti):
+            return chain, betti
+    return None
+
+
+def _boundary_defect(root, mask, bottom_idx, n, bmask):
+    """Why `bmask` is not a rank-(n-1) ideal of the subposet `mask`, as
+    (reason, index): index None when the rank is wrong, otherwise the first
+    boundary element with a lower element outside the boundary.  None when
+    `bmask` is such an ideal."""
+    base = root._rank[bottom_idx]
+    if not bmask or max(root._rank[i] for i in _bits(bmask)) - base != n - 1:
+        return "boundary rank is not n-1", None
+    for i in _bits(bmask):
+        if root._leq[i] & mask & ~bmask:
+            return "boundary is not an ideal", i
+    return None
+
+
 def certify_gorenstein(root, mask, bottom_idx, n):
     """Gorenstein* certification of the subposet `mask` (bottom included):
     the link of every chain must have homology R in degree n - k - 1."""
@@ -378,18 +337,13 @@ def _certify_gorenstein(root, mask, bottom_idx, n):
     st = _structural_check(root, mask, bottom_idx, n)
     if not st:
         return st
-    vmask = mask & ~(1 << bottom_idx)
-    for chain in _all_chains_with_empty(root, vmask):
-        betti = _link_betti(root, mask, bottom_idx, chain)
-        if betti != {n - len(chain) - 1: 1}:
-            return CertResult(False, "link homology not a sphere",
-                              tuple(root._ids[i] for i in chain), betti)
+    bad = _first_bad_link(root, mask, bottom_idx,
+                          lambda chain, betti: betti == {n - len(chain) - 1: 1})
+    if bad:
+        chain, betti = bad
+        return CertResult(False, "link homology not a sphere",
+                          tuple(root._ids[i] for i in chain), betti)
     return CertResult(True)
-
-
-def _all_chains_with_empty(root, vmask):
-    yield ()
-    yield from _chains_of_mask(root, vmask)
 
 
 def certify_near_gorenstein(root, mask, bottom_idx, n, bmask):
@@ -412,31 +366,30 @@ def _certify_near_gorenstein(root, mask, bottom_idx, n, bmask):
         return st
     if bmask & ~mask:
         return CertResult(False, "boundary not inside the poset")
-    base = root._rank[bottom_idx]
-    branks = [root._rank[i] - base for i in _bits(bmask)]
-    if not branks or max(branks) != n - 1:
-        return CertResult(False, "boundary rank is not n-1")
-    for i in _bits(bmask):
-        below = root._leq[i] & mask & ~bmask
-        if below:
-            return CertResult(False, "boundary is not an ideal",
-                              (root._ids[i],))
+    defect = _boundary_defect(root, mask, bottom_idx, n, bmask)
+    if defect:
+        reason, i = defect
+        return CertResult(False, reason, () if i is None else (root._ids[i],))
     bg = certify_gorenstein(root, bmask, bottom_idx, n - 1)
     if not bg:
         return CertResult(False, f"boundary not Gorenstein*: {bg.reason}",
                           bg.witness, bg.betti)
-    vmask = mask & ~(1 << bottom_idx)
     bvmask = bmask & ~(1 << bottom_idx)
-    for chain in _all_chains_with_empty(root, vmask):
-        betti = _link_betti(root, mask, bottom_idx, chain)
-        in_boundary = all((bvmask >> i) & 1 for i in chain)
-        if in_boundary:
-            if betti:
-                return CertResult(False, "boundary chain has nonzero link homology",
-                                  tuple(root._ids[i] for i in chain), betti)
-        elif betti != {n - len(chain) - 1: 1}:
-            return CertResult(False, "interior chain link is not a sphere",
-                              tuple(root._ids[i] for i in chain), betti)
+
+    def in_boundary(chain):
+        return all((bvmask >> i) & 1 for i in chain)
+
+    def fits(chain, betti):
+        if in_boundary(chain):
+            return not betti
+        return betti == {n - len(chain) - 1: 1}
+
+    bad = _first_bad_link(root, mask, bottom_idx, fits)
+    if bad:
+        chain, betti = bad
+        reason = ("boundary chain has nonzero link homology" if in_boundary(chain)
+                  else "interior chain link is not a sphere")
+        return CertResult(False, reason, tuple(root._ids[i] for i in chain), betti)
     return CertResult(True)
 
 
@@ -452,14 +405,6 @@ def gorenstein_star_report(P):
     return certify_gorenstein(P._root, P._mask, P._bottom_idx, P.n)
 
 
-def _boundary_mask(P, boundary_ids):
-    root = P._root
-    mask = 0
-    for e in boundary_ids:
-        mask |= 1 << root._index(e)
-    return mask
-
-
 def is_near_gorenstein_star(P, boundary_ids):
     """True iff (P, boundary) is a real homology ball with that boundary.
 
@@ -467,35 +412,28 @@ def is_near_gorenstein_star(P, boundary_ids):
     BoundaryWrongRank otherwise); the homology conditions then decide.
     """
     root = P._root
-    bmask = _boundary_mask(P, boundary_ids)
-    if P.n == 0:
-        return bool(certify_near_gorenstein(root, P._mask, P._bottom_idx, 0, bmask))
-    base = root._rank[P._bottom_idx]
-    branks = [root._rank[i] - base for i in _bits(bmask)]
-    if not branks or max(branks) != P.n - 1:
-        raise BoundaryWrongRank(f"boundary must have rank {P.n - 1}")
-    for i in _bits(bmask):
-        if root._leq[i] & P._mask & ~bmask:
-            raise BoundaryNotIdeal(f"{root._ids[i]!r} has lower covers outside the boundary")
+    bmask = root._mask_of(boundary_ids)
+    if P.n != 0:
+        defect = _boundary_defect(root, P._mask, P._bottom_idx, P.n, bmask)
+        if defect and defect[1] is None:
+            raise BoundaryWrongRank(f"boundary must have rank {P.n - 1}")
+        if defect:
+            raise BoundaryNotIdeal(
+                f"{root._ids[defect[1]]!r} has lower covers outside the boundary")
     return bool(certify_near_gorenstein(root, P._mask, P._bottom_idx, P.n, bmask))
 
 
 def near_gorenstein_star_report(P, boundary_ids):
     return certify_near_gorenstein(P._root, P._mask, P._bottom_idx, P.n,
-                                   _boundary_mask(P, boundary_ids))
+                                   P._root._mask_of(boundary_ids))
 
 
 def is_cohen_macaulay(P):
     """Link homology of every chain vanishes below its top degree; the top
     degree itself is unconstrained."""
-    root = P._root
-    vmask = P._mask & ~(1 << P._bottom_idx)
-    for chain in _all_chains_with_empty(root, vmask):
-        betti = _link_betti(root, P._mask, P._bottom_idx, chain)
-        top = P.n - len(chain) - 1
-        if any(d != top for d in betti):
-            return False
-    return True
+    return _first_bad_link(
+        P._root, P._mask, P._bottom_idx,
+        lambda chain, betti: all(d == P.n - len(chain) - 1 for d in betti)) is None
 
 
 def derive_boundary(P):
@@ -510,12 +448,11 @@ def derive_boundary(P):
             bmask |= 1 << i
     if P.n == 0:
         bmask = 0
-    base = root._rank[P._bottom_idx]
-    branks = [root._rank[i] - base for i in _bits(bmask)]
-    if P.n > 0 and (not branks or max(branks) != P.n - 1):
-        raise NotNearGorenstein("no boundary of rank n-1 exists")
-    for i in _bits(bmask):
-        if root._leq[i] & P._mask & ~bmask:
+    else:
+        defect = _boundary_defect(root, P._mask, P._bottom_idx, P.n, bmask)
+        if defect and defect[1] is None:
+            raise NotNearGorenstein("no boundary of rank n-1 exists")
+        if defect:
             raise NotNearGorenstein("candidate boundary is not an ideal")
     if not certify_near_gorenstein(root, P._mask, P._bottom_idx, P.n, bmask):
         raise NotNearGorenstein("candidate boundary fails the homology conditions")

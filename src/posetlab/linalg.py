@@ -64,6 +64,14 @@ def sparse_rank(rows):
     return rank
 
 
+def betti_from_ranks(dims, ranks):
+    """(Co)homology dimensions of a complex V_0 - V_1 - ... - V_m of vector
+    spaces: dims[k] = dim V_k, and ranks[k] (k < m) is the rank of the map
+    between V_k and V_(k+1), whichever way it points."""
+    r = [0, *ranks, 0]
+    return [d - r[k] - r[k + 1] for k, d in enumerate(dims)]
+
+
 def _reduce_row(cur, pivots):
     """Reduce `cur` (dict, mutated) against normalized pivot rows until its
     smallest column is pivot-free; returns that column or None when the row
@@ -168,10 +176,6 @@ def mat_mul(a, b):
                     if bk[j]:
                         oi[j] += v * bk[j]
     return out
-
-
-def mat_vec(a, v):
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]
 
 
 def transpose(a):

@@ -31,6 +31,12 @@ def word_degree(alphabet, word):
     return len(word)
 
 
+def _require_alphabet(alphabet, p):
+    if p.alphabet != alphabet:
+        raise ValueError(
+            f"expected an {alphabet}-polynomial, got a {p.alphabet}-polynomial")
+
+
 def _norm_coeff(v):
     if isinstance(v, Fraction) and v.denominator == 1:
         return int(v)
@@ -43,7 +49,8 @@ class NcPoly:
     __slots__ = ("alphabet", "terms")
 
     def __init__(self, alphabet, terms=None):
-        assert alphabet in ("ab", "cd")
+        if alphabet not in ("ab", "cd"):
+            raise ValueError(f"alphabet must be 'ab' or 'cd', not {alphabet!r}")
         self.alphabet = alphabet
         clean = {}
         for word, coeff in (terms or {}).items():
@@ -88,7 +95,7 @@ class NcPoly:
                 and self.terms == other.terms)
 
     def __add__(self, other):
-        assert self.alphabet == other.alphabet
+        _require_alphabet(self.alphabet, other)
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, 0) + c
@@ -103,7 +110,7 @@ class NcPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return NcPoly(self.alphabet, {w: c * other for w, c in self.terms.items()})
-        assert self.alphabet == other.alphabet
+        _require_alphabet(self.alphabet, other)
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -135,14 +142,17 @@ A, B = ab("a"), ab("b")
 C, D = cd("c"), cd("d")
 
 
-def mul(p, q):
-    """Noncommutative product (degrees add)."""
-    return p * q
+def power(p, e):
+    """p^e by repeated multiplication (1 when e <= 0)."""
+    out = NcPoly.one(p.alphabet)
+    for _ in range(e):
+        out = out * p
+    return out
 
 
 def ab_expand(p):
     """Substitute c -> a+b, d -> ab+ba and expand."""
-    assert p.alphabet == "cd"
+    _require_alphabet("cd", p)
     sub = {"c": (("a", 1), ("b", 1)), "d": (("ab", 1), ("ba", 1))}
     out = {}
     for word, coeff in p.terms.items():
@@ -172,7 +182,7 @@ def cd_contract(p):
     Peels the leading letter: p = c*q + d*r forces q = p_a - b*r and
     r = b-part of (p_a - p_b); failure at any level raises NotExpressible.
     """
-    assert p.alphabet == "ab"
+    _require_alphabet("ab", p)
     if p.is_zero():
         return NcPoly.zero("cd")
     if not p.is_homogeneous():
@@ -209,7 +219,7 @@ def cd_split_with_a(p):
     """
     from . import linalg
 
-    assert p.alphabet == "ab"
+    _require_alphabet("ab", p)
     if p.is_zero():
         return NcPoly.zero("cd"), NcPoly.zero("cd")
     if not p.is_homogeneous():
@@ -252,7 +262,7 @@ def cd_words(n):
 
 def derivation_G(p):
     """Leibniz extension of G(c) = d, G(d) = cd."""
-    assert p.alphabet == "cd"
+    _require_alphabet("cd", p)
     image = {"c": "d", "d": "cd"}
     out = {}
     for word, coeff in p.terms.items():
@@ -276,20 +286,14 @@ def alpha(k):
         return cd("", -1)
     base = C * C - 2 * D
     half = Fraction(1, 2)
-
-    def power(q, e):
-        out = NcPoly.one("cd")
-        for _ in range(e):
-            out = out * q
-        return out
-
     if k % 2 == 0:
         j = k // 2
         res = (power(base, j) + C * power(base, j - 1) * C) * (-half)
     else:
         j = k // 2
         res = (power(base, j) * C + C * power(base, j)) * half
-    assert all(not isinstance(c, Fraction) for c in res.terms.values())
+    if any(isinstance(c, Fraction) for c in res.terms.values()):
+        raise ArithmeticError(f"alpha_{k} has a non-integer coefficient")
     return res
 
 
@@ -299,13 +303,6 @@ def alpha_ab_form(k):
     negative exponent at k = 1."""
     if k < 1:
         raise ValueError("alpha_ab_form needs k >= 1")
-
-    def power(q, e):
-        out = NcPoly.one("ab")
-        for _ in range(e):
-            out = out * q
-        return out
-
     term1 = A * power(B - A, k - 1)
     term2 = power(A - B, k - 1)
     if k % 2 == 0:
@@ -315,7 +312,7 @@ def alpha_ab_form(k):
 
 def coeffwise_leq(p, q):
     """True iff every coefficient of p is <= the matching one of q."""
-    assert p.alphabet == q.alphabet
+    _require_alphabet(p.alphabet, q)
     for w in set(p.terms) | set(q.terms):
         if p.coeff(w) > q.coeff(w):
             return False

@@ -251,18 +251,15 @@ class GradedPoset:
         if upper is TOP:
             if closed_upper:
                 raise ValueError("the virtual top cannot be included in an interval")
-            mask = self._geq[xi]
-            new_n = self.n - self._rank[xi]
+            hi = TOP
         else:
-            ui = self._index(upper)
-            if not (self._geq[xi] >> ui) & 1:
+            hi = self._index(upper)
+            if not (self._geq[xi] >> hi) & 1:
                 raise NotComparable(f"{x!r} is not below {upper!r}")
-            mask = self._geq[xi] & self._leq[ui]
-            if not closed_upper:
-                mask ^= 1 << ui
-            gap = self._rank[ui] - self._rank[xi]
-            new_n = gap if closed_upper else gap - 1
-        return self._materialize(mask, new_n, self._rank[xi])
+        view = interval_view(self, xi, hi)
+        if closed_upper:
+            return self._materialize(view.mask | 1 << hi, view.n + 1, self._rank[xi])
+        return self._materialize(view.mask, view.n, self._rank[xi])
 
     def _materialize(self, mask, new_n, rank_offset):
         """Renumber the elements in `mask` into a standalone GradedPoset."""
@@ -282,11 +279,16 @@ class GradedPoset:
         return GradedPoset(new_n, range(len(members)), ranks, covers_up,
                            labels=labels, provenance=prov)
 
-    def restrict(self, element_ids, n=None, bottom=None):
-        """A lightweight SubPoset view on a subset of elements."""
+    def _mask_of(self, element_ids):
+        """Bitmask of the indices of the given element ids."""
         mask = 0
         for e in element_ids:
             mask |= 1 << self._index(e)
+        return mask
+
+    def restrict(self, element_ids, n=None, bottom=None):
+        """A lightweight SubPoset view on a subset of elements."""
+        mask = self._mask_of(element_ids)
         bot = self._index(bottom) if bottom is not None else self._bottom
         if not (mask >> bot) & 1:
             raise UnknownElement("bottom of the view must belong to it")
@@ -439,24 +441,31 @@ class SubPoset:
         return self.n + 1 - self.rank(x)
 
 
+def interval_view(P, lo, hi=TOP):
+    """The half-open interval [lo, hi) of the view P as a SubPoset sharing
+    P's root; `lo` and `hi` are root indices, hi = TOP gives [lo, 1-hat)."""
+    root = P._root
+    mask = root._geq[lo] & P._mask
+    if hi is TOP:
+        return SubPoset(root, mask, lo, P.n - P._vrank(lo))
+    mask &= root._leq[hi] & ~(1 << hi)
+    return SubPoset(root, mask, lo, root._rank[hi] - root._rank[lo] - 1)
+
+
 def upper_view(P, x):
     """The half-open upper interval [x, 1-hat) of P as a SubPoset view."""
-    root = P._root
-    xi = root._index(x)
-    mask = root._geq[xi] & P._mask
-    return SubPoset(root, mask, xi, P.n - P._vrank(xi))
+    return interval_view(P, P._root._index(x))
 
 
-def iter_chain_indices(view):
-    """All chains of the view that avoid the bottom, as ascending index
-    tuples (the empty chain included), in deterministic order."""
-    root = view._root
-    mask = view._mask & ~(1 << view._bottom_idx)
-    first = [i for i in view._indices() if (mask >> i) & 1]
+def iter_chains(root, mask):
+    """Every chain inside the index set `mask` of `root`, as an ascending
+    index tuple, the empty chain first: depth first, each level in
+    (rank, index) order."""
+    first = sorted(_bits(mask), key=lambda i: (root._rank[i], i))
 
     def rec(prefix, candidates):
         yield prefix
-        for k, i in enumerate(candidates):
+        for i in candidates:
             nxt = [j for j in root._up_list[i] if (mask >> j) & 1]
             yield from rec(prefix + (i,), nxt)
 
@@ -490,17 +499,47 @@ def to_json_dict(P):
     return {"n": P.n, "elements": elements, "covers": covers}
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def int_pairs(entries, what):
+    """The [x, y] integer pairs of a JSON list, as tuples; PosetError for
+    anything else."""
+    if not isinstance(entries, list):
+        raise PosetError(f"{what} must be a list")
+    for p in entries:
+        if not (isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))):
+            raise PosetError(f"{what} entry {p!r} is not a pair of integers")
+    return [tuple(p) for p in entries]
+
+
 def from_json_dict(doc):
+    """Parse the JSON format above; PosetError on malformed documents."""
+    if not isinstance(doc, dict):
+        raise PosetError("a poset document must be a JSON object")
+    missing = [k for k in ("n", "elements", "covers") if k not in doc]
+    if missing:
+        raise PosetError(f"poset document lacks {', '.join(missing)}")
+    if not _is_int(doc["n"]):
+        raise PosetError("n must be an integer")
+    if not isinstance(doc["elements"], list):
+        raise PosetError("elements must be a list")
     ranks = {}
     labels = {}
     for entry in doc["elements"]:
+        if not (isinstance(entry, dict) and _is_int(entry.get("id"))
+                and _is_int(entry.get("rank"))):
+            raise PosetError(f"element {entry!r} needs an integer id and rank")
+        if entry["id"] in ranks:
+            raise PosetError(f"duplicate element id {entry['id']}")
         ranks[entry["id"]] = entry["rank"]
         if "label" in entry:
             labels[entry["id"]] = entry["label"]
     if ranks.get(0) != 0:
         raise NoBottom("JSON posets must use id 0 for the bottom element")
     return GradedPoset.from_covers(doc["n"], ranks,
-                                   [tuple(c) for c in doc["covers"]],
+                                   int_pairs(doc["covers"], "covers"),
                                    labels=labels)
 
 

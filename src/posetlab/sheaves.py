@@ -23,10 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import constructions, flags, homology
-from .linalg import (identity, mat_inverse, mat_mul, mat_nullspace, mat_rank,
-                     solve_in_span, sparse_nullspace, sparse_rank)
+from .linalg import (betti_from_ranks, identity, mat_inverse, mat_mul,
+                     mat_nullspace, mat_rank, solve_in_span, sparse_nullspace,
+                     sparse_rank)
 from .ncpoly import cd_split_with_a
-from .poset import GradedPoset
+from .poset import GradedPoset, _bits, interval_view
 
 
 class NotSimplicial(Exception):
@@ -72,15 +73,6 @@ class Sheaf:
     def dim(self, x):
         return self.stalk_dim.get(x, 0)
 
-    def _down_covers(self, x):
-        cache = self.base._cache.setdefault("down_covers", {})
-        if not cache:
-            for lo, hi in self.base.covers():
-                cache.setdefault(hi, []).append(lo)
-            for e in self.base.elements():
-                cache.setdefault(e, [])
-        return cache[x]
-
     def res_between(self, sigma, tau):
         """Composite restriction F_sigma -> F_tau for sigma >= tau."""
         if sigma == tau:
@@ -91,7 +83,7 @@ class Sheaf:
         if self.dim(sigma) == 0 or self.dim(tau) == 0:
             out = _zeros(self.dim(tau), self.dim(sigma))
         else:
-            step = next(d for d in self._down_covers(sigma)
+            step = next(d for d in _down_covers(self.base, sigma)
                         if self.base.leq(tau, d))
             first = self.res.get((sigma, step))
             if first is None:
@@ -111,7 +103,7 @@ class Sheaf:
                 if s == t or not self.base.leq(t, s):
                     continue
                 mats = []
-                for d in self._down_covers(s):
+                for d in _down_covers(self.base, s):
                     if self.base.leq(t, d):
                         first = self.res.get((s, d))
                         if first is None:
@@ -227,14 +219,8 @@ class CellularComplex:
         return [len(c) for c in self.coords]
 
     def cohomology_dims(self):
-        dims = self.term_dims()
-        ranks = [sparse_rank(rows) for rows in self.diff_rows]
-        out = []
-        for k in range(len(dims)):
-            r_out = ranks[k] if k < len(ranks) else 0
-            r_in = ranks[k - 1] if k >= 1 else 0
-            out.append(dims[k] - r_out - r_in)
-        return out
+        return betti_from_ranks(self.term_dims(),
+                                [sparse_rank(rows) for rows in self.diff_rows])
 
     def kernel_deg0(self):
         """Basis of H^0 = ker(d_0) as dicts keyed by (element, local)."""
@@ -306,18 +292,17 @@ def _check_d_squared(cc):
                 raise ValueError("cellular differential does not square to zero")
 
 
+# Covers of one element share a rank, and indices are sorted by (rank, id),
+# so both lists below come out in ascending id order.
+
+
 def _up_covers(base, y):
-    cache = base._cache.setdefault("up_covers", {})
-    if not cache:
-        for lo, hi in base.covers():
-            cache.setdefault(lo, []).append(hi)
-        for e in base.elements():
-            cache.setdefault(e, [])
-    return cache[y]
+    return [base._ids[j] for j in base._covers_up[base._index(y)]]
 
 
-def _upset_ids(base, x):
-    return base.up_set(x)
+def _down_covers(base, x):
+    xi = base._index(x)
+    return [base._ids[i] for i in _bits(base._leq[xi]) if xi in base._covers_up[i]]
 
 
 def is_cm_sheaf(F):
@@ -333,7 +318,7 @@ def is_cm_sheaf(F):
         return out
     out = True
     for x in F.base.elements():
-        cc = cellular_complex(F, _upset_ids(F.base, x), check=False)
+        cc = cellular_complex(F, F.base.up_set(x), check=False)
         dims = cc.cohomology_dims()
         if any(d for d in dims[1:]):
             out = False
@@ -352,7 +337,7 @@ def is_gorenstein_sheaf(F):
     except NotSimplicial:
         return is_gorenstein_sheaf(pullback(F))
     for x in base.elements():
-        cc = cellular_complex(F, _upset_ids(base, x), check=False)
+        cc = cellular_complex(F, base.up_set(x), check=False)
         if len(cc.kernel_deg0()) != F.dim(x):
             return False
     return True
@@ -392,13 +377,13 @@ def _dual_simplicial(F):
     base = F.base
     h0 = {}
     for x in base.elements():
-        h0[x] = _h0_basis(F, _upset_ids(base, x))
+        h0[x] = _h0_basis(F, base.up_set(x))
     stalks = {x: len(b) for x, b in h0.items()}
     res = {}
     for lo, hi in base.covers():
         if stalks[hi] == 0 or stalks[lo] == 0:
             continue
-        hi_set = set(_upset_ids(base, hi))
+        hi_set = set(base.up_set(hi))
         cols = [_project_and_solve(h0[hi], vec, hi_set) for vec in h0[lo]]
         # cols[i][j]: coefficient of basis_hi[j] in image of basis_lo[i];
         # the map H0(lo) -> H0(hi) has matrix M[j][i], dual is its transpose
@@ -425,18 +410,18 @@ def _dual_poset(F):
     h0 = {}
     for sigma in base.elements():
         x = chain_of[()] if sigma == base.bottom else chain_of[(sigma,)]
-        h0[sigma] = _h0_basis(pf, _upset_ids(oc, x))
+        h0[sigma] = _h0_basis(pf, oc.up_set(x))
     stalks = {s: len(b) for s, b in h0.items()}
     res = {}
     for lo, hi in base.covers():
         if stalks[hi] == 0 or stalks[lo] == 0:
             continue
         y = chain_of[(hi,)] if lo == base.bottom else chain_of[(lo, hi)]
-        h0_y = _h0_basis(pf, _upset_ids(oc, y))
+        h0_y = _h0_basis(pf, oc.up_set(y))
         if len(h0_y) != stalks[hi]:
             raise NotCohenMacaulay(
                 f"fiber chain over {hi!r} breaks the constant-dual isomorphism")
-        y_set = set(_upset_ids(oc, y))
+        y_set = set(oc.up_set(y))
         # A: H0(x_hi) -> H0(y) is an isomorphism; B: H0(x_lo) -> H0(y)
         a_cols = [_project_and_solve(h0_y, vec, y_set) for vec in h0[hi]]
         b_cols = [_project_and_solve(h0_y, vec, y_set) for vec in h0[lo]]
@@ -481,16 +466,9 @@ def skeleton_poset(P, k):
 def _intervals_gorenstein(P):
     """Every [0, sigma) must be Gorenstein* (cached per poset)."""
     if "intervals_gor" not in P._cache:
-        root = P._root
-        ok = True
-        for e in P.elements():
-            i = root._index(e)
-            mask = root._leq[i] & ~(1 << i)
-            if not homology.certify_gorenstein(root, mask, root._bottom_idx,
-                                               P.rank(e) - 1):
-                ok = False
-                break
-        P._cache["intervals_gor"] = ok
+        P._cache["intervals_gor"] = all(
+            homology.is_gorenstein_star(interval_view(P, P._bottom_idx, i))
+            for i in P._indices())
     return P._cache["intervals_gor"]
 
 
@@ -657,8 +635,7 @@ def sheaf_ab_index(F):
     """Sum over chains of wt(chain) * dim F at the largest chain element."""
     base = F.base
     root = base._root
-    return flags.sheaf_weighted_ab_index(
-        base, lambda i: F.dim(root._ids[i]))
+    return flags.ab_index(base, lambda i: F.dim(root._ids[i]))
 
 
 def sheaf_cd_split(F):

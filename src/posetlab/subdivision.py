@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import constructions, flags, homology
 from .ncpoly import NcPoly, coeffwise_leq, coeffwise_witness, to_text
-from .poset import NotALattice, SubPoset, upper_view
+from .poset import NotALattice, SubPoset, _bits, upper_view
 
 
 class RankMismatch(Exception):
@@ -135,7 +135,7 @@ def decompose(phi):
         key = (cmask, omask, tgt.rank(s))
         if key not in cache:
             fiber = SubPoset(src._root, cmask, src._bottom_idx, tgt.rank(s))
-            bd_ids = [src._root._ids[i] for i in _mask_bits(omask)]
+            bd_ids = [src._root._ids[i] for i in _bits(omask)]
             cache[key] = flags.near_cd_index(fiber, bd_ids).phi
         terms[s] = cache[key]
         assembled = assembled + terms[s] * flags.cd_index(upper_view(tgt, s))
@@ -144,13 +144,6 @@ def decompose(phi):
         raise DecompositionMismatch(
             f"assembled {to_text(assembled)} != source {to_text(source_cd)}")
     return Decomposition(terms, assembled, source_cd)
-
-
-def _mask_bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
+import io
 import json
+
+import pytest
 
 from posetlab import cli
 from posetlab import constructions as cons
@@ -197,6 +200,29 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "cd-index", "/nonexistent.json")
         assert code == 2
+
+    @pytest.mark.parametrize("text", [
+        "[]",
+        '{"n": 1, "elements": [{"id": 0, "rank": 0}, {"id": 1, "rank": 1}, '
+        '{"id": 1, "rank": 0}], "covers": [[0, 1]]}',
+    ], ids=["top-level-list", "duplicate-id"])
+    def test_malformed_poset_json(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, _, err = run_cli(capsys, "cd-index", "-")
+        assert code == 2
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("assignment", [
+        [[0, 0, 0]], [[0, "x"]], "none", [[0, 0], [1, 1], [2, 2], [2, 1]],
+    ], ids=["triple", "string-id", "not-a-list", "duplicate-source"])
+    def test_malformed_map_assignment(self, capsys, tmp_path, assignment):
+        seg = poset_mod.to_json_dict(cons.segment())
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(
+            {"source": seg, "target": seg, "assignment": assignment}))
+        code, _, err = run_cli(capsys, "verify", "decomposition", "--map", str(path))
+        assert code == 2
+        assert err.startswith("error: ")
 
     def test_precondition_error(self, capsys, tmp_path):
         # cd-index of a non-Eulerian poset is a precondition failure

@@ -3,7 +3,7 @@ import pytest
 from helpers import all_chains
 from posetlab import constructions as cons
 from posetlab import homology as hm
-from posetlab.poset import GradedPoset
+from posetlab.poset import GradedPoset, iter_chains
 
 
 def path_poset():
@@ -222,16 +222,29 @@ class TestComplementaryPairs:
 
 
 class TestChainEngineAgainstGenericLinks:
-    def test_link_profiles_match_generic(self, polygon3):
+    def test_link_profiles_match_generic(self, polygon3, small_gorenstein):
         """Every chain's link Betti vector from the interval engine equals
-        the generic simplicial computation."""
-        P = cons.with_top(polygon3)
-        K = hm.order_complex_simplicial(P)
-        root = P._root
-        for chain in all_chains(P):
-            simplex = tuple(chain[1:])
-            betti = hm._link_betti(
-                root, P._mask, P._bottom_idx,
-                tuple(root._index(e) for e in simplex))
-            generic = hm.reduced_homology(hm.link(K, simplex)).as_dict()
-            assert betti == generic, simplex
+        the generic simplicial computation, and the chain generator yields
+        one chain per simplex of the order complex plus the empty chain."""
+        ball, boundary = cons.remove_upset(cons.polygon(4), 1)
+        posets = [(name, P) for name, P in small_gorenstein] + [
+            ("cone_polygon3", cons.with_top(polygon3)),
+            ("path", path_poset()),
+            ("ball", ball),
+            ("ball_boundary", ball.restrict(boundary, n=ball.n - 1)),
+        ]
+        for name, P in posets:
+            K = hm.order_complex_simplicial(P)
+            root = P._root
+            chains = [tuple(root._ids[i] for i in c)
+                      for c in iter_chains(root, P._mask & ~(1 << P._bottom_idx))]
+            oracle = all_chains(P)
+            assert len(chains) == sum(K.f_vector()) + 1 == len(oracle), name
+            assert set(chains) == {c[1:] for c in oracle}, name
+            for chain in oracle:
+                simplex = tuple(chain[1:])
+                betti = hm._link_betti(
+                    root, P._mask, P._bottom_idx,
+                    tuple(root._index(e) for e in simplex))
+                generic = hm.reduced_homology(hm.link(K, simplex)).as_dict()
+                assert betti == generic, (name, simplex)

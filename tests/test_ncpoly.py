@@ -9,7 +9,7 @@ from posetlab.ncpoly import (A, B, C, D, NcPoly, NotExpressible,
                              NotHomogeneous, ab, ab_expand, alpha,
                              alpha_ab_form, cd, cd_contract, cd_split_with_a,
                              cd_words, coeffwise_leq, coeffwise_witness,
-                             derivation_G, from_json, mul, parse_poly, pyr_op,
+                             derivation_G, from_json, parse_poly, pyr_op,
                              to_json, to_text)
 
 
@@ -27,17 +27,17 @@ def cd_polys(max_degree=8):
 
 class TestMul:
     def test_cc(self):
-        assert mul(C, C) == cd("cc")
+        assert C * C == cd("cc")
 
     def test_a_minus_b_times_b(self):
-        assert mul(A - B, B) == ab("ab") - ab("bb")
+        assert (A - B) * B == ab("ab") - ab("bb")
 
     def test_mixed(self):
-        assert mul(cd("cc") + D, C) == cd("ccc") + cd("dc")
+        assert (cd("cc") + D) * C == cd("ccc") + cd("dc")
 
     def test_degrees_add(self):
         p, q = cd("cd", 2), cd("dc", 3)
-        assert mul(p, q).degree() == p.degree() + q.degree()
+        assert (p * q).degree() == p.degree() + q.degree()
 
 
 class TestAbExpand:
@@ -75,6 +75,26 @@ class TestCdContract:
     @given(cd_polys())
     def test_round_trip(self, p):
         assert cd_contract(ab_expand(p)) == p
+
+
+class TestAlphabetChecks:
+    """Exceptions, not asserts, so the checks also hold under python -O."""
+
+    def test_unknown_alphabet(self):
+        with pytest.raises(ValueError):
+            NcPoly("xy", {"x": 1})
+
+    def test_mixed_sum(self):
+        with pytest.raises(ValueError):
+            A + C
+
+    def test_mixed_product(self):
+        with pytest.raises(ValueError):
+            A * C
+
+    def test_contract_of_cd_polynomial(self):
+        with pytest.raises(ValueError):
+            cd_contract(C)
 
 
 class TestDerivationG:

@@ -8,7 +8,7 @@ from helpers import eulerian_oracle, isomorphic
 from posetlab import constructions as cons
 from posetlab.poset import (TOP, GradedPoset, NoBottom, NotALattice,
                             NotComparable, NotGraded, NoUniqueTop,
-                            RankedTooHigh, UnknownElement, UnreachableElement,
+                            PosetError, RankedTooHigh, UnknownElement, UnreachableElement,
                             from_json, to_json, to_json_dict)
 
 
@@ -204,6 +204,26 @@ class TestJson:
         doc = {"n": 1, "elements": [{"id": 1, "rank": 0}, {"id": 0, "rank": 1}],
                "covers": [[1, 0]]}
         with pytest.raises(NoBottom):
+            from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("doc", [
+        [],
+        {"n": 1, "elements": [{"id": 0, "rank": 0}]},
+        {"n": "1", "elements": [{"id": 0, "rank": 0}], "covers": []},
+        {"n": 1, "elements": [{"id": 0, "rank": 0}, {"id": "a", "rank": 1}],
+         "covers": []},
+        {"n": 1, "elements": [{"id": 0, "rank": 0}, {"id": 1, "rank": 1.0}],
+         "covers": []},
+        {"n": 1, "elements": [{"id": 0, "rank": 0}, {"id": 1, "rank": 1},
+                              {"id": 1, "rank": 0}], "covers": [[0, 1]]},
+        {"n": 1, "elements": [{"id": 0, "rank": 0}, {"id": 1, "rank": 1}],
+         "covers": [[0, 1, 1]]},
+        {"n": 1, "elements": [{"id": 0, "rank": 0}, {"id": 1, "rank": 1}],
+         "covers": [[0, [1]]]},
+    ], ids=["not-an-object", "no-covers", "string-n", "string-id",
+            "float-rank", "duplicate-id", "cover-triple", "cover-nested"])
+    def test_malformed_documents_raise_poset_error(self, doc):
+        with pytest.raises(PosetError):
             from_json(json.dumps(doc))
 
     def test_renumbered_export(self):

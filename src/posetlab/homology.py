@@ -19,8 +19,16 @@ reduced Betti numbers.  Every certification predicate of the fast route
 (Gorenstein*, near-Gorenstein*, Cohen-Macaulay) runs one chain-link walk,
 `_first_bad_link`, and differs only in what it expects of each link.  The
 kernel and the walk are the seams for any change to how interval homology
-is computed or certified.  All ranks are computed by fraction-free
-elimination over the integers, never floating point.
+is computed or certified.
+
+Interval homology on the fast route is first computed over GF(2)
+(`rank_mod2` on bitmask boundary rows), which certifies the Q answer when
+it is supported in at most one degree: the boundary matrices are integer
+matrices, so each GF(2) rank is at most the Q rank and each GF(2) Betti
+number at least the Q one, while the reduced Euler characteristic (the
+alternating sum of face counts) is the same over both fields.  Every other
+profile, and the whole simplicial route, is computed exactly over Q by
+fraction-free elimination over the integers.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .linalg import betti_from_ranks, sparse_rank
+from .linalg import betti_from_ranks, rank_mod2, sparse_rank
 from .poset import _bits, iter_chains
 
 
@@ -150,21 +158,34 @@ class HomologyProfile:
         return sum((-1) ** (i - 1) * b for i, b in enumerate(self.betti))
 
 
-def _faces_betti(faces):
+def _boundary_betti(faces, rank, boundary_row):
     """Reduced Betti numbers {degree: dim}, nonzero only, of the simplicial
     complex whose d-faces are faces[d] (ascending vertex tuples) for
-    d = -1 .. top, with faces[-1] == [()].  The boundary matrix of degree
-    d has one sparse row per face in faces[d], in that order, with columns
-    indexed by position in faces[d - 1]."""
+    d = -1 .. top, with faces[-1] == [()], over the field whose matrix rank
+    is `rank`.  The boundary matrix of degree d has one row per face in
+    faces[d], in that order, built by boundary_row(face, col) with columns
+    indexed by position in faces[d - 1] (col maps a face to its column)."""
     top = len(faces) - 2
     ranks = []
     for d in range(top + 1):
         col = {s: k for k, s in enumerate(faces[d - 1])}
-        ranks.append(sparse_rank([
-            {col[s[:j] + s[j + 1:]]: (-1) ** j for j in range(len(s))}
-            for s in faces[d]]))
+        ranks.append(rank([boundary_row(s, col) for s in faces[d]]))
     dims = [len(faces[d]) for d in range(-1, top + 1)]
     return {k - 1: b for k, b in enumerate(betti_from_ranks(dims, ranks)) if b}
+
+
+def _faces_betti(faces):
+    """Reduced Betti numbers over Q, by exact `sparse_rank` of the signed
+    boundary rows (see _boundary_betti for the layout of `faces`)."""
+    return _boundary_betti(faces, sparse_rank, lambda s, col: {
+        col[s[:j] + s[j + 1:]]: (-1) ** j for j in range(len(s))})
+
+
+def _faces_betti_mod2(faces):
+    """Reduced Betti numbers over GF(2): the boundary rows lose their signs
+    and become int bitmasks for `rank_mod2`."""
+    return _boundary_betti(faces, rank_mod2, lambda s, col: sum(
+        1 << col[s[:j] + s[j + 1:]] for j in range(len(s))))
 
 
 def reduced_homology(K):
@@ -229,15 +250,27 @@ def _betti_mul(p, q):
     return out
 
 
+def _chain_faces(root, mask):
+    """The complex of chains inside the vertex mask, as `_boundary_betti`
+    takes it: faces[d] lists the chains with d + 1 elements."""
+    faces = {}
+    for c in iter_chains(root, mask):
+        faces.setdefault(len(c) - 1, []).append(c)
+    return faces
+
+
 def _subset_betti(root, mask):
-    """Betti polynomial (dict degree -> dim, degree -1 allowed) of the
-    complex of chains inside the vertex mask; memoized on the root poset."""
+    """Betti polynomial over Q (dict degree -> dim, degree -1 allowed) of
+    the complex of chains inside the vertex mask; memoized on the root
+    poset.  The GF(2) profile is computed first and returned when it is
+    supported in at most one degree, which proves it equal to the Q profile
+    (see the module docstring); any other profile, 2-torsion included, is
+    recomputed exactly over Q."""
     cache = root._cache.setdefault("subset_betti", {})
     if mask not in cache:
-        faces = {}
-        for c in iter_chains(root, mask):
-            faces.setdefault(len(c) - 1, []).append(c)
-        cache[mask] = _faces_betti(faces)
+        faces = _chain_faces(root, mask)
+        betti = _faces_betti_mod2(faces)
+        cache[mask] = betti if len(betti) <= 1 else _faces_betti(faces)
     return cache[mask]
 
 

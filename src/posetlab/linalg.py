@@ -1,9 +1,13 @@
-"""Exact rational linear algebra: rank, nullspace, solve, inverse.
+"""Exact linear algebra: rank, nullspace, solve, inverse.
 
-Everything here works over Fraction/int scalars.  Matrices come in two
-flavours: sparse rows (dict column -> value) for the big boundary-matrix
-rank computations, and small dense lists-of-lists for sheaf stalk maps.
-No floating point anywhere.
+One elimination kernel per field.  Over Q (Fraction/int scalars) matrices
+come in two flavours: sparse rows (dict column -> value) for the exact
+boundary-matrix ranks and the sheaf solves, and small dense lists-of-lists
+for sheaf stalk maps.  Over GF(2), `rank_mod2` takes rows as int bitmasks;
+homology uses it as a certificate only (a GF(2) rank of an integer matrix
+is at most its Q rank, so it may prove a sphere or an acyclic interval but
+never refute one), and every other answer is decided over Q.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -62,6 +66,24 @@ def sparse_rank(rows):
                 nxt.append(_normalize_row(out))
         work = nxt
     return rank
+
+
+def rank_mod2(rows):
+    """Rank over GF(2) of a matrix whose rows are int bitmasks (bit k set
+    when column k holds a 1): XOR elimination against pivot rows keyed on
+    their highest set bit.  `int.bit_length` finds that bit in constant
+    time, and on order-complex boundary matrices (faces in chain preorder)
+    this pivot order also produces far less fill than the lowest bit."""
+    pivots = {}
+    for row in rows:
+        while row:
+            top = row.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                break
+            row ^= pivot
+    return len(pivots)
 
 
 def betti_from_ranks(dims, ranks):

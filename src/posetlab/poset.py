@@ -460,16 +460,23 @@ def upper_view(P, x):
 def iter_chains(root, mask):
     """Every chain inside the index set `mask` of `root`, as an ascending
     index tuple, the empty chain first: depth first, each level in
-    (rank, index) order."""
-    first = sorted(_bits(mask), key=lambda i: (root._rank[i], i))
+    (rank, index) order.
 
-    def rec(prefix, candidates):
-        yield prefix
-        for i in candidates:
-            nxt = [j for j in root._up_list[i] if (mask >> j) & 1]
-            yield from rec(prefix + (i,), nxt)
-
-    yield from rec((), first)
+    An explicit stack, not a self-referencing nested generator: that one
+    would form a function-cell reference cycle holding `root` (and its
+    caches) until the cyclic garbage collector runs."""
+    up = root._up_list
+    yield ()
+    stack = [((), iter(sorted(_bits(mask), key=lambda i: (root._rank[i], i))))]
+    while stack:
+        prefix, candidates = stack[-1]
+        i = next(candidates, None)
+        if i is None:
+            stack.pop()
+            continue
+        chain = prefix + (i,)
+        yield chain
+        stack.append((chain, iter([j for j in up[i] if (mask >> j) & 1])))
 
 
 # -- JSON format ------------------------------------------------------------

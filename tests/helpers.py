@@ -4,8 +4,10 @@ Everything here is deliberately naive: chains are materialized one by one,
 Euler sums run over all pairs, and isomorphism is a backtracking search.
 """
 
+from itertools import combinations
+
 from posetlab.ncpoly import NcPoly, ab
-from posetlab.poset import TOP
+from posetlab.poset import TOP, GradedPoset
 
 
 def all_chains(P):
@@ -110,3 +112,23 @@ def isomorphic(P, Q):
 def count_maximal_chains(P):
     return sum(1 for c in all_chains(P)
                if len(c) == P.n + 1)
+
+
+# The 6-vertex triangulation of the real projective plane (the
+# hemi-icosahedron): every edge lies in exactly two of the ten triangles.
+RP2_TRIANGLES = ((1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+                 (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6))
+
+
+def rp2_face_poset():
+    """Face poset of the 6-vertex RP^2, empty face as bottom, rank 3.
+
+    Its proper part has reduced homology Z/2 in degree 1, so over GF(2)
+    the Betti numbers are 1 in degrees 1 and 2 while over Q they all
+    vanish: the torsion case where a mod-2 rank proves nothing."""
+    faces = sorted({f for t in RP2_TRIANGLES for k in (1, 2, 3)
+                    for f in combinations(t, k)}, key=lambda f: (len(f), f))
+    ids = {(): 0, **{f: i for i, f in enumerate(faces, 1)}}
+    covers = [(ids[f[:j] + f[j + 1:]], ids[f])
+              for f in faces for j in range(len(f))]
+    return GradedPoset.from_covers(3, {i: len(f) for f, i in ids.items()}, covers)

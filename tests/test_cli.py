@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from helpers import rp2_face_poset
 from posetlab import cli
 from posetlab import constructions as cons
 from posetlab import poset as poset_mod
@@ -123,6 +124,16 @@ class TestCheck:
         assert code == 1
         doc = json.loads(out)
         assert doc["holds"] is False and "betti" in doc
+
+    def test_gorenstein_star_no_on_torsion(self, capsys, tmp_path):
+        """Over Q the proper part of RP^2 is acyclic (its homology is
+        2-torsion), so the empty chain is the witness, with no Betti numbers."""
+        rp2 = write_poset(tmp_path, rp2_face_poset())
+        code, out, _ = run_cli(capsys, "--json", "check", "gorenstein-star", rp2)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["holds"] is False
+        assert doc["betti"] == {} and doc["witness_chain"] == []
 
     def test_near_gorenstein_star_auto(self, capsys, tmp_path):
         cone = write_poset(tmp_path, cons.with_top(cons.polygon(3)))

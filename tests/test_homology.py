@@ -1,9 +1,13 @@
-import pytest
+import gc
 
-from helpers import all_chains
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import all_chains, rp2_face_poset
 from posetlab import constructions as cons
 from posetlab import homology as hm
-from posetlab.poset import GradedPoset, iter_chains
+from posetlab.poset import GradedPoset, from_json, iter_chains, to_json
 
 
 def path_poset():
@@ -248,3 +252,112 @@ class TestChainEngineAgainstGenericLinks:
                     tuple(root._index(e) for e in simplex))
                 generic = hm.reduced_homology(hm.link(K, simplex)).as_dict()
                 assert betti == generic, (name, simplex)
+
+
+class TestNoReferenceCycles:
+    def test_certification_leaves_no_cyclic_garbage(self):
+        """A certified poset is freed by reference counting alone: the chain
+        walk keeps no cycle that holds the poset and its caches."""
+        text = to_json(cons.boolean_algebra(4))
+        gc.collect()
+        gc.disable()
+        try:
+            P = from_json(text)
+            assert hm.is_gorenstein_star(P)
+            ball, boundary = cons.remove_upset(P, 1)
+            assert hm.is_near_gorenstein_star(ball, boundary)
+            del P, ball, boundary
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestMod2Certificate:
+    def test_rp2_torsion_falls_back_to_q(self):
+        """Z/2 torsion: GF(2) sees homology in two degrees, so the mod-2
+        answer is no proof and the exact Q profile (acyclic) is returned."""
+        P = rp2_face_poset()
+        root, mask = P._root, P._mask & ~(1 << P._bottom_idx)
+        assert hm._faces_betti_mod2(hm._chain_faces(root, mask)) == {1: 1, 2: 1}
+        betti = hm._subset_betti(root, mask)
+        assert betti == {}
+        assert betti == hm.reduced_homology(hm.order_complex_simplicial(P)).as_dict()
+        assert not hm.is_gorenstein_star(P)
+
+    def test_spheres_never_reach_exact_elimination(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("sparse_rank called on a mod-2-certified profile")
+
+        monkeypatch.setattr(hm, "sparse_rank", refuse)
+        for P in (cons.boolean_algebra(4), cons.pyr_poset(cons.polygon(3))):
+            assert hm.is_gorenstein_star(P)
+
+
+_BASES = {
+    "segment": cons.segment,
+    "polygon2": lambda: cons.polygon(2),
+    "polygon3": lambda: cons.polygon(3),
+    "polygon4": lambda: cons.polygon(4),
+    "polygon5": lambda: cons.polygon(5),
+    "boolean3": lambda: cons.boolean_algebra(3),
+}
+
+
+@st.composite
+def composed_posets(draw):
+    """Gorenstein* posets built by pyramids, star products and polytope
+    products of small polygons and Boolean algebras (rank <= 4, at most 30
+    elements), then possibly coned off or cut into a ball and its boundary
+    so that non-spheres appear."""
+    P = _BASES[draw(st.sampled_from(sorted(_BASES)))]()
+    for op in draw(st.lists(st.sampled_from(["pyr", "star", "product"]), max_size=2)):
+        Q = _BASES[draw(st.sampled_from(["segment", "polygon2", "polygon3"]))]()
+        nxt = {"pyr": lambda: cons.pyr_poset(P),
+               "star": lambda: cons.star_product(P, Q),
+               "product": lambda: cons.polytope_product(P, Q)}[op]()
+        if nxt.n <= 4 and len(nxt) <= 30:
+            P = nxt
+    variant = draw(st.sampled_from(["sphere", "cone", "ball", "ball_boundary"]))
+    if variant == "cone" and P.n <= 3:
+        return cons.with_top(P)
+    if variant.startswith("ball") and P.is_lattice():
+        proper = [e for e in P.elements() if e != P.bottom]
+        ball, boundary = cons.remove_upset(P, draw(st.sampled_from(proper)))
+        if variant == "ball":
+            return ball
+        return ball.restrict(boundary, n=ball.n - 1)
+    return P
+
+
+def _open_interval_masks(P):
+    """Every open interval (x, y) of P u {top}, as root index masks."""
+    root = P._root
+    members = [i for i in range(len(root._ids)) if (P._mask >> i) & 1]
+    for x in members:
+        above = root._geq[x] & P._mask & ~(1 << x)
+        yield above
+        for y in members:
+            if (above >> y) & 1:
+                yield above & root._leq[y] & ~(1 << y)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(composed_posets())
+def test_mod2_certificate_against_exact_and_simplicial_oracle(P):
+    """Over every open interval the GF(2) Betti numbers dominate the Q ones
+    with the same Euler characteristic, and the mod-2-certified
+    `_subset_betti` equals exact elimination over Q; the fast Gorenstein*
+    predicate agrees with the literal simplicial one."""
+    root = P._root
+    for mask in set(_open_interval_masks(P)):
+        faces = hm._chain_faces(root, mask)
+        exact, mod2 = hm._faces_betti(faces), hm._faces_betti_mod2(faces)
+        assert all(mod2.get(d, 0) >= b for d, b in exact.items())
+        assert (sum((-1) ** d * b for d, b in exact.items())
+                == sum((-1) ** d * b for d, b in mod2.items()))
+        assert hm._subset_betti(root, mask) == exact
+    try:
+        generic = hm.is_gorenstein_complex(hm.order_complex_simplicial(P))
+    except hm.NotPure:
+        generic = False
+    assert hm.is_gorenstein_star(P) == generic

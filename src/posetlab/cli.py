@@ -78,8 +78,19 @@ def _parse_boundary(P, value):
     return [int(x) for x in value.split(",") if x.strip() != ""]
 
 
+# poset-file or integer arguments each build kind needs (cube and cross
+# default their dimension to 3)
+_BUILD_ARITY = {"boolean": 1, "polygon": 1, "pyr": 1, "star": 2, "product": 2,
+                "polytope-product": 2, "order-complex": 1, "cube": 0,
+                "cross": 0, "semisusp": 1, "subdivision-target": 1,
+                "collapse": 1}
+
+
 def _cmd_build(args):
     kind = args.kind
+    if len(args.args) < _BUILD_ARITY[kind]:
+        raise ValueError(f"build {kind} needs {_BUILD_ARITY[kind]} argument(s), "
+                         f"got {len(args.args)}")
     if kind == "boolean":
         P = cons.boolean_algebra(int(args.args[0]))
     elif kind == "polygon":
@@ -109,8 +120,6 @@ def _cmd_build(args):
         phi = cons.collapse_map(_load_poset(args.args[0]), args.element)
         print(_map_to_json(phi))
         return 0
-    else:
-        raise ValueError(f"unknown build kind {kind!r}")
     _emit_poset(P)
     return 0
 
@@ -252,15 +261,15 @@ def build_parser():
         description="Flag enumeration, cd-indices, homology certification "
                     "and sheaf coefficient extraction on graded posets.")
     ap.add_argument("--json", action="store_true", help="emit JSON reports")
-    default_seed = int(os.environ.get("POSETLAB_SEED", "0"))
+    seed_text = os.environ.get("POSETLAB_SEED", "0")
+    try:
+        default_seed = int(seed_text)
+    except ValueError:
+        raise ValueError(f"POSETLAB_SEED must be an integer, got {seed_text!r}") from None
     sub = ap.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="construct a poset (JSON to stdout)")
-    b.add_argument("kind", choices=["boolean", "polygon", "pyr", "star",
-                                    "product", "polytope-product",
-                                    "order-complex", "cube", "cross",
-                                    "semisusp", "subdivision-target",
-                                    "collapse"])
+    b.add_argument("kind", choices=list(_BUILD_ARITY))
     b.add_argument("args", nargs="*")
     b.add_argument("--element", type=int, help="distinguished element id")
     b.set_defaults(fn=_cmd_build)
@@ -322,13 +331,11 @@ def build_parser():
 
 
 def run(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
     except SystemExit as exc:
         return USAGE_FAIL if exc.code not in (0, None) else 0
-    try:
-        return args.fn(args)
     except (PosetError, subdivision.RankMismatch, subdivision.SourceNotGorenstein,
             subdivision.TargetNotGorenstein, subdivision.NotGorensteinStar,
             homology.BoundaryNotIdeal, homology.BoundaryWrongRank,

@@ -315,15 +315,13 @@ def _structural_check(root, mask, bottom_idx, n):
         if root._rank[i] - base > n:
             return CertResult(False, f"element above rank {n}", (root._ids[i],))
     for i in members:
-        above = root._geq[i] & mask & ~(1 << i)
-        if not above and root._rank[i] - base != n:
+        covers = root._minimal_in(root._geq[i] & mask & ~(1 << i))
+        if not covers and root._rank[i] - base != n:
             return CertResult(False, "maximal element below top rank", (root._ids[i],))
-        for j in _bits(above):
+        for j in covers:
             if root._rank[j] - root._rank[i] >= 2:
-                between = root._geq[i] & root._leq[j] & mask & ~(1 << i) & ~(1 << j)
-                if not between:
-                    return CertResult(False, "cover skips a rank",
-                                      (root._ids[i], root._ids[j]))
+                return CertResult(False, "cover skips a rank",
+                                  (root._ids[i], root._ids[j]))
     return CertResult(True)
 
 

@@ -1,13 +1,19 @@
-"""Exact linear algebra: rank, nullspace, solve, inverse.
+"""Exact linear algebra: rank, nullspace and solve over Q, rank over GF(2).
 
-One elimination kernel per field.  Over Q (Fraction/int scalars) matrices
-come in two flavours: sparse rows (dict column -> value) for the exact
-boundary-matrix ranks and the sheaf solves, and small dense lists-of-lists
-for sheaf stalk maps.  Over GF(2), `rank_mod2` takes rows as int bitmasks;
-homology uses it as a certificate only (a GF(2) rank of an integer matrix
-is at most its Q rank, so it may prove a sphere or an acyclic interval but
-never refute one), and every other answer is decided over Q.  No floating
-point anywhere.
+One elimination kernel over Q.  `_echelon` reduces sparse rows (dict
+column -> int or Fraction) to an integral row echelon form; `sparse_rank`,
+`sparse_nullspace` and `solve_in_span` are built on it, and `mat_rank` /
+`mat_nullspace` adapt small dense lists-of-lists (sheaf stalk maps) to it.
+Pivots are keyed on each row's smallest column, so they are the leftmost
+independent columns whatever the row order.  That keeps every basis
+canonical: a nullspace vector is the unique one with 1 on its own non-pivot
+column and 0 on the others, and a solution puts 0 on every basis vector
+that depends on earlier ones.  Fractions appear only in back-substitution.
+
+Over GF(2), `rank_mod2` takes rows as int bitmasks.  Homology uses it as a
+certificate only: a GF(2) rank of an integer matrix is at most its Q rank,
+so it may prove a sphere or an acyclic interval but never refute one, and
+every other answer is decided over Q.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -35,37 +41,55 @@ def _normalize_row(row):
     return out
 
 
-def sparse_rank(rows):
-    """Rank over Q of a matrix given as an iterable of sparse rows.
+def _echelon(rows):
+    """Row echelon form over Q of the sparse rows, kept integral.
 
-    Fraction-free elimination: rows are kept integral, pivots are chosen
-    with the smallest absolute value on the shortest row, and rows are
-    re-normalized by their gcd after each update so entries stay small.
+    Each row is normalized, then reduced against the pivot rows (keyed on
+    their smallest column) until its smallest column is pivot-free or it
+    vanishes; an update cross-multiplies by the two leading coefficients
+    with their gcd divided out and divides out the content again.  The
+    pivots are therefore the leftmost independent columns.  Returns
+    {pivot column: integral row}; a row only has columns >= its pivot.
     """
-    work = [r for r in (_normalize_row(dict(row)) for row in rows) if r]
-    rank = 0
-    while work:
-        pi = min(range(len(work)), key=lambda i: len(work[i]))
-        pivot = work.pop(pi)
-        pc, pv = min(pivot.items(), key=lambda kv: (abs(kv[1]), kv[0]))
-        rank += 1
-        nxt = []
-        for row in work:
-            w = row.get(pc)
-            if w is None:
-                nxt.append(row)
-                continue
-            out = {k: pv * v for k, v in row.items()}
+    pivots = {}
+    for row in rows:
+        row = _normalize_row(row)
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            a, b = pivot[col], row[col]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            out = {k: a * v for k, v in row.items()}
             for k, v in pivot.items():
-                nv = out.get(k, 0) - w * v
+                nv = out.get(k, 0) - b * v
                 if nv:
                     out[k] = nv
-                elif k in out:
+                else:
                     del out[k]
-            if out:
-                nxt.append(_normalize_row(out))
-        work = nxt
-    return rank
+            g = gcd(*out.values())
+            row = {k: v // g for k, v in out.items()} if g > 1 else out
+    return pivots
+
+
+def _back_substitute(pivots, x):
+    """Extend `x` (dict column -> Fraction: the nonzero free values) by the
+    pivot values that solve every pivot row, in one descending pass (a
+    pivot row only reaches columns right of its pivot)."""
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        s = sum(v * x[k] for k, v in row.items() if k in x)
+        if s:
+            x[col] = -s / row[col]
+    return x
+
+
+def sparse_rank(rows):
+    """Rank over Q of a matrix given as an iterable of sparse rows."""
+    return len(_echelon(rows))
 
 
 def rank_mod2(rows):
@@ -94,90 +118,41 @@ def betti_from_ranks(dims, ranks):
     return [d - r[k] - r[k + 1] for k, d in enumerate(dims)]
 
 
-def _reduce_row(cur, pivots):
-    """Reduce `cur` (dict, mutated) against normalized pivot rows until its
-    smallest column is pivot-free; returns that column or None when the row
-    vanishes.  Entries introduced by a reduction sit strictly to the right
-    of the reduced column, so the minimum climbs and the loop terminates.
-    """
-    while cur:
-        col = min(cur)
-        row = pivots.get(col)
-        if row is None:
-            return col
-        coef = cur[col]
-        for k, v in row.items():
-            nv = cur.get(k, Fraction(0)) - coef * v
-            if nv:
-                cur[k] = nv
-            elif k in cur:
-                del cur[k]
-    return None
-
-
 def sparse_nullspace(rows, ncols):
     """Basis of the nullspace of the matrix over Q.
 
     `rows` is a list of sparse rows over columns 0..ncols-1; the result is
-    a list of sparse vectors (dict col -> Fraction) spanning {x | Ax = 0}.
+    a list of sparse vectors (dict col -> Fraction) spanning {x | Ax = 0},
+    one per non-pivot column f, with 1 at f and 0 at the other non-pivot
+    columns.
     """
-    pivots = {}  # col -> reduced row (Fraction values, pivot coefficient 1)
-    for row in rows:
-        cur = {k: Fraction(v) for k, v in row.items() if v}
-        col = _reduce_row(cur, pivots)
-        if col is None:
-            continue
-        inv = 1 / cur[col]
-        pivots[col] = {k: v * inv for k, v in cur.items()}
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        vec = {f: Fraction(1)}
-        # pivot rows only reference columns right of their pivot, so a
-        # single descending pass back-substitutes correctly
-        for col in sorted(pivots, reverse=True):
-            row = pivots[col]
-            s = sum((row[k] * vec[k] for k in row if k != col and k in vec),
-                    Fraction(0))
-            if s:
-                vec[col] = -s
-        basis.append({k: v for k, v in vec.items() if v})
-    return basis
+    pivots = _echelon(rows)
+    return [_back_substitute(pivots, {f: Fraction(1)})
+            for f in range(ncols) if f not in pivots]
 
 
 def solve_in_span(basis, target):
     """Coefficients expressing sparse vector `target` in `basis`, or None.
 
     `basis` is a list of sparse vectors.  Returns a list of Fractions c with
-    sum(c_i * basis_i) == target, or None when target is outside the span.
+    sum(c_i * basis_i) == target, or None when target is outside the span;
+    a basis vector dependent on earlier ones gets coefficient 0.
     """
     cols = len(basis)
     support = set(target)
     for b in basis:
         support.update(b)
-    pivots = {}
+    rows = []
     for coord in sorted(support):
-        cur = {j: Fraction(b[coord]) for j, b in enumerate(basis)
-               if b.get(coord)}
+        row = {j: b[coord] for j, b in enumerate(basis) if b.get(coord)}
         if target.get(coord):
-            cur[cols] = Fraction(target[coord])
-        col = _reduce_row(cur, pivots)
-        if col is None:
-            continue
-        if col == cols:
-            return None  # inconsistent
-        inv = 1 / cur[col]
-        pivots[col] = {k: v * inv for k, v in cur.items()}
-    out = [Fraction(0)] * cols
-    for col in sorted(pivots, reverse=True):
-        row = pivots[col]
-        s = row.get(cols, Fraction(0))
-        for k, v in row.items():
-            if k != col and k != cols:
-                s -= v * out[k]
-        out[col] = s
-    return out
+            row[cols] = target[coord]
+        rows.append(row)
+    pivots = _echelon(rows)
+    if cols in pivots:
+        return None
+    x = _back_substitute(pivots, {cols: Fraction(-1)})
+    return [x.get(j, Fraction(0)) for j in range(cols)]
 
 
 # -- small dense helpers (lists of lists, Fraction entries) ----------------
@@ -200,41 +175,19 @@ def mat_mul(a, b):
     return out
 
 
-def transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 def identity(n):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
+def _dense_rows(a):
+    return [{j: v for j, v in enumerate(row) if v} for row in a]
+
+
 def mat_rank(a):
-    return sparse_rank([{j: v for j, v in enumerate(row) if v} for row in a])
-
-
-def mat_inverse(a):
-    """Inverse of a square matrix; raises ValueError when singular."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                coef = aug[r][col]
-                aug[r] = [x - coef * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return sparse_rank(_dense_rows(a))
 
 
 def mat_nullspace(a, ncols):
     """Dense nullspace: returns list of column vectors (lists of Fractions)."""
-    rows = [{j: v for j, v in enumerate(row) if v} for row in a]
-    sparse = sparse_nullspace(rows, ncols)
-    return [[vec.get(i, Fraction(0)) for i in range(ncols)] for vec in sparse]
+    return [[vec.get(i, Fraction(0)) for i in range(ncols)]
+            for vec in sparse_nullspace(_dense_rows(a), ncols)]

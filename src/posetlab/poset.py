@@ -266,18 +266,19 @@ class GradedPoset:
         members = sorted(_bits(mask), key=lambda i: (self._rank[i], i))
         newid = {i: k for k, i in enumerate(members)}
         ranks = [self._rank[i] - rank_offset for i in members]
-        covers_up = [[] for _ in members]
-        for i in members:
-            # covers inside the subset: minimal strictly-above members
-            above = self._geq[i] & mask & ~(1 << i)
-            for j in _bits(above):
-                between = self._geq[i] & self._leq[j] & mask & ~(1 << i) & ~(1 << j)
-                if not between:
-                    covers_up[newid[i]].append(newid[j])
+        covers_up = [[newid[j] for j in self._minimal_in(self._geq[i] & mask & ~(1 << i))]
+                     for i in members]
         labels = {newid[i]: self.label(self._ids[i]) for i in members}
         prov = {newid[i]: self._ids[i] for i in members}
         return GradedPoset(new_n, range(len(members)), ranks, covers_up,
                            labels=labels, provenance=prov)
+
+    def _minimal_in(self, mask):
+        """Indices of the minimal elements of the index set `mask`, ascending:
+        with mask the common upper bounds of i and j, the minimal upper
+        bounds; with mask the members of a subset strictly above i, the
+        covers of i inside that subset."""
+        return [k for k in _bits(mask) if mask & self._leq[k] == 1 << k]
 
     def _mask_of(self, element_ids):
         """Bitmask of the indices of the given element ids."""
@@ -345,11 +346,9 @@ class GradedPoset:
 
         Raises NotALattice when two incomparable minimal upper bounds exist.
         """
-        xi, yi = self._index(x), self._index(y)
-        ub = self._geq[xi] & self._geq[yi]
-        if ub == 0:
+        minimal = self._minimal_in(self._geq[self._index(x)] & self._geq[self._index(y)])
+        if not minimal:
             return TOP
-        minimal = [i for i in _bits(ub) if ub & self._leq[i] == 1 << i]
         if len(minimal) == 1:
             return self._ids[minimal[0]]
         raise NotALattice(
@@ -359,19 +358,12 @@ class GradedPoset:
         """True iff every pair has a join (possibly the virtual top)."""
         if "lattice" in self._cache:
             return self._cache["lattice"]
-        ok = True
-        m = len(self._ids)
-        for i in range(m):
-            for j in range(i + 1, m):
-                ub = self._geq[i] & self._geq[j]
-                if ub == 0:
-                    continue
-                minimal = [k for k in _bits(ub) if ub & self._leq[k] == 1 << k]
-                if len(minimal) > 1:
-                    ok = False
-                    break
-            if not ok:
-                break
+        geq = self._geq
+        # a comparable pair joins at its larger element and a pair with no
+        # common upper bound at the virtual top, so only the rest can fail
+        ok = not any(len(self._minimal_in(ub)) > 1
+                     for i, gi in enumerate(geq) for gj in geq[i + 1:]
+                     if (ub := gi & gj) not in (0, gi, gj))
         self._cache["lattice"] = ok
         return ok
 

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import constructions, flags, homology
-from .linalg import (betti_from_ranks, identity, mat_inverse, mat_mul,
-                     mat_nullspace, mat_rank, solve_in_span, sparse_nullspace,
-                     sparse_rank)
+from .linalg import (betti_from_ranks, identity, mat_mul, mat_nullspace,
+                     mat_rank, solve_in_span, sparse_nullspace, sparse_rank)
 from .ncpoly import cd_split_with_a
 from .poset import GradedPoset, _bits, interval_view
 
@@ -425,13 +424,13 @@ def _dual_poset(F):
         # A: H0(x_hi) -> H0(y) is an isomorphism; B: H0(x_lo) -> H0(y)
         a_cols = [_project_and_solve(h0_y, vec, y_set) for vec in h0[hi]]
         b_cols = [_project_and_solve(h0_y, vec, y_set) for vec in h0[lo]]
-        a_mat = [[a_cols[i][j] for i in range(stalks[hi])] for j in range(len(h0_y))]
-        b_mat = [[b_cols[i][j] for i in range(stalks[lo])] for j in range(len(h0_y))]
-        # dual restriction: B^T o (A^T)^(-1): F-dual_hi -> F-dual_lo
-        at_inv = mat_inverse([[a_mat[j][i] for j in range(len(h0_y))]
-                              for i in range(stalks[hi])])
-        bt = [[b_mat[j][i] for j in range(len(h0_y))] for i in range(stalks[lo])]
-        res[(hi, lo)] = mat_mul(bt, at_inv)
+        # dual restriction B^T (A^T)^(-1) = (A^(-1) B)^T: F-dual_hi -> F-dual_lo,
+        # whose row i solves A c = b_i in the columns a_cols of A
+        a_span = [{j: v for j, v in enumerate(col) if v} for col in a_cols]
+        if sparse_rank(a_span) < stalks[hi]:
+            raise ValueError("singular matrix")
+        res[(hi, lo)] = [solve_in_span(a_span, {j: v for j, v in enumerate(col) if v})
+                         for col in b_cols]
     dual = Sheaf(base, stalks, res)
     dual._h0 = h0
     dual._oc_context = (oc, pf, chain_of)

@@ -243,3 +243,21 @@ class TestExitCodes:
         path = write_poset(tmp_path, broken, "broken.json")
         code, _, err = run_cli(capsys, "cd-index", path)
         assert code == 2
+
+    def test_non_integer_seed_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("POSETLAB_SEED", "abc")
+        code, out, err = run_cli(capsys, "build", "polygon", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "POSETLAB_SEED" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["boolean"], ["polygon"], ["pyr"], ["star"], ["product", "x.json"],
+        ["polytope-product"], ["order-complex"], ["semisusp"],
+        ["subdivision-target"], ["collapse"],
+    ], ids=lambda argv: "-".join(argv))
+    def test_build_missing_arguments(self, capsys, argv):
+        code, out, err = run_cli(capsys, "build", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "argument" in err

@@ -5,8 +5,9 @@ commands compose in pipelines:
 
     posetlab build polygon 6 | posetlab cd-index -
 
-Exit codes: 0 verified/success, 1 mathematical failure (with a witness),
-2 usage or precondition error.  POSETLAB_SEED sets the default seed.
+Exit codes: 0 verified/success, 1 mathematical failure (with a witness) or
+a closed stdout, 2 usage or precondition error.  POSETLAB_SEED sets the
+default seed.
 """
 
 from __future__ import annotations
@@ -78,19 +79,22 @@ def _parse_boundary(P, value):
     return [int(x) for x in value.split(",") if x.strip() != ""]
 
 
-# poset-file or integer arguments each build kind needs (cube and cross
-# default their dimension to 3)
-_BUILD_ARITY = {"boolean": 1, "polygon": 1, "pyr": 1, "star": 2, "product": 2,
-                "polytope-product": 2, "order-complex": 1, "cube": 0,
-                "cross": 0, "semisusp": 1, "subdivision-target": 1,
-                "collapse": 1}
+# the numbers of poset-file or integer arguments each build kind accepts
+# (cube and cross default their dimension to 3)
+_BUILD_ARITY = {"boolean": (1,), "polygon": (1,), "pyr": (1,), "star": (2,),
+                "product": (2,), "polytope-product": (2,), "order-complex": (1,),
+                "cube": (0, 1), "cross": (0, 1), "semisusp": (1,),
+                "subdivision-target": (1,), "collapse": (1,)}
 
 
 def _cmd_build(args):
-    kind = args.kind
-    if len(args.args) < _BUILD_ARITY[kind]:
-        raise ValueError(f"build {kind} needs {_BUILD_ARITY[kind]} argument(s), "
-                         f"got {len(args.args)}")
+    kind, got = args.kind, len(args.args)
+    if got not in _BUILD_ARITY[kind]:
+        raise ValueError(f"build {kind} takes "
+                         f"{' or '.join(map(str, _BUILD_ARITY[kind]))} "
+                         f"argument(s), got {got}")
+    if kind in ("semisusp", "subdivision-target", "collapse") and args.element is None:
+        raise ValueError(f"build {kind} requires --element")
     if kind == "boolean":
         P = cons.boolean_algebra(int(args.args[0]))
     elif kind == "polygon":
@@ -168,8 +172,7 @@ def _cmd_check(args):
         boundary = _parse_boundary(P, args.boundary or "auto")
         cert = homology.near_gorenstein_star_report(P, boundary)
     elif args.property == "cm":
-        ok = homology.is_cohen_macaulay(P)
-        cert = homology.CertResult(ok, "" if ok else "link homology below top degree")
+        cert = homology.cohen_macaulay_report(P)
     else:
         raise ValueError(f"unknown property {args.property!r}")
     report = {"property": args.property, "holds": bool(cert)}
@@ -352,7 +355,14 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: devnull keeps the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

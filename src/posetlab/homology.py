@@ -6,20 +6,25 @@ Two routes compute the same facts:
   is_gorenstein_complex) that follows the definitions literally, and
 
 * a fast poset route used by the certification predicates, which walks the
-  chains of a poset and assembles each link's Betti vector from memoized
-  open-interval homologies (the link of a chain in an order complex is the
-  join of the order complexes of its gap intervals, and reduced homology
-  turns joins into shifted products).
+  open intervals (x, y) of a poset plus a virtual top, y = top included,
+  and checks each one's memoized homology in degree rank(y) - rank(x) - 2.
+
+The walk rests on two facts.  The link of a chain in an order complex is
+the join of the order complexes of its gap intervals, and over a field
+reduced homology turns joins into shifted products (Kunneth): a join is a
+sphere iff every factor is, and acyclic iff some factor is.  And each
+interval (x, y) is itself the link of the chain that saturates [bottom, x]
+and [y, top).  So every chain link fits exactly when every interval does,
+and a failure's witness is that saturating chain, whose link Betti numbers
+are the interval's.  Every predicate (Gorenstein*, near-Gorenstein*,
+Cohen-Macaulay) runs this one walk, `_first_bad_interval`, and differs
+only in what it expects of an interval.
 
 The generic route is the independent oracle for the fast one; the test
-suite checks they agree across the corpus.  The routes build their
-complexes and links independently and share one Betti kernel,
-`_faces_betti`: faces by dimension -> boundary rows -> `sparse_rank` ->
-reduced Betti numbers.  Every certification predicate of the fast route
-(Gorenstein*, near-Gorenstein*, Cohen-Macaulay) runs one chain-link walk,
-`_first_bad_link`, and differs only in what it expects of each link.  The
-kernel and the walk are the seams for any change to how interval homology
-is computed or certified.
+suite checks they agree.  Both share one Betti kernel, `_faces_betti`:
+faces by dimension -> boundary rows -> `sparse_rank` -> reduced Betti
+numbers.  The kernel and the walk are the seams for any change to how
+interval homology is computed or certified.
 
 Interval homology on the fast route is first computed over GF(2)
 (`rank_mod2` on bitmask boundary rows), which certifies the Q answer when
@@ -238,16 +243,7 @@ def order_complex_simplicial(P):
                              for c in iter_chains(root, vmask) if c)
 
 
-# -- fast chain-link engine ---------------------------------------------------
-
-
-def _betti_mul(p, q):
-    out = {}
-    for d1, b1 in p.items():
-        for d2, b2 in q.items():
-            d = d1 + d2
-            out[d] = out.get(d, 0) + b1 * b2
-    return out
+# -- fast interval engine ------------------------------------------------------
 
 
 def _chain_faces(root, mask):
@@ -272,21 +268,6 @@ def _subset_betti(root, mask):
         betti = _faces_betti_mod2(faces)
         cache[mask] = betti if len(betti) <= 1 else _faces_betti(faces)
     return cache[mask]
-
-
-def _link_betti(root, view_mask, bottom_idx, chain):
-    """Betti polynomial of the link of `chain` in the chain complex of the
-    view: the join of the gap-interval complexes, shifted by the chain
-    length (Kunneth for joins over a field)."""
-    out = {len(chain): 1}
-    prev = bottom_idx
-    for el in chain:
-        gap = root._geq[prev] & root._leq[el] & view_mask
-        gap &= ~(1 << prev) & ~(1 << el)
-        out = _betti_mul(out, _subset_betti(root, gap))
-        prev = el
-    upper = root._geq[prev] & view_mask & ~(1 << prev)
-    return _betti_mul(out, _subset_betti(root, upper))
 
 
 @dataclass(frozen=True)
@@ -325,14 +306,36 @@ def _structural_check(root, mask, bottom_idx, n):
     return CertResult(True)
 
 
-def _first_bad_link(root, mask, bottom_idx, fits):
-    """The chain-link walk: the first chain of the subposet `mask` (bottom
-    excluded, empty chain first) whose link Betti polynomial fails
-    `fits(chain, betti)`, as (chain, betti); None when every chain fits."""
-    for chain in iter_chains(root, mask & ~(1 << bottom_idx)):
-        betti = _link_betti(root, mask, bottom_idx, chain)
-        if not fits(chain, betti):
-            return chain, betti
+def _climb(root, mask, x):
+    """The chain climbing from x (excluded) through `mask` by first covers
+    until nothing in `mask` lies above; every gap of it is empty."""
+    chain = []
+    while covers := root._minimal_in(root._geq[x] & mask & ~(1 << x)):
+        x = covers[0]
+        chain.append(x)
+    return chain
+
+
+def _first_bad_interval(root, mask, bottom_idx, n, fits):
+    """The interval walk over the subposet `mask` plus a virtual top: x in
+    (rank, index) order, bottom first, then (x, top) and (x, y) for y above
+    x in that order.  The first failure of `fits(x, top, betti, d)`, with
+    rank(top) = rank(bottom) + n + 1, as (witness chain ids, betti); None
+    when every interval fits."""
+    geq, leq, rank = root._geq, root._leq, root._rank
+    order = [i for i in (bottom_idx,) + root._up_list[bottom_idx] if (mask >> i) & 1]
+    for x in order:
+        above = geq[x] & mask & ~(1 << x)
+        intervals = [(None, above, rank[bottom_idx] + n - 1 - rank[x])] + [
+            (y, above & leq[y] & ~(1 << y), rank[y] - rank[x] - 2)
+            for y in order if (above >> y) & 1]
+        for y, gap, d in intervals:
+            betti = _subset_betti(root, gap)
+            if not fits(x, y is None, betti, d):
+                chain = _climb(root, mask & leq[x], bottom_idx)
+                if y is not None:
+                    chain += [y] + _climb(root, mask, y)
+                return tuple(root._ids[i] for i in chain), betti
     return None
 
 
@@ -352,14 +355,13 @@ def _boundary_defect(root, mask, bottom_idx, n, bmask):
 
 def certify_gorenstein(root, mask, bottom_idx, n):
     """Gorenstein* certification of the subposet `mask` (bottom included):
-    the link of every chain must have homology R in degree n - k - 1."""
+    every open interval (x, y) of it plus a virtual top must have homology
+    R in degree rank(y) - rank(x) - 2."""
     cache = root._cache.setdefault("gor_cert", {})
     key = (mask, bottom_idx, n)
-    if key in cache:
-        return cache[key]
-    res = _certify_gorenstein(root, mask, bottom_idx, n)
-    cache[key] = res
-    return res
+    if key not in cache:
+        cache[key] = _certify_gorenstein(root, mask, bottom_idx, n)
+    return cache[key]
 
 
 def _certify_gorenstein(root, mask, bottom_idx, n):
@@ -368,24 +370,19 @@ def _certify_gorenstein(root, mask, bottom_idx, n):
     st = _structural_check(root, mask, bottom_idx, n)
     if not st:
         return st
-    bad = _first_bad_link(root, mask, bottom_idx,
-                          lambda chain, betti: betti == {n - len(chain) - 1: 1})
-    if bad:
-        chain, betti = bad
-        return CertResult(False, "link homology not a sphere",
-                          tuple(root._ids[i] for i in chain), betti)
-    return CertResult(True)
+    bad = _first_bad_interval(root, mask, bottom_idx, n,
+                              lambda x, top, betti, d: betti == {d: 1})
+    return (CertResult(False, "link homology not a sphere", *bad) if bad
+            else CertResult(True))
 
 
 def certify_near_gorenstein(root, mask, bottom_idx, n, bmask):
     """Homology-ball certification of the pair (mask, bmask)."""
     cache = root._cache.setdefault("ngor_cert", {})
     key = (mask, bottom_idx, n, bmask)
-    if key in cache:
-        return cache[key]
-    res = _certify_near_gorenstein(root, mask, bottom_idx, n, bmask)
-    cache[key] = res
-    return res
+    if key not in cache:
+        cache[key] = _certify_near_gorenstein(root, mask, bottom_idx, n, bmask)
+    return cache[key]
 
 
 def _certify_near_gorenstein(root, mask, bottom_idx, n, bmask):
@@ -405,23 +402,16 @@ def _certify_near_gorenstein(root, mask, bottom_idx, n, bmask):
     if not bg:
         return CertResult(False, f"boundary not Gorenstein*: {bg.reason}",
                           bg.witness, bg.betti)
-    bvmask = bmask & ~(1 << bottom_idx)
-
-    def in_boundary(chain):
-        return all((bvmask >> i) & 1 for i in chain)
-
-    def fits(chain, betti):
-        if in_boundary(chain):
-            return not betti
-        return betti == {n - len(chain) - 1: 1}
-
-    bad = _first_bad_link(root, mask, bottom_idx, fits)
-    if bad:
-        chain, betti = bad
-        reason = ("boundary chain has nonzero link homology" if in_boundary(chain)
-                  else "interior chain link is not a sphere")
-        return CertResult(False, reason, tuple(root._ids[i] for i in chain), betti)
-    return CertResult(True)
+    # (x, top) is acyclic for x in the boundary or the bottom (bset); every
+    # other interval is a sphere
+    bset = bmask | 1 << bottom_idx
+    bad = _first_bad_interval(root, mask, bottom_idx, n, lambda x, top, betti, d:
+                              not betti if top and (bset >> x) & 1 else betti == {d: 1})
+    if not bad:
+        return CertResult(True)
+    reason = ("interior chain link is not a sphere" if root._mask_of(bad[0]) & ~bset
+              else "boundary chain has nonzero link homology")
+    return CertResult(False, reason, *bad)
 
 
 # -- public poset-level predicates -------------------------------------------
@@ -459,32 +449,41 @@ def near_gorenstein_star_report(P, boundary_ids):
                                    P._root._mask_of(boundary_ids))
 
 
+def cohen_macaulay_report(P):
+    """Cohen-Macaulay certification: the homology of every open interval
+    (x, y) of P plus a virtual top vanishes below degree
+    rank(y) - rank(x) - 2; that top degree itself is unconstrained."""
+    bad = _first_bad_interval(P._root, P._mask, P._bottom_idx, P.n,
+                              lambda x, top, betti, d: all(k == d for k in betti))
+    return (CertResult(False, "link homology below top degree", *bad) if bad
+            else CertResult(True))
+
+
 def is_cohen_macaulay(P):
-    """Link homology of every chain vanishes below its top degree; the top
-    degree itself is unconstrained."""
-    return _first_bad_link(
-        P._root, P._mask, P._bottom_idx,
-        lambda chain, betti: all(d == P.n - len(chain) - 1 for d in betti)) is None
+    return bool(cohen_macaulay_report(P))
 
 
 def derive_boundary(P):
     """Recover the unique boundary of a near-Gorenstein* poset: the
-    elements whose singleton-chain link has vanishing homology, as an
-    ideal (the bottom included).  Raises NotNearGorenstein otherwise."""
-    root = P._root
-    vmask = P._mask & ~(1 << P._bottom_idx)
-    bmask = 1 << P._bottom_idx
-    for i in _bits(vmask):
-        if not _link_betti(root, P._mask, P._bottom_idx, (i,)):
+    elements i whose singleton-chain link, the join of (bottom, i) and
+    (i, top), has vanishing homology, as an ideal (the bottom included).
+    Raises NotNearGorenstein otherwise."""
+    root, bottom = P._root, P._bottom_idx
+    above_bottom = root._geq[bottom] & P._mask & ~(1 << bottom)
+    bmask = 1 << bottom
+    for i in _bits(P._mask & ~(1 << bottom)):
+        lower = _subset_betti(root, above_bottom & root._leq[i] & ~(1 << i))
+        upper = _subset_betti(root, root._geq[i] & P._mask & ~(1 << i))
+        if not lower or not upper:
             bmask |= 1 << i
     if P.n == 0:
         bmask = 0
     else:
-        defect = _boundary_defect(root, P._mask, P._bottom_idx, P.n, bmask)
+        defect = _boundary_defect(root, P._mask, bottom, P.n, bmask)
         if defect and defect[1] is None:
             raise NotNearGorenstein("no boundary of rank n-1 exists")
         if defect:
             raise NotNearGorenstein("candidate boundary is not an ideal")
-    if not certify_near_gorenstein(root, P._mask, P._bottom_idx, P.n, bmask):
+    if not certify_near_gorenstein(root, P._mask, bottom, P.n, bmask):
         raise NotNearGorenstein("candidate boundary fails the homology conditions")
     return frozenset(root._ids[i] for i in _bits(bmask))

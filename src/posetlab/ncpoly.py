@@ -67,10 +67,6 @@ class NcPoly:
     def one(cls, alphabet):
         return cls(alphabet, {"": 1})
 
-    @classmethod
-    def monomial(cls, alphabet, word, coeff=1):
-        return cls(alphabet, {word: coeff})
-
     def is_zero(self):
         return not self.terms
 
@@ -86,9 +82,6 @@ class NcPoly:
     def is_homogeneous(self):
         degs = {word_degree(self.alphabet, w) for w in self.terms}
         return len(degs) <= 1
-
-    def map_coeffs(self, f):
-        return NcPoly(self.alphabet, {w: f(c) for w, c in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, NcPoly) and self.alphabet == other.alphabet

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +150,19 @@ class TestCheck:
         code, _, _ = run_cli(capsys, "check", "cm", p3)
         assert code == 0
 
+    def test_cm_no_with_witness(self, capsys, tmp_path):
+        """Two disjoint edges: the whole complex has homology in degree 0,
+        below its top degree 1, so the empty chain is the witness."""
+        from posetlab.poset import GradedPoset
+        P = GradedPoset.from_covers(
+            2, {0: 0, 1: 1, 2: 1, 3: 2, 4: 2}, [(0, 1), (0, 2), (1, 3), (2, 4)])
+        code, out, _ = run_cli(capsys, "--json", "check", "cm", write_poset(tmp_path, P))
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["holds"] is False
+        assert doc["reason"] == "link homology below top degree"
+        assert doc["witness_chain"] == [] and doc["betti"] == {"0": 1}
+
 
 class TestNearCdIndex:
     def test_cone_split(self, capsys, tmp_path):
@@ -261,3 +278,35 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "argument" in err
+
+    @pytest.mark.parametrize("argv", [["cube", "2", "3", "4"], ["boolean", "3", "4"]],
+                             ids=lambda argv: "-".join(argv))
+    def test_build_surplus_arguments(self, capsys, argv):
+        code, out, err = run_cli(capsys, "build", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "argument" in err
+
+    @pytest.mark.parametrize("kind", ["semisusp", "subdivision-target", "collapse"])
+    def test_build_without_element(self, capsys, tmp_path, kind):
+        p3 = write_poset(tmp_path, cons.polygon(3))
+        code, out, err = run_cli(capsys, "build", kind, p3)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--element" in err
+
+    def test_closed_stdout_exits_quietly(self):
+        """A reader that stops early (`build boolean 11 | head -1`) gets
+        exit 1 and nothing on stderr: no traceback, no "Exception ignored"
+        line at interpreter exit."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "posetlab.cli", "build", "boolean", "11"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""

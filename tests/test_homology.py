@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from helpers import all_chains, rp2_face_poset
 from posetlab import constructions as cons
 from posetlab import homology as hm
-from posetlab.poset import GradedPoset, from_json, iter_chains, to_json
+from posetlab.poset import GradedPoset, PosetError, from_json, iter_chains, to_json
 
 
 def path_poset():
@@ -128,6 +128,24 @@ class TestGorensteinStar:
             generic = hm.is_gorenstein_complex(hm.order_complex_simplicial(P))
             assert hm.is_gorenstein_star(P) == generic == True, name
 
+    @pytest.mark.parametrize("ranks,covers", [
+        ({0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2},
+         [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6), (2, 4), (2, 6), (3, 5)]),
+        ({0: 0, 4: 1, 5: 1, 6: 1, 1: 2, 2: 2, 3: 2},
+         [(0, 4), (0, 5), (0, 6), (4, 1), (5, 1), (6, 1), (4, 2), (6, 2), (5, 3)]),
+    ], ids=["upper-interval", "lower-interval"])
+    def test_circle_with_a_non_sphere_vertex_link(self, ranks, covers):
+        """The whole complex is a circle, so the failure sits deeper: the
+        upper interval of atom 1, or the lower interval of coatom 1 in the
+        reversed order, is three points, not two."""
+        P = GradedPoset.from_covers(2, ranks, covers)
+        K = hm.order_complex_simplicial(P)
+        assert hm.reduced_homology(K).as_dict() == {1: 1}
+        rep = hm.gorenstein_star_report(P)
+        assert not rep
+        assert rep.witness == (1,) and rep.betti == {0: 2}
+        assert hm.reduced_homology(hm.link(K, (1,))).as_dict() == {0: 2}
+
     def test_fast_route_agrees_on_non_examples(self):
         for P in (path_poset(), cons.with_top(cons.polygon(3))):
             generic = hm.is_gorenstein_complex(hm.order_complex_simplicial(P))
@@ -175,6 +193,26 @@ class TestCohenMacaulay:
         P = GradedPoset.from_covers(
             2, {0: 0, 1: 1, 2: 1, 3: 2, 4: 2}, [(0, 1), (0, 2), (1, 3), (2, 4)])
         assert not hm.is_cohen_macaulay(P)
+        rep = hm.cohen_macaulay_report(P)
+        assert rep.reason == "link homology below top degree"
+        assert rep.witness == () and rep.betti == {0: 1}
+
+    def test_pinched_disks_fail_at_the_pinch(self):
+        """Two triangles sharing vertex 1: the complex is contractible, but
+        the link of the shared vertex is two disjoint arcs."""
+        P = GradedPoset.from_covers(
+            3, {0: 0, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 12: 2, 13: 2, 23: 2,
+                14: 2, 15: 2, 45: 2, 123: 3, 145: 3},
+            [(0, v) for v in (1, 2, 3, 4, 5)]
+            + [(e // 10, e) for e in (12, 13, 23, 14, 15, 45)]
+            + [(e % 10, e) for e in (12, 13, 23, 14, 15, 45)]
+            + [(e, 123) for e in (12, 13, 23)] + [(e, 145) for e in (14, 15, 45)])
+        K = hm.order_complex_simplicial(P)
+        assert hm.reduced_homology(K).is_zero()
+        rep = hm.cohen_macaulay_report(P)
+        assert not rep
+        assert rep.witness == (1,) and rep.betti == {0: 1}
+        assert hm.reduced_homology(hm.link(K, (1,))).as_dict() == {0: 1}
 
 
 class TestDeriveBoundary:
@@ -225,11 +263,23 @@ class TestComplementaryPairs:
             lam, [e for e in lam.elements() if lam.provenance[e] in lam_bd_src])
 
 
+def _betti_product(p, q):
+    """Betti polynomials multiply under products of graded vector spaces."""
+    out = {}
+    for d1, b1 in p.items():
+        for d2, b2 in q.items():
+            out[d1 + d2] = out.get(d1 + d2, 0) + b1 * b2
+    return out
+
+
 class TestChainEngineAgainstGenericLinks:
     def test_link_profiles_match_generic(self, polygon3, small_gorenstein):
-        """Every chain's link Betti vector from the interval engine equals
-        the generic simplicial computation, and the chain generator yields
-        one chain per simplex of the order complex plus the empty chain."""
+        """Kunneth for joins, which the interval walk rests on: the link of
+        every chain is the join of its gap intervals, so its Betti
+        polynomial is the product of theirs shifted by the chain length,
+        and it equals the generic simplicial computation.  The chain
+        generator yields one chain per simplex of the order complex plus
+        the empty chain."""
         ball, boundary = cons.remove_upset(cons.polygon(4), 1)
         posets = [(name, P) for name, P in small_gorenstein] + [
             ("cone_polygon3", cons.with_top(polygon3)),
@@ -247,9 +297,13 @@ class TestChainEngineAgainstGenericLinks:
             assert set(chains) == {c[1:] for c in oracle}, name
             for chain in oracle:
                 simplex = tuple(chain[1:])
-                betti = hm._link_betti(
-                    root, P._mask, P._bottom_idx,
-                    tuple(root._index(e) for e in simplex))
+                idx = [root._index(e) for e in chain]
+                gaps = [root._geq[x] & root._leq[y] & P._mask & ~(1 << x) & ~(1 << y)
+                        for x, y in zip(idx, idx[1:])]
+                gaps.append(root._geq[idx[-1]] & P._mask & ~(1 << idx[-1]))
+                betti = {len(simplex): 1}
+                for gap in gaps:
+                    betti = _betti_product(betti, hm._subset_betti(root, gap))
                 generic = hm.reduced_homology(hm.link(K, simplex)).as_dict()
                 assert betti == generic, (name, simplex)
 
@@ -303,12 +357,38 @@ _BASES = {
 }
 
 
+def _perturbed(draw, P):
+    """P after one or two cover moves above the bottom (whose covers can be
+    neither dropped nor added), each dropping a cover or adding one between
+    adjacent ranks, when `GradedPoset.from_covers` accepts the result; P
+    itself otherwise.  A drop and an add can move a cover, which may keep
+    the whole complex a sphere and fail deeper down."""
+    if P.n < 2:
+        return P
+    covers = P.covers()
+    for drop in draw(st.lists(st.booleans(), min_size=1, max_size=2)):
+        if drop:
+            covers.remove(draw(st.sampled_from(
+                [c for c in covers if c[0] != P.bottom])))
+        else:
+            r = draw(st.integers(1, P.n - 1))
+            covers.append(tuple(draw(st.sampled_from(
+                [e for e in P.elements() if P.rank(e) == k])) for k in (r, r + 1)))
+    try:
+        return GradedPoset.from_covers(P.n, {e: P.rank(e) for e in P.elements()},
+                                       covers)
+    except PosetError:
+        return P
+
+
 @st.composite
-def composed_posets(draw):
+def composed_posets(draw, variants=("sphere", "cone", "ball", "ball_boundary",
+                                    "perturbed")):
     """Gorenstein* posets built by pyramids, star products and polytope
     products of small polygons and Boolean algebras (rank <= 4, at most 30
-    elements), then possibly coned off or cut into a ball and its boundary
-    so that non-spheres appear."""
+    elements), then possibly coned off, cut into a ball and its boundary or
+    perturbed by cover moves so that non-spheres appear.  Drawn as
+    (P, boundary): the boundary ids for the `ball` variant, else None."""
     P = _BASES[draw(st.sampled_from(sorted(_BASES)))]()
     for op in draw(st.lists(st.sampled_from(["pyr", "star", "product"]), max_size=2)):
         Q = _BASES[draw(st.sampled_from(["segment", "polygon2", "polygon3"]))]()
@@ -317,16 +397,18 @@ def composed_posets(draw):
                "product": lambda: cons.polytope_product(P, Q)}[op]()
         if nxt.n <= 4 and len(nxt) <= 30:
             P = nxt
-    variant = draw(st.sampled_from(["sphere", "cone", "ball", "ball_boundary"]))
+    variant = draw(st.sampled_from(variants))
     if variant == "cone" and P.n <= 3:
-        return cons.with_top(P)
+        return cons.with_top(P), None
     if variant.startswith("ball") and P.is_lattice():
         proper = [e for e in P.elements() if e != P.bottom]
         ball, boundary = cons.remove_upset(P, draw(st.sampled_from(proper)))
         if variant == "ball":
-            return ball
-        return ball.restrict(boundary, n=ball.n - 1)
-    return P
+            return ball, boundary
+        return ball.restrict(boundary, n=ball.n - 1), None
+    if variant == "perturbed":
+        return _perturbed(draw, P), None
+    return P, None
 
 
 def _open_interval_masks(P):
@@ -343,11 +425,12 @@ def _open_interval_masks(P):
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(composed_posets())
-def test_mod2_certificate_against_exact_and_simplicial_oracle(P):
+def test_mod2_certificate_against_exact_and_simplicial_oracle(drawn):
     """Over every open interval the GF(2) Betti numbers dominate the Q ones
     with the same Euler characteristic, and the mod-2-certified
     `_subset_betti` equals exact elimination over Q; the fast Gorenstein*
     predicate agrees with the literal simplicial one."""
+    P, _ = drawn
     root = P._root
     for mask in set(_open_interval_masks(P)):
         faces = hm._chain_faces(root, mask)
@@ -361,3 +444,28 @@ def test_mod2_certificate_against_exact_and_simplicial_oracle(P):
     except hm.NotPure:
         generic = False
     assert hm.is_gorenstein_star(P) == generic
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(composed_posets(("ball", "perturbed")))
+def test_interval_walk_against_simplicial_oracles(drawn):
+    """The interval walk against the literal definitions on the order
+    complex K, deep failures included: Cohen-Macaulay means every simplex
+    link has homology only in its top degree; a ball has acyclic links on
+    boundary simplices and sphere links on interior ones; and a failing
+    Gorenstein* report names a chain whose link has its Betti numbers and
+    is no sphere."""
+    P, boundary = drawn
+    K = hm.order_complex_simplicial(P)
+    links = {s: hm.reduced_homology(hm.link(K, s)).as_dict()
+             for s in K.all_simplices()}
+    cm = all(d == K.dim - len(s) for s, betti in links.items() for d in betti)
+    assert hm.is_cohen_macaulay(P) == cm
+    if boundary is not None:
+        ball = all(not betti if set(s) <= boundary else betti == {K.dim - len(s): 1}
+                   for s, betti in links.items())
+        assert hm.is_near_gorenstein_star(P, boundary) == ball
+    rep = hm.gorenstein_star_report(P)
+    if not rep:
+        betti = hm.reduced_homology(hm.link(K, rep.witness)).as_dict()
+        assert betti == rep.betti != {P.n - len(rep.witness) - 1: 1}

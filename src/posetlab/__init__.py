@@ -25,6 +25,6 @@ from .subdivision import (decompose, is_subdivision, verify_corollary_semisusp,
                           verify_subdivision_inequality)
 from .sheaves import (Sheaf, cd_coefficient_via_CD, cellular_complex,
                       constant_sheaf, dual_sheaf, is_cm_sheaf, op_C, op_D,
-                      pullback, sheaf_ab_index)
+                      sheaf_ab_index)
 
 __version__ = "0.1.0"

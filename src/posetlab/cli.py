@@ -343,9 +343,8 @@ def run(argv=None):
             subdivision.TargetNotGorenstein, subdivision.NotGorensteinStar,
             homology.BoundaryNotIdeal, homology.BoundaryWrongRank,
             homology.NotNearGorenstein, sheaves.BadBase, sheaves.BadSupport,
-            sheaves.NotCohenMacaulay, sheaves.NotSimplicial,
-            ncpoly.NotHomogeneous, FileNotFoundError, ValueError,
-            KeyError, json.JSONDecodeError) as exc:
+            sheaves.NotCohenMacaulay, ncpoly.NotHomogeneous, FileNotFoundError,
+            ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_FAIL
     except (subdivision.NotASubdivision, subdivision.DecompositionMismatch,

@@ -2,11 +2,19 @@
 
 A sheaf stores per-element stalk dimensions and exact rational restriction
 matrices on cover pairs; arbitrary restrictions are composed along cover
-paths (well defined because commutation is validated).  Cellular complexes
-carry simplicial incidence signs, so they only exist over bases whose
-elements know their vertex tuples (order complexes and face posets); for
-an arbitrary poset base everything routes through the order complex via
-the chain-to-largest-element pullback.
+paths (well defined because commutation is validated).
+
+Cellular complexes live on the base poset itself, with the cells graded by
+corank.  Their incidence signs come from an orientation (Karu, "The
+cd-index of fans and posets"): a sign eps(y, z) = +-1 on every cover with
+sum_y eps(x, y) * eps(y, z) = 0 over every length-2 interval [x, z], which
+is exactly d o d = 0.  It is built once per poset in rank order: every
+atom gets +1 against the bottom, and on the lower covers of each z the
+signs are the +-1 generator of the top cycle space of the open interval
+(bottom, z).  Every [bottom, z) is certified Gorenstein* on the way, so
+the base is a CW poset, that cycle space is a line spanned by a +-1
+vector, and the complex computes the same cohomology as the order complex.
+Where some [bottom, z) is not Gorenstein* BadBase is raised, naming z.
 
 The D operation needs a surjection alpha: C(F)-dual -> C(F) assembled from
 a "generic enough" random rational combination of the per-cell maps
@@ -22,15 +30,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import constructions, flags, homology
+from . import flags, homology
 from .linalg import (betti_from_ranks, identity, mat_mul, mat_nullspace,
                      mat_rank, solve_in_span, sparse_nullspace, sparse_rank)
-from .ncpoly import cd_split_with_a
+from .ncpoly import cd_split_with_a, word_degree
 from .poset import GradedPoset, _bits, interval_view
-
-
-class NotSimplicial(Exception):
-    pass
 
 
 class BadSupport(Exception):
@@ -148,67 +152,13 @@ def zero_sheaf(base):
     return Sheaf(base, {}, {})
 
 
-def _simplices_of(base):
-    """Vertex tuples of a simplicial face poset, from provenance.
-
-    Validated (once per poset): every element's tuple has length equal to
-    its rank and covers drop exactly one vertex, which rules out posets
-    whose provenance happens to hold tuples of other shapes.
-    """
-    if "simplices_ok" not in base._cache:
-        prov = base.provenance
-        ok = bool(prov) and all(
-            isinstance(v, tuple) and len(v) == base.rank(e)
-            for e, v in prov.items())
-        if ok:
-            for lo, hi in base.covers():
-                s_lo, s_hi = set(prov[lo]), set(prov[hi])
-                if not (s_lo < s_hi and len(s_hi - s_lo) == 1):
-                    ok = False
-                    break
-        base._cache["simplices_ok"] = ok
-    if not base._cache["simplices_ok"]:
-        raise NotSimplicial("base poset does not carry simplex provenance")
-    return base.provenance
-
-
-def _order_complex_of(P):
-    if "order_complex" not in P._cache:
-        P._cache["order_complex"] = constructions.order_complex(P)
-    return P._cache["order_complex"]
-
-
-def pullback(F):
-    """beta^*(F) on the order complex of the base: the stalk at a chain is
-    the stalk at its largest element."""
-    base = F.base
-    oc = _order_complex_of(base)
-    stalks = {}
-    for e in oc.elements():
-        chain = oc.provenance[e]
-        top = chain[-1] if chain else base.bottom
-        stalks[e] = F.dim(top)
-    res = {}
-    for lo, hi in oc.covers():
-        c_lo, c_hi = oc.provenance[lo], oc.provenance[hi]
-        if stalks[hi] == 0 or stalks[lo] == 0:
-            continue
-        top_hi = c_hi[-1]
-        top_lo = c_lo[-1] if c_lo else base.bottom
-        if top_hi == top_lo:
-            res[(hi, lo)] = identity(stalks[hi])
-        else:
-            res[(hi, lo)] = F.res_between(top_hi, top_lo)
-    return Sheaf(oc, stalks, res)
-
-
 # -- cellular complexes -------------------------------------------------------
 
 
 @dataclass
 class CellularComplex:
-    """C^k = direct sum of stalks at corank-k elements, with simplicial
-    incidence signs; d o d = 0 is checked at construction."""
+    """C^k = direct sum of stalks at corank-k elements, with the base's
+    orientation as incidence signs; d o d = 0 is checked at construction."""
 
     coords: list          # coords[k]: list of (element, local index)
     diff_rows: list       # diff_rows[k]: rows of d_k: C^k -> C^(k+1),
@@ -232,16 +182,47 @@ class CellularComplex:
         return [{keys[i]: v for i, v in vec.items()} for vec in basis]
 
 
-def _incidence_sign(simp_hi, simp_lo):
-    missing = next(v for v in simp_hi if v not in simp_lo)
-    return -1 if simp_hi.index(missing) % 2 else 1
+def _orientation(base):
+    """eps[(y, z)] = +-1 on every cover y < z, with the sum of
+    eps(x, y) * eps(y, z) over the y in (x, z) zero for every length-2
+    interval [x, z] (cached per poset).
+
+    Built in rank order: once [bottom, z) is certified Gorenstein*, the
+    signs on the lower covers of z span the nullspace of those sums, a line
+    spanned by a +-1 vector; its entry at the first lower cover is +1, so
+    every atom gets +1 against the bottom.  Raises BadBase naming z when
+    [bottom, z) is not Gorenstein* or the nullspace is not such a line.
+    """
+    eps = base._cache.get("orientation")
+    if eps is None:
+        eps = {}
+        for z in base.elements():
+            below = _down_covers(base, z)
+            if not below:
+                continue
+            rows = {}
+            for j, y in enumerate(below):
+                for x in _down_covers(base, y):
+                    rows.setdefault(x, {})[j] = eps[(x, y)]
+            null = sparse_nullspace(list(rows.values()), len(below))
+            lead = null[0].get(0) if len(null) == 1 else None
+            signs = [null[0].get(j, 0) / lead for j in range(len(below))] if lead else []
+            if (not signs or any(abs(s) != 1 for s in signs)
+                    or not homology.is_gorenstein_star(
+                        interval_view(base, base._bottom_idx, base._index(z)))):
+                raise BadBase(f"no orientation below {z!r}: "
+                              f"[bottom, {z!r}) is not Gorenstein*")
+            for y, s in zip(below, signs):
+                eps[(y, z)] = int(s)
+        base._cache["orientation"] = eps
+    return eps
 
 
 def cellular_complex(F, support=None, check=True):
     """The cellular complex of F (restricted to `support` when given, which
     must make the restriction a sheaf, e.g. an up-set or interval-closed)."""
     base = F.base
-    simp = _simplices_of(base)
+    eps = _orientation(base)
     n = base.n
     members = set(base.elements()) if support is None else set(support)
     by_deg = {}
@@ -261,7 +242,7 @@ def cellular_complex(F, support=None, check=True):
             for z in _up_covers(base, y):
                 if z not in members or not F.dim(z):
                     continue
-                sign = _incidence_sign(simp[z], simp[y])
+                sign = eps[(y, z)]
                 m = F.res.get((z, y))
                 if m is None:
                     continue
@@ -306,15 +287,9 @@ def _down_covers(base, x):
 
 def is_cm_sheaf(F):
     """Cohen-Macaulay: upper-interval cellular cohomology vanishes above
-    degree 0, for every element; poset bases are checked via the pullback."""
+    degree 0, for every element."""
     if getattr(F, "_is_cm", None) is not None:
         return F._is_cm
-    try:
-        _simplices_of(F.base)
-    except NotSimplicial:
-        out = is_cm_sheaf(pullback(F))
-        F._is_cm = out
-        return out
     out = True
     for x in F.base.elements():
         cc = cellular_complex(F, F.base.up_set(x), check=False)
@@ -331,21 +306,11 @@ def is_gorenstein_sheaf(F):
     if not is_cm_sheaf(F):
         return False
     base = F.base
-    try:
-        _simplices_of(base)
-    except NotSimplicial:
-        return is_gorenstein_sheaf(pullback(F))
     for x in base.elements():
         cc = cellular_complex(F, base.up_set(x), check=False)
         if len(cc.kernel_deg0()) != F.dim(x):
             return False
     return True
-
-
-def _h0_basis(F, up_ids):
-    """H^0 kernel basis of C(F, up-set) as dicts keyed (element, local)."""
-    cc = cellular_complex(F, up_ids, check=False)
-    return cc.kernel_deg0()
 
 
 def _project_and_solve(basis_small, vec, small_elems):
@@ -360,23 +325,16 @@ def _project_and_solve(basis_small, vec, small_elems):
 
 def dual_sheaf(F, check_cm=True):
     """The Cohen-Macaulay dual: stalks are degree-zero upper-interval
-    cohomologies, restrictions the transposed projection maps.  Poset
-    bases go through the order complex, reading the stalk at sigma off the
-    minimal chain {0 < sigma}."""
+    cohomologies, restrictions the transposed projection maps."""
     if check_cm and not is_cm_sheaf(F):
         raise NotCohenMacaulay("dual_sheaf needs a Cohen-Macaulay input")
-    try:
-        _simplices_of(F.base)
-    except NotSimplicial:
-        return _dual_poset(F)
-    return _dual_simplicial(F)
+    return _dual_poset(F)
 
 
-def _dual_simplicial(F):
+def _dual_poset(F):
     base = F.base
-    h0 = {}
-    for x in base.elements():
-        h0[x] = _h0_basis(F, base.up_set(x))
+    h0 = {x: cellular_complex(F, base.up_set(x), check=False).kernel_deg0()
+          for x in base.elements()}
     stalks = {x: len(b) for x, b in h0.items()}
     res = {}
     for lo, hi in base.covers():
@@ -390,50 +348,6 @@ def _dual_simplicial(F):
         res[(hi, lo)] = mat
     dual = Sheaf(base, stalks, res)
     dual._h0 = h0
-    return dual
-
-
-def _chain_elements(oc):
-    cache = oc._cache.setdefault("chain_elem", {})
-    if not cache:
-        for e in oc.elements():
-            cache[oc.provenance[e]] = e
-    return cache
-
-
-def _dual_poset(F):
-    base = F.base
-    oc = _order_complex_of(base)
-    pf = pullback(F)
-    chain_of = _chain_elements(oc)
-    h0 = {}
-    for sigma in base.elements():
-        x = chain_of[()] if sigma == base.bottom else chain_of[(sigma,)]
-        h0[sigma] = _h0_basis(pf, oc.up_set(x))
-    stalks = {s: len(b) for s, b in h0.items()}
-    res = {}
-    for lo, hi in base.covers():
-        if stalks[hi] == 0 or stalks[lo] == 0:
-            continue
-        y = chain_of[(hi,)] if lo == base.bottom else chain_of[(lo, hi)]
-        h0_y = _h0_basis(pf, oc.up_set(y))
-        if len(h0_y) != stalks[hi]:
-            raise NotCohenMacaulay(
-                f"fiber chain over {hi!r} breaks the constant-dual isomorphism")
-        y_set = set(oc.up_set(y))
-        # A: H0(x_hi) -> H0(y) is an isomorphism; B: H0(x_lo) -> H0(y)
-        a_cols = [_project_and_solve(h0_y, vec, y_set) for vec in h0[hi]]
-        b_cols = [_project_and_solve(h0_y, vec, y_set) for vec in h0[lo]]
-        # dual restriction B^T (A^T)^(-1) = (A^(-1) B)^T: F-dual_hi -> F-dual_lo,
-        # whose row i solves A c = b_i in the columns a_cols of A
-        a_span = [{j: v for j, v in enumerate(col) if v} for col in a_cols]
-        if sparse_rank(a_span) < stalks[hi]:
-            raise ValueError("singular matrix")
-        res[(hi, lo)] = [solve_in_span(a_span, {j: v for j, v in enumerate(col) if v})
-                         for col in b_cols]
-    dual = Sheaf(base, stalks, res)
-    dual._h0 = h0
-    dual._oc_context = (oc, pf, chain_of)
     return dual
 
 
@@ -456,29 +370,19 @@ def skeleton_poset(P, k):
         keep = set(ids)
         covers = [(a, b) for a, b in P.covers() if a in keep and b in keep]
         labels = {e: P.label(e) for e in ids}
-        prov = {e: P.provenance.get(e, e) for e in ids}
-        cache[k] = GradedPoset.from_covers(k, ranks, covers,
-                                           labels=labels, provenance=prov)
+        cache[k] = GradedPoset.from_covers(k, ranks, covers, labels=labels)
+        # the skeleton keeps every lower interval, and so the orientation
+        if "orientation" in P._cache:
+            cache[k]._cache["orientation"] = {
+                c: s for c, s in P._cache["orientation"].items() if c[1] in keep}
     return cache[k]
-
-
-def _intervals_gorenstein(P):
-    """Every [0, sigma) must be Gorenstein* (cached per poset)."""
-    if "intervals_gor" not in P._cache:
-        P._cache["intervals_gor"] = all(
-            homology.is_gorenstein_star(interval_view(P, P._bottom_idx, i))
-            for i in P._indices())
-    return P._cache["intervals_gor"]
 
 
 def op_C(F, check=True):
     """Restriction to the (n-1)-skeleton; Cohen-Macaulay stays."""
     base = F.base
-    if check:
-        if not _intervals_gorenstein(base):
-            raise BadBase("every [0, sigma) of the base must be Gorenstein*")
-        if not is_cm_sheaf(F):
-            raise NotCohenMacaulay("op_C needs a Cohen-Macaulay sheaf")
+    if check and not is_cm_sheaf(F):
+        raise NotCohenMacaulay("op_C needs a Cohen-Macaulay sheaf")
     sk = skeleton_poset(base, base.n - 1)
     keep = set(sk.elements())
     stalks = {e: F.dim(e) for e in keep}
@@ -498,12 +402,7 @@ def _alpha_family(F, check=True):
     cf = op_C(F, check=check)
     sk = cf.base
     cf_dual = _dual_poset(cf)
-    oc, _pf, _chain_of = cf_dual._oc_context
     h0_cf = cf_dual._h0
-    beta = {}  # oc element -> largest chain element (or base bottom)
-    for e in oc.elements():
-        chain = oc.provenance[e]
-        beta[e] = chain[-1] if chain else sk.bottom
     family = []
     for s in base.maximal_elements():
         if F.dim(s) == 0:
@@ -531,10 +430,10 @@ def _alpha_family(F, check=True):
                     raise ArithmeticError(
                         "support dual is not one-dimensional; the interval "
                         "below a top cell is not Gorenstein*")
-                # induced H0 map of phi_f on the up-set of sigma's chain
+                # induced H0 map of phi_f on the up-set of sigma
                 image = {}
                 for (elem, _j), v in basis_r[0].items():
-                    col = phi_col.get(beta[elem])
+                    col = phi_col.get(elem)
                     if col is None:
                         continue
                     for i, entry in enumerate(col):
@@ -564,6 +463,8 @@ def op_D(F, rng, retries=8, check=True):
     """Kernel of a generic surjection C(F)-dual -> C(F), landing on the
     (n-2)-skeleton.  Retries with fresh randomness; raises
     SurjectivityFailed naming the offending element after that."""
+    if F.base.n < 2:
+        raise ValueError(f"op_D needs a base of rank >= 2, not {F.base.n}")
     cf, cf_dual, family = _alpha_family(F, check=check)
     sk = cf.base
     n1 = sk.n
@@ -651,12 +552,11 @@ def cd_coefficient_via_CD(P, word, seed=0, retries=8):
     acts first on the constant sheaf (the trailing run of c's is cached on
     the poset: it is the seed-independent part every word shares).
     """
-    from .ncpoly import word_degree
-
+    bad = next((letter for letter in word if letter not in "cd"), None)
+    if bad is not None:
+        raise ValueError(f"word {word!r} has letter {bad!r}; only c and d are allowed")
     if word_degree("cd", word) != P.n:
         raise ValueError(f"word {word!r} must have degree {P.n}")
-    if not _intervals_gorenstein(P):
-        raise BadBase("every [0, sigma) of the base must be Gorenstein*")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     prefix = P._cache.setdefault("cd_prefix", {})
     if 0 not in prefix:

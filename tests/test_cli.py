@@ -187,6 +187,12 @@ class TestSheafCd:
         doc = json.loads(out)
         assert doc["table"] == [{"word": "d", "extracted": 4, "flag": 4}]
 
+    def test_word_with_foreign_letter(self, capsys, tmp_path):
+        p3 = write_poset(tmp_path, cons.polygon(3))
+        code, _, err = run_cli(capsys, "sheaf-cd", p3, "--word", "xy")
+        assert code == 2
+        assert "letter 'x'" in err
+
 
 class TestLambdaNuCommands:
     def test_lambda_nu(self, capsys, tmp_path):

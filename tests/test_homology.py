@@ -2,12 +2,11 @@ import gc
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from helpers import all_chains, rp2_face_poset
+from helpers import all_chains, composed_posets, rp2_face_poset
 from posetlab import constructions as cons
 from posetlab import homology as hm
-from posetlab.poset import GradedPoset, PosetError, from_json, iter_chains, to_json
+from posetlab.poset import GradedPoset, from_json, iter_chains, to_json
 
 
 def path_poset():
@@ -347,70 +346,6 @@ class TestMod2Certificate:
             assert hm.is_gorenstein_star(P)
 
 
-_BASES = {
-    "segment": cons.segment,
-    "polygon2": lambda: cons.polygon(2),
-    "polygon3": lambda: cons.polygon(3),
-    "polygon4": lambda: cons.polygon(4),
-    "polygon5": lambda: cons.polygon(5),
-    "boolean3": lambda: cons.boolean_algebra(3),
-}
-
-
-def _perturbed(draw, P):
-    """P after one or two cover moves above the bottom (whose covers can be
-    neither dropped nor added), each dropping a cover or adding one between
-    adjacent ranks, when `GradedPoset.from_covers` accepts the result; P
-    itself otherwise.  A drop and an add can move a cover, which may keep
-    the whole complex a sphere and fail deeper down."""
-    if P.n < 2:
-        return P
-    covers = P.covers()
-    for drop in draw(st.lists(st.booleans(), min_size=1, max_size=2)):
-        if drop:
-            covers.remove(draw(st.sampled_from(
-                [c for c in covers if c[0] != P.bottom])))
-        else:
-            r = draw(st.integers(1, P.n - 1))
-            covers.append(tuple(draw(st.sampled_from(
-                [e for e in P.elements() if P.rank(e) == k])) for k in (r, r + 1)))
-    try:
-        return GradedPoset.from_covers(P.n, {e: P.rank(e) for e in P.elements()},
-                                       covers)
-    except PosetError:
-        return P
-
-
-@st.composite
-def composed_posets(draw, variants=("sphere", "cone", "ball", "ball_boundary",
-                                    "perturbed")):
-    """Gorenstein* posets built by pyramids, star products and polytope
-    products of small polygons and Boolean algebras (rank <= 4, at most 30
-    elements), then possibly coned off, cut into a ball and its boundary or
-    perturbed by cover moves so that non-spheres appear.  Drawn as
-    (P, boundary): the boundary ids for the `ball` variant, else None."""
-    P = _BASES[draw(st.sampled_from(sorted(_BASES)))]()
-    for op in draw(st.lists(st.sampled_from(["pyr", "star", "product"]), max_size=2)):
-        Q = _BASES[draw(st.sampled_from(["segment", "polygon2", "polygon3"]))]()
-        nxt = {"pyr": lambda: cons.pyr_poset(P),
-               "star": lambda: cons.star_product(P, Q),
-               "product": lambda: cons.polytope_product(P, Q)}[op]()
-        if nxt.n <= 4 and len(nxt) <= 30:
-            P = nxt
-    variant = draw(st.sampled_from(variants))
-    if variant == "cone" and P.n <= 3:
-        return cons.with_top(P), None
-    if variant.startswith("ball") and P.is_lattice():
-        proper = [e for e in P.elements() if e != P.bottom]
-        ball, boundary = cons.remove_upset(P, draw(st.sampled_from(proper)))
-        if variant == "ball":
-            return ball, boundary
-        return ball.restrict(boundary, n=ball.n - 1), None
-    if variant == "perturbed":
-        return _perturbed(draw, P), None
-    return P, None
-
-
 def _open_interval_masks(P):
     """Every open interval (x, y) of P u {top}, as root index masks."""
     root = P._root
@@ -447,7 +382,7 @@ def test_mod2_certificate_against_exact_and_simplicial_oracle(drawn):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(composed_posets(("ball", "perturbed")))
+@given(composed_posets(("ball", "perturbed", "disjoint", "wrong_boundary")))
 def test_interval_walk_against_simplicial_oracles(drawn):
     """The interval walk against the literal definitions on the order
     complex K, deep failures included: Cohen-Macaulay means every simplex

@@ -2,12 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from helpers import (composed_posets, pullback, simplicial_cellular_complex,
+                     torus_face_poset, wedge_at_bottom)
 from posetlab import constructions as cons
 from posetlab import flags
 from posetlab import homology as hm
 from posetlab import sheaves as sh
+from posetlab.corpus import gorenstein_corpus
 from posetlab.ncpoly import NotExpressible, cd, cd_words
+from posetlab.poset import GradedPoset
 
 
 class TestConstantSheaf:
@@ -34,15 +39,30 @@ class TestConstantSheaf:
             sh.constant_sheaf(polygon3, [polygon3.bottom, e])
 
 
+def two_edges():
+    """Two edges on separate vertices: each edge covers a single vertex, so
+    the base has no orientation."""
+    return GradedPoset.from_covers(
+        2, {0: 0, 1: 1, 2: 1, 3: 2, 4: 2}, [(0, 1), (0, 2), (1, 3), (2, 4)])
+
+
+def two_triangles():
+    """Two triangles sharing only the bottom: every lower interval is a
+    sphere, and the complex is two circles, so it is not Cohen-Macaulay."""
+    return wedge_at_bottom(cons.polygon(3), cons.polygon(3))
+
+
 class TestPullback:
+    """The order-complex pullback of the test oracle."""
+
     def test_constant_pulls_back_to_constant(self, polygon3):
-        pf = sh.pullback(sh.constant_sheaf(polygon3))
+        pf = pullback(sh.constant_sheaf(polygon3))
         assert all(d == 1 for d in pf.stalk_dim.values())
 
     def test_edge_support_pulls_back_to_chains_through_it(self, polygon3):
         e = polygon3.maximal_elements()[0]
         F = sh.constant_sheaf(polygon3, [e])
-        pf = sh.pullback(F)
+        pf = pullback(F)
         oc = pf.base
         for x in oc.elements():
             chain = oc.provenance[x]
@@ -51,7 +71,7 @@ class TestPullback:
 
     def test_stalk_dims_preserved_along_fibers(self, boolean4):
         F = sh.constant_sheaf(boolean4)
-        pf = sh.pullback(F)
+        pf = pullback(F)
         oc = pf.base
         for x in oc.elements():
             chain = oc.provenance[x]
@@ -61,35 +81,95 @@ class TestPullback:
 
 class TestCellularComplex:
     def test_cohomology_matches_reduced_homology(self, polygon3):
-        # H^i of the cellular complex is reduced homology in degree n-i-1
-        pf = sh.pullback(sh.constant_sheaf(polygon3))
-        dims = sh.cellular_complex(pf).cohomology_dims()
-        K = hm.order_complex_simplicial(polygon3)
-        prof = hm.reduced_homology(K)
+        # H^i of the cellular complex is reduced homology in degree n-i-1,
+        # on the poset itself and on the oracle's order complex
+        F = sh.constant_sheaf(polygon3)
+        prof = hm.reduced_homology(hm.order_complex_simplicial(polygon3))
         n = polygon3.n
-        for i, d in enumerate(dims):
-            assert d == prof.degree(n - i - 1), i
+        for cc in (sh.cellular_complex(F),
+                   simplicial_cellular_complex(pullback(F))):
+            dims = cc.cohomology_dims()
+            for i, d in enumerate(dims):
+                assert d == prof.degree(n - i - 1), i
 
     def test_zero_sheaf_gives_zero_complex(self, polygon3):
-        pf = sh.pullback(sh.zero_sheaf(polygon3))
-        cc = sh.cellular_complex(pf)
-        assert all(d == 0 for d in cc.term_dims())
+        F = sh.zero_sheaf(polygon3)
+        for cc in (sh.cellular_complex(F),
+                   simplicial_cellular_complex(pullback(F))):
+            assert all(d == 0 for d in cc.term_dims())
 
     def test_gorenstein_link_has_one_dimensional_h0(self, polygon3):
-        pf = sh.pullback(sh.constant_sheaf(polygon3))
+        F = sh.constant_sheaf(polygon3)
+        pf = pullback(F)
         oc = pf.base
         v = next(e for e in oc.elements() if oc.rank(e) == 1)
-        cc = sh.cellular_complex(pf, oc.up_set(v))
-        dims = cc.cohomology_dims()
-        assert dims[0] == 1 and all(d == 0 for d in dims[1:])
+        w = oc.provenance[v][0]
+        for cc in (sh.cellular_complex(F, polygon3.up_set(w)),
+                   simplicial_cellular_complex(pf, oc.up_set(v))):
+            dims = cc.cohomology_dims()
+            assert dims[0] == 1 and all(d == 0 for d in dims[1:])
 
-    def test_d_squared_validated(self, polygon3):
-        pf = sh.pullback(sh.constant_sheaf(polygon3))
-        sh.cellular_complex(pf, check=True)  # raises on failure
+    def test_d_squared_validated(self):
+        P = cons.polygon(3)
+        F = sh.constant_sheaf(P)
+        sh.cellular_complex(F, check=True)  # raises on failure
+        simplicial_cellular_complex(pullback(F))
+        eps = sh._orientation(P)
+        eps[min(eps)] *= -1  # one flipped sign breaks d o d = 0
+        with pytest.raises(ValueError):
+            sh.cellular_complex(F, check=True)
 
-    def test_poset_base_rejected(self, polygon3):
-        with pytest.raises(sh.NotSimplicial):
-            sh.cellular_complex(sh.constant_sheaf(polygon3))
+    def test_poset_base_rejected(self):
+        # a poset base needs an orientation; two edges on separate
+        # vertices have none, and the error names the first element
+        with pytest.raises(sh.BadBase, match="below 3"):
+            sh.cellular_complex(sh.constant_sheaf(two_edges()))
+
+    def test_orientable_non_sphere_rejected(self):
+        # the cone over a torus has a +-1 top cycle below its apex, but the
+        # apex is no cell: its lower interval is not Gorenstein*
+        P = cons.with_top(torus_face_poset())
+        apex = P.maximal_elements()[0]
+        with pytest.raises(sh.BadBase, match=f"below {apex}"):
+            sh.is_cm_sheaf(sh.constant_sheaf(P))
+
+
+def _upset_cohomology(cc):
+    dims = cc.cohomology_dims()
+    return dims[0] if dims else 0, not any(dims[1:])
+
+
+def _oracle_cases():
+    """gorenstein_corpus(3), its cones, and one ball per lattice and rank."""
+    for name, P in gorenstein_corpus(3):
+        yield name, P
+        yield name + " cone", cons.with_top(P)
+        if P.is_lattice():
+            for r in range(1, P.n + 1):
+                nu = next(e for e in P.elements() if P.rank(e) == r)
+                yield f"{name} without [{nu}, top)", cons.remove_upset(P, nu)[0]
+
+
+def test_poset_complex_against_order_complex_oracle():
+    """On every up-set [sigma, top), the cellular complex on the poset and
+    the oracle's simplicial complex on the up-set of the chain {sigma} have
+    the same dim H^0 and vanish above degree 0 together, for the constant
+    sheaf and for the outputs of op_C and op_D."""
+    for name, P in _oracle_cases():
+        const = sh.constant_sheaf(P)
+        sheaves = [const, sh.op_C(const)]
+        if P.n >= 2:
+            sheaves.append(sh.op_D(const, random.Random(0)))
+        for F in sheaves:
+            base = F.base
+            pf = pullback(F)
+            oc = pf.base
+            chain = {oc.provenance[e]: e for e in oc.elements()}
+            for sigma in base.elements():
+                x = chain[() if sigma == base.bottom else (sigma,)]
+                got = _upset_cohomology(sh.cellular_complex(F, base.up_set(sigma)))
+                want = _upset_cohomology(simplicial_cellular_complex(pf, oc.up_set(x)))
+                assert got == want, (name, base.n, sigma)
 
 
 class TestCohenMacaulaySheaves:
@@ -99,10 +179,9 @@ class TestCohenMacaulaySheaves:
         assert sh.is_gorenstein_sheaf(F)
 
     def test_disconnected_not_cm(self):
-        from posetlab.poset import GradedPoset
-        P = GradedPoset.from_covers(
-            2, {0: 0, 1: 1, 2: 1, 3: 2, 4: 2}, [(0, 1), (0, 2), (1, 3), (2, 4)])
-        assert not sh.is_cm_sheaf(sh.constant_sheaf(P))
+        assert not sh.is_cm_sheaf(sh.constant_sheaf(two_triangles()))
+        with pytest.raises(sh.BadBase):
+            sh.is_cm_sheaf(sh.constant_sheaf(two_edges()))
 
     def test_zero_sheaf_cm(self, polygon3):
         assert sh.is_cm_sheaf(sh.zero_sheaf(polygon3))
@@ -157,11 +236,10 @@ class TestDualSheaf:
         assert DD.stalk_dim == F.stalk_dim
 
     def test_not_cm_rejected(self):
-        from posetlab.poset import GradedPoset
-        P = GradedPoset.from_covers(
-            2, {0: 0, 1: 1, 2: 1, 3: 2, 4: 2}, [(0, 1), (0, 2), (1, 3), (2, 4)])
         with pytest.raises(sh.NotCohenMacaulay):
-            sh.dual_sheaf(sh.constant_sheaf(P))
+            sh.dual_sheaf(sh.constant_sheaf(two_triangles()))
+        with pytest.raises(sh.BadBase):
+            sh.dual_sheaf(sh.constant_sheaf(two_edges()))
 
 
 class TestOpC:
@@ -196,6 +274,13 @@ class TestOpD:
         dims = {sh.op_D(sh.constant_sheaf(polygon3),
                         random.Random(s)).dim(0) for s in range(100)}
         assert dims == {1}
+
+    def test_rank_one_base_rejected(self, polygon3):
+        # op_D lands on the (n-2)-skeleton, which a rank-1 base lacks
+        F = sh.op_C(sh.constant_sheaf(polygon3))
+        for G in (F, sh.constant_sheaf(cons.segment())):
+            with pytest.raises(ValueError, match="rank >= 2"):
+                sh.op_D(G, random.Random(0), check=False)
 
     def test_surjectivity_failure_on_rank_deficient_input(self, polygon3):
         # support misses every top-rank element: no sections, alpha = 0
@@ -266,6 +351,12 @@ class TestCoefficientExtraction:
         with pytest.raises(ValueError):
             sh.cd_coefficient_via_CD(polygon3, "ccc", seed=0)
 
+    @pytest.mark.parametrize("word,letter", [("xy", "x"), ("cx", "x"), ("D", "D")])
+    def test_letters_outside_cd_rejected(self, polygon3, word, letter):
+        # "xy" has degree 2 if every non-d letter counts as a c
+        with pytest.raises(ValueError, match=f"letter '{letter}'"):
+            sh.cd_coefficient_via_CD(polygon3, word, seed=0)
+
     def test_full_agreement_rank3(self):
         P = cons.pyr_poset(cons.polygon(3))
         want = flags.cd_index(P)
@@ -311,3 +402,18 @@ class TestResBetween:
         F.res[(e, v)] = [[Fraction(2)]]
         with pytest.raises(ValueError):
             F.validate()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(composed_posets(("sphere", "cone", "ball"), max_rank=3))
+def test_extraction_against_flag_enumeration(drawn):
+    """Every cd-word at one seed: a sphere gives its cd-index, and a cone or
+    a ball gives Phi + Psi_boundary * c from the near cd-index."""
+    P, boundary = drawn
+    if boundary is None and hm.is_gorenstein_star(P):
+        want = flags.cd_index(P)
+    else:
+        nc = flags.near_cd_index(P, boundary or hm.derive_boundary(P))
+        want = nc.phi + nc.boundary * cd("c")
+    for w in cd_words(P.n):
+        assert sh.cd_coefficient_via_CD(P, w, seed=0) == want.coeff(w), w

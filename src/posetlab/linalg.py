@@ -10,6 +10,10 @@ canonical: a nullspace vector is the unique one with 1 on its own non-pivot
 column and 0 on the others, and a solution puts 0 on every basis vector
 that depends on earlier ones.  Fractions appear only in back-substitution.
 
+Back-substitution only reaches pivot columns left of the free one, so a
+nullspace vector's largest column is its own free column, and coordinates
+in a nullspace basis are read there (`nullspace_coords`), not solved for.
+
 Over GF(2), `rank_mod2` takes rows as int bitmasks.  Homology uses it as a
 certificate only: a GF(2) rank of an integer matrix is at most its Q rank,
 so it may prove a sphere or an acyclic interval but never refute one, and
@@ -129,6 +133,19 @@ def sparse_nullspace(rows, ncols):
     pivots = _echelon(rows)
     return [_back_substitute(pivots, {f: Fraction(1)})
             for f in range(ncols) if f not in pivots]
+
+
+def nullspace_coords(basis, target):
+    """Coefficients of sparse `target` in a `sparse_nullspace` basis (keys
+    relabelled in column order are fine), or None: each is target's entry
+    at its vector's largest key, kept only if they rebuild target exactly."""
+    coeffs = [Fraction(target.get(max(b), 0)) for b in basis]
+    rest = dict(target)
+    for c, b in zip(coeffs, basis):
+        if c:
+            for k, v in b.items():
+                rest[k] = rest.get(k, 0) - c * v
+    return None if any(rest.values()) else coeffs
 
 
 def solve_in_span(basis, target):

@@ -18,10 +18,13 @@ Where some [bottom, z) is not Gorenstein* BadBase is raised, naming z.
 
 The D operation needs a surjection alpha: C(F)-dual -> C(F) assembled from
 a "generic enough" random rational combination of the per-cell maps
-alpha_f; the randomness source is explicit and the seed-independent part
-of the construction (duals, the alpha_f family) is cached per input sheaf,
-so seed sweeps only redo the cheap assembly, surjectivity check and kernel
-extraction.
+alpha_f, one per basis section at each top-rank element s.  Each goes
+through the dual of the constant sheaf on [bottom, s), read off the
+orientation rather than built.  The randomness source is explicit and the
+seed-independent part (C(F), its dual, the alpha_f family) is cached per
+input sheaf, so seed sweeps only redo the cheap assembly, surjectivity
+check and kernel extraction.  Coordinates in degree-zero cohomology bases
+are read with `linalg.nullspace_coords`, not solved for.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from fractions import Fraction
 
 from . import flags, homology
 from .linalg import (betti_from_ranks, identity, mat_mul, mat_nullspace,
-                     mat_rank, solve_in_span, sparse_nullspace, sparse_rank)
+                     mat_rank, nullspace_coords, sparse_nullspace, sparse_rank)
+from .linalg import solve_in_span  # noqa: F401  (the perfbench self-test rebinds it)
 from .ncpoly import cd_split_with_a, word_degree
 from .poset import GradedPoset, _bits, interval_view
 
@@ -172,7 +176,9 @@ class CellularComplex:
                                 [sparse_rank(rows) for rows in self.diff_rows])
 
     def kernel_deg0(self):
-        """Basis of H^0 = ker(d_0) as dicts keyed by (element, local)."""
+        """Basis of H^0 = ker(d_0) as dicts keyed by (element, local).
+        C^0 lies in one rank, so these keys sort in column order and
+        `nullspace_coords` reads coordinates in this basis."""
         if not self.coords:
             return []
         ncols = len(self.coords[0])
@@ -302,31 +308,17 @@ def is_cm_sheaf(F):
 
 
 def is_gorenstein_sheaf(F):
-    """Cohen-Macaulay with dim H^0 over [x, top) equal to dim F_x."""
-    if not is_cm_sheaf(F):
-        return False
-    base = F.base
-    for x in base.elements():
-        cc = cellular_complex(F, base.up_set(x), check=False)
-        if len(cc.kernel_deg0()) != F.dim(x):
-            return False
-    return True
+    """Cohen-Macaulay with dim H^0 over [x, top) equal to dim F_x.  With
+    the higher cohomology gone, that dim H^0 is the Euler characteristic
+    `dual_dimension_formula(F, x)`."""
+    return is_cm_sheaf(F) and all(
+        dual_dimension_formula(F, x) == F.dim(x) for x in F.base.elements())
 
 
-def _project_and_solve(basis_small, vec, small_elems):
-    """Project `vec` to the coordinates over `small_elems` and express it
-    in `basis_small`; returns the coefficient list."""
-    proj = {k: v for k, v in vec.items() if k[0] in small_elems}
-    out = solve_in_span(basis_small, proj)
-    if out is None:
-        raise ArithmeticError("projected cocycle escaped the target kernel")
-    return out
-
-
-def dual_sheaf(F, check_cm=True):
+def dual_sheaf(F):
     """The Cohen-Macaulay dual: stalks are degree-zero upper-interval
     cohomologies, restrictions the transposed projection maps."""
-    if check_cm and not is_cm_sheaf(F):
+    if not is_cm_sheaf(F):
         raise NotCohenMacaulay("dual_sheaf needs a Cohen-Macaulay input")
     return _dual_poset(F)
 
@@ -341,10 +333,12 @@ def _dual_poset(F):
         if stalks[hi] == 0 or stalks[lo] == 0:
             continue
         hi_set = set(base.up_set(hi))
-        cols = [_project_and_solve(h0[hi], vec, hi_set) for vec in h0[lo]]
-        # cols[i][j]: coefficient of basis_hi[j] in image of basis_lo[i];
-        # the map H0(lo) -> H0(hi) has matrix M[j][i], dual is its transpose
-        mat = [[cols[i][j] for j in range(stalks[hi])] for i in range(stalks[lo])]
+        # row i: coordinates in basis_hi of basis_lo[i] projected to
+        # [hi, top); the map H0(lo) -> H0(hi) has the transposed matrix
+        mat = [nullspace_coords(h0[hi], {k: v for k, v in vec.items()
+                                         if k[0] in hi_set}) for vec in h0[lo]]
+        if None in mat:
+            raise ArithmeticError("projected cocycle escaped the target kernel")
         res[(hi, lo)] = mat
     dual = Sheaf(base, stalks, res)
     dual._h0 = h0
@@ -394,28 +388,27 @@ def op_C(F, check=True):
 def _alpha_family(F, check=True):
     """Seed-independent data for op_D: the restriction C(F), its dual, and
     the stalkwise matrices of every alpha_f (one per basis section at each
-    top-rank element).  Cached on the sheaf instance."""
+    top-rank element).  Cached on the sheaf instance.
+
+    The dual of the constant sheaf on [bottom, s) has H^0 over [sigma, s)
+    spanned by y -> eps(y, s) on the lower covers y of s above sigma: the
+    orientation certifies [bottom, s), so that H^0 is a line, and
+    eps(w, y) * eps(y, s) sums to zero over each length-2 interval [w, s].
+    """
     cached = getattr(F, "_alpha_family_cache", None)
     if cached is not None:
         return cached
     base = F.base
+    eps = _orientation(base)
     cf = op_C(F, check=check)
-    sk = cf.base
     cf_dual = _dual_poset(cf)
     h0_cf = cf_dual._h0
     family = []
     for s in base.maximal_elements():
         if F.dim(s) == 0:
             continue
+        below = _down_covers(base, s)
         supp = [t for t in base.down_set(s) if t != s]
-        r_dual = _dual_poset(constant_sheaf(sk, supp))
-        # sign normalization: the dual generator at the bottom with positive
-        # leading coordinate maps to 1
-        bottom_vec = r_dual._h0[sk.bottom][0]
-        norm = Fraction(1) / bottom_vec[min(bottom_vec)]
-        # eta_sigma: the scalar of the iso R-dual -> R, via the bottom
-        eta = {sigma: r_dual.res_between(sigma, sk.bottom)[0][0] * norm
-               for sigma in supp}
         for k in range(F.dim(s)):
             # phi_f stalk columns for the k-th basis section at s
             phi_col = {t: [row[k] for row in F.res_between(s, t)] for t in supp}
@@ -423,36 +416,15 @@ def _alpha_family(F, check=True):
             for sigma in supp:
                 if cf_dual.dim(sigma) == 0 or cf.dim(sigma) == 0:
                     continue
-                basis_r = r_dual._h0[sigma]
-                if not basis_r:
-                    continue
-                if len(basis_r) != 1:
-                    raise ArithmeticError(
-                        "support dual is not one-dimensional; the interval "
-                        "below a top cell is not Gorenstein*")
                 # induced H0 map of phi_f on the up-set of sigma
-                image = {}
-                for (elem, _j), v in basis_r[0].items():
-                    col = phi_col.get(elem)
-                    if col is None:
-                        continue
-                    for i, entry in enumerate(col):
-                        if entry:
-                            image[(elem, i)] = image.get((elem, i), 0) + v * entry
-                t_col = solve_in_span(h0_cf[sigma], image)
+                image = {(y, i): eps[(y, s)] * entry
+                         for y in below if base.leq(sigma, y)
+                         for i, entry in enumerate(phi_col[y]) if entry}
+                t_col = nullspace_coords(h0_cf[sigma], image)
                 if t_col is None:
                     raise ArithmeticError("phi_f image escaped H0 of C(F)")
-                # alpha_f at sigma: (phi column) * eta * (induced map)^T
-                dim_cf = cf.dim(sigma)
-                dim_dual = cf_dual.dim(sigma)
-                mat = _zeros(dim_cf, dim_dual)
-                col = phi_col[sigma]
-                for i in range(dim_cf):
-                    if not col[i]:
-                        continue
-                    for j in range(dim_dual):
-                        mat[i][j] += col[i] * eta[sigma] * t_col[j]
-                stalk_maps[sigma] = mat
+                # alpha_f at sigma: (phi column) * (induced map)^T
+                stalk_maps[sigma] = [[c * t for t in t_col] for c in phi_col[sigma]]
             family.append(stalk_maps)
     out = (cf, cf_dual, family)
     F._alpha_family_cache = out
@@ -504,22 +476,20 @@ def _kernel_sheaf(cf, cf_dual, alpha):
     sk = cf.base
     target = skeleton_poset(sk, sk.n - 1)
     keep = set(target.elements())
-    bases = {}
-    for sigma in keep:
-        vecs = mat_nullspace(alpha[sigma], cf_dual.dim(sigma))
-        bases[sigma] = vecs
+    bases = {sigma: mat_nullspace(alpha[sigma], cf_dual.dim(sigma))
+             for sigma in keep}
     stalks = {s: len(v) for s, v in bases.items()}
     res = {}
     for lo, hi in target.covers():
         if stalks[hi] == 0 or stalks[lo] == 0:
             continue
         w = cf_dual.res_between(hi, lo)
+        span = [{i: v for i, v in enumerate(b) if v} for b in bases[lo]]
         cols = []
         for vec in bases[hi]:
             image = [sum((w[r][c] * vec[c] for c in range(len(vec))), Fraction(0))
                      for r in range(len(w))]
-            span = [{i: v for i, v in enumerate(b) if v} for b in bases[lo]]
-            coeffs = solve_in_span(span, {i: v for i, v in enumerate(image) if v})
+            coeffs = nullspace_coords(span, {i: v for i, v in enumerate(image) if v})
             if coeffs is None:
                 raise ArithmeticError("kernel restriction escaped the kernel")
             cols.append(coeffs)

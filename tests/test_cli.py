@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from helpers import rp2_face_poset
 from posetlab import cli
 from posetlab import constructions as cons
 from posetlab import poset as poset_mod
+from posetlab import sheaves
 
 
 def run_cli(capsys, *argv):
@@ -316,3 +318,18 @@ class TestExitCodes:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+
+@pytest.mark.parametrize("fake,code", [
+    (None, 0),
+    (lambda P, w, seed: seed, 1),  # every seed gives a different value
+])
+def test_seed_sweep_exit_code(monkeypatch, capsys, fake, code):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "sheaf_seed_sweep.py"
+    if fake is not None:
+        monkeypatch.setattr(sheaves, "cd_coefficient_via_CD", fake)
+    monkeypatch.setattr(sys, "argv", [str(script), "--sweeps", "2"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == code
+    assert ("UNSTABLE" in capsys.readouterr().out) == bool(code)

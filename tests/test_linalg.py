@@ -5,8 +5,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetlab.linalg import (mat_nullspace, mat_rank, rank_mod2,
-                             solve_in_span, sparse_nullspace, sparse_rank)
+from posetlab.linalg import (mat_nullspace, mat_rank, nullspace_coords,
+                             rank_mod2, solve_in_span, sparse_nullspace,
+                             sparse_rank)
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -75,6 +76,8 @@ def test_nullspace_is_the_canonical_basis(case):
         assert all(isinstance(v, Fraction) and v for v in vec.values())
         assert all(sum(row[k] * v for k, v in vec.items()) == 0 for row in rows)
         assert {c: vec.get(c, 0) for c in free} == {c: int(c == f) for c in free}
+        # back-substitution stops at the free column: it is the largest
+        assert max(vec) == f
     if rows:
         assert mat_nullspace(rows, ncols) == [
             [vec.get(c, Fraction(0)) for c in range(ncols)] for vec in basis]
@@ -106,6 +109,30 @@ def test_solve_in_span_reconstructs_or_refuses(case, data):
         # depends on earlier ones is a non-pivot column and gets 0
         if oracle_rank(vectors[:i + 1], ncols) == oracle_rank(vectors[:i], ncols):
             assert got[i] == 0
+
+
+@SETTINGS
+@given(matrices(), st.data())
+def test_nullspace_coords_agree_with_solve_in_span(case, data):
+    rows, ncols = case
+    basis = sparse_nullspace([sparse(row) for row in rows], ncols)
+    inside = bool(basis) and data.draw(st.booleans())
+    if inside:
+        coeffs = data.draw(st.lists(SCALARS, min_size=len(basis),
+                                    max_size=len(basis)))
+        target = {}
+        for c, vec in zip(coeffs, basis):
+            for k, v in vec.items():
+                target[k] = target.get(k, 0) + c * v
+        target = {k: v for k, v in target.items() if v}
+    else:
+        target = sparse(data.draw(st.lists(SCALARS, min_size=ncols,
+                                           max_size=ncols)))
+    got = nullspace_coords(basis, target)
+    assert got == solve_in_span(basis, target)
+    if inside:
+        assert got == [Fraction(c) for c in coeffs]
+        assert all(isinstance(c, Fraction) for c in got)
 
 
 @SETTINGS

@@ -173,10 +173,15 @@ def test_poset_complex_against_order_complex_oracle():
 
 
 class TestCohenMacaulaySheaves:
-    def test_constant_on_gorenstein_is_gorenstein(self, polygon3):
-        F = sh.constant_sheaf(polygon3)
+    @pytest.mark.parametrize("make,gorenstein", [
+        (lambda: cons.polygon(3), True),
+        # the cone is a ball: Cohen-Macaulay, but its dual lives on the apex
+        (lambda: cons.with_top(cons.polygon(3)), False),
+    ], ids=["polygon3", "cone"])
+    def test_constant_on_gorenstein_is_gorenstein(self, make, gorenstein):
+        F = sh.constant_sheaf(make())
         assert sh.is_cm_sheaf(F)
-        assert sh.is_gorenstein_sheaf(F)
+        assert sh.is_gorenstein_sheaf(F) == gorenstein
 
     def test_disconnected_not_cm(self):
         assert not sh.is_cm_sheaf(sh.constant_sheaf(two_triangles()))
@@ -240,6 +245,30 @@ class TestDualSheaf:
             sh.dual_sheaf(sh.constant_sheaf(two_triangles()))
         with pytest.raises(sh.BadBase):
             sh.dual_sheaf(sh.constant_sheaf(two_edges()))
+
+
+def test_facet_duals_are_read_off_the_orientation():
+    """For a top-rank s of a sphere or a cone, the dual of the constant
+    sheaf on [bottom, s) in the skeleton has a one-dimensional H^0 at every
+    sigma < s; its generator, scaled by its restriction to the bottom
+    (normalised to lead with 1), is y -> eps(y, s) on the lower covers y of
+    s above sigma, the vector op_D's alpha_f family reads instead."""
+    for name, P in gorenstein_corpus(3):
+        for base in (P, cons.with_top(P)):
+            eps = sh._orientation(base)
+            sk = sh.skeleton_poset(base, base.n - 1)
+            for s in base.maximal_elements():
+                below = sh._down_covers(base, s)
+                supp = [t for t in base.down_set(s) if t != s]
+                D = sh.dual_sheaf(sh.constant_sheaf(sk, supp))
+                at_bottom = D._h0[sk.bottom][0]
+                scale = 1 / at_bottom[min(at_bottom)]
+                for sigma in supp:
+                    (gen,) = D._h0[sigma]
+                    c = D.res_between(sigma, sk.bottom)[0][0] * scale
+                    want = {y: eps[(y, s)] for y in below if base.leq(sigma, y)}
+                    assert {y: c * v for (y, _), v in gen.items()} == want, \
+                        (name, base.n, s, sigma)
 
 
 class TestOpC:

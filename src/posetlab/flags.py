@@ -1,9 +1,24 @@
 """Chain enumeration: weights, ab/cd-indices and the semisuspension formulas.
 
-The ab-index is computed by a memoized recursion over half-open upper
-intervals (the sum over chains groups by first element above the bottom),
-so repeated interval indices are shared.  Everything returns exact NcPoly
-values; contraction failures surface as NotEulerian.
+The ab-index is Stanley's sum over rank sets S of {1..n} of h_S times the
+ab-word with b exactly at the positions in S (Flag f-vectors and the
+cd-index, Math. Z. 1994), where h_S = sum over T in S of (-1)^|S-T| f_T
+and f_T counts the chains bottom < x_1 < ... < x_k with rank set T, each
+weighted by `scale` at its largest element (Ehrenborg-Karu's sheaf sums).
+
+`ab_index` counts those chains by rank set in integer bit arithmetic.
+Each element x above the bottom gets one packed integer g_x with a W-bit
+slot per rank set S (slot S at bit W*S, S read as a bitmask with rank r at
+bit r - 1): g_bottom = 1 and g_x is the sum of g_y over y < x, shifted by
+W * 2^(rank x - 1), since adding rank x to sets below it is one uniform
+shift.  Then f = sum of scale(x) * g_x holds f_S in slot S.  No slot
+carries into the next: a slot of g_x is at most the number c_x of chains
+ending at x, a slot of f at most T = sum of scale(x) * c_x, so
+W = max(T, max c_x).bit_length() bits suffice.  Subset Moebius inversion
+(n * 2^n steps) of the unpacked slots gives the h_S.
+
+Everything returns exact NcPoly values; contraction failures surface as
+NotEulerian.
 """
 
 from __future__ import annotations
@@ -52,18 +67,54 @@ def ab_index(P, scale=None):
     """Sum of the weights of all chains of P (the singleton {0-hat}
     included); homogeneous of degree n.  With `scale`, each chain's
     weight is multiplied by scale(i) at the root index i of its largest
-    element (the sheaf engine passes dim F)."""
+    element (the sheaf engine passes dim F); scale must be a nonnegative
+    integer, since negative slots cannot be packed.
+
+    Packs the weighted flag f-vector into one integer (see the module
+    docstring) and inverts it over subsets into the ab-word coefficients."""
     root = P._root
-    memo = {}
-    order = sorted(P._indices(), key=lambda i: -root._rank[i])
-    for i in order:
-        acc = _amb_pow(P.n - P._vrank(i))  # rho(i, top) - 1
-        if scale is not None:
-            acc = acc * scale(i)
-        for j in P._up_indices(i):
-            acc = acc + _amb_pow(root._rank[j] - root._rank[i] - 1) * B * memo[j]
-        memo[i] = acc
-    return memo[P._bottom_idx]
+    bot = P._bottom_idx
+    if not (P._mask >> bot) & 1:
+        raise ValueError("the view does not contain its bottom")
+    mask = P._mask & root._geq[bot]
+    order = sorted(_bits(mask), key=lambda i: (root._rank[i], i))
+    base, n = root._rank[bot], P.n
+    if root._rank[order[-1]] - base > n:
+        raise ValueError(f"the view has an element ranked above its rank {n}")
+    weights = [1 if scale is None else scale(i) for i in order]
+    if any(w < 0 for w in weights):
+        raise ValueError("scale must be nonnegative to pack flag f-vectors")
+    below = [tuple(_bits(root._leq[i] & mask & ~(1 << i))) for i in order]
+    # chains from the bottom ending at each element: they bound every slot
+    count = {bot: 1}
+    for i, down in zip(order[1:], below[1:]):
+        count[i] = sum(map(count.__getitem__, down))
+    total = sum(w * count[i] for w, i in zip(weights, order))
+    width = max(total, max(count.values())).bit_length()
+    packed = {bot: 1}
+    f = weights[0]
+    for w, i, down in zip(weights[1:], order[1:], below[1:]):
+        packed[i] = sum(map(packed.__getitem__, down)) << (
+            width << (root._rank[i] - base - 1))
+        f += w * packed[i]
+    slot = (1 << width) - 1
+    h = [(f >> (width * S)) & slot for S in range(1 << n)]
+    for r in range(n):
+        bit = 1 << r
+        for S in range(1 << n):
+            if S & bit:
+                h[S] -= h[S ^ bit]
+    return NcPoly("ab", dict(zip(_ab_words(n), h)))
+
+
+@lru_cache(maxsize=None)
+def _ab_words(n):
+    """The ab-words of length n, the S-th with b exactly at the positions
+    r (0-based) whose bit 1 << r is set in S."""
+    words = [""]
+    for _ in range(n):
+        words = [w + "a" for w in words] + [w + "b" for w in words]
+    return tuple(words)
 
 
 def cd_index(P):
@@ -99,14 +150,15 @@ def near_cd_index(P, boundary_ids):
     """Split Psi_P = Phi + Psi_boundary * a and contract both parts.
 
     The caller certifies that (P, boundary) is genuinely near-Gorenstein*;
-    a NotExpressible escape here means it was not.
+    a NotExpressible escape here means it was not.  A nonempty boundary
+    always contains the bottom, whether or not boundary_ids names it.
     """
     boundary_ids = set(boundary_ids)
     psi = ab_index(P)
     if boundary_ids:
         root = P._root
-        psi_b = ab_index(SubPoset(root, root._mask_of(boundary_ids) & P._mask,
-                                  P._bottom_idx, P.n - 1))
+        bmask = (root._mask_of(boundary_ids) & P._mask) | 1 << P._bottom_idx
+        psi_b = ab_index(SubPoset(root, bmask, P._bottom_idx, P.n - 1))
     else:
         psi_b = NcPoly.zero("ab")
     phi_ab = psi - psi_b * A

@@ -183,9 +183,6 @@ class GradedPoset:
     def _indices(self):
         return sorted(range(len(self._ids)), key=lambda i: (self._rank[i], i))
 
-    def _up_indices(self, i):
-        return self._up_list[i]
-
     # -- public id-space API -------------------------------------------------
 
     def __len__(self):
@@ -316,26 +313,21 @@ class GradedPoset:
 
     def is_eulerian(self):
         """Every interval [tau, pi], pi up to the virtual top, satisfies the
-        Euler-Poincare relation (alternating rank sum vanishes)."""
+        Euler-Poincare relation (alternating rank sum vanishes): as many
+        even-rank as odd-rank elements in each [tau, pi] with tau < pi, and
+        for [tau, 1-hat) an even-minus-odd count of (-1)^n."""
         if "eulerian" in self._cache:
             return self._cache["eulerian"]
-        m = len(self._ids)
-        sign = [1 - 2 * (self._rank[i] & 1) for i in range(m)]
+        even = sum(1 << i for i, r in enumerate(self._rank) if not r & 1)
+        odd = self._mask ^ even
+        top = 1 - 2 * (self.n & 1)
+        leq = self._leq
         ok = True
-        for t in range(m):
-            # acc[p] accumulates sum of (-1)^rank(s) over s in [t, p]
-            acc = {}
-            total = 0
-            for s in _bits(self._geq[t]):
-                sgn = sign[s]
-                total += sgn
-                for p in _bits(self._geq[s]):
-                    acc[p] = acc.get(p, 0) + sgn
-            if any(val != 0 for p, val in acc.items() if p != t):
-                ok = False
-                break
-            # interval [t, virtual top]: real part must cancel (-1)^(n+1)
-            if total != (1 - 2 * (self.n & 1)):
+        for t, up in enumerate(self._geq):
+            up_even, up_odd = up & even, up & odd
+            if (up_even.bit_count() - up_odd.bit_count() != top
+                    or any((leq[p] & up_even).bit_count() != (leq[p] & up_odd).bit_count()
+                           for p in _bits(up ^ (1 << t)))):
                 ok = False
                 break
         self._cache["eulerian"] = ok
@@ -406,9 +398,6 @@ class SubPoset:
 
     def _indices(self):
         return sorted(_bits(self.mask), key=lambda i: (self.root._rank[i], i))
-
-    def _up_indices(self, i):
-        return [j for j in self.root._up_list[i] if (self.mask >> j) & 1]
 
     def __len__(self):
         return self.mask.bit_count()

@@ -173,6 +173,16 @@ class TestNearCdIndex:
         assert code == 0
         assert "boundary = c^2 + d" in out
 
+    def test_explicit_boundary_without_bottom_matches_auto(self, capsys, tmp_path):
+        B3 = cons.boolean_algebra(3)
+        ball, boundary = cons.remove_upset(B3, B3.elements()[-1])
+        path = write_poset(tmp_path, ball)
+        assert sorted(boundary) == [0, 2, 3]
+        code, auto, _ = run_cli(capsys, "near-cd-index", path, "--boundary", "auto")
+        assert code == 0
+        code, out, err = run_cli(capsys, "near-cd-index", path, "--boundary", "2,3")
+        assert (code, out, err) == (0, auto, "")
+
 
 class TestSheafCd:
     def test_table_and_verify(self, capsys, tmp_path):

@@ -1,12 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import ab_index_oracle, count_maximal_chains
+from helpers import (ab_index_oracle, all_chains, composed_posets,
+                     count_maximal_chains, eulerian_oracle)
 from posetlab import constructions as cons
 from posetlab import flags
 from posetlab.flags import InvalidChain
 from posetlab.ncpoly import (A, B, NcPoly, ab, ab_expand, cd, parse_poly,
                              pyr_op)
-from posetlab.poset import GradedPoset, NotEulerian, TOP
+from posetlab.poset import (TOP, GradedPoset, NotEulerian, SubPoset,
+                            interval_view)
 
 
 def two_atoms():
@@ -67,6 +71,64 @@ class TestAbIndex:
             assert total == count_maximal_chains(P), name
 
 
+    def test_negative_scale_is_rejected(self, polygon3):
+        with pytest.raises(ValueError):
+            flags.ab_index(polygon3, lambda i: -1 if i == 1 else 1)
+
+    def test_view_without_its_bottom_is_rejected(self, polygon3):
+        root = polygon3._root
+        with pytest.raises(ValueError):
+            flags.ab_index(SubPoset(root, root._mask & ~1, 0, polygon3.n))
+
+    def test_view_ranked_above_its_rank_is_rejected(self, polygon3):
+        root = polygon3._root
+        with pytest.raises(ValueError):
+            flags.ab_index(SubPoset(root, root._mask, 0, polygon3.n - 1))
+
+    @pytest.mark.parametrize("big", [lambda i: 10 ** 6 if i == 0 else i % 3,
+                                     lambda i: 10 ** 6])
+    def test_large_scale(self, boolean4, big):
+        """A slot near the packed width: 10^6 on the singleton chain fills
+        the f-vector slot of the empty rank set on its own."""
+        want = NcPoly.zero("ab")
+        for chain in all_chains(boolean4):
+            want = want + flags.weight(boolean4, chain) * big(chain[-1])
+        assert flags.ab_index(boolean4, big) == want
+
+
+def _weighted_oracle(P, scale):
+    """Sum over chains of weight * scale(largest element's root index)."""
+    total = NcPoly.zero("ab")
+    for chain in all_chains(P):
+        total = total + flags.weight(P, chain) * scale(P._root._index(chain[-1]))
+    return total
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(composed_posets(("sphere", "cone", "ball", "ball_boundary", "perturbed",
+                        "disjoint", "wrong_boundary")),
+       st.lists(st.integers(0, 7), min_size=32, max_size=32))
+def test_packed_ab_index_against_chain_oracles(drawn, dims):
+    """The packed flag f-vector kernel against chain-by-chain summation on
+    P, on each upper-interval view and on a ball's boundary view, weighted
+    by a nonnegative scale; the popcount Euler test against the literal
+    alternating sums."""
+    P, boundary = drawn
+    assert flags.ab_index(P) == ab_index_oracle(P)
+    views = [interval_view(P, i) for i in P._indices()]
+    if boundary is not None:
+        views.append(P.restrict(boundary | {P.bottom}, n=P.n - 1))
+    for view in views:
+        assert flags.ab_index(view) == ab_index_oracle(view)
+
+    def scale(i):
+        return dims[i]
+
+    assert flags.ab_index(P, scale) == _weighted_oracle(P, scale)
+    if isinstance(P, GradedPoset):
+        assert P.is_eulerian() == eulerian_oracle(P)
+
+
 class TestCdIndex:
     @pytest.mark.parametrize("m", range(2, 13))
     def test_polygon_formula(self, m):
@@ -99,6 +161,12 @@ class TestNearCdIndex:
         P = cons.single_point()
         nc = flags.near_cd_index(P, [])
         assert nc.phi == NcPoly.one("cd") and nc.boundary.is_zero()
+
+    def test_boundary_without_bottom(self):
+        B3 = cons.boolean_algebra(3)
+        ball, boundary = cons.remove_upset(B3, B3.elements()[-1])
+        assert flags.near_cd_index(ball, boundary - {ball.bottom}) == \
+            flags.near_cd_index(ball, boundary)
 
     def test_interval_with_top(self):
         P = GradedPoset.from_covers(1, {0: 0, 1: 1}, [(0, 1)])

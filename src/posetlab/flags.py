@@ -77,7 +77,7 @@ def ab_index(P, scale=None):
     if not (P._mask >> bot) & 1:
         raise ValueError("the view does not contain its bottom")
     mask = P._mask & root._geq[bot]
-    order = sorted(_bits(mask), key=lambda i: (root._rank[i], i))
+    order = list(_bits(mask))
     base, n = root._rank[bot], P.n
     if root._rank[order[-1]] - base > n:
         raise ValueError(f"the view has an element ranked above its rank {n}")

@@ -323,7 +323,7 @@ def _first_bad_interval(root, mask, bottom_idx, n, fits):
     rank(top) = rank(bottom) + n + 1, as (witness chain ids, betti); None
     when every interval fits."""
     geq, leq, rank = root._geq, root._leq, root._rank
-    order = [i for i in (bottom_idx,) + root._up_list[bottom_idx] if (mask >> i) & 1]
+    order = list(_bits(geq[bottom_idx] & mask))
     for x in order:
         above = geq[x] & mask & ~(1 << x)
         intervals = [(None, above, rank[bottom_idx] + n - 1 - rank[x])] + [

@@ -2,8 +2,10 @@
 
 One elimination kernel over Q.  `_echelon` reduces sparse rows (dict
 column -> int or Fraction) to an integral row echelon form; `sparse_rank`,
-`sparse_nullspace` and `solve_in_span` are built on it, and `mat_rank` /
-`mat_nullspace` adapt small dense lists-of-lists (sheaf stalk maps) to it.
+`sparse_nullspace` and `solve_in_span` are built on it.  Sheaf restriction
+maps are stored in the same format, one sparse row per target coordinate,
+and `mat_mul` composes them.  `mat_rank` / `mat_nullspace` adapt dense
+lists-of-lists to the kernel; no library module calls them.
 Pivots are keyed on each row's smallest column, so they are the leftmost
 independent columns whatever the row order.  That keeps every basis
 canonical: a nullspace vector is the unique one with 1 on its own non-pivot
@@ -172,28 +174,20 @@ def solve_in_span(basis, target):
     return [x.get(j, Fraction(0)) for j in range(cols)]
 
 
-# -- small dense helpers (lists of lists, Fraction entries) ----------------
+# -- sheaf maps, and dense adapters (lists of lists) ------------------------
 
 
 def mat_mul(a, b):
-    ra, ca = len(a), len(a[0]) if a else 0
-    cb = len(b[0]) if b else 0
-    out = [[Fraction(0)] * cb for _ in range(ra)]
-    for i in range(ra):
-        ai = a[i]
-        for k in range(ca):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cb):
-                    if bk[j]:
-                        oi[j] += v * bk[j]
+    """Product of two matrices stored as lists of sparse rows: row i of the
+    product sums a[i][k] times row k of b; zero sums are dropped."""
+    out = []
+    for row in a:
+        acc = {}
+        for k, v in row.items():
+            for j, w in b[k].items():
+                acc[j] = acc.get(j, 0) + v * w
+        out.append({j: v for j, v in acc.items() if v})
     return out
-
-
-def identity(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
 def _dense_rows(a):

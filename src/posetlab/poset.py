@@ -5,7 +5,8 @@ element 0-hat is always present; the maximal element 1-hat is never stored.
 By convention rho(1-hat) = n + 1, so the rank gap to the top from x is
 n + 1 - rho(x).
 
-Internally elements live at contiguous indices 0..m-1 (sorted by rank) and
+Internally elements live at contiguous indices 0..m-1 in rank order (the
+constructor rejects any other order, so ascending indices need no sort) and
 the full order relation is materialized as per-element bitmasks, which makes
 interval, join and chain queries cheap at the few-hundred-element scale this
 library targets.  Public APIs speak element ids, which our constructors keep
@@ -86,7 +87,7 @@ class GradedPoset:
     """Immutable graded poset with bottom element and no stored top."""
 
     __slots__ = ("n", "_ids", "_idx", "_rank", "_covers_up", "_geq", "_leq",
-                 "_up_list", "_bottom", "labels", "provenance", "_cache")
+                 "_bottom", "labels", "provenance", "_cache")
 
     def __init__(self, n, ids, rank_by_idx, covers_up, labels=None, provenance=None):
         # Use from_covers for validated construction from user data.
@@ -94,10 +95,12 @@ class GradedPoset:
         self._ids = tuple(ids)
         self._idx = {e: i for i, e in enumerate(self._ids)}
         self._rank = tuple(rank_by_idx)
+        if any(a > b for a, b in zip(self._rank, self._rank[1:])):
+            raise ValueError("element indices must be in rank order")
         self._covers_up = tuple(tuple(sorted(c)) for c in covers_up)
         m = len(self._ids)
         geq = [0] * m
-        for i in sorted(range(m), key=lambda i: -self._rank[i]):
+        for i in reversed(range(m)):
             acc = 1 << i
             for j in self._covers_up[i]:
                 acc |= geq[j]
@@ -108,11 +111,6 @@ class GradedPoset:
             for j in _bits(geq[i]):
                 leq[j] |= 1 << i
         self._leq = tuple(leq)
-        order = sorted(range(m), key=lambda i: (self._rank[i], i))
-        pos = {i: p for p, i in enumerate(order)}
-        self._up_list = tuple(
-            tuple(sorted((j for j in _bits(geq[i] ^ (1 << i))), key=lambda j: pos[j]))
-            for i in range(m))
         bottoms = [i for i in range(m) if self._rank[i] == 0]
         if len(bottoms) != 1:
             raise NoBottom(f"expected exactly one rank-0 element, found {len(bottoms)}")
@@ -155,7 +153,7 @@ class GradedPoset:
             if not (reach >> i) & 1:
                 raise UnreachableElement(f"element {e} is not above the bottom")
         for i, e in enumerate(ids):
-            if not poset._up_list[i] and poset._rank[i] != n:
+            if poset._geq[i] == 1 << i and poset._rank[i] != n:
                 raise NotGraded(f"maximal element {e} has rank {poset._rank[i]} != {n}")
         return poset
 
@@ -181,7 +179,7 @@ class GradedPoset:
         return self._rank[i]
 
     def _indices(self):
-        return sorted(range(len(self._ids)), key=lambda i: (self._rank[i], i))
+        return range(len(self._ids))
 
     # -- public id-space API -------------------------------------------------
 
@@ -226,7 +224,7 @@ class GradedPoset:
         return [self._ids[j] for j in _bits(self._leq[self._index(x)])]
 
     def maximal_elements(self):
-        return [self._ids[i] for i in range(len(self._ids)) if not self._up_list[i]]
+        return [self._ids[i] for i, up in enumerate(self._geq) if up == 1 << i]
 
     def label(self, x):
         return self.labels.get(x, str(x))
@@ -260,7 +258,7 @@ class GradedPoset:
 
     def _materialize(self, mask, new_n, rank_offset):
         """Renumber the elements in `mask` into a standalone GradedPoset."""
-        members = sorted(_bits(mask), key=lambda i: (self._rank[i], i))
+        members = list(_bits(mask))
         newid = {i: k for k, i in enumerate(members)}
         ranks = [self._rank[i] - rank_offset for i in members]
         covers_up = [[newid[j] for j in self._minimal_in(self._geq[i] & mask & ~(1 << i))]
@@ -296,7 +294,7 @@ class GradedPoset:
 
     def dual(self):
         """Order-reversed poset; requires a unique maximal element."""
-        maxima = [i for i in range(len(self._ids)) if not self._up_list[i]]
+        maxima = [i for i, up in enumerate(self._geq) if up == 1 << i]
         if len(maxima) != 1:
             raise NoUniqueTop(f"dual needs a unique maximal element, found {len(maxima)}")
         members = sorted(range(len(self._ids)), key=lambda i: (self.n - self._rank[i], i))
@@ -397,7 +395,7 @@ class SubPoset:
         return self.root._rank[i] - self._rank_offset
 
     def _indices(self):
-        return sorted(_bits(self.mask), key=lambda i: (self.root._rank[i], i))
+        return list(_bits(self.mask))
 
     def __len__(self):
         return self.mask.bit_count()
@@ -441,14 +439,14 @@ def upper_view(P, x):
 def iter_chains(root, mask):
     """Every chain inside the index set `mask` of `root`, as an ascending
     index tuple, the empty chain first: depth first, each level in
-    (rank, index) order.
+    ascending index order, which is rank order.
 
     An explicit stack, not a self-referencing nested generator: that one
     would form a function-cell reference cycle holding `root` (and its
     caches) until the cyclic garbage collector runs."""
-    up = root._up_list
+    geq = root._geq
     yield ()
-    stack = [((), iter(sorted(_bits(mask), key=lambda i: (root._rank[i], i))))]
+    stack = [((), _bits(mask))]
     while stack:
         prefix, candidates = stack[-1]
         i = next(candidates, None)
@@ -457,7 +455,7 @@ def iter_chains(root, mask):
             continue
         chain = prefix + (i,)
         yield chain
-        stack.append((chain, iter([j for j in up[i] if (mask >> j) & 1])))
+        stack.append((chain, _bits(geq[i] & mask & ~(1 << i))))
 
 
 # -- JSON format ------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Sheaves on posets: cellular complexes, duality, and the C/D operations.
 
 A sheaf stores per-element stalk dimensions and exact rational restriction
-matrices on cover pairs; arbitrary restrictions are composed along cover
-paths (well defined because commutation is validated).
+maps on cover pairs, in the format of the elimination kernel in `linalg`:
+the map F_hi -> F_lo is a list of dim F_lo sparse rows, each a dict
+{column: nonzero value} over the columns 0 .. dim F_hi - 1.  Ranks,
+nullspaces and coordinates read these rows as they are, and arbitrary
+restrictions are composed along cover paths with `linalg.mat_mul` (well
+defined because commutation is validated).
 
 Cellular complexes live on the base poset itself, with the cells graded by
 corank.  Their incidence signs come from an orientation (Karu, "The
@@ -25,6 +29,10 @@ seed-independent part (C(F), its dual, the alpha_f family) is cached per
 input sheaf, so seed sweeps only redo the cheap assembly, surjectivity
 check and kernel extraction.  Coordinates in degree-zero cohomology bases
 are read with `linalg.nullspace_coords`, not solved for.
+
+`cd_coefficient_via_CD` caches the constant sheaf and its C's on the poset
+P.  That sheaf lives on a copy of P (its top skeleton, same ids), so the
+cache holds no reference back to P and P is freed by reference counting.
 """
 
 from __future__ import annotations
@@ -34,8 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import flags, homology
-from .linalg import (betti_from_ranks, identity, mat_mul, mat_nullspace,
-                     mat_rank, nullspace_coords, sparse_nullspace, sparse_rank)
+from .linalg import (betti_from_ranks, mat_mul, nullspace_coords,
+                     sparse_nullspace, sparse_rank)
 from .linalg import solve_in_span  # noqa: F401  (the perfbench self-test rebinds it)
 from .ncpoly import cd_split_with_a, word_degree
 from .poset import GradedPoset, _bits, interval_view
@@ -57,25 +65,23 @@ class SurjectivityFailed(Exception):
     pass
 
 
-def _zeros(rows, cols):
-    return [[Fraction(0)] * cols for _ in range(rows)]
+# op_D's attempts at a surjective random combination before it gives up
+OP_D_RETRIES = 8
 
 
 class Sheaf:
-    """Stalk dimensions plus restriction matrices on cover pairs.
+    """Stalk dimensions plus restriction maps on cover pairs.
 
-    res[(sigma, tau)] maps F_sigma -> F_tau for a cover sigma > tau and has
-    shape (dim F_tau, dim F_sigma).  Pairs with a zero-dimensional end are
-    omitted; compositions through them are zero.
+    res[(sigma, tau)] maps F_sigma -> F_tau for a cover sigma > tau: dim
+    F_tau sparse rows over the columns 0 .. dim F_sigma - 1.  Pairs with a
+    zero-dimensional end are omitted; compositions through them are zero.
     """
 
-    def __init__(self, base, stalk_dim, res, validate=False):
+    def __init__(self, base, stalk_dim, res):
         self.base = base
         self.stalk_dim = {e: stalk_dim.get(e, 0) for e in base.elements()}
         self.res = dict(res)
         self._res_memo = {}
-        if validate:
-            self.validate()
 
     def dim(self, x):
         return self.stalk_dim.get(x, 0)
@@ -83,39 +89,38 @@ class Sheaf:
     def res_between(self, sigma, tau):
         """Composite restriction F_sigma -> F_tau for sigma >= tau."""
         if sigma == tau:
-            return identity(self.dim(sigma))
+            return [{i: 1} for i in range(self.dim(sigma))]
         key = (sigma, tau)
-        if key in self._res_memo:
-            return self._res_memo[key]
-        if self.dim(sigma) == 0 or self.dim(tau) == 0:
-            out = _zeros(self.dim(tau), self.dim(sigma))
-        else:
-            step = next(d for d in _down_covers(self.base, sigma)
-                        if self.base.leq(tau, d))
-            first = self.res.get((sigma, step))
-            if first is None:
-                first = _zeros(self.dim(step), self.dim(sigma))
-            out = mat_mul(self.res_between(step, tau), first)
-        self._res_memo[key] = out
-        return out
+        if key not in self._res_memo:
+            if self.dim(sigma) == 0 or self.dim(tau) == 0:
+                out = [{} for _ in range(self.dim(tau))]
+            else:
+                step = next(d for d in _down_covers(self.base, sigma)
+                            if self.base.leq(tau, d))
+                out = self._through(sigma, step, tau)
+            self._res_memo[key] = out
+        return self._res_memo[key]
+
+    def _through(self, sigma, step, tau):
+        """F_sigma -> F_step -> F_tau, for a cover sigma > step >= tau."""
+        first = self.res.get((sigma, step))
+        if first is None:
+            return [{} for _ in range(self.dim(tau))]
+        return mat_mul(self.res_between(step, tau), first)
 
     def validate(self):
         """Shapes on covers and commutation of all two-step compositions
         (which forces commutation of all paths, by induction on rank)."""
         for (s, t), m in self.res.items():
-            if len(m) != self.dim(t) or (m and len(m[0]) != self.dim(s)):
+            if len(m) != self.dim(t) or any(
+                    not 0 <= c < self.dim(s) for row in m for c in row):
                 raise ValueError(f"restriction {s}->{t} has the wrong shape")
         for s in self.base.elements():
             for t in self.base.elements():
                 if s == t or not self.base.leq(t, s):
                     continue
-                mats = []
-                for d in _down_covers(self.base, s):
-                    if self.base.leq(t, d):
-                        first = self.res.get((s, d))
-                        if first is None:
-                            first = _zeros(self.dim(d), self.dim(s))
-                        mats.append(mat_mul(self.res_between(d, t), first))
+                mats = [self._through(s, d, t) for d in _down_covers(self.base, s)
+                        if self.base.leq(t, d)]
                 if any(m != mats[0] for m in mats[1:]):
                     raise ValueError(f"restrictions {s}->{t} do not commute")
         return True
@@ -148,7 +153,7 @@ def constant_sheaf(base, support=None):
     res = {}
     for lo, hi in base.covers():
         if lo in supp and hi in supp:
-            res[(hi, lo)] = [[Fraction(1)]]
+            res[(hi, lo)] = [{0: 1}]
     return Sheaf(base, stalks, res)
 
 
@@ -249,16 +254,10 @@ def cellular_complex(F, support=None, check=True):
                 if z not in members or not F.dim(z):
                     continue
                 sign = eps[(y, z)]
-                m = F.res.get((z, y))
-                if m is None:
-                    continue
-                for r in range(F.dim(y)):
+                for r, entries in enumerate(F.res.get((z, y), ())):
                     row = rows[coord_idx[k + 1][(y, r)]]
-                    for c in range(F.dim(z)):
-                        v = m[r][c] * sign
-                        if v:
-                            row[coord_idx[k][(z, c)]] = row.get(
-                                coord_idx[k][(z, c)], 0) + v
+                    for c, v in entries.items():
+                        row[coord_idx[k][(z, c)]] = sign * v
         diff_rows.append(rows)
     cc = CellularComplex(coords, diff_rows)
     if check:
@@ -339,7 +338,7 @@ def _dual_poset(F):
                                          if k[0] in hi_set}) for vec in h0[lo]]
         if None in mat:
             raise ArithmeticError("projected cocycle escaped the target kernel")
-        res[(hi, lo)] = mat
+        res[(hi, lo)] = [{j: v for j, v in enumerate(row) if v} for row in mat]
     dual = Sheaf(base, stalks, res)
     dual._h0 = h0
     return dual
@@ -411,7 +410,8 @@ def _alpha_family(F, check=True):
         supp = [t for t in base.down_set(s) if t != s]
         for k in range(F.dim(s)):
             # phi_f stalk columns for the k-th basis section at s
-            phi_col = {t: [row[k] for row in F.res_between(s, t)] for t in supp}
+            phi_col = {t: [row.get(k, 0) for row in F.res_between(s, t)]
+                       for t in supp}
             stalk_maps = {}
             for sigma in supp:
                 if cf_dual.dim(sigma) == 0 or cf.dim(sigma) == 0:
@@ -424,77 +424,70 @@ def _alpha_family(F, check=True):
                 if t_col is None:
                     raise ArithmeticError("phi_f image escaped H0 of C(F)")
                 # alpha_f at sigma: (phi column) * (induced map)^T
-                stalk_maps[sigma] = [[c * t for t in t_col] for c in phi_col[sigma]]
+                stalk_maps[sigma] = [{j: c * t for j, t in enumerate(t_col) if c and t}
+                                     for c in phi_col[sigma]]
             family.append(stalk_maps)
     out = (cf, cf_dual, family)
     F._alpha_family_cache = out
     return out
 
 
-def op_D(F, rng, retries=8, check=True):
+def op_D(F, rng, check=True):
     """Kernel of a generic surjection C(F)-dual -> C(F), landing on the
     (n-2)-skeleton.  Retries with fresh randomness; raises
-    SurjectivityFailed naming the offending element after that."""
+    SurjectivityFailed naming the offending element after OP_D_RETRIES
+    attempts."""
     if F.base.n < 2:
         raise ValueError(f"op_D needs a base of rank >= 2, not {F.base.n}")
     cf, cf_dual, family = _alpha_family(F, check=check)
     sk = cf.base
-    n1 = sk.n
     failed_at = None
-    for _attempt in range(retries):
+    for _attempt in range(OP_D_RETRIES):
         coeffs = [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
                   for _ in family]
         alpha = {}
         for sigma in sk.elements():
-            rows, cols = cf.dim(sigma), cf_dual.dim(sigma)
-            mat = _zeros(rows, cols)
+            rows = [{} for _ in range(cf.dim(sigma))]
             for c, maps in zip(coeffs, family):
-                m = maps.get(sigma)
-                if m is None:
-                    continue
-                for i in range(rows):
-                    for j in range(cols):
-                        if m[i][j]:
-                            mat[i][j] += c * m[i][j]
-            alpha[sigma] = mat
-        ok = True
-        for tau in sk.elements():
-            if sk.rank(tau) == n1 and cf.dim(tau):
-                if mat_rank(alpha[tau]) != cf.dim(tau):
-                    ok = False
-                    failed_at = tau
-                    break
-        if not ok:
-            continue
-        return _kernel_sheaf(cf, cf_dual, alpha)
+                for acc, row in zip(rows, maps.get(sigma, ())):
+                    for j, v in row.items():
+                        acc[j] = acc.get(j, 0) + c * v
+            alpha[sigma] = rows
+        failed_at = next((tau for tau in sk.elements()
+                          if sk.rank(tau) == sk.n and cf.dim(tau)
+                          and sparse_rank(alpha[tau]) != cf.dim(tau)), None)
+        if failed_at is None:
+            return _kernel_sheaf(cf, cf_dual, alpha)
     raise SurjectivityFailed(
-        f"no surjective combination found after {retries} tries "
+        f"no surjective combination found after {OP_D_RETRIES} tries "
         f"(last failure at {failed_at!r})")
 
 
 def _kernel_sheaf(cf, cf_dual, alpha):
     sk = cf.base
     target = skeleton_poset(sk, sk.n - 1)
-    keep = set(target.elements())
-    bases = {sigma: mat_nullspace(alpha[sigma], cf_dual.dim(sigma))
-             for sigma in keep}
+    bases = {sigma: sparse_nullspace(alpha[sigma], cf_dual.dim(sigma))
+             for sigma in target.elements()}
     stalks = {s: len(v) for s, v in bases.items()}
     res = {}
     for lo, hi in target.covers():
         if stalks[hi] == 0 or stalks[lo] == 0:
             continue
-        w = cf_dual.res_between(hi, lo)
-        span = [{i: v for i, v in enumerate(b) if v} for b in bases[lo]]
-        cols = []
-        for vec in bases[hi]:
-            image = [sum((w[r][c] * vec[c] for c in range(len(vec))), Fraction(0))
-                     for r in range(len(w))]
-            coeffs = nullspace_coords(span, {i: v for i, v in enumerate(image) if v})
+        w = cf_dual.res.get((hi, lo), ())
+        rows = [{} for _ in range(stalks[lo])]
+        for i, vec in enumerate(bases[hi]):
+            image = {}
+            for r, entries in enumerate(w):
+                v = sum(x * vec[c] for c, x in entries.items() if c in vec)
+                if v:
+                    image[r] = v
+            coeffs = nullspace_coords(bases[lo], image)
             if coeffs is None:
                 raise ArithmeticError("kernel restriction escaped the kernel")
-            cols.append(coeffs)
-        res[(hi, lo)] = [[cols[i][r] for i in range(stalks[hi])]
-                         for r in range(stalks[lo])]
+            for r, c in enumerate(coeffs):
+                if c:
+                    rows[r][i] = c
+        res[(hi, lo)] = rows
     return Sheaf(target, stalks, res)
 
 
@@ -514,7 +507,7 @@ def sheaf_cd_split(F):
     return cd_split_with_a(sheaf_ab_index(F))
 
 
-def cd_coefficient_via_CD(P, word, seed=0, retries=8):
+def cd_coefficient_via_CD(P, word, seed=0):
     """Coefficient of the degree-n cd-word `word` in the cd-index of P,
     extracted as a stalk dimension at the bottom.
 
@@ -530,7 +523,8 @@ def cd_coefficient_via_CD(P, word, seed=0, retries=8):
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     prefix = P._cache.setdefault("cd_prefix", {})
     if 0 not in prefix:
-        const = constant_sheaf(P)
+        # on a copy of P with the same ids: no reference cycle through P
+        const = constant_sheaf(skeleton_poset(P, P.n))
         if not is_cm_sheaf(const):
             raise NotCohenMacaulay("the constant sheaf on P is not Cohen-Macaulay")
         prefix[0] = const
@@ -545,5 +539,5 @@ def cd_coefficient_via_CD(P, word, seed=0, retries=8):
         if letter == "c":
             current = op_C(current, check=False)
         else:
-            current = op_D(current, rng, retries=retries, check=False)
+            current = op_D(current, rng, check=False)
     return current.dim(current.base.bottom)

@@ -212,9 +212,9 @@ def simplicial_cellular_complex(F, support=None):
                 m = F.res.get((z, y))
                 if y not in members or m is None:
                     continue
-                for r in range(F.dim(y)):
-                    if m[r][c]:
-                        rows[index[k + 1][(y, r)]][col] = (-1) ** i * m[r][c]
+                for r, entries in enumerate(m):
+                    if entries.get(c):
+                        rows[index[k + 1][(y, r)]][col] = (-1) ** i * entries[c]
         diff_rows.append(rows)
     cc = CellularComplex(coords, diff_rows)
     _check_d_squared(cc)

@@ -47,6 +47,11 @@ class TestFromCovers:
             GradedPoset.from_covers(
                 2, {0: 0, 1: 1, 2: 1, 3: 2}, [(0, 1), (0, 2), (1, 3)])
 
+    def test_indices_out_of_rank_order_rejected(self):
+        # the constructor trusts ascending indices to be rank order
+        with pytest.raises(ValueError, match="rank order"):
+            GradedPoset(1, [0, 1, 2], [1, 0, 1], [[], [0, 2], []])
+
 
 class TestLeq:
     def test_cover(self, polygon2):

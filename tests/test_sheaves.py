@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from posetlab import homology as hm
 from posetlab import sheaves as sh
 from posetlab.corpus import gorenstein_corpus
 from posetlab.ncpoly import NotExpressible, cd, cd_words
-from posetlab.poset import GradedPoset
+from posetlab.poset import GradedPoset, from_json, to_json
 
 
 class TestConstantSheaf:
@@ -161,6 +162,7 @@ def test_poset_complex_against_order_complex_oracle():
         if P.n >= 2:
             sheaves.append(sh.op_D(const, random.Random(0)))
         for F in sheaves:
+            assert F.validate()
             base = F.base
             pf = pullback(F)
             oc = pf.base
@@ -428,9 +430,34 @@ class TestResBetween:
         e = polygon3.maximal_elements()[0]
         v = next(v for v in polygon3.elements()
                  if polygon3.rank(v) == 1 and polygon3.leq(v, e))
-        F.res[(e, v)] = [[Fraction(2)]]
+        F.res[(e, v)] = [{0: Fraction(2)}]
         with pytest.raises(ValueError):
             F.validate()
+
+    def test_validate_rejects_column_outside_the_stalk(self, polygon3):
+        F = sh.constant_sheaf(polygon3)
+        e = polygon3.maximal_elements()[0]
+        v = next(v for v in polygon3.elements()
+                 if polygon3.rank(v) == 1 and polygon3.leq(v, e))
+        F.res[(e, v)] = [{1: Fraction(1)}]  # dim F_e is 1
+        with pytest.raises(ValueError, match="wrong shape"):
+            F.validate()
+
+
+def test_coefficient_extraction_leaves_no_cyclic_garbage():
+    """The sheaves cached on P for its words live on a copy of P, so P is
+    freed by reference counting alone."""
+    text = to_json(cons.boolean_algebra(4))
+    gc.collect()
+    gc.disable()
+    try:
+        P = from_json(text)
+        assert sh.cd_coefficient_via_CD(P, "dc", seed=0) == 2
+        assert sh.cd_coefficient_via_CD(P, "cd", seed=0) == 2
+        del P
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

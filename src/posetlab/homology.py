@@ -26,14 +26,34 @@ faces by dimension -> boundary rows -> `sparse_rank` -> reduced Betti
 numbers.  The kernel and the walk are the seams for any change to how
 interval homology is computed or certified.
 
-Interval homology on the fast route is first computed over GF(2)
-(`rank_mod2` on bitmask boundary rows), which certifies the Q answer when
-it is supported in at most one degree: the boundary matrices are integer
-matrices, so each GF(2) rank is at most the Q rank and each GF(2) Betti
-number at least the Q one, while the reduced Euler characteristic (the
-alternating sum of face counts) is the same over both fields.  Every other
-profile, and the whole simplicial route, is computed exactly over Q by
-fraction-free elimination over the integers.  No floating point anywhere.
+Interval homology on the fast route is first computed over GF(2), which
+certifies the Q answer when it is supported in at most one degree: the
+boundary matrices are integer matrices, so each GF(2) rank is at most the Q
+rank and each GF(2) Betti number at least the Q one, while the reduced
+Euler characteristic is the same over both fields.  Every other profile,
+and the whole simplicial route, is computed exactly over Q by fraction-free
+elimination over the integers.  No floating point anywhere.
+
+The GF(2) answer comes from one of two complexes.  The chain route
+(`_subset_betti`) builds the order complex of the interval and eliminates
+its bitmask boundary rows with `rank_mod2`.  The cellular route
+(`_cellular_betti_mod2`, after Bjorner's CW posets) has one cell per
+element instead of one per chain: x in dimension -1, each z in (x, y) in
+dimension rank z - rank x - 1, and as boundary the cover relation.  It is
+exact when every interval (u, v) with x <= u < v < y is a GF(2) sphere.
+Filter Delta(x, y) by rank: the relative term of rank r is a sum of
+suspensions of the Delta(x, z) with rank z = r, each a GF(2) sphere, so the
+spectral sequence has one row and collapses at E2.  Each Delta(x, z) is
+then a GF(2) homology manifold too (a link in it is a join of intervals
+(u, v) inside [x, z]), so its fundamental class restricts to a generator at
+every w covered by z, and the E1 differential is the cover incidence.
+Checking only the lower intervals (x, z) is not enough: if some Delta(x, z)
+is a sphere but no pseudomanifold (a circle with a pendant edge), a cover
+of z can get incidence 0.  Hence the walk goes top-down, x in descending
+rank, and uses the cellular route only while every real interval seen so
+far is a GF(2) sphere (by its GF(2) profile, not its Q one: RP^3 is a Q
+sphere but no GF(2) sphere); from the first one that is not, and for
+torsion, the chain route decides.
 """
 
 from __future__ import annotations
@@ -270,6 +290,27 @@ def _subset_betti(root, mask):
     return cache[mask]
 
 
+def _cellular_betti_mod2(root, x, gap):
+    """GF(2) Betti numbers {degree: dim} of the open interval above x whose
+    elements are `gap`, from its cellular complex: x is the cell of
+    dimension -1, each z in `gap` a cell of dimension rank z - rank x - 1,
+    and the boundary of z is the sum of the cells it covers, so the rows of
+    one dimension are `leq[z] & (mask of the cells one dimension lower)`
+    as they stand.  Equals the order complex's GF(2) homology only when
+    every interval (u, v) with x <= u < v < y is a GF(2) sphere, which the
+    caller guarantees (see the module docstring)."""
+    leq, rank = root._leq, root._rank
+    base = rank[x]
+    cells = [0] * (rank[gap.bit_length() - 1] - base + 1 if gap else 1)
+    cells[0] = 1 << x  # cells[k]: the cells of dimension k - 1
+    for z in _bits(gap):
+        cells[rank[z] - base] |= 1 << z
+    ranks = [rank_mod2([leq[z] & lower for z in _bits(upper)])
+             for lower, upper in zip(cells, cells[1:])]
+    betti = betti_from_ranks([c.bit_count() for c in cells], ranks)
+    return {k - 1: b for k, b in enumerate(betti) if b}
+
+
 @dataclass(frozen=True)
 class CertResult:
     ok: bool
@@ -318,19 +359,40 @@ def _climb(root, mask, x):
 
 def _first_bad_interval(root, mask, bottom_idx, n, fits):
     """The interval walk over the subposet `mask` plus a virtual top: x in
-    (rank, index) order, bottom first, then (x, top) and (x, y) for y above
-    x in that order.  The first failure of `fits(x, top, betti, d)`, with
-    rank(top) = rank(bottom) + n + 1, as (witness chain ids, betti); None
-    when every interval fits."""
+    descending index order, hence descending rank, and for each x the
+    intervals (x, y) for y above x in ascending order, then (x, top).  The
+    first failure of `fits(x, top, betti, d)`, with rank(top) =
+    rank(bottom) + n + 1, as (witness chain ids, betti); None when every
+    interval fits.
+
+    Top-down, every interval (u, v) with x <= u < v < y has been visited
+    when (x, y) is reached, so while every real interval so far is a GF(2)
+    sphere the cellular kernel's precondition holds and it computes the
+    GF(2) Betti numbers (see the module docstring).  Its answer is the Q
+    answer when it sits in at most one degree; any other answer, and every
+    interval after the first real one that is no GF(2) sphere, goes through
+    the chain route `_subset_betti`."""
     geq, leq, rank = root._geq, root._leq, root._rank
+    known = root._cache.setdefault("subset_betti", {})
+    mod2 = root._cache.setdefault("subset_betti_mod2", {})
     order = list(_bits(geq[bottom_idx] & mask))
-    for x in order:
+    spheres = True
+    for x in reversed(order):
         above = geq[x] & mask & ~(1 << x)
-        intervals = [(None, above, rank[bottom_idx] + n - 1 - rank[x])] + [
-            (y, above & leq[y] & ~(1 << y), rank[y] - rank[x] - 2)
-            for y in order if (above >> y) & 1]
+        intervals = [(y, above & leq[y] & ~(1 << y), rank[y] - rank[x] - 2)
+                     for y in _bits(above)]
+        intervals.append((None, above, rank[bottom_idx] + n - 1 - rank[x]))
         for y, gap, d in intervals:
-            betti = _subset_betti(root, gap)
+            betti = None
+            if spheres:
+                if gap not in mod2:
+                    mod2[gap] = _cellular_betti_mod2(root, x, gap)
+                # (x, top) lies inside no interval visited later
+                spheres = y is None or mod2[gap] == {d: 1}
+                if len(mod2[gap]) <= 1:
+                    betti = known.setdefault(gap, mod2[gap])
+            if betti is None:
+                betti = _subset_betti(root, gap)
             if not fits(x, y is None, betti, d):
                 chain = _climb(root, mask & leq[x], bottom_idx)
                 if y is not None:

@@ -7,7 +7,7 @@ no orientation.  The `composed_posets` strategy draws the posets that the
 property tests share.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import strategies as st
 
@@ -152,6 +152,27 @@ def rp2_face_poset():
     the Betti numbers are 1 in degrees 1 and 2 while over Q they all
     vanish: the torsion case where a mod-2 rank proves nothing."""
     return _face_poset(RP2_TRIANGLES)
+
+
+def rp3_face_poset():
+    """Face poset of RP^3, the antipodal quotient of the boundary of the
+    4-cross-polytope, empty face as bottom, rank 4.  A cell is a nonempty
+    set of coordinates with signs up to a global flip (4 vertices, 12 edges,
+    16 triangles, 8 tetrahedra; 41 elements), and its facets drop one
+    coordinate.  RP^3 is orientable, so its proper part has Q homology in
+    degree 3 only, but Z/2 torsion in degree 1 gives it GF(2) homology in
+    degrees 1, 2 and 3."""
+    def cell(coords, signs):
+        return coords, signs if signs[0] > 0 else tuple(-s for s in signs)
+
+    faces = [cell(S, (1, *t)) for k in range(1, 5)
+             for S in combinations(range(4), k)
+             for t in product((1, -1), repeat=k - 1)]
+    ids = {f: i for i, f in enumerate(faces, 1)}
+    covers = [(0 if len(S) == 1 else ids[cell(S[:j] + S[j + 1:], s[:j] + s[j + 1:])],
+               ids[S, s]) for S, s in faces for j in range(len(S))]
+    return GradedPoset.from_covers(
+        4, {0: 0, **{i: len(S) for (S, _), i in ids.items()}}, covers)
 
 
 def torus_face_poset():

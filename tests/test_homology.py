@@ -1,11 +1,13 @@
 import gc
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 
-from helpers import all_chains, composed_posets, rp2_face_poset
+from helpers import all_chains, composed_posets, rp2_face_poset, rp3_face_poset
 from posetlab import constructions as cons
 from posetlab import homology as hm
+from posetlab.corpus import gorenstein_corpus, lattice_corpus
 from posetlab.poset import GradedPoset, from_json, iter_chains, to_json
 
 
@@ -127,23 +129,27 @@ class TestGorensteinStar:
             generic = hm.is_gorenstein_complex(hm.order_complex_simplicial(P))
             assert hm.is_gorenstein_star(P) == generic == True, name
 
-    @pytest.mark.parametrize("ranks,covers", [
+    @pytest.mark.parametrize("ranks,covers,witness,betti", [
         ({0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2},
-         [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6), (2, 4), (2, 6), (3, 5)]),
+         [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6), (2, 4), (2, 6), (3, 5)],
+         (3,), {}),
         ({0: 0, 4: 1, 5: 1, 6: 1, 1: 2, 2: 2, 3: 2},
-         [(0, 4), (0, 5), (0, 6), (4, 1), (5, 1), (6, 1), (4, 2), (6, 2), (5, 3)]),
+         [(0, 4), (0, 5), (0, 6), (4, 1), (5, 1), (6, 1), (4, 2), (6, 2), (5, 3)],
+         (1,), {0: 2}),
     ], ids=["upper-interval", "lower-interval"])
-    def test_circle_with_a_non_sphere_vertex_link(self, ranks, covers):
-        """The whole complex is a circle, so the failure sits deeper: the
-        upper interval of atom 1, or the lower interval of coatom 1 in the
-        reversed order, is three points, not two."""
+    def test_circle_with_a_non_sphere_vertex_link(self, ranks, covers, witness, betti):
+        """The whole complex is a circle, so the failure sits deeper.  The
+        walk goes top-down, so in the first order it meets the upper
+        interval of atom 3 (one point) before that of atom 1 (three
+        points); in the reversed order the lower interval of coatom 1 is
+        three points, not two."""
         P = GradedPoset.from_covers(2, ranks, covers)
         K = hm.order_complex_simplicial(P)
         assert hm.reduced_homology(K).as_dict() == {1: 1}
         rep = hm.gorenstein_star_report(P)
         assert not rep
-        assert rep.witness == (1,) and rep.betti == {0: 2}
-        assert hm.reduced_homology(hm.link(K, (1,))).as_dict() == {0: 2}
+        assert rep.witness == witness and rep.betti == betti
+        assert hm.reduced_homology(hm.link(K, witness)).as_dict() == betti
 
     def test_fast_route_agrees_on_non_examples(self):
         for P in (path_poset(), cons.with_top(cons.polygon(3))):
@@ -344,6 +350,116 @@ class TestMod2Certificate:
         monkeypatch.setattr(hm, "sparse_rank", refuse)
         for P in (cons.boolean_algebra(4), cons.pyr_poset(cons.polygon(3))):
             assert hm.is_gorenstein_star(P)
+
+
+@contextmanager
+def _checked_cellular_kernel():
+    """Wrap `_cellular_betti_mod2` so that every call the walk makes is
+    checked against the GF(2) chain complex of the same interval; yields the
+    list of (root, x, gap) calls."""
+    kernel, calls = hm._cellular_betti_mod2, []
+
+    def checked(root, x, gap):
+        betti = kernel(root, x, gap)
+        assert betti == hm._faces_betti_mod2(hm._chain_faces(root, gap)), (x, gap)
+        calls.append((root, x, gap))
+        return betti
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hm, "_cellular_betti_mod2", checked)
+        yield calls
+
+
+def _literal_cm(K):
+    """Cohen-Macaulay by definition: every simplex link of K has homology
+    only in its top degree."""
+    return all(d == K.dim - len(s) for s in K.all_simplices()
+               for d in hm.reduced_homology(hm.link(K, s)).as_dict())
+
+
+def pendant_edge_poset():
+    """Every lower interval (0, z) with z < 9 is a GF(2) sphere, but (0, 7)
+    is a circle 1-4-2-5 with a pendant path 1-6-3, so it is no
+    pseudomanifold and the cellular complex of (0, 9) is wrong."""
+    return GradedPoset.from_covers(
+        4, {0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 3, 8: 3, 9: 4},
+        [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (1, 5), (2, 5), (1, 6), (3, 6),
+         (4, 7), (5, 7), (6, 7), (4, 8), (5, 8), (7, 9), (8, 9)])
+
+
+class TestCellularKernel:
+    def test_pendant_edge_interval_never_reaches_the_kernel(self):
+        """Checking only the lower intervals (0, z) is not enough: the
+        kernel answers {1: -1} on (0, 9), whose GF(2) homology is {2: 1}.
+        The top-down walk meets a non-sphere above 0 first and takes the
+        chain route from there on."""
+        P = pendant_edge_poset()
+        root = P._root
+        gap = P._mask & ~(1 << P._bottom_idx) & ~(1 << root._index(9))
+        assert hm._cellular_betti_mod2(root, P._bottom_idx, gap) == {1: -1}
+        assert hm._faces_betti_mod2(hm._chain_faces(root, gap)) == {2: 1}
+        K = hm.order_complex_simplicial(P)
+        oracles = {hm.gorenstein_star_report: hm.is_gorenstein_complex(K),
+                   hm.cohen_macaulay_report: _literal_cm(K)}
+        for report, want in oracles.items():
+            with _checked_cellular_kernel() as calls:
+                rep = report(pendant_edge_poset())
+            assert calls
+            assert (P._bottom_idx, gap) not in {(x, g) for _, x, g in calls}
+            assert bool(rep) == want
+            if not rep:
+                assert rep.betti == hm.reduced_homology(hm.link(K, rep.witness)).as_dict()
+
+    def test_kernel_against_chain_complex_on_the_corpus(self):
+        """Every interval the walk hands to the kernel, over the Gorenstein*
+        corpus, RP^2 and one `remove_upset` ball per lattice and rank."""
+        balls = []
+        for _, L in lattice_corpus(4):
+            for r in range(1, L.n + 1):
+                nu = next(e for e in L.elements() if L.rank(e) == r)
+                balls.append(cons.remove_upset(L, nu))
+        with _checked_cellular_kernel() as calls:
+            for _, P in gorenstein_corpus(4):
+                assert hm.is_gorenstein_star(P) and hm.is_cohen_macaulay(P)
+            for ball, boundary in balls:
+                assert hm.is_near_gorenstein_star(ball, boundary)
+                assert hm.derive_boundary(ball) == frozenset(boundary)
+            rp2 = rp2_face_poset()
+            assert not hm.is_gorenstein_star(rp2) and hm.is_cohen_macaulay(rp2)
+        assert len(calls) > 1000, len(calls)
+
+    def test_rp3_torsion_takes_the_chain_route(self):
+        """Two 4-cells over RP^3: the whole is a Q homology sphere, but the
+        interval below each 4-cell is RP^3, whose GF(2) homology sits in
+        three degrees.  From there on the walk must use the chain route, so
+        the whole proper part never reaches the kernel."""
+        R = rp3_face_poset()
+        ranks = {e: R.rank(e) for e in R.elements()}
+        tets = [e for e in R.elements() if ranks[e] == 4]
+        P = GradedPoset.from_covers(5, {**ranks, "w1": 5, "w2": 5},
+                                    R.covers() + [(t, w) for t in tets for w in ("w1", "w2")])
+        root, bottom = P._root, P._bottom_idx
+        rp3 = P._mask & ~(1 << bottom) & ~root._mask_of(["w1", "w2"])
+        with _checked_cellular_kernel() as calls:
+            assert hm.is_gorenstein_star(P)
+        seen = {g for _, x, g in calls}
+        assert rp3 in seen and P._mask & ~(1 << bottom) not in seen
+        assert hm._faces_betti_mod2(hm._chain_faces(root, rp3)) == {1: 1, 2: 1, 3: 1}
+        assert hm._subset_betti(root, rp3) == {3: 1}
+        assert hm._subset_betti(root, P._mask & ~(1 << bottom)) == {4: 1}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(composed_posets(("perturbed", "disjoint", "wrong_boundary")))
+def test_cellular_kernel_against_chain_complex(drawn):
+    """Every interval the walk hands to the kernel, over posets that fail
+    deep down: the kernel's GF(2) Betti numbers equal the chain complex's."""
+    P, boundary = drawn
+    with _checked_cellular_kernel():
+        hm.gorenstein_star_report(P)
+        hm.cohen_macaulay_report(P)
+        if boundary is not None:
+            hm.near_gorenstein_star_report(P, boundary)
 
 
 def _open_interval_masks(P):

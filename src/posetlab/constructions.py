@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .poset import TOP, GradedPoset, NotALattice, UnknownElement, iter_chains
+from .poset import TOP, GradedPoset, NotALattice, UnknownElement, _bits, iter_chains
 
 
 @dataclass(frozen=True)
@@ -280,13 +280,10 @@ def semisuspension(L, nu):
     ranks = {e: sub.rank(e) for e in sub.elements()}
     ranks[star] = L.n
     covers = list(sub.covers())
-    # * covers the maximal elements of {sigma in Lambda_nu : nu not <= sigma}
-    below_star = [e for e in sub.elements()
-                  if not L.leq(nu, sub.provenance[e])]
-    below_set = set(below_star)
-    for e in below_star:
-        if not any(sub.leq(e, f) and e != f for f in below_set):
-            covers.append((e, star))
+    # * covers the maximal elements of {sigma in Lambda_nu : nu not <= sigma};
+    # sub numbers the members of `mask` in order, ids equal to indices
+    below = sum(1 << e for e, i in enumerate(_bits(mask)) if not (L._geq[ni] >> i) & 1)
+    covers += [(e, star) for e in _bits(below) if sub._geq[e] & below == 1 << e]
     labels = {e: sub.label(e) for e in sub.elements()}
     labels[star] = "*"
     prov = {e: sub.provenance[e] for e in sub.elements()}

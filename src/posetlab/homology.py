@@ -54,6 +54,15 @@ rank, and uses the cellular route only while every real interval seen so
 far is a GF(2) sphere (by its GF(2) profile, not its Q one: RP^3 is a Q
 sphere but no GF(2) sphere); from the first one that is not, and for
 torsion, the chain route decides.
+
+`derive_boundary` runs the same walk.  In a homology ball every real
+interval is a sphere and each (x, top) a sphere or acyclic; a walk that
+accepts exactly that reads the boundary off as the bottom plus the x whose
+(x, top) is acyclic, and on a ball without 2-torsion it never leaves the
+cellular route.  Only when the walk fails does the chain route recompute
+each element's links, so that the error says why.  The chain
+route counts its faces before it builds them and refuses more than
+FACE_BUDGET (FaceBudgetExceeded, a ValueError).
 """
 
 from __future__ import annotations
@@ -83,6 +92,17 @@ class BoundaryWrongRank(Exception):
 
 class NotNearGorenstein(Exception):
     pass
+
+
+class FaceBudgetExceeded(ValueError):
+    pass
+
+
+# The most faces, the empty one included, of a chain complex that
+# `_chain_faces` will build: B8's proper part (545,835 chains) is refused,
+# B7's (47,293) is not.  The largest the test suite builds has 2,547 faces
+# (RP^3 with two 4-cells over it); the CI commands build none.
+FACE_BUDGET = 500_000
 
 
 # -- simplicial complexes ----------------------------------------------------
@@ -266,9 +286,26 @@ def order_complex_simplicial(P):
 # -- fast interval engine ------------------------------------------------------
 
 
+def _chain_count(root, mask):
+    """The number of chains inside the vertex mask, the empty one included.
+    In index (hence rank) order, the chains topped by x are x alone and x
+    on top of a chain topped by some z < x."""
+    topped = {}
+    for x in _bits(mask):
+        topped[x] = 1 + sum(topped[z] for z in _bits(root._leq[x] & mask & ~(1 << x)))
+    return 1 + sum(topped.values())
+
+
 def _chain_faces(root, mask):
     """The complex of chains inside the vertex mask, as `_boundary_betti`
-    takes it: faces[d] lists the chains with d + 1 elements."""
+    takes it: faces[d] lists the chains with d + 1 elements.  Raises
+    FaceBudgetExceeded, before enumerating, when there are more than
+    FACE_BUDGET chains."""
+    count = _chain_count(root, mask)
+    if count > FACE_BUDGET:
+        raise FaceBudgetExceeded(
+            f"the order complex of {mask.bit_count()} elements has {count} faces, "
+            f"more than the budget of {FACE_BUDGET}")
     faces = {}
     for c in iter_chains(root, mask):
         faces.setdefault(len(c) - 1, []).append(c)
@@ -529,15 +566,34 @@ def derive_boundary(P):
     """Recover the unique boundary of a near-Gorenstein* poset: the
     elements i whose singleton-chain link, the join of (bottom, i) and
     (i, top), has vanishing homology, as an ideal (the bottom included).
-    Raises NotNearGorenstein otherwise."""
+    Raises NotNearGorenstein otherwise.
+
+    In a homology ball every real interval is a sphere and each (x, top) is
+    a sphere or acyclic, so one interval walk that accepts exactly that
+    reads the boundary off as the bottom plus the x with acyclic (x, top):
+    each (bottom, x) is a sphere, so the link of x vanishes exactly then.
+    An acyclic (x, top) does not end the walk's cellular route, since it
+    lies inside no interval visited later.  When the walk fails the poset is
+    no ball, and the chain route recomputes the candidate element by
+    element, so that the error says why."""
     root, bottom = P._root, P._bottom_idx
-    above_bottom = root._geq[bottom] & P._mask & ~(1 << bottom)
     bmask = 1 << bottom
-    for i in _bits(P._mask & ~(1 << bottom)):
-        lower = _subset_betti(root, above_bottom & root._leq[i] & ~(1 << i))
-        upper = _subset_betti(root, root._geq[i] & P._mask & ~(1 << i))
-        if not lower or not upper:
-            bmask |= 1 << i
+
+    def fits(x, top, betti, d):
+        nonlocal bmask
+        if top and not betti:
+            bmask |= 1 << x
+            return True
+        return betti == {d: 1}
+
+    if _first_bad_interval(root, P._mask, bottom, P.n, fits):
+        above_bottom = root._geq[bottom] & P._mask & ~(1 << bottom)
+        bmask = 1 << bottom
+        for i in _bits(P._mask & ~(1 << bottom)):
+            lower = _subset_betti(root, above_bottom & root._leq[i] & ~(1 << i))
+            upper = _subset_betti(root, root._geq[i] & P._mask & ~(1 << i))
+            if not lower or not upper:
+                bmask |= 1 << i
     if P.n == 0:
         bmask = 0
     else:

@@ -12,6 +12,7 @@ from itertools import combinations, product
 from hypothesis import strategies as st
 
 from posetlab import constructions as cons
+from posetlab import homology as hm
 from posetlab.ncpoly import NcPoly, ab
 from posetlab.poset import TOP, GradedPoset, PosetError
 from posetlab.sheaves import CellularComplex, Sheaf, _check_d_squared
@@ -179,6 +180,36 @@ def torus_face_poset():
     """Face poset of the 7-vertex torus: orientable, so its triangles carry
     a +-1 top cycle, but no sphere."""
     return _face_poset(TORUS_TRIANGLES)
+
+
+def derive_boundary_oracle(P):
+    """`homology.derive_boundary` element by element on the chain route: i
+    is a boundary element when the order complex of (bottom, i) or of
+    (i, top) is acyclic over Q, by exact elimination; the candidate then
+    meets the same rank, ideal and homology checks, with the same errors."""
+    root, bottom = P._root, P._bottom_idx
+
+    def acyclic(mask):
+        return not hm._faces_betti(hm._chain_faces(root, mask))
+
+    bmask = 1 << bottom
+    for i in range(len(root._ids)):
+        if i != bottom and (P._mask >> i) & 1:
+            lower = root._leq[i] & P._mask & ~(1 << bottom) & ~(1 << i)
+            upper = root._geq[i] & P._mask & ~(1 << i)
+            if acyclic(lower) or acyclic(upper):
+                bmask |= 1 << i
+    if P.n == 0:
+        bmask = 0
+    else:
+        defect = hm._boundary_defect(root, P._mask, bottom, P.n, bmask)
+        if defect and defect[1] is None:
+            raise hm.NotNearGorenstein("no boundary of rank n-1 exists")
+        if defect:
+            raise hm.NotNearGorenstein("candidate boundary is not an ideal")
+    if not hm.certify_near_gorenstein(root, P._mask, bottom, P.n, bmask):
+        raise hm.NotNearGorenstein("candidate boundary fails the homology conditions")
+    return frozenset(root._ids[i] for i in range(len(root._ids)) if (bmask >> i) & 1)
 
 
 def wedge_at_bottom(P, Q):

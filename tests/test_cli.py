@@ -11,6 +11,7 @@ import pytest
 from helpers import rp2_face_poset
 from posetlab import cli
 from posetlab import constructions as cons
+from posetlab import homology
 from posetlab import poset as poset_mod
 from posetlab import sheaves
 
@@ -278,6 +279,15 @@ class TestExitCodes:
         path = write_poset(tmp_path, broken, "broken.json")
         code, _, err = run_cli(capsys, "cd-index", path)
         assert code == 2
+
+    def test_face_budget(self, capsys, tmp_path, monkeypatch):
+        """RP^2's proper part goes to the chain route, whose 182 chains are
+        past a budget of 100."""
+        monkeypatch.setattr(homology, "FACE_BUDGET", 100)
+        path = write_poset(tmp_path, rp2_face_poset())
+        code, _, err = run_cli(capsys, "check", "gorenstein-star", path)
+        assert code == 2
+        assert err.startswith("error: the order complex of 31 elements has 182 faces")
 
     def test_non_integer_seed_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("POSETLAB_SEED", "abc")

@@ -3,6 +3,7 @@ import pytest
 from helpers import isomorphic
 from posetlab import constructions as cons
 from posetlab import flags
+from posetlab.corpus import lattice_corpus
 from posetlab.ncpoly import cd, parse_poly
 from posetlab.poset import NotALattice, TOP, UnknownElement
 
@@ -184,6 +185,19 @@ class TestSemisuspension:
             if hi == star:
                 src = prime.provenance[lo]
                 assert not boolean4.leq(1, src)
+
+    def test_star_covers_match_the_pairwise_scan(self):
+        """The mask test for the maximal elements below * gives the covers
+        that a literal scan over all pairs gives, for every nu."""
+        for _, L in lattice_corpus(4):
+            for nu in L.elements()[1:]:
+                prime = cons.semisuspension(L, nu)
+                lam = cons.lambda_nu_poset(L, nu)
+                below = [e for e in lam.elements() if not L.leq(nu, lam.provenance[e])]
+                maximal = [e for e in below
+                           if not any(f != e and lam.leq(e, f) for f in below)]
+                assert prime.covers() == sorted(
+                    lam.covers() + [(e, len(lam)) for e in maximal])
 
     def test_matches_formula_on_corpus(self):
         L = cons.cube_poset(3)

@@ -4,11 +4,12 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import given, settings
 
-from helpers import all_chains, composed_posets, rp2_face_poset, rp3_face_poset
+from helpers import (all_chains, composed_posets, derive_boundary_oracle,
+                     rp2_face_poset, rp3_face_poset)
 from posetlab import constructions as cons
 from posetlab import homology as hm
 from posetlab.corpus import gorenstein_corpus, lattice_corpus
-from posetlab.poset import GradedPoset, from_json, iter_chains, to_json
+from posetlab.poset import GradedPoset, PosetError, from_json, iter_chains, to_json
 
 
 def path_poset():
@@ -92,6 +93,17 @@ class TestLink:
         K = hm.order_complex_simplicial(polygon3)
         with pytest.raises(hm.SimplexNotFound):
             hm.link(K, (999,))
+
+
+def pinched_disks_poset():
+    """Face poset of the triangles 123 and 145, which share vertex 1."""
+    return GradedPoset.from_covers(
+        3, {0: 0, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 12: 2, 13: 2, 23: 2,
+            14: 2, 15: 2, 45: 2, 123: 3, 145: 3},
+        [(0, v) for v in (1, 2, 3, 4, 5)]
+        + [(e // 10, e) for e in (12, 13, 23, 14, 15, 45)]
+        + [(e % 10, e) for e in (12, 13, 23, 14, 15, 45)]
+        + [(e, 123) for e in (12, 13, 23)] + [(e, 145) for e in (14, 15, 45)])
 
 
 class TestGorensteinComplex:
@@ -205,13 +217,7 @@ class TestCohenMacaulay:
     def test_pinched_disks_fail_at_the_pinch(self):
         """Two triangles sharing vertex 1: the complex is contractible, but
         the link of the shared vertex is two disjoint arcs."""
-        P = GradedPoset.from_covers(
-            3, {0: 0, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 12: 2, 13: 2, 23: 2,
-                14: 2, 15: 2, 45: 2, 123: 3, 145: 3},
-            [(0, v) for v in (1, 2, 3, 4, 5)]
-            + [(e // 10, e) for e in (12, 13, 23, 14, 15, 45)]
-            + [(e % 10, e) for e in (12, 13, 23, 14, 15, 45)]
-            + [(e, 123) for e in (12, 13, 23)] + [(e, 145) for e in (14, 15, 45)])
+        P = pinched_disks_poset()
         K = hm.order_complex_simplicial(P)
         assert hm.reduced_homology(K).is_zero()
         rep = hm.cohen_macaulay_report(P)
@@ -233,6 +239,96 @@ class TestDeriveBoundary:
     def test_sphere_has_no_boundary(self, polygon2):
         with pytest.raises(hm.NotNearGorenstein):
             hm.derive_boundary(polygon2)
+
+    def test_corpus_balls_against_the_chain_route(self):
+        """Every corpus ball, and for one ball per lattice and rank its
+        boundary taken as a sphere of rank n - 1 and the ball with a cover
+        dropped: the walk's answer is the chain route's, boundary or error
+        message alike."""
+        errors = set()
+        for _, L in lattice_corpus(4):
+            first = {L.rank(nu): nu for nu in reversed(L.elements())}
+            for nu in L.elements()[1:]:
+                ball, boundary = cons.remove_upset(L, nu)
+                assert hm.derive_boundary(ball) == derive_boundary_oracle(ball) == boundary
+                if first[L.rank(nu)] != nu:
+                    continue
+                for P in [ball.restrict(boundary, n=ball.n - 1),
+                          *_with_a_cover_dropped(ball)]:
+                    want = _derive_outcome(derive_boundary_oracle, P)
+                    assert _derive_outcome(hm.derive_boundary, P) == want
+                    errors.add(want[1])
+        assert errors == {"no boundary of rank n-1 exists",
+                          "candidate boundary fails the homology conditions"}
+
+    def test_pinched_disks_have_no_ideal_candidate(self):
+        """Every edge of the pinched disks lies in one triangle, so its link
+        is a point, but the link of the pinch vertex is two arcs: the
+        candidate holds the edges at the pinch and not the pinch itself."""
+        for derive in (hm.derive_boundary, derive_boundary_oracle):
+            with pytest.raises(hm.NotNearGorenstein,
+                               match="^candidate boundary is not an ideal$"):
+                derive(pinched_disks_poset())
+
+    def test_balls_need_no_chain_complex(self, polygon3):
+        """On a ball the walk alone decides: no `_subset_betti` call while
+        the corpus balls and the cone over a triangle are derived.  A ball
+        with a cover dropped fails the walk and takes the chain route."""
+        calls, chain_route = [], hm._subset_betti
+
+        def counted(root, mask):
+            calls.append(mask)
+            return chain_route(root, mask)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hm, "_subset_betti", counted)
+            for _, L in lattice_corpus(4):
+                for nu in L.elements()[1:]:
+                    ball, boundary = cons.remove_upset(L, nu)
+                    assert hm.derive_boundary(ball) == boundary
+            cone = cons.with_top(polygon3)
+            assert hm.derive_boundary(cone) == frozenset(
+                e for e in cone.elements() if cone.rank(e) < cone.n)
+            assert not calls
+            ball, _ = cons.remove_upset(cons.boolean_algebra(4), 1)
+            [damaged] = _with_a_cover_dropped(ball)
+            with pytest.raises(hm.NotNearGorenstein, match="no boundary of rank n-1"):
+                hm.derive_boundary(damaged)
+        assert calls
+
+
+def _with_a_cover_dropped(P):
+    """P without its first cover above the bottom whose removal leaves a
+    graded poset, if there is one."""
+    covers = P.covers()
+    for c in covers:
+        if c[0] != P.bottom:
+            try:
+                return [GradedPoset.from_covers(
+                    P.n, {e: P.rank(e) for e in P.elements()},
+                    [d for d in covers if d != c])]
+            except PosetError:
+                pass
+    return []
+
+
+def _derive_outcome(derive, P):
+    """derive(P), or the type and message of the error it raises."""
+    try:
+        return derive(P)
+    except hm.NotNearGorenstein as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(composed_posets(("sphere", "cone", "ball", "ball_boundary", "perturbed",
+                        "wrong_boundary", "disjoint")))
+def test_derive_boundary_against_chain_route_oracle(drawn):
+    """Spheres, cones, balls, their boundaries, perturbed and disjoint
+    posets: `derive_boundary` returns the chain-route oracle's boundary or
+    raises its error with the same message."""
+    P, _ = drawn
+    assert _derive_outcome(hm.derive_boundary, P) == _derive_outcome(derive_boundary_oracle, P)
 
 
 class TestLemmaBothDirections:
@@ -350,6 +446,19 @@ class TestMod2Certificate:
         monkeypatch.setattr(hm, "sparse_rank", refuse)
         for P in (cons.boolean_algebra(4), cons.pyr_poset(cons.polygon(3))):
             assert hm.is_gorenstein_star(P)
+
+
+class TestFaceBudget:
+    def test_chains_are_counted_before_they_are_built(self, polygon3, monkeypatch):
+        """The proper part of a triangle has 13 chains, the empty one
+        included: a budget of 13 admits them and one of 12 refuses them."""
+        root = polygon3._root
+        mask = polygon3._mask & ~(1 << polygon3._bottom_idx)
+        monkeypatch.setattr(hm, "FACE_BUDGET", 13)
+        assert sum(map(len, hm._chain_faces(root, mask).values())) == 13
+        monkeypatch.setattr(hm, "FACE_BUDGET", 12)
+        with pytest.raises(hm.FaceBudgetExceeded, match="of 6 elements has 13 faces"):
+            hm._chain_faces(root, mask)
 
 
 @contextmanager
@@ -477,14 +586,16 @@ def _open_interval_masks(P):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(composed_posets())
 def test_mod2_certificate_against_exact_and_simplicial_oracle(drawn):
-    """Over every open interval the GF(2) Betti numbers dominate the Q ones
-    with the same Euler characteristic, and the mod-2-certified
+    """Over every open interval the chain count is the number of faces, the
+    GF(2) Betti numbers dominate the Q ones with the same Euler
+    characteristic, and the mod-2-certified
     `_subset_betti` equals exact elimination over Q; the fast Gorenstein*
     predicate agrees with the literal simplicial one."""
     P, _ = drawn
     root = P._root
     for mask in set(_open_interval_masks(P)):
         faces = hm._chain_faces(root, mask)
+        assert hm._chain_count(root, mask) == sum(map(len, faces.values()))
         exact, mod2 = hm._faces_betti(faces), hm._faces_betti_mod2(faces)
         assert all(mod2.get(d, 0) >= b for d, b in exact.items())
         assert (sum((-1) ** d * b for d, b in exact.items())

@@ -40,10 +40,6 @@ def _load_poset(path):
     return poset_mod.from_json(_read_text(path))
 
 
-def _emit_poset(P):
-    print(poset_mod.to_json(P, indent=2))
-
-
 def _emit_poly(p, as_json):
     if as_json:
         print(ncpoly.to_json(p, indent=2))
@@ -80,52 +76,50 @@ def _parse_boundary(P, value):
     return [int(x) for x in value.split(",") if x.strip() != ""]
 
 
-# the numbers of poset-file or integer arguments each build kind accepts
-# (cube and cross default their dimension to 3)
-_BUILD_ARITY = {"boolean": (1,), "polygon": (1,), "pyr": (1,), "star": (2,),
-                "product": (2,), "polytope-product": (2,), "order-complex": (1,),
-                "cube": (0, 1), "cross": (0, 1), "semisusp": (1,),
-                "subdivision-target": (1,), "collapse": (1,)}
+def _from_posets(build):
+    return lambda paths, _element: build(*map(_load_poset, paths))
+
+
+def _at_element(build):
+    return lambda paths, element: build(_load_poset(paths[0]), element)
+
+
+def _of_size(build):
+    return lambda sizes, _element: build(int(sizes[0]) if sizes else 3)
+
+
+# each build kind: the numbers of poset-file or integer arguments it takes
+# (cube and cross default their dimension to 3), whether it needs
+# --element, and its builder, which returns a poset or a PosetMap
+_BUILD = {
+    "boolean": ((1,), False, _of_size(cons.boolean_algebra)),
+    "polygon": ((1,), False, _of_size(cons.polygon)),
+    "pyr": ((1,), False, _from_posets(cons.pyr_poset)),
+    "star": ((2,), False, _from_posets(cons.star_product)),
+    "product": ((2,), False, _from_posets(cons.cartesian_product)),
+    "polytope-product": ((2,), False, _from_posets(cons.polytope_product)),
+    "order-complex": ((1,), False, _from_posets(cons.order_complex)),
+    "cube": ((0, 1), False, _of_size(cons.cube_poset)),
+    "cross": ((0, 1), False, _of_size(cons.cross_polytope)),
+    "semisusp": ((1,), True, _at_element(cons.semisuspension)),
+    "subdivision-target": ((1,), True, _at_element(
+        lambda L, nu: cons.subdivision_target_and_map(L, nu)[1])),
+    "collapse": ((1,), True, _at_element(cons.collapse_map)),
+}
 
 
 def _cmd_build(args):
     kind, got = args.kind, len(args.args)
-    if got not in _BUILD_ARITY[kind]:
+    counts, needs_element, build = _BUILD[kind]
+    if got not in counts:
         raise ValueError(f"build {kind} takes "
-                         f"{' or '.join(map(str, _BUILD_ARITY[kind]))} "
+                         f"{' or '.join(map(str, counts))} "
                          f"argument(s), got {got}")
-    if kind in ("semisusp", "subdivision-target", "collapse") and args.element is None:
+    if needs_element and args.element is None:
         raise ValueError(f"build {kind} requires --element")
-    if kind == "boolean":
-        P = cons.boolean_algebra(int(args.args[0]))
-    elif kind == "polygon":
-        P = cons.polygon(int(args.args[0]))
-    elif kind == "pyr":
-        P = cons.pyr_poset(_load_poset(args.args[0]))
-    elif kind == "star":
-        P = cons.star_product(_load_poset(args.args[0]), _load_poset(args.args[1]))
-    elif kind == "product":
-        P = cons.cartesian_product(_load_poset(args.args[0]), _load_poset(args.args[1]))
-    elif kind == "polytope-product":
-        P = cons.polytope_product(_load_poset(args.args[0]), _load_poset(args.args[1]))
-    elif kind == "order-complex":
-        P = cons.order_complex(_load_poset(args.args[0]))
-    elif kind == "cube":
-        P = cons.cube_poset(int(args.args[0]) if args.args else 3)
-    elif kind == "cross":
-        P = cons.cross_polytope(int(args.args[0]) if args.args else 3)
-    elif kind == "semisusp":
-        P = cons.semisuspension(_load_poset(args.args[0]), args.element)
-    elif kind == "subdivision-target":
-        _target, phi = cons.subdivision_target_and_map(_load_poset(args.args[0]),
-                                                       args.element)
-        print(_map_to_json(phi))
-        return 0
-    elif kind == "collapse":
-        phi = cons.collapse_map(_load_poset(args.args[0]), args.element)
-        print(_map_to_json(phi))
-        return 0
-    _emit_poset(P)
+    out = build(args.args, args.element)
+    print(_map_to_json(out) if isinstance(out, cons.PosetMap)
+          else poset_mod.to_json(out, indent=2))
     return 0
 
 
@@ -273,7 +267,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="construct a poset (JSON to stdout)")
-    b.add_argument("kind", choices=list(_BUILD_ARITY))
+    b.add_argument("kind", choices=list(_BUILD))
     b.add_argument("args", nargs="*")
     b.add_argument("--element", type=int, help="distinguished element id")
     b.set_defaults(fn=_cmd_build)

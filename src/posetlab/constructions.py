@@ -139,6 +139,32 @@ def star_product(P, Q):
                                    provenance=prov)
 
 
+def _pair_product(P, Q, n, drop=None, through=False):
+    """The pairs (x, y) of P x Q other than `drop`, numbered in
+    (P.elements(), Q.elements()) order and ranked rank x + rank y, each
+    covered by raising one coordinate along a factor cover.  Provenance is
+    (x, y), or the factors' own provenance of x and y when `through`."""
+    ranks, labels, prov = {}, {}, {}
+    pairs = {}
+    for x in P.elements():
+        for y in Q.elements():
+            if (x, y) == drop:
+                continue
+            i = len(ranks)
+            pairs[(x, y)] = i
+            ranks[i] = P.rank(x) + Q.rank(y)
+            labels[i] = f"({P.label(x)},{Q.label(y)})"
+            prov[i] = (P.provenance[x], Q.provenance[y]) if through else (x, y)
+    up_p, up_q = ({F._ids[i]: [F._ids[j] for j in ups]
+                   for i, ups in enumerate(F._covers_up)} for F in (P, Q))
+    covers = []
+    for (x, y), i in pairs.items():
+        covers += [(i, pairs[(b, y)]) for b in up_p[x] if (b, y) in pairs]
+        covers += [(i, pairs[(x, b)]) for b in up_q[y] if (x, b) in pairs]
+    return GradedPoset.from_covers(n, ranks, covers, labels=labels,
+                                   provenance=prov)
+
+
 def cartesian_product(P, Q):
     """(P u {top}) x (Q u {top}) minus its top; rank n_P + n_Q + 1.
 
@@ -147,29 +173,8 @@ def cartesian_product(P, Q):
     the pair (x, y) with TOP standing for the adjoined maxima.
     """
     PT, QT = with_top(P), with_top(Q)
-    ptop = max(PT.elements(), key=PT.rank)
-    qtop = max(QT.elements(), key=QT.rank)
-    ranks, labels, prov = {}, {}, {}
-    pairs = {}
-    for x in PT.elements():
-        for y in QT.elements():
-            if x == ptop and y == qtop:
-                continue
-            i = len(ranks)
-            pairs[(x, y)] = i
-            ranks[i] = PT.rank(x) + QT.rank(y)
-            labels[i] = f"({PT.label(x)},{QT.label(y)})"
-            prov[i] = (PT.provenance.get(x, x), QT.provenance.get(y, y))
-    covers = []
-    for (x, y), i in pairs.items():
-        for a, b in PT.covers():
-            if a == x and (b, y) in pairs:
-                covers.append((i, pairs[(b, y)]))
-        for a, b in QT.covers():
-            if a == y and (x, b) in pairs:
-                covers.append((i, pairs[(x, b)]))
-    return GradedPoset.from_covers(P.n + Q.n + 1, ranks, covers,
-                                   labels=labels, provenance=prov)
+    return _pair_product(PT, QT, P.n + Q.n + 1, through=True,
+                         drop=(PT.elements()[-1], QT.elements()[-1]))
 
 
 def polytope_product(P, Q):
@@ -179,25 +184,7 @@ def polytope_product(P, Q):
     This is also the product under which order complexes multiply:
     O(P * Q) is isomorphic to polytope_product(O(P), O(Q)).
     """
-    ranks, labels, prov = {}, {}, {}
-    pairs = {}
-    for x in P.elements():
-        for y in Q.elements():
-            i = len(ranks)
-            pairs[(x, y)] = i
-            ranks[i] = P.rank(x) + Q.rank(y)
-            labels[i] = f"({P.label(x)},{Q.label(y)})"
-            prov[i] = (x, y)
-    covers = []
-    for (x, y), i in pairs.items():
-        for a, b in P.covers():
-            if a == x:
-                covers.append((i, pairs[(b, y)]))
-        for a, b in Q.covers():
-            if a == y:
-                covers.append((i, pairs[(x, b)]))
-    return GradedPoset.from_covers(P.n + Q.n, ranks, covers,
-                                   labels=labels, provenance=prov)
+    return _pair_product(P, Q, P.n + Q.n)
 
 
 def pyr_poset(P):

@@ -23,8 +23,9 @@ NotEulerian.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .ncpoly import (A, B, NcPoly, NotExpressible, alpha, cd_contract, power,
                      pyr_op)
@@ -165,55 +166,44 @@ def near_cd_index(P, boundary_ids):
     return NearCdIndex(cd_contract(phi_ab), cd_contract(psi_b))
 
 
-def _check_eulerian_lattice(L):
+def _semisuspension_sum(L, nu, index, factor):
+    """Sum over nu <= pi < 1-hat of index([0, pi)) * factor(rho(pi, top)),
+    for an Eulerian lattice L and nu strictly above its bottom."""
     if not L.is_lattice():
         raise NotALattice("this operation needs a lattice")
     if not L.is_eulerian():
         raise NotEulerian("this operation needs an Eulerian poset")
+    ni = L._index(nu)
+    if ni == L._bottom_idx:
+        raise NotComparable("nu must be strictly above the bottom")
+    return reduce(operator.add, (
+        index(interval_view(L, L._bottom_idx, pi)) * factor(L.n + 1 - L._rank[pi])
+        for pi in _bits(L._geq[ni])))
 
 
 def lambda_nu_ab_formula(L, nu):
     """Closed flag formula for the ab-index of Lambda_nu: sum over
     nu <= pi < 1-hat of Psi_[0,pi) * a * (b-a)^(rho(pi,top)-1)."""
-    _check_eulerian_lattice(L)
-    ni = L._index(nu)
-    if ni == L._bottom_idx:
-        raise NotComparable("nu must be strictly above the bottom")
-    total = NcPoly.zero("ab")
-    for pi in _bits(L._geq[ni]):
-        lower = ab_index(interval_view(L, L._bottom_idx, pi))
-        gap = L.n + 1 - L._rank[pi]
-        total = total + lower * A * _bma_pow(gap - 1)
-    return total
+    return _semisuspension_sum(L, nu, ab_index, lambda g: A * _bma_pow(g - 1))
+
+
+def _star_factor(g):
+    term = _amb_pow(g - 1)
+    if g % 2 == 0:
+        term = term - 2 * (A * _amb_pow(g - 2))
+    return term * B
 
 
 def star_chain_sum(L, nu):
     """Total weight of the chains through the added semisuspension cell:
     the second summand vanishes for odd rank gaps (its 1 + (-1)^rho factor
     is zero), which also covers the formally negative exponent."""
-    _check_eulerian_lattice(L)
-    ni = L._index(nu)
-    total = NcPoly.zero("ab")
-    for pi in _bits(L._geq[ni]):
-        lower = ab_index(interval_view(L, L._bottom_idx, pi))
-        gap = L.n + 1 - L._rank[pi]
-        term = _amb_pow(gap - 1)
-        if gap % 2 == 0:
-            term = term - 2 * (A * _amb_pow(gap - 2))
-        total = total + lower * term * B
-    return total
+    return _semisuspension_sum(L, nu, ab_index, _star_factor)
 
 
 def lambda_nu_prime_cd(L, nu):
     """cd-index of the semisuspension via the alpha polynomials."""
-    _check_eulerian_lattice(L)
-    ni = L._index(nu)
-    total = NcPoly.zero("cd")
-    for pi in _bits(L._geq[ni]):
-        lower = cd_index(interval_view(L, L._bottom_idx, pi))
-        gap = L.n + 1 - L._rank[pi]
-        total = total + lower * alpha(gap)
-    return total
+    return _semisuspension_sum(L, nu, cd_index, alpha)
 
 
 def pyr_alpha_recurrence_check(P, tau, pi=TOP):

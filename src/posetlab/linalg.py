@@ -5,7 +5,7 @@ column -> int or Fraction) to an integral row echelon form; `sparse_rank`,
 `sparse_nullspace` and `solve_in_span` are built on it.  Sheaf restriction
 maps are stored in the same format, one sparse row per target coordinate,
 and `mat_mul` composes them.  `mat_rank` / `mat_nullspace` adapt dense
-lists-of-lists to the kernel; no library module calls them.
+lists-of-lists to the kernel; no library module calls them or `solve_in_span`.
 Pivots are keyed on each row's smallest column, so they are the leftmost
 independent columns whatever the row order.  That keeps every basis
 canonical: a nullspace vector is the unique one with 1 on its own non-pivot

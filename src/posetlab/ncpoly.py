@@ -204,37 +204,6 @@ def cd_contract(p):
     return rec(p, n)
 
 
-def cd_split_with_a(p):
-    """Write the homogeneous ab-polynomial p as f(c,d) + g(c,d)*a.
-
-    Returns the unique (f, g) pair of cd-polynomials (degrees n and n-1)
-    or raises NotExpressible when no such split exists.
-    """
-    from . import linalg
-
-    _require_alphabet("ab", p)
-    if p.is_zero():
-        return NcPoly.zero("cd"), NcPoly.zero("cd")
-    if not p.is_homogeneous():
-        raise NotHomogeneous("cd_split_with_a needs a homogeneous input")
-    n = p.degree()
-    basis, tags = [], []
-    for w in cd_words(n):
-        basis.append(ab_expand(cd(w)).terms)
-        tags.append(("f", w))
-    for w in cd_words(n - 1):
-        basis.append((ab_expand(cd(w)) * A).terms)
-        tags.append(("g", w))
-    coeffs = linalg.solve_in_span(basis, p.terms)
-    if coeffs is None:
-        raise NotExpressible("no f + g*a split exists")
-    f, g = {}, {}
-    for (kind, w), c in zip(tags, coeffs):
-        if c:
-            (f if kind == "f" else g)[w] = c
-    return NcPoly("cd", f), NcPoly("cd", g)
-
-
 def cd_words(n):
     """All cd-words of degree n in lexicographic order."""
     if n < 0:

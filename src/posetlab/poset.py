@@ -106,10 +106,10 @@ class GradedPoset:
                 acc |= geq[j]
             geq[i] = acc
         self._geq = tuple(geq)
-        leq = [0] * m
+        leq = [1 << i for i in range(m)]
         for i in range(m):
-            for j in _bits(geq[i]):
-                leq[j] |= 1 << i
+            for j in self._covers_up[i]:
+                leq[j] |= leq[i]
         self._leq = tuple(leq)
         bottoms = [i for i in range(m) if self._rank[i] == 0]
         if len(bottoms) != 1:

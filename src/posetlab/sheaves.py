@@ -45,7 +45,7 @@ from . import flags, homology
 from .linalg import (betti_from_ranks, mat_mul, nullspace_coords,
                      sparse_nullspace, sparse_rank)
 from .linalg import solve_in_span  # noqa: F401  (the perfbench self-test rebinds it)
-from .ncpoly import cd_split_with_a, word_degree
+from .ncpoly import word_degree
 from .poset import GradedPoset, _bits, interval_view
 
 
@@ -155,10 +155,6 @@ def constant_sheaf(base, support=None):
         if lo in supp and hi in supp:
             res[(hi, lo)] = [{0: 1}]
     return Sheaf(base, stalks, res)
-
-
-def zero_sheaf(base):
-    return Sheaf(base, {}, {})
 
 
 # -- cellular complexes -------------------------------------------------------
@@ -304,14 +300,6 @@ def is_cm_sheaf(F):
             break
     F._is_cm = out
     return out
-
-
-def is_gorenstein_sheaf(F):
-    """Cohen-Macaulay with dim H^0 over [x, top) equal to dim F_x.  With
-    the higher cohomology gone, that dim H^0 is the Euler characteristic
-    `dual_dimension_formula(F, x)`."""
-    return is_cm_sheaf(F) and all(
-        dual_dimension_formula(F, x) == F.dim(x) for x in F.base.elements())
 
 
 def dual_sheaf(F):
@@ -499,12 +487,6 @@ def sheaf_ab_index(F):
     base = F.base
     root = base._root
     return flags.ab_index(base, lambda i: F.dim(root._ids[i]))
-
-
-def sheaf_cd_split(F):
-    """Express the ab-index of F as f(c,d) + g(c,d)a (NotExpressible when
-    no such split exists)."""
-    return cd_split_with_a(sheaf_ab_index(F))
 
 
 def cd_coefficient_via_CD(P, word, seed=0):

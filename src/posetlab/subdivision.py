@@ -213,7 +213,3 @@ def verify_corollary_semisusp(L, nu):
     hi = flags.cd_index(L)
     ok = coeffwise_leq(lo, hi)
     return InequalityReport(ok, hi, lo, tuple(coeffwise_witness(lo, hi)))
-
-
-def identity_map(P):
-    return constructions.PosetMap(P, P, {e: e for e in P.elements()})

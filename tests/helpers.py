@@ -1,10 +1,11 @@
 """Brute-force oracles used to check the production implementations.
 
 Everything here is deliberately naive: chains are materialized one by one,
-Euler sums run over all pairs, isomorphism is a backtracking search, and
-sheaves are pulled back to the order complex, whose simplicial signs need
-no orientation.  The `composed_posets` strategy draws the posets that the
-property tests share.
+Euler sums run over all pairs, isomorphism is a backtracking search,
+products scan every factor cover for every pair, cd-splits are solved for
+in the span of expanded cd-words, and sheaves are pulled back to the order
+complex, whose simplicial signs need no orientation.  The
+`composed_posets` strategy draws the posets that the property tests share.
 """
 
 from itertools import combinations, product
@@ -13,9 +14,13 @@ from hypothesis import strategies as st
 
 from posetlab import constructions as cons
 from posetlab import homology as hm
-from posetlab.ncpoly import NcPoly, ab
+from posetlab import linalg
+from posetlab.ncpoly import (A, NcPoly, NotExpressible, NotHomogeneous,
+                             _require_alphabet, ab, ab_expand, cd, cd_words)
 from posetlab.poset import TOP, GradedPoset, PosetError
-from posetlab.sheaves import CellularComplex, Sheaf, _check_d_squared
+from posetlab.sheaves import (CellularComplex, Sheaf, _check_d_squared,
+                              dual_dimension_formula, is_cm_sheaf,
+                              sheaf_ab_index)
 
 
 def all_chains(P):
@@ -226,6 +231,106 @@ def wedge_at_bottom(P, Q):
     return GradedPoset.from_covers(P.n, ranks, covers)
 
 
+# -- products pair by pair ---------------------------------------------------
+
+
+def cartesian_product_oracle(P, Q):
+    """`constructions.cartesian_product`, scanning the full cover list of
+    each bounded factor for every pair."""
+    PT, QT = cons.with_top(P), cons.with_top(Q)
+    ptop = max(PT.elements(), key=PT.rank)
+    qtop = max(QT.elements(), key=QT.rank)
+    ranks, labels, prov = {}, {}, {}
+    pairs = {}
+    for x in PT.elements():
+        for y in QT.elements():
+            if x == ptop and y == qtop:
+                continue
+            i = len(ranks)
+            pairs[(x, y)] = i
+            ranks[i] = PT.rank(x) + QT.rank(y)
+            labels[i] = f"({PT.label(x)},{QT.label(y)})"
+            prov[i] = (PT.provenance.get(x, x), QT.provenance.get(y, y))
+    covers = []
+    for (x, y), i in pairs.items():
+        for a, b in PT.covers():
+            if a == x and (b, y) in pairs:
+                covers.append((i, pairs[(b, y)]))
+        for a, b in QT.covers():
+            if a == y and (x, b) in pairs:
+                covers.append((i, pairs[(x, b)]))
+    return GradedPoset.from_covers(P.n + Q.n + 1, ranks, covers,
+                                   labels=labels, provenance=prov)
+
+
+def polytope_product_oracle(P, Q):
+    """`constructions.polytope_product`, scanning the full cover list of
+    each factor for every pair."""
+    ranks, labels, prov = {}, {}, {}
+    pairs = {}
+    for x in P.elements():
+        for y in Q.elements():
+            i = len(ranks)
+            pairs[(x, y)] = i
+            ranks[i] = P.rank(x) + Q.rank(y)
+            labels[i] = f"({P.label(x)},{Q.label(y)})"
+            prov[i] = (x, y)
+    covers = []
+    for (x, y), i in pairs.items():
+        for a, b in P.covers():
+            if a == x:
+                covers.append((i, pairs[(b, y)]))
+        for a, b in Q.covers():
+            if a == y:
+                covers.append((i, pairs[(x, b)]))
+    return GradedPoset.from_covers(P.n + Q.n, ranks, covers,
+                                   labels=labels, provenance=prov)
+
+
+def identity_map(P):
+    return cons.PosetMap(P, P, {e: e for e in P.elements()})
+
+
+# -- cd-splits by solving in a span ------------------------------------------
+
+
+def cd_split_with_a(p):
+    """Write the homogeneous ab-polynomial p as f(c,d) + g(c,d)*a.
+
+    Returns the unique (f, g) pair of cd-polynomials (degrees n and n-1),
+    solved for in the span of the expanded cd-words, or raises
+    NotExpressible when no such split exists.  `flags.near_cd_index`
+    computes the same split by contraction.
+    """
+    _require_alphabet("ab", p)
+    if p.is_zero():
+        return NcPoly.zero("cd"), NcPoly.zero("cd")
+    if not p.is_homogeneous():
+        raise NotHomogeneous("cd_split_with_a needs a homogeneous input")
+    n = p.degree()
+    basis, tags = [], []
+    for w in cd_words(n):
+        basis.append(ab_expand(cd(w)).terms)
+        tags.append(("f", w))
+    for w in cd_words(n - 1):
+        basis.append((ab_expand(cd(w)) * A).terms)
+        tags.append(("g", w))
+    coeffs = linalg.solve_in_span(basis, p.terms)
+    if coeffs is None:
+        raise NotExpressible("no f + g*a split exists")
+    f, g = {}, {}
+    for (kind, w), c in zip(tags, coeffs):
+        if c:
+            (f if kind == "f" else g)[w] = c
+    return NcPoly("cd", f), NcPoly("cd", g)
+
+
+def sheaf_cd_split(F):
+    """Express the ab-index of F as f(c,d) + g(c,d)a (NotExpressible when
+    no such split exists)."""
+    return cd_split_with_a(sheaf_ab_index(F))
+
+
 # -- sheaves through the order complex ---------------------------------------
 
 
@@ -271,6 +376,18 @@ def simplicial_cellular_complex(F, support=None):
     cc = CellularComplex(coords, diff_rows)
     _check_d_squared(cc)
     return cc
+
+
+def zero_sheaf(base):
+    return Sheaf(base, {}, {})
+
+
+def is_gorenstein_sheaf(F):
+    """Cohen-Macaulay with dim H^0 over [x, top) equal to dim F_x.  With
+    the higher cohomology gone, that dim H^0 is the Euler characteristic
+    `dual_dimension_formula(F, x)`."""
+    return is_cm_sheaf(F) and all(
+        dual_dimension_formula(F, x) == F.dim(x) for x in F.base.elements())
 
 
 # -- composed posets ----------------------------------------------------------

@@ -220,6 +220,13 @@ class TestLambdaNuCommands:
         assert code == 0
         assert out.strip() == "c^2 + d"
 
+    @pytest.mark.parametrize("command", ["lambda-nu", "lambda-nu-prime"])
+    def test_bottom_element_rejected(self, capsys, tmp_path, command):
+        b3 = write_poset(tmp_path, cons.boolean_algebra(3))
+        code, out, err = run_cli(capsys, command, b3, "--element", "0")
+        assert code == 2 and out == ""
+        assert err == "error: nu must be strictly above the bottom\n"
+
 
 class TestCorpus:
     def test_list(self, capsys):

@@ -1,9 +1,10 @@
 import pytest
 
-from helpers import isomorphic
+from helpers import (cartesian_product_oracle, isomorphic,
+                     polytope_product_oracle)
 from posetlab import constructions as cons
 from posetlab import flags
-from posetlab.corpus import lattice_corpus
+from posetlab.corpus import gorenstein_corpus, lattice_corpus
 from posetlab.ncpoly import cd, parse_poly
 from posetlab.poset import NotALattice, TOP, UnknownElement
 
@@ -88,6 +89,40 @@ class TestPolytopeProduct:
         right = cons.polytope_product(cons.order_complex(seg),
                                       cons.order_complex(seg))
         assert isomorphic(left, right)
+
+
+def _same_poset(P, Q):
+    return (P.elements() == Q.elements()
+            and list(map(P.rank, P.elements())) == list(map(Q.rank, Q.elements()))
+            and P.covers() == Q.covers() and P.labels == Q.labels
+            and P.provenance == Q.provenance)
+
+
+_CORPUS = gorenstein_corpus(4)
+
+
+@pytest.mark.parametrize("left,right", [
+    (a, b) for a, (_, P) in enumerate(_CORPUS)
+    for b, (_, Q) in enumerate(_CORPUS) if len(P) * len(Q) <= 100],
+    ids=lambda i: _CORPUS[i][0])
+def test_products_match_the_pair_by_pair_oracle(left, right):
+    P, Q = _CORPUS[left][1], _CORPUS[right][1]
+    assert _same_poset(cons.cartesian_product(P, Q),
+                       cartesian_product_oracle(P, Q))
+    assert _same_poset(cons.polytope_product(P, Q),
+                       polytope_product_oracle(P, Q))
+
+
+@pytest.mark.parametrize("height", [1, 2, 3])
+def test_pyramid_towers_match_the_pair_by_pair_oracle(height):
+    # provenance nests one pair deeper per pyramid
+    fast = slow = cons.polygon(4)
+    for _ in range(height):
+        fast = cons.pyr_poset(fast)
+        slow = cartesian_product_oracle(slow, cons.single_point())
+    assert _same_poset(fast, slow)
+    assert _same_poset(cons.polytope_product(fast, cons.segment()),
+                       polytope_product_oracle(slow, cons.segment()))
 
 
 class TestPyramid:

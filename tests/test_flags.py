@@ -9,8 +9,8 @@ from posetlab import flags
 from posetlab.flags import InvalidChain
 from posetlab.ncpoly import (A, B, NcPoly, ab, ab_expand, cd, parse_poly,
                              pyr_op)
-from posetlab.poset import (TOP, GradedPoset, NotEulerian, SubPoset,
-                            interval_view)
+from posetlab.poset import (TOP, GradedPoset, NotComparable, NotEulerian,
+                            SubPoset, interval_view)
 
 
 def two_atoms():
@@ -208,6 +208,14 @@ class TestSemisuspensionFormulas:
         L = build()
         total = flags.lambda_nu_ab_formula(L, nu) + flags.star_chain_sum(L, nu)
         assert cd_contract(total) == flags.lambda_nu_prime_cd(L, nu)
+
+    @pytest.mark.parametrize("formula", [flags.lambda_nu_ab_formula,
+                                         flags.star_chain_sum,
+                                         flags.lambda_nu_prime_cd])
+    def test_bottom_nu_rejected(self, formula):
+        B3 = cons.boolean_algebra(3)
+        with pytest.raises(NotComparable, match="strictly above the bottom"):
+            formula(B3, B3.bottom)
 
     def test_coatom_nu(self):
         L = cons.polygon(4)

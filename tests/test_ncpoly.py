@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import cd_split_with_a
 from posetlab.ncpoly import (A, B, C, D, NcPoly, NotExpressible,
                              NotHomogeneous, ab, ab_expand, alpha,
-                             alpha_ab_form, cd, cd_contract, cd_split_with_a,
-                             cd_words, coeffwise_leq, coeffwise_witness,
-                             derivation_G, from_json, parse_poly, pyr_op,
-                             to_json, to_text)
+                             alpha_ab_form, cd, cd_contract, cd_words,
+                             coeffwise_leq, coeffwise_witness, derivation_G,
+                             from_json, parse_poly, pyr_op, to_json, to_text)
 
 
 def cd_polys(max_degree=8):

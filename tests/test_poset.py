@@ -275,3 +275,6 @@ def test_random_poset_invariants(P):
     assert isomorphic(P.interval(P.bottom, TOP), P)
     for lo, hi in P.covers():
         assert P.rank(hi) == P.rank(lo) + 1
+    m = len(P._ids)
+    assert all((P._leq[j] >> i) & 1 == (P._geq[i] >> j) & 1
+               for i in range(m) for j in range(m))

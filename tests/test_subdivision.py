@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import identity_map
 from posetlab import constructions as cons
 from posetlab import flags
 from posetlab import subdivision as sd
@@ -15,7 +16,7 @@ def path_poset():
 
 class TestIsSubdivision:
     def test_identity_map(self, polygon3):
-        assert sd.is_subdivision(sd.identity_map(polygon3))
+        assert sd.is_subdivision(identity_map(polygon3))
 
     @pytest.mark.parametrize("m", range(3, 7))
     def test_subdivision_target(self, m):
@@ -37,7 +38,7 @@ class TestIsSubdivision:
     def test_source_not_gorenstein(self):
         P = path_poset()
         with pytest.raises(sd.SourceNotGorenstein):
-            sd.is_subdivision(sd.identity_map(P))
+            sd.is_subdivision(identity_map(P))
 
     def test_not_surjective_reported(self, polygon2, polygon3):
         phi = cons.PosetMap(polygon3, polygon3,
@@ -59,7 +60,7 @@ class TestIsSubdivision:
 
 class TestDecompose:
     def test_identity_decomposition(self, polygon3):
-        dec = sd.decompose(sd.identity_map(polygon3))
+        dec = sd.decompose(identity_map(polygon3))
         assert dec.assembled == flags.cd_index(polygon3)
         assert dec.terms[polygon3.bottom] == NcPoly.one("cd")
         for s in polygon3.elements():
@@ -101,7 +102,7 @@ class TestSubdivisionInequality:
             assert sd.verify_subdivision_inequality(phi)
 
     def test_identity_is_equality(self, polygon3):
-        rep = sd.verify_subdivision_inequality(sd.identity_map(polygon3))
+        rep = sd.verify_subdivision_inequality(identity_map(polygon3))
         assert rep and rep.left == rep.right
 
     def test_hexagon_instance(self):

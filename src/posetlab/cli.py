@@ -6,9 +6,9 @@ commands compose in pipelines:
     posetlab build polygon 6 | posetlab cd-index -
 
 Exit codes: 0 verified/success, 1 mathematical failure (with a witness) or
-a closed stdout, 2 usage or precondition error or a chain complex past
-homology.FACE_BUDGET.  POSETLAB_SEED sets the
-default seed.
+a closed stdout, 2 usage or precondition error or an order complex (built
+for homology or by `build order-complex`) past homology.FACE_BUDGET.
+POSETLAB_SEED sets the default seed.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .poset import TOP, GradedPoset, NotALattice, UnknownElement, _bits, iter_chains
+from .homology import budgeted_chains
+from .poset import TOP, GradedPoset, NotALattice, UnknownElement, _bits
 
 
 @dataclass(frozen=True)
@@ -217,9 +218,10 @@ def order_complex(P):
 
     Provenance stores each chain as the ascending tuple of its non-bottom
     source ids, so elements double as simplices of the order complex.
+    Raises homology.FaceBudgetExceeded past homology.FACE_BUDGET chains.
     """
     root = P._root
-    chains = sorted(iter_chains(root, P._mask & ~(1 << P._bottom_idx)),
+    chains = sorted(budgeted_chains(root, P._mask & ~(1 << P._bottom_idx)),
                     key=lambda c: (len(c), c))
     ids = {c: i for i, c in enumerate(chains)}
     ranks = {i: len(c) for c, i in ids.items()}

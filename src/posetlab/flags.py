@@ -6,16 +6,38 @@ cd-index, Math. Z. 1994), where h_S = sum over T in S of (-1)^|S-T| f_T
 and f_T counts the chains bottom < x_1 < ... < x_k with rank set T, each
 weighted by `scale` at its largest element (Ehrenborg-Karu's sheaf sums).
 
-`ab_index` counts those chains by rank set in integer bit arithmetic.
-Each element x above the bottom gets one packed integer g_x with a W-bit
-slot per rank set S (slot S at bit W*S, S read as a bitmask with rank r at
-bit r - 1): g_bottom = 1 and g_x is the sum of g_y over y < x, shifted by
-W * 2^(rank x - 1), since adding rank x to sets below it is one uniform
-shift.  Then f = sum of scale(x) * g_x holds f_S in slot S.  No slot
-carries into the next: a slot of g_x is at most the number c_x of chains
-ending at x, a slot of f at most T = sum of scale(x) * c_x, so
-W = max(T, max c_x).bit_length() bits suffice.  Subset Moebius inversion
-(n * 2^n steps) of the unpacked slots gives the h_S.
+Flag f-vectors are counted by rank set in integer bit arithmetic, in one
+packed walk (`_pack`).  Each element i gets a level l_i >= 1 and a packed
+integer with a W-bit slot per set S of levels (slot S at bit W*S, level l
+at bit l - 1 of S):
+
+    acc_i = 1 + sum over j in near(i) of acc_j << (W * 2^(l_j - 1)),
+
+since adding level l_j to sets of smaller levels is one uniform shift.  A
+slot of acc_i is at most the number of chains acc_i counts, which the same
+walk with W = 0 computes, so W = the bit length of the largest count (and,
+in `ab_index`, of the weighted total) leaves no carry.  Subset Moebius
+inversion (n * 2^n steps) of the unpacked slots gives the h_S (`_flag_h`).
+
+Bottom-up (elements above the bottom, l_i = rank above the bottom, near(i)
+= the elements strictly between) acc_pi is the flag f-vector of [0-hat, pi)
+(`lower_intervals`); `ab_index` adds the bottom and each acc_i shifted by
+its own level, weighted by scale(i).  Top-down (reverse rank order, near(x)
+= the elements above x, l_x = rank gap to the virtual top) acc_x is the
+flag f-vector of [x, 1-hat) (`upper_intervals`), a rank r above x at bit
+n_x - r: slots keyed on gaps to the top rather than on absolute ranks keep
+acc_x at 2^(n_x) slots, and one bit reversal of S re-indexes it.  So one
+walk gives every lower or every upper interval's ab-index, the coproduct of
+flag f-vectors (Psi is a coalgebra map: Ehrenborg-Readdy, Coproducts and
+the cd-index, J. Algebraic Combin. 1998).
+
+An interval's index is read as the key (n, h), h in `_ab_words(n)` order,
+and `cd_of` contracts each key once per memo.  The memo lives in the
+`_cache` of the poset being swept (`decompose` uses its source's, next to
+the fiber-Phi cache), so it lasts exactly as long as the maps or intervals
+whose keys repeat; a process-wide memo would outlive them.  `cd_index`
+always contracts afresh.  Only successes are stored, so a key that is not
+cd-expressible raises NotEulerian on every call.
 
 Everything returns exact NcPoly values; contraction failures surface as
 NotEulerian.
@@ -64,40 +86,46 @@ def weight(P, chain):
     return out * _amb_pow(P.rho_to_top(chain[-1]) - 1)
 
 
-def ab_index(P, scale=None):
-    """Sum of the weights of all chains of P (the singleton {0-hat}
-    included); homogeneous of degree n.  With `scale`, each chain's
-    weight is multiplied by scale(i) at the root index i of its largest
-    element (the sheaf engine passes dim F); scale must be a nonnegative
-    integer, since negative slots cannot be packed.
+def _pack(order, near, level, width):
+    """One packed walk (see the module docstring): for each i in `order`,
+    acc_i = 1 + the sum of out_j over j in near(i), where near is aligned
+    with `order` and lists indices earlier in it, and out_i = acc_i <<
+    (width << (level[i] - 1)).  Returns (acc, out); with width 0 every
+    shift is 0 and acc_i counts the chains it packs."""
+    acc, out = {}, {}
+    for i, down in zip(order, near):
+        a = acc[i] = 1 + sum(map(out.__getitem__, down))
+        out[i] = a << (width << (level[i] - 1))
+    return acc, out
 
-    Packs the weighted flag f-vector into one integer (see the module
-    docstring) and inverts it over subsets into the ab-word coefficients."""
-    root = P._root
-    bot = P._bottom_idx
+
+def _plan(P, top_down):
+    """(order, near, level) of the bottom-up or top-down walk over the view
+    P, after checking that P contains its bottom and nothing ranked above
+    its rank n."""
+    root, bot, n = P._root, P._bottom_idx, P.n
     if not (P._mask >> bot) & 1:
         raise ValueError("the view does not contain its bottom")
-    mask = P._mask & root._geq[bot]
-    order = list(_bits(mask))
-    base, n = root._rank[bot], P.n
-    if root._rank[order[-1]] - base > n:
+    base = root._rank[bot]
+    members = P._mask & root._geq[bot]
+    if root._rank[members.bit_length() - 1] - base > n:
         raise ValueError(f"the view has an element ranked above its rank {n}")
-    weights = [1 if scale is None else scale(i) for i in order]
-    if any(w < 0 for w in weights):
-        raise ValueError("scale must be nonnegative to pack flag f-vectors")
-    below = [tuple(_bits(root._leq[i] & mask & ~(1 << i))) for i in order]
-    # chains from the bottom ending at each element: they bound every slot
-    count = {bot: 1}
-    for i, down in zip(order[1:], below[1:]):
-        count[i] = sum(map(count.__getitem__, down))
-    total = sum(w * count[i] for w, i in zip(weights, order))
-    width = max(total, max(count.values())).bit_length()
-    packed = {bot: 1}
-    f = weights[0]
-    for w, i, down in zip(weights[1:], order[1:], below[1:]):
-        packed[i] = sum(map(packed.__getitem__, down)) << (
-            width << (root._rank[i] - base - 1))
-        f += w * packed[i]
+    if top_down:
+        order = list(_bits(members))[::-1]
+        rel = root._geq
+        level = {i: n + 1 + base - root._rank[i] for i in order}
+    else:
+        members &= ~(1 << bot)
+        order = list(_bits(members))
+        rel = root._leq
+        level = {i: root._rank[i] - base for i in order}
+    near = [tuple(_bits(rel[i] & members & ~(1 << i))) for i in order]
+    return order, near, level
+
+
+def _flag_h(f, width, n):
+    """The h_S, S < 2^n, of the flag f-vector packed in f (slot S at bit
+    width * S): unpack, then invert over subsets."""
     slot = (1 << width) - 1
     h = [(f >> (width * S)) & slot for S in range(1 << n)]
     for r in range(n):
@@ -105,7 +133,60 @@ def ab_index(P, scale=None):
         for S in range(1 << n):
             if S & bit:
                 h[S] -= h[S ^ bit]
-    return NcPoly("ab", dict(zip(_ab_words(n), h)))
+    return h
+
+
+def ab_index(P, scale=None):
+    """Sum of the weights of all chains of P (the singleton {0-hat}
+    included); homogeneous of degree n.  With `scale`, each chain's
+    weight is multiplied by scale(i) at the root index i of its largest
+    element (the sheaf engine passes dim F); scale must be a nonnegative
+    integer, since negative slots cannot be packed.
+
+    One bottom-up packed walk (see the module docstring), inverted over
+    subsets into the ab-word coefficients."""
+    order, near, level = _plan(P, False)
+    bot = P._bottom_idx
+    w_bot = 1 if scale is None else scale(bot)
+    weights = [1 if scale is None else scale(i) for i in order]
+    if w_bot < 0 or any(w < 0 for w in weights):
+        raise ValueError("scale must be nonnegative to pack flag f-vectors")
+    count, _ = _pack(order, near, level, 0)
+    total = w_bot + sum(w * count[i] for w, i in zip(weights, order))
+    width = max(total, max(count.values(), default=0)).bit_length()
+    _, out = _pack(order, near, level, width)
+    f = w_bot + sum(w * out[i] for w, i in zip(weights, order))
+    return ab_of((P.n, _flag_h(f, width, P.n)))
+
+
+def _intervals(P, top_down, among):
+    """{i: (n_i, h)} for each i of the walk that is in the mask `among`:
+    [0-hat, i) bottom-up, [i, 1-hat) top-down, h in `_ab_words` order."""
+    order, near, level = _plan(P, top_down)
+    count, _ = _pack(order, near, level, 0)
+    width = max(count.values(), default=0).bit_length()
+    acc, _ = _pack(order, near, level, width)
+    keys = {}
+    for i in order:
+        if (among >> i) & 1:
+            n = level[i] - 1
+            h = _flag_h(acc[i], width, n)
+            keys[i] = (n, tuple(map(h.__getitem__, _reversal(n))) if top_down
+                       else tuple(h))
+    return keys
+
+
+def upper_intervals(P):
+    """{x: (n, h)} for every element x of the view P: the rank n and the
+    ab-index coefficients h of [x, 1-hat), from one top-down walk."""
+    return _intervals(P, True, P._mask)
+
+
+def lower_intervals(P, among):
+    """{pi: (n, h)} for each element pi above the bottom of the view P in
+    the root-index mask `among`: the rank n and the ab-index coefficients
+    h of [0-hat, pi), from one bottom-up walk."""
+    return _intervals(P, False, among)
 
 
 @lru_cache(maxsize=None)
@@ -118,6 +199,42 @@ def _ab_words(n):
     return tuple(words)
 
 
+@lru_cache(maxsize=None)
+def _reversal(n):
+    """For each S < 2^n, S with its n bits in reverse order."""
+    rev = [0] * (1 << n)
+    for S in range(1, 1 << n):
+        rev[S] = rev[S >> 1] >> 1 | (S & 1) << (n - 1)
+    return tuple(rev)
+
+
+def ab_of(key):
+    """The ab-index with the coefficients key = (n, h)."""
+    n, h = key
+    return NcPoly("ab", dict(zip(_ab_words(n), h)))
+
+
+def _contract(ab):
+    try:
+        return cd_contract(ab)
+    except NotExpressible as exc:
+        raise NotEulerian(str(exc)) from exc
+
+
+def contraction_memo(P):
+    """The memo `cd_of` keeps for P's root poset."""
+    return P._root._cache.setdefault("cd_contract", {})
+
+
+def cd_of(key, memo):
+    """The cd-index of the ab-index key = (n, h), contracted once per memo:
+    only successes are stored, so NotEulerian is raised on every call."""
+    res = memo.get(key)
+    if res is None:
+        res = memo[key] = _contract(ab_of(key))
+    return res
+
+
 def cd_index(P):
     """cd-index of an Eulerian poset: cd_contract(ab_index(P))."""
     if isinstance(P, GradedPoset):
@@ -125,10 +242,7 @@ def cd_index(P):
             return P._cache["cd_index"]
         if not P.is_eulerian():
             raise NotEulerian("cd_index needs an Eulerian poset")
-    try:
-        res = cd_contract(ab_index(P))
-    except NotExpressible as exc:
-        raise NotEulerian(str(exc)) from exc
+    res = _contract(ab_index(P))
     if isinstance(P, GradedPoset):
         P._cache["cd_index"] = res
     return res
@@ -168,7 +282,9 @@ def near_cd_index(P, boundary_ids):
 
 def _semisuspension_sum(L, nu, index, factor):
     """Sum over nu <= pi < 1-hat of index([0, pi)) * factor(rho(pi, top)),
-    for an Eulerian lattice L and nu strictly above its bottom."""
+    for an Eulerian lattice L and nu strictly above its bottom; index maps
+    an interval key (n, h) to its index, and the keys come from one
+    bottom-up walk that inverts only the pi >= nu."""
     if not L.is_lattice():
         raise NotALattice("this operation needs a lattice")
     if not L.is_eulerian():
@@ -177,14 +293,14 @@ def _semisuspension_sum(L, nu, index, factor):
     if ni == L._bottom_idx:
         raise NotComparable("nu must be strictly above the bottom")
     return reduce(operator.add, (
-        index(interval_view(L, L._bottom_idx, pi)) * factor(L.n + 1 - L._rank[pi])
-        for pi in _bits(L._geq[ni])))
+        index(key) * factor(L.n + 1 - L._rank[pi])
+        for pi, key in lower_intervals(L, L._geq[ni]).items()))
 
 
 def lambda_nu_ab_formula(L, nu):
     """Closed flag formula for the ab-index of Lambda_nu: sum over
     nu <= pi < 1-hat of Psi_[0,pi) * a * (b-a)^(rho(pi,top)-1)."""
-    return _semisuspension_sum(L, nu, ab_index, lambda g: A * _bma_pow(g - 1))
+    return _semisuspension_sum(L, nu, ab_of, lambda g: A * _bma_pow(g - 1))
 
 
 def _star_factor(g):
@@ -198,27 +314,31 @@ def star_chain_sum(L, nu):
     """Total weight of the chains through the added semisuspension cell:
     the second summand vanishes for odd rank gaps (its 1 + (-1)^rho factor
     is zero), which also covers the formally negative exponent."""
-    return _semisuspension_sum(L, nu, ab_index, _star_factor)
+    return _semisuspension_sum(L, nu, ab_of, _star_factor)
 
 
 def lambda_nu_prime_cd(L, nu):
     """cd-index of the semisuspension via the alpha polynomials."""
-    return _semisuspension_sum(L, nu, cd_index, alpha)
+    memo = contraction_memo(L)
+    return _semisuspension_sum(L, nu, lambda key: cd_of(key, memo), alpha)
 
 
 def pyr_alpha_recurrence_check(P, tau, pi=TOP):
     """Verify Pyr(Psi_[tau,pi)) - alpha_rho(tau,pi) =
     sum over tau < sigma < pi of alpha_rho(tau,sigma) * Pyr(Psi_[sigma,pi))
-    exactly on the given interval of an Eulerian poset."""
+    exactly on the given interval of an Eulerian poset; every [sigma, pi)
+    is read from one top-down walk of [tau, pi)."""
     root = P._root
     ti = root._index(tau)
     hi = TOP if pi is TOP else root._index(pi)
     if hi is not TOP and not P.leq(tau, pi):
         raise NotComparable(f"{tau!r} is not below {pi!r}")
     whole = interval_view(P, ti, hi)
-    left = pyr_op(cd_index(whole)) - alpha(whole.n + 1)
+    memo = contraction_memo(P)
+    upper = upper_intervals(whole)
+    left = pyr_op(cd_of(upper.pop(ti), memo)) - alpha(whole.n + 1)
     right = NcPoly.zero("cd")
-    for si in _bits(whole.mask & ~(1 << ti)):
+    for si, key in upper.items():
         g = root._rank[si] - root._rank[ti]
-        right = right + alpha(g) * pyr_op(cd_index(interval_view(P, si, hi)))
+        right = right + alpha(g) * pyr_op(cd_of(key, memo))
     return left == right

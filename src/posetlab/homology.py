@@ -276,11 +276,12 @@ def _is_maximal(K, s):
 
 def order_complex_simplicial(P):
     """Chains of P avoiding the bottom, as a simplicial complex of
-    dimension n-1 on the vertex set P minus the bottom."""
+    dimension n-1 on the vertex set P minus the bottom; FaceBudgetExceeded
+    past FACE_BUDGET chains."""
     root = P._root
     vmask = P._mask & ~(1 << P._bottom_idx)
     return SimplicialComplex(tuple(root._ids[i] for i in c)
-                             for c in iter_chains(root, vmask) if c)
+                             for c in budgeted_chains(root, vmask) if c)
 
 
 # -- fast interval engine ------------------------------------------------------
@@ -296,18 +297,24 @@ def _chain_count(root, mask):
     return 1 + sum(topped.values())
 
 
-def _chain_faces(root, mask):
-    """The complex of chains inside the vertex mask, as `_boundary_betti`
-    takes it: faces[d] lists the chains with d + 1 elements.  Raises
+def budgeted_chains(root, mask):
+    """`iter_chains(root, mask)`, after counting the chains: raises
     FaceBudgetExceeded, before enumerating, when there are more than
-    FACE_BUDGET chains."""
+    FACE_BUDGET of them, the empty one included."""
     count = _chain_count(root, mask)
     if count > FACE_BUDGET:
         raise FaceBudgetExceeded(
             f"the order complex of {mask.bit_count()} elements has {count} faces, "
             f"more than the budget of {FACE_BUDGET}")
+    return iter_chains(root, mask)
+
+
+def _chain_faces(root, mask):
+    """The complex of chains inside the vertex mask, as `_boundary_betti`
+    takes it: faces[d] lists the chains with d + 1 elements; within
+    FACE_BUDGET (`budgeted_chains`)."""
     faces = {}
-    for c in iter_chains(root, mask):
+    for c in budgeted_chains(root, mask):
         faces.setdefault(len(c) - 1, []).append(c)
     return faces
 

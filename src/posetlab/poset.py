@@ -491,13 +491,17 @@ def _is_int(v):
 
 def int_pairs(entries, what):
     """The [x, y] integer pairs of a JSON list, as tuples; PosetError for
-    anything else."""
+    anything else.  Parsed JSON passes one whole-list type check (exact
+    list and int types, so no bool); only a list that fails it is walked
+    entry by entry, to name the first bad entry."""
     if not isinstance(entries, list):
         raise PosetError(f"{what} must be a list")
-    for p in entries:
-        if not (isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))):
-            raise PosetError(f"{what} entry {p!r} is not a pair of integers")
-    return [tuple(p) for p in entries]
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}
+            and {type(v) for p in entries for v in p} <= {int}):
+        for p in entries:
+            if not (isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))):
+                raise PosetError(f"{what} entry {p!r} is not a pair of integers")
+    return list(map(tuple, entries))
 
 
 def from_json_dict(doc):

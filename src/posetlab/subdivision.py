@@ -7,7 +7,10 @@ truthy iff the property holds.
 
 Fiber certifications are cached on the source poset keyed by fiber element
 masks, so closed intervals shared between different maps, different nu and
-different target elements are certified once.
+different target elements are certified once.  `decompose` reads the
+cd-index of every upper interval [sigma, 1-hat) of its target from one
+top-down flag walk (`flags.upper_intervals`) and contracts each distinct
+ab-index once, in a memo on the same source poset.
 """
 
 from __future__ import annotations
@@ -45,10 +48,14 @@ class NotGorensteinStar(Exception):
 
 @dataclass(frozen=True)
 class SubdivisionReport:
+    """`fibers` holds the certified fiber masks of a passing check, as
+    `_fiber_masks` gives them, for `decompose` to reuse."""
+
     ok: bool
     reason: str = ""
     failing_sigma: object = None
     detail: object = None
+    fibers: tuple = field(default=None, compare=False, repr=False)
 
     def __bool__(self):
         return self.ok
@@ -65,7 +72,6 @@ def _fiber_masks(phi):
         xb = 1 << src._index(x)
         image_bit[y] |= xb
     for s in tgt.elements():
-        si = tgt._index(s)
         m = 0
         for t in tgt.down_set(s):
             m |= image_bit[t]
@@ -97,7 +103,7 @@ def is_subdivision(phi):
                                      f"fiber pair over {tgt.label(s)} is not "
                                      f"near-Gorenstein*: {cert.reason}",
                                      s, cert)
-    return SubdivisionReport(True)
+    return SubdivisionReport(True, fibers=(closed, image_bit))
 
 
 @dataclass(frozen=True)
@@ -125,8 +131,10 @@ def decompose(phi):
     if not report:
         raise NotASubdivision(report.reason)
     src, tgt = phi.source, phi.target
-    closed, image_bit = _fiber_masks(phi)
+    closed, image_bit = report.fibers
     cache = src._cache.setdefault("fiber_phi", {})
+    memo = flags.contraction_memo(src)
+    upper = flags.upper_intervals(tgt)
     terms = {}
     assembled = NcPoly.zero("cd")
     for s in tgt.elements():
@@ -138,7 +146,8 @@ def decompose(phi):
             bd_ids = [src._root._ids[i] for i in _bits(omask)]
             cache[key] = flags.near_cd_index(fiber, bd_ids).phi
         terms[s] = cache[key]
-        assembled = assembled + terms[s] * flags.cd_index(upper_view(tgt, s))
+        if not terms[s].is_zero():
+            assembled = assembled + terms[s] * flags.cd_of(upper[tgt._index(s)], memo)
     source_cd = flags.cd_index(src)
     if assembled != source_cd:
         raise DecompositionMismatch(

@@ -268,7 +268,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("assignment", [
         [[0, 0, 0]], [[0, "x"]], "none", [[0, 0], [1, 1], [2, 2], [2, 1]],
-    ], ids=["triple", "string-id", "not-a-list", "duplicate-source"])
+        [[0, 0], [1, True]], [[0, 0], [1.0, 1]],
+    ], ids=["triple", "string-id", "not-a-list", "duplicate-source", "bool-id",
+            "float-id"])
     def test_malformed_map_assignment(self, capsys, tmp_path, assignment):
         seg = poset_mod.to_json_dict(cons.segment())
         path = tmp_path / "map.json"
@@ -295,6 +297,16 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "check", "gorenstein-star", path)
         assert code == 2
         assert err.startswith("error: the order complex of 31 elements has 182 faces")
+
+    def test_order_complex_face_budget(self, capsys, tmp_path, monkeypatch):
+        """build order-complex counts its chains before it builds them: the
+        triangle's proper part has 13, past a budget of 12."""
+        monkeypatch.setattr(homology, "FACE_BUDGET", 12)
+        path = write_poset(tmp_path, cons.polygon(3))
+        code, out, err = run_cli(capsys, "build", "order-complex", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the order complex of 6 elements has 13 faces")
 
     def test_non_integer_seed_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("POSETLAB_SEED", "abc")

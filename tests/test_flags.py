@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 from helpers import (ab_index_oracle, all_chains, composed_posets,
                      count_maximal_chains, eulerian_oracle)
 from posetlab import constructions as cons
-from posetlab import flags
+from posetlab import corpus, flags
 from posetlab.flags import InvalidChain
-from posetlab.ncpoly import (A, B, NcPoly, ab, ab_expand, cd, parse_poly,
-                             pyr_op)
+from posetlab.ncpoly import (A, B, NcPoly, ab, ab_expand, cd, cd_contract,
+                             parse_poly, pyr_op)
 from posetlab.poset import (TOP, GradedPoset, NotComparable, NotEulerian,
-                            SubPoset, interval_view)
+                            SubPoset, _bits, interval_view)
 
 
 def two_atoms():
@@ -127,6 +127,83 @@ def test_packed_ab_index_against_chain_oracles(drawn, dims):
     assert flags.ab_index(P, scale) == _weighted_oracle(P, scale)
     if isinstance(P, GradedPoset):
         assert P.is_eulerian() == eulerian_oracle(P)
+
+
+def _assert_readers_match_views(P):
+    """Both interval readers of the view P against the per-view ab_index:
+    [x, 1-hat) for every element x, [0-hat, pi) for every pi above the
+    bottom."""
+    root, bot = P._root, P._bottom_idx
+    members = list(_bits(P._mask & root._geq[bot]))
+    upper = flags.upper_intervals(P)
+    assert sorted(upper) == members
+    for x, key in upper.items():
+        view = interval_view(P, x)
+        assert key[0] == view.n
+        assert flags.ab_of(key) == flags.ab_index(view)
+    lower = flags.lower_intervals(P, P._mask)
+    assert sorted(lower) == members[1:]
+    for pi, key in lower.items():
+        view = interval_view(P, bot, pi)
+        assert key[0] == view.n
+        assert flags.ab_of(key) == flags.ab_index(view)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(composed_posets(("sphere", "cone", "ball", "ball_boundary", "perturbed",
+                        "disjoint", "wrong_boundary")))
+def test_interval_readers_against_per_view_ab_index(drawn):
+    P, boundary = drawn
+    _assert_readers_match_views(P)
+    if boundary is not None:
+        _assert_readers_match_views(P.restrict(boundary | {P.bottom}, n=P.n - 1))
+
+
+class TestIntervalReaders:
+    def test_gorenstein_corpus(self):
+        for name, P in corpus.gorenstein_corpus(4):
+            _assert_readers_match_views(P)
+
+    def test_subdivision_and_collapse_targets(self):
+        """Every target `decompose` walks in acceptance criterion 3."""
+        for name, L in corpus.lattice_corpus(4):
+            for nu in corpus.proper_elements(L):
+                _assert_readers_match_views(cons.subdivision_target_and_map(L, nu)[0])
+                _assert_readers_match_views(cons.collapse_map(L, nu).target)
+
+    def test_lower_reader_inverts_only_the_requested_elements(self, boolean4):
+        nu = next(e for e in boolean4.elements() if boolean4.rank(e) == 2)
+        want = boolean4._geq[boolean4._index(nu)]
+        assert sorted(flags.lower_intervals(boolean4, want)) == list(_bits(want))
+
+    def test_memo_hit_equals_cd_contract(self, boolean4):
+        """B4's upper intervals are Boolean algebras, one per rank: four
+        contractions, every other key a memo hit."""
+        memo = {}
+        keys = flags.upper_intervals(boolean4)
+        for key in keys.values():
+            first = flags.cd_of(key, memo)
+            assert first == cd_contract(flags.ab_of(key))
+            assert flags.cd_of(key, memo) is first
+        assert len(memo) == 4
+
+    def test_memo_lives_on_the_root_poset(self, boolean4):
+        memo = flags.contraction_memo(boolean4)
+        assert flags.contraction_memo(interval_view(boolean4, 1)) is memo
+        assert flags.contraction_memo(cons.boolean_algebra(4)) is not memo
+
+    def test_non_eulerian_upper_interval_raises_on_every_call(self):
+        """[1, 1-hat) = {1, 3} has ab-index a, which is no cd-polynomial;
+        failures are not memoized."""
+        broken = GradedPoset.from_covers(
+            2, {0: 0, 1: 1, 2: 1, 3: 2}, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        memo = flags.contraction_memo(broken)
+        key = flags.upper_intervals(broken)[1]
+        assert flags.ab_of(key) == ab("a")
+        for _ in range(3):
+            with pytest.raises(NotEulerian):
+                flags.cd_of(key, memo)
+        assert key not in memo
 
 
 class TestCdIndex:

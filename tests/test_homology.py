@@ -460,6 +460,18 @@ class TestFaceBudget:
         with pytest.raises(hm.FaceBudgetExceeded, match="of 6 elements has 13 faces"):
             hm._chain_faces(root, mask)
 
+    def test_literal_order_complexes_are_budgeted(self, polygon3, monkeypatch):
+        """The simplicial oracle and the order-complex construction count
+        the same 13 chains first."""
+        monkeypatch.setattr(hm, "FACE_BUDGET", 13)
+        assert len(hm.order_complex_simplicial(polygon3).all_simplices()) == 13
+        assert len(cons.order_complex(polygon3)) == 13
+        monkeypatch.setattr(hm, "FACE_BUDGET", 12)
+        for build in (hm.order_complex_simplicial, cons.order_complex):
+            with pytest.raises(hm.FaceBudgetExceeded,
+                               match="of 6 elements has 13 faces"):
+                build(polygon3)
+
 
 @contextmanager
 def _checked_cellular_kernel():

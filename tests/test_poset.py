@@ -9,7 +9,7 @@ from posetlab import constructions as cons
 from posetlab.poset import (TOP, GradedPoset, NoBottom, NotALattice,
                             NotComparable, NotGraded, NoUniqueTop,
                             PosetError, RankedTooHigh, UnknownElement, UnreachableElement,
-                            from_json, to_json, to_json_dict)
+                            from_json, int_pairs, to_json, to_json_dict)
 
 
 def two_atoms():
@@ -225,11 +225,35 @@ class TestJson:
          "covers": [[0, 1, 1]]},
         {"n": 1, "elements": [{"id": 0, "rank": 0}, {"id": 1, "rank": 1}],
          "covers": [[0, [1]]]},
+        {"n": 1, "elements": [{"id": 0, "rank": 0}, {"id": 1, "rank": 1}],
+         "covers": [[0, True]]},
+        {"n": 1, "elements": [{"id": 0, "rank": 0}, {"id": 1, "rank": 1}],
+         "covers": [[0, 1.0]]},
+        {"n": 1, "elements": [{"id": 0, "rank": 0}, {"id": 1, "rank": 1}],
+         "covers": [0, 1]},
     ], ids=["not-an-object", "no-covers", "string-n", "string-id",
-            "float-rank", "duplicate-id", "cover-triple", "cover-nested"])
+            "float-rank", "duplicate-id", "cover-triple", "cover-nested",
+            "cover-bool", "cover-float", "cover-not-a-list"])
     def test_malformed_documents_raise_poset_error(self, doc):
         with pytest.raises(PosetError):
             from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("bad", [
+        [0, True], [1.0, 2], [0, 1, 2], [0], (0, 1), 7, [0, "1"],
+    ], ids=["bool", "float", "triple", "single", "tuple", "int", "string"])
+    def test_int_pairs_names_the_first_bad_entry(self, bad):
+        """A list that fails the whole-list check is walked entry by entry;
+        the message names the first bad entry, as before that check."""
+        entries = [[0, 1], bad, [2.0, 3]]
+        with pytest.raises(PosetError) as err:
+            int_pairs(entries, "covers")
+        assert str(err.value) == f"covers entry {bad!r} is not a pair of integers"
+
+    def test_int_pairs_accepts_pairs_of_exact_ints(self):
+        assert int_pairs([[0, 1], [1, 2]], "covers") == [(0, 1), (1, 2)]
+        assert int_pairs([], "covers") == []
+        with pytest.raises(PosetError, match="covers must be a list"):
+            int_pairs((0, 1), "covers")
 
     def test_renumbered_export(self):
         # dual posets get nonzero bottoms internally; JSON must renumber

@@ -88,6 +88,39 @@ class TestDecompose:
         for poly in dec.terms.values():
             assert all(v >= 0 for v in poly.terms.values())
 
+    def test_upper_intervals_come_from_one_walk(self, boolean4, monkeypatch):
+        """No cd_index of an upper view: the only cd_index call is the
+        source's, and the target is walked once."""
+        cd_calls, walks = [], []
+        cd_index, upper_intervals = flags.cd_index, flags.upper_intervals
+        monkeypatch.setattr(flags, "cd_index",
+                            lambda P: cd_calls.append(P) or cd_index(P))
+        monkeypatch.setattr(flags, "upper_intervals",
+                            lambda P: walks.append(P) or upper_intervals(P))
+        for phi in (cons.subdivision_target_and_map(boolean4, 1)[1],
+                    cons.collapse_map(boolean4, 5)):
+            cd_calls.clear()
+            walks.clear()
+            sd.decompose(phi)
+            assert cd_calls == [boolean4]
+            assert walks == [phi.target]
+
+    def test_fiber_masks_computed_once(self, boolean4, monkeypatch):
+        seen = []
+        fiber_masks = sd._fiber_masks
+        monkeypatch.setattr(sd, "_fiber_masks",
+                            lambda phi: seen.append(phi) or fiber_masks(phi))
+        phi = cons.collapse_map(boolean4, 1)
+        sd.decompose(phi)
+        assert seen == [phi]
+
+    def test_contraction_memo_is_kept_on_the_source(self, boolean4):
+        T, phi = cons.subdivision_target_and_map(boolean4, 1)
+        sd.decompose(phi)
+        memo = boolean4._cache["cd_contract"]
+        assert memo and "cd_contract" not in T._cache
+        assert all(v == flags.cd_of(k, {}) for k, v in memo.items())
+
     def test_not_a_subdivision_raises(self, polygon3):
         phi = cons.PosetMap(polygon3, polygon3,
                             {e: polygon3.bottom for e in polygon3.elements()})

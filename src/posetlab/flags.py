@@ -35,9 +35,11 @@ An interval's index is read as the key (n, h), h in `_ab_words(n)` order,
 and `cd_of` contracts each key once per memo.  The memo lives in the
 `_cache` of the poset being swept (`decompose` uses its source's, next to
 the fiber-Phi cache), so it lasts exactly as long as the maps or intervals
-whose keys repeat; a process-wide memo would outlive them.  `cd_index`
-always contracts afresh.  Only successes are stored, so a key that is not
-cd-expressible raises NotEulerian on every call.
+whose keys repeat; a process-wide memo would outlive them.
+`near_cd_index` contracts both parts of its split through the same memo,
+so the fibers of one source share them.  `cd_index` always contracts
+afresh.  Only successes are stored, so a key that is not cd-expressible
+raises NotEulerian (NotExpressible in `near_cd_index`) on every call.
 
 Everything returns exact NcPoly values; contraction failures surface as
 NotEulerian.
@@ -226,13 +228,22 @@ def contraction_memo(P):
     return P._root._cache.setdefault("cd_contract", {})
 
 
+def _contraction(key, memo):
+    """cd_contract of the ab-index key = (n, h), once per memo: only
+    successes are stored, so NotExpressible is raised on every call."""
+    res = memo.get(key)
+    if res is None:
+        res = memo[key] = cd_contract(ab_of(key))
+    return res
+
+
 def cd_of(key, memo):
     """The cd-index of the ab-index key = (n, h), contracted once per memo:
     only successes are stored, so NotEulerian is raised on every call."""
-    res = memo.get(key)
-    if res is None:
-        res = memo[key] = _contract(ab_of(key))
-    return res
+    try:
+        return _contraction(key, memo)
+    except NotExpressible as exc:
+        raise NotEulerian(str(exc)) from exc
 
 
 def cd_index(P):
@@ -262,22 +273,28 @@ class NearCdIndex:
 
 
 def near_cd_index(P, boundary_ids):
-    """Split Psi_P = Phi + Psi_boundary * a and contract both parts.
+    """Split Psi_P = Phi + Psi_boundary * a and contract both parts, each
+    once per key through P's `contraction_memo`: the fibers of the maps
+    `decompose` checks repeat a few splits many times.
 
     The caller certifies that (P, boundary) is genuinely near-Gorenstein*;
     a NotExpressible escape here means it was not.  A nonempty boundary
     always contains the bottom, whether or not boundary_ids names it.
     """
     boundary_ids = set(boundary_ids)
-    psi = ab_index(P)
+    n = P.n
+    h = tuple(map(ab_index(P).coeff, _ab_words(n)))
     if boundary_ids:
         root = P._root
         bmask = (root._mask_of(boundary_ids) & P._mask) | 1 << P._bottom_idx
-        psi_b = ab_index(SubPoset(root, bmask, P._bottom_idx, P.n - 1))
+        psi_b = ab_index(SubPoset(root, bmask, P._bottom_idx, n - 1))
+        hb = tuple(map(psi_b.coeff, _ab_words(n - 1)))
     else:
-        psi_b = NcPoly.zero("ab")
-    phi_ab = psi - psi_b * A
-    return NearCdIndex(cd_contract(phi_ab), cd_contract(psi_b))
+        hb = (0,) * len(_ab_words(n - 1))
+    # the words of psi_b * a are the first len(hb) words of degree n
+    phi = tuple(c - cb for c, cb in zip(h, hb)) + h[len(hb):]
+    memo = contraction_memo(P)
+    return NearCdIndex(_contraction((n, phi), memo), _contraction((n - 1, hb), memo))
 
 
 def _semisuspension_sum(L, nu, index, factor):

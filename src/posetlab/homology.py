@@ -55,6 +55,16 @@ far is a GF(2) sphere (by its GF(2) profile, not its Q one: RP^3 is a Q
 sphere but no GF(2) sphere); from the first one that is not, and for
 torsion, the chain route decides.
 
+The cellular complexes of all the intervals (x, y) and (x, top) above one x
+are subcomplexes of one complex, the cells of (x, top), and each is closed
+under taking boundaries: below a cell z of (x, y) and above x everything
+lies in (x, y).  So the walk builds the boundary rows of (x, top) once per
+x (`_cell_table`) and every interval above x takes its rows from there, bit
+for bit the rows it would build from its own elements.  Most intervals are
+short: an empty gap, or an antichain of k points, has reduced GF(2) and Q
+homology {-1: 1}, {} (k = 1) or {0: k - 1}, whatever lies around it, so
+the kernel answers those by popcount and needs no precondition for them.
+
 `derive_boundary` runs the same walk.  In a homology ball every real
 interval is a sphere and each (x, top) a sphere or acyclic; a walk that
 accepts exactly that reads the boundary off as the bottom plus the x whose
@@ -334,23 +344,46 @@ def _subset_betti(root, mask):
     return cache[mask]
 
 
-def _cellular_betti_mod2(root, x, gap):
-    """GF(2) Betti numbers {degree: dim} of the open interval above x whose
-    elements are `gap`, from its cellular complex: x is the cell of
-    dimension -1, each z in `gap` a cell of dimension rank z - rank x - 1,
-    and the boundary of z is the sum of the cells it covers, so the rows of
-    one dimension are `leq[z] & (mask of the cells one dimension lower)`
-    as they stand.  Equals the order complex's GF(2) homology only when
-    every interval (u, v) with x <= u < v < y is a GF(2) sphere, which the
-    caller guarantees (see the module docstring)."""
+def _cell_table(root, x, above):
+    """The cellular complex of (x, top), `above` its elements, whose rows
+    serve every interval above x (see `_first_bad_interval`): levels[k] is
+    the mask of the cells of dimension k - 1, that is x at k = 0 and the
+    elements of `above` at rank rank(x) + k, and rows[z] is the boundary of
+    the cell z, `leq[z] & levels[k - 1]`."""
     leq, rank = root._leq, root._rank
     base = rank[x]
-    cells = [0] * (rank[gap.bit_length() - 1] - base + 1 if gap else 1)
-    cells[0] = 1 << x  # cells[k]: the cells of dimension k - 1
-    for z in _bits(gap):
-        cells[rank[z] - base] |= 1 << z
-    ranks = [rank_mod2([leq[z] & lower for z in _bits(upper)])
-             for lower, upper in zip(cells, cells[1:])]
+    levels, rows = [1 << x, 0], {}
+    for z in _bits(above):  # ascending index, hence ascending rank
+        k = rank[z] - base
+        while len(levels) <= k:
+            levels.append(0)
+        levels[k] |= 1 << z
+        rows[z] = leq[z] & levels[k - 1]
+    return levels, rows
+
+
+def _cellular_betti_mod2(x, gap, levels, rows):
+    """GF(2) Betti numbers {degree: dim} of the open interval above x whose
+    elements are `gap`, from its cellular complex, with the levels and
+    boundary rows of `_cell_table(root, x, above)`, `gap` inside `above`:
+    x is the cell of dimension -1, each z in `gap` a cell of dimension
+    rank z - rank x - 1, and the boundary of z is the sum of the cells it
+    covers.  Equals the order complex's GF(2) homology when every interval
+    (u, v) with x <= u < v < y is a GF(2) sphere, which the caller
+    guarantees (see the module docstring).
+
+    An empty gap, or one inside the first level (an antichain), is a set of
+    points whose Betti numbers are read off its size: these are exact over
+    every field and need no precondition."""
+    if not gap & ~levels[1]:
+        points = gap.bit_count()
+        return {-1: 1} if not points else {0: points - 1} if points > 1 else {}
+    cells = [levels[0]] + [level & gap for level in levels[1:]]
+    while not cells[-1]:
+        cells.pop()
+    # every row of the first level is the cell x: rank 1, unless it has none
+    ranks = [1 if cells[1] else 0]
+    ranks += [rank_mod2([rows[z] for z in _bits(cell)]) for cell in cells[2:]]
     betti = betti_from_ranks([c.bit_count() for c in cells], ranks)
     return {k - 1: b for k, b in enumerate(betti) if b}
 
@@ -415,7 +448,15 @@ def _first_bad_interval(root, mask, bottom_idx, n, fits):
     GF(2) Betti numbers (see the module docstring).  Its answer is the Q
     answer when it sits in at most one degree; any other answer, and every
     interval after the first real one that is no GF(2) sphere, goes through
-    the chain route `_subset_betti`."""
+    the chain route `_subset_betti`.
+
+    The kernel reads its rows from one `_cell_table` per x, built at the
+    first interval above x that misses the cache: for z in (x, y) the
+    elements below z and above x all lie in (x, y), so the table's row of z
+    is the row of z in every interval (x, y) that contains z, and in
+    (x, top).  A gap that is empty or an antichain (y of rank at most
+    rank(x) + 2, or an (x, top) of that height) is a set of points, read
+    off by popcount without elimination."""
     geq, leq, rank = root._geq, root._leq, root._rank
     known = root._cache.setdefault("subset_betti", {})
     mod2 = root._cache.setdefault("subset_betti_mod2", {})
@@ -426,11 +467,13 @@ def _first_bad_interval(root, mask, bottom_idx, n, fits):
         intervals = [(y, above & leq[y] & ~(1 << y), rank[y] - rank[x] - 2)
                      for y in _bits(above)]
         intervals.append((None, above, rank[bottom_idx] + n - 1 - rank[x]))
+        table = None
         for y, gap, d in intervals:
             betti = None
             if spheres:
                 if gap not in mod2:
-                    mod2[gap] = _cellular_betti_mod2(root, x, gap)
+                    table = table or _cell_table(root, x, above)
+                    mod2[gap] = _cellular_betti_mod2(x, gap, *table)
                 # (x, top) lies inside no interval visited later
                 spheres = y is None or mod2[gap] == {d: 1}
                 if len(mod2[gap]) <= 1:

@@ -93,12 +93,12 @@ class GradedPoset:
         # Use from_covers for validated construction from user data.
         self.n = n
         self._ids = tuple(ids)
-        self._idx = {e: i for i, e in enumerate(self._ids)}
-        self._rank = tuple(rank_by_idx)
-        if any(a > b for a, b in zip(self._rank, self._rank[1:])):
-            raise ValueError("element indices must be in rank order")
-        self._covers_up = tuple(tuple(sorted(c)) for c in covers_up)
         m = len(self._ids)
+        self._idx = dict(zip(self._ids, range(m)))
+        self._rank = tuple(rank_by_idx)
+        if list(self._rank) != sorted(self._rank):
+            raise ValueError("element indices must be in rank order")
+        self._covers_up = tuple(map(tuple, map(sorted, covers_up)))
         geq = [0] * m
         for i in reversed(range(m)):
             acc = 1 << i
@@ -111,10 +111,10 @@ class GradedPoset:
             for j in self._covers_up[i]:
                 leq[j] |= leq[i]
         self._leq = tuple(leq)
-        bottoms = [i for i in range(m) if self._rank[i] == 0]
-        if len(bottoms) != 1:
-            raise NoBottom(f"expected exactly one rank-0 element, found {len(bottoms)}")
-        self._bottom = bottoms[0]
+        bottoms = self._rank.count(0)
+        if bottoms != 1:
+            raise NoBottom(f"expected exactly one rank-0 element, found {bottoms}")
+        self._bottom = self._rank.index(0)
         self.labels = dict(labels or {})
         self.provenance = dict(provenance or {})
         self._cache = {}
@@ -134,27 +134,28 @@ class GradedPoset:
         for e, r in ranks.items():
             if r < 0 or r > n:
                 raise RankedTooHigh(f"element {e} has rank {r} outside [0, {n}]")
-        if sum(1 for e in ids if ranks[e] == 0) != 1:
+        rank = [ranks[e] for e in ids]
+        if rank.count(0) != 1:
             raise NoBottom("expected exactly one rank-0 element")
-        idx = {e: i for i, e in enumerate(ids)}
+        idx = dict(zip(ids, range(len(ids))))
         covers_up = [[] for _ in ids]
         for lo, hi in covers:
-            if lo not in idx or hi not in idx:
+            i, j = idx.get(lo), idx.get(hi)
+            if i is None or j is None:
                 raise UnknownElement(f"cover ({lo}, {hi}) uses unknown element")
-            if ranks[hi] != ranks[lo] + 1:
+            if rank[j] != rank[i] + 1:
                 raise NotGraded(f"cover ({lo}, {hi}) skips from rank {ranks[lo]} to {ranks[hi]}")
-            if idx[hi] not in covers_up[idx[lo]]:
-                covers_up[idx[lo]].append(idx[hi])
-        poset = cls(n, ids, [ranks[e] for e in ids], covers_up,
-                    labels=labels, provenance=provenance)
+            if j not in covers_up[i]:
+                covers_up[i].append(j)
+        poset = cls(n, ids, rank, covers_up, labels=labels, provenance=provenance)
         # reachability from the bottom
         reach = poset._geq[poset._bottom]
         for i, e in enumerate(ids):
             if not (reach >> i) & 1:
                 raise UnreachableElement(f"element {e} is not above the bottom")
-        for i, e in enumerate(ids):
-            if poset._geq[i] == 1 << i and poset._rank[i] != n:
-                raise NotGraded(f"maximal element {e} has rank {poset._rank[i]} != {n}")
+        for e, up, r in zip(ids, poset._covers_up, rank):
+            if not up and r != n:
+                raise NotGraded(f"maximal element {e} has rank {r} != {n}")
         return poset
 
     # -- internal protocol shared with SubPoset -----------------------------

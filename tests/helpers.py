@@ -17,7 +17,7 @@ from posetlab import homology as hm
 from posetlab import linalg
 from posetlab.ncpoly import (A, NcPoly, NotExpressible, NotHomogeneous,
                              _require_alphabet, ab, ab_expand, cd, cd_words)
-from posetlab.poset import TOP, GradedPoset, PosetError
+from posetlab.poset import TOP, GradedPoset, PosetError, _bits
 from posetlab.sheaves import (CellularComplex, Sheaf, _check_d_squared,
                               dual_dimension_formula, is_cm_sheaf,
                               sheaf_ab_index)
@@ -215,6 +215,33 @@ def derive_boundary_oracle(P):
     if not hm.certify_near_gorenstein(root, P._mask, bottom, P.n, bmask):
         raise hm.NotNearGorenstein("candidate boundary fails the homology conditions")
     return frozenset(root._ids[i] for i in range(len(root._ids)) if (bmask >> i) & 1)
+
+
+def cellular_rows_oracle(root, x, gap):
+    """The cellular complex of the open interval above x whose elements are
+    `gap`, built from `gap` alone: cells[k] holds the cells of dimension
+    k - 1, x at k = 0 and the gap's elements at rank rank(x) + k, and
+    rows[z] is the boundary of z, `leq[z]` restricted to the cells one
+    dimension lower."""
+    leq, rank = root._leq, root._rank
+    base = rank[x]
+    cells = [0] * (rank[gap.bit_length() - 1] - base + 1 if gap else 1)
+    cells[0] = 1 << x
+    for z in _bits(gap):
+        cells[rank[z] - base] |= 1 << z
+    rows = {z: leq[z] & lower for lower, upper in zip(cells, cells[1:])
+            for z in _bits(upper)}
+    return cells, rows
+
+
+def cellular_betti_mod2_oracle(root, x, gap):
+    """GF(2) Betti numbers of `cellular_rows_oracle`'s complex, every gap
+    eliminated, however small: `homology._cellular_betti_mod2` must agree
+    with it on every interval, and its table rows with these rows."""
+    cells, rows = cellular_rows_oracle(root, x, gap)
+    ranks = [linalg.rank_mod2([rows[z] for z in _bits(upper)]) for upper in cells[1:]]
+    betti = linalg.betti_from_ranks([c.bit_count() for c in cells], ranks)
+    return {k - 1: b for k, b in enumerate(betti) if b}
 
 
 def wedge_at_bottom(P, Q):

@@ -7,8 +7,8 @@ from helpers import (ab_index_oracle, all_chains, composed_posets,
 from posetlab import constructions as cons
 from posetlab import corpus, flags
 from posetlab.flags import InvalidChain
-from posetlab.ncpoly import (A, B, NcPoly, ab, ab_expand, cd, cd_contract,
-                             parse_poly, pyr_op)
+from posetlab.ncpoly import (A, B, NcPoly, NotExpressible, ab, ab_expand, cd,
+                             cd_contract, parse_poly, pyr_op)
 from posetlab.poset import (TOP, GradedPoset, NotComparable, NotEulerian,
                             SubPoset, _bits, interval_view)
 
@@ -249,6 +249,32 @@ class TestNearCdIndex:
         P = GradedPoset.from_covers(1, {0: 0, 1: 1}, [(0, 1)])
         nc = flags.near_cd_index(P, [0])
         assert nc.phi.is_zero() and nc.boundary == NcPoly.one("cd")
+
+    def test_memo_hit_equals_cd_contract(self, boolean4):
+        """Both parts of every `remove_upset` ball of B4 are the fresh
+        contractions of Psi - Psi_boundary * a and Psi_boundary; every memo
+        entry is the fresh contraction of its key, and a second call
+        returns the memo's objects."""
+        for nu in boolean4.elements()[1:]:
+            ball, boundary = cons.remove_upset(boolean4, nu)
+            nc = flags.near_cd_index(ball, boundary)
+            psi_b = flags.ab_index(ball.restrict(boundary, n=ball.n - 1))
+            assert nc.phi == cd_contract(flags.ab_index(ball) - psi_b * A)
+            assert nc.boundary == cd_contract(psi_b)
+            memo = flags.contraction_memo(ball)
+            assert all(v == cd_contract(flags.ab_of(k)) for k, v in memo.items())
+            again = flags.near_cd_index(ball, boundary)
+            assert again.phi is nc.phi and again.boundary is nc.boundary
+
+    def test_failed_split_is_never_stored(self):
+        """[1, 1-hat) = {1, 3} has ab-index a, so no split of this poset is
+        cd-expressible: NotExpressible on every call, nothing memoized."""
+        broken = GradedPoset.from_covers(
+            2, {0: 0, 1: 1, 2: 1, 3: 2}, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        for boundary in ([], [0, 1], [0, 1]):
+            with pytest.raises(NotExpressible):
+                flags.near_cd_index(broken, boundary)
+        assert not flags.contraction_memo(broken)
 
 
 class TestSemisuspensionFormulas:

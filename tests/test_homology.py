@@ -4,12 +4,14 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import given, settings
 
-from helpers import (all_chains, composed_posets, derive_boundary_oracle,
-                     rp2_face_poset, rp3_face_poset)
+from helpers import (all_chains, cellular_betti_mod2_oracle, cellular_rows_oracle,
+                     composed_posets, derive_boundary_oracle, rp2_face_poset,
+                     rp3_face_poset)
 from posetlab import constructions as cons
 from posetlab import homology as hm
 from posetlab.corpus import gorenstein_corpus, lattice_corpus
-from posetlab.poset import GradedPoset, PosetError, from_json, iter_chains, to_json
+from posetlab.poset import (GradedPoset, PosetError, _bits, from_json, iter_chains,
+                            to_json)
 
 
 def path_poset():
@@ -477,16 +479,24 @@ class TestFaceBudget:
 def _checked_cellular_kernel():
     """Wrap `_cellular_betti_mod2` so that every call the walk makes is
     checked against the GF(2) chain complex of the same interval; yields the
-    list of (root, x, gap) calls."""
-    kernel, calls = hm._cellular_betti_mod2, []
+    list of (root, x, gap) calls.  `_cell_table` is wrapped too, to tell
+    each kernel call which root poset its table rows come from."""
+    kernel, build, calls, roots = hm._cellular_betti_mod2, hm._cell_table, [], {}
 
-    def checked(root, x, gap):
-        betti = kernel(root, x, gap)
+    def table(root, x, above):
+        levels, rows = build(root, x, above)
+        roots[id(rows)] = root, rows  # holding rows keeps its id unique
+        return levels, rows
+
+    def checked(x, gap, levels, rows):
+        betti = kernel(x, gap, levels, rows)
+        root = roots[id(rows)][0]
         assert betti == hm._faces_betti_mod2(hm._chain_faces(root, gap)), (x, gap)
         calls.append((root, x, gap))
         return betti
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hm, "_cell_table", table)
         mp.setattr(hm, "_cellular_betti_mod2", checked)
         yield calls
 
@@ -516,8 +526,11 @@ class TestCellularKernel:
         chain route from there on."""
         P = pendant_edge_poset()
         root = P._root
-        gap = P._mask & ~(1 << P._bottom_idx) & ~(1 << root._index(9))
-        assert hm._cellular_betti_mod2(root, P._bottom_idx, gap) == {1: -1}
+        bottom, above = P._bottom_idx, P._mask & ~(1 << P._bottom_idx)
+        gap = above & ~(1 << root._index(9))
+        assert cellular_betti_mod2_oracle(root, bottom, gap) == {1: -1}
+        assert hm._cellular_betti_mod2(
+            bottom, gap, *hm._cell_table(root, bottom, above)) == {1: -1}
         assert hm._faces_betti_mod2(hm._chain_faces(root, gap)) == {2: 1}
         K = hm.order_complex_simplicial(P)
         oracles = {hm.gorenstein_star_report: hm.is_gorenstein_complex(K),
@@ -581,6 +594,39 @@ def test_cellular_kernel_against_chain_complex(drawn):
         hm.cohen_macaulay_report(P)
         if boundary is not None:
             hm.near_gorenstein_star_report(P, boundary)
+
+
+def _assert_cell_table_against_oracle(P):
+    """For each x of P, one `_cell_table` against the complex that the
+    oracle builds from each interval (x, y) and (x, top) alone: the table's
+    rows and levels restrict to the oracle's, and the kernel's Betti numbers
+    are the oracle's, antichain and empty gaps included."""
+    root = P._root
+    for x in _bits(P._mask):
+        above = root._geq[x] & P._mask & ~(1 << x)
+        levels, rows = hm._cell_table(root, x, above)
+        for gap in [above & root._leq[y] & ~(1 << y) for y in _bits(above)] + [above]:
+            cells, want = cellular_rows_oracle(root, x, gap)
+            assert {z: rows[z] for z in want} == want, (x, gap)
+            assert [levels[0]] + [level & gap for level in levels[1:len(cells)]] == cells
+            assert (hm._cellular_betti_mod2(x, gap, levels, rows)
+                    == cellular_betti_mod2_oracle(root, x, gap)), (x, gap)
+
+
+def test_cell_table_against_oracle_on_the_corpora():
+    """The corpora, and a view of B4 without its atoms, whose gaps above
+    the bottom skip the first level."""
+    B4 = cons.boolean_algebra(4)
+    skipped = B4.restrict([e for e in B4.elements() if B4.rank(e) != 1])
+    for P in [P for _, P in gorenstein_corpus(4) + lattice_corpus(4)] + [skipped]:
+        _assert_cell_table_against_oracle(P)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(composed_posets(("sphere", "cone", "ball", "ball_boundary", "perturbed",
+                        "disjoint", "wrong_boundary")))
+def test_cell_table_against_oracle(drawn):
+    _assert_cell_table_against_oracle(drawn[0])
 
 
 def _open_interval_masks(P):

@@ -47,6 +47,29 @@ class TestFromCovers:
             GradedPoset.from_covers(
                 2, {0: 0, 1: 1, 2: 1, 3: 2}, [(0, 1), (0, 2), (1, 3)])
 
+    @pytest.mark.parametrize("args, error, message", [
+        ((2, {0: 0, 1: 2}, [(0, 1)]), NotGraded, "cover (0, 1) skips from rank 0 to 2"),
+        ((1, {0: 0, 1: 0, 2: 1}, [(0, 2), (1, 2)]), NoBottom,
+         "expected exactly one rank-0 element"),
+        ((1, {0: 0, 1: 2, 2: -1}, []), RankedTooHigh, "element 1 has rank 2 outside [0, 1]"),
+        ((1, {0: 0, 1: 1, 2: 1, 3: 1}, [(0, 1)]), UnreachableElement,
+         "element 2 is not above the bottom"),
+        ((2, {0: 0, 1: 1, 2: 1, 3: 2}, [(0, 1), (0, 2), (1, 3)]), NotGraded,
+         "maximal element 2 has rank 1 != 2"),
+        ((1, {0: 0, 1: 1}, [(0, 1), (0, 7)]), UnknownElement,
+         "cover (0, 7) uses unknown element"),
+        ((1, {}, []), NoBottom, "empty poset"),
+    ], ids=["skip", "two-bottoms", "rank-range", "unreachable", "early-maximal",
+            "unknown", "empty"])
+    def test_messages_name_the_first_fault(self, args, error, message):
+        with pytest.raises(error) as err:
+            GradedPoset.from_covers(*args)
+        assert str(err.value) == message
+
+    def test_repeated_cover_is_kept_once(self):
+        P = GradedPoset.from_covers(1, {0: 0, 1: 1}, [(0, 1), (0, 1)])
+        assert P._covers_up == ((1,), ()) and P.covers() == [(0, 1)]
+
     def test_indices_out_of_rank_order_rejected(self):
         # the constructor trusts ascending indices to be rank order
         with pytest.raises(ValueError, match="rank order"):
@@ -248,6 +271,25 @@ class TestJson:
         with pytest.raises(PosetError) as err:
             int_pairs(entries, "covers")
         assert str(err.value) == f"covers entry {bad!r} is not a pair of integers"
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"id": True, "rank": 1}, "element {'id': True, 'rank': 1} needs an integer id and rank"),
+        ({"id": 2, "rank": 1.0}, "element {'id': 2, 'rank': 1.0} needs an integer id and rank"),
+        ({"id": 2}, "element {'id': 2} needs an integer id and rank"),
+        ([2, 1], "element [2, 1] needs an integer id and rank"),
+        ("x", "element 'x' needs an integer id and rank"),
+        ({"id": [2], "rank": 1}, "element {'id': [2], 'rank': 1} needs an integer id and rank"),
+        ({"id": 1, "rank": 1}, "duplicate element id 1"),
+    ], ids=["bool-id", "float-rank", "no-rank", "list", "string", "list-id", "duplicate"])
+    def test_element_entries_name_the_first_bad_entry(self, bad, message):
+        """Element entries that fail the whole-list check are walked entry
+        by entry; the message names the first bad one, not the later
+        string id."""
+        doc = {"n": 1, "elements": [{"id": 0, "rank": 0}, {"id": 1, "rank": 1}, bad,
+                                    {"id": "x", "rank": 1}], "covers": [[0, 1]]}
+        with pytest.raises(PosetError) as err:
+            from_json(json.dumps(doc))
+        assert str(err.value) == message
 
     def test_int_pairs_accepts_pairs_of_exact_ints(self):
         assert int_pairs([[0, 1], [1, 2]], "covers") == [(0, 1), (1, 2)]

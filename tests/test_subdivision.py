@@ -121,6 +121,19 @@ class TestDecompose:
         assert memo and "cd_contract" not in T._cache
         assert all(v == flags.cd_of(k, {}) for k, v in memo.items())
 
+    def test_each_contraction_is_a_distinct_memo_key(self, monkeypatch):
+        """Every `cd_contract` that `decompose` makes, in its fibers' splits
+        and its target's upper intervals, contracts a new key of the
+        source's memo; only the source's own `cd_index` contracts afresh."""
+        boolean4 = cons.boolean_algebra(4)
+        calls = []
+        contract = flags.cd_contract
+        monkeypatch.setattr(flags, "cd_contract", lambda p: calls.append(p) or contract(p))
+        for phi in (cons.subdivision_target_and_map(boolean4, 1)[1],
+                    cons.collapse_map(boolean4, 5)):
+            sd.decompose(phi)
+        assert len(calls) == len(flags.contraction_memo(boolean4)) + 1
+
     def test_not_a_subdivision_raises(self, polygon3):
         phi = cons.PosetMap(polygon3, polygon3,
                             {e: polygon3.bottom for e in polygon3.elements()})

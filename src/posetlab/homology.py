@@ -401,7 +401,12 @@ class CertResult:
 
 def _structural_check(root, mask, bottom_idx, n):
     """Graded-poset sanity for an element subset: unique bottom, covers
-    raise rank by one inside the subset, maximal elements at rank n."""
+    raise rank by one inside the subset, maximal elements at rank n.
+
+    When the subset holds everything between the bottom and each of its
+    members (a whole poset, a fiber, a boundary, an interval), its covers
+    are the root's covers inside it and are read from `_covers_up`;
+    otherwise they are found by scanning each member's up-set."""
     if not (mask >> bottom_idx) & 1:
         return CertResult(False, "bottom not in subset")
     base = root._rank[bottom_idx]
@@ -413,8 +418,13 @@ def _structural_check(root, mask, bottom_idx, n):
             return CertResult(False, "element not above the bottom", (root._ids[i],))
         if root._rank[i] - base > n:
             return CertResult(False, f"element above rank {n}", (root._ids[i],))
+    missing = root._geq[bottom_idx] & ~mask
+    closed = not any(root._leq[i] & missing for i in members)
     for i in members:
-        covers = root._minimal_in(root._geq[i] & mask & ~(1 << i))
+        if closed:
+            covers = [j for j in root._covers_up[i] if (mask >> j) & 1]
+        else:
+            covers = root._minimal_in(root._geq[i] & mask & ~(1 << i))
         if not covers and root._rank[i] - base != n:
             return CertResult(False, "maximal element below top rank", (root._ids[i],))
         for j in covers:

@@ -8,13 +8,17 @@ and `mat_mul` composes them.  `mat_rank` / `mat_nullspace` adapt dense
 lists-of-lists to the kernel; no library module calls them or `solve_in_span`.
 Pivots are keyed on each row's smallest column, so they are the leftmost
 independent columns whatever the row order.  That keeps every basis
-canonical: a nullspace vector is the unique one with 1 on its own non-pivot
-column and 0 on the others, and a solution puts 0 on every basis vector
-that depends on earlier ones.  Fractions appear only in back-substitution.
+canonical: a nullspace vector is the unique integral one with content 1, a
+positive entry at its own non-pivot column and 0 on the others, and a
+solution puts 0 on every basis vector that depends on earlier ones.
 
-Back-substitution only reaches pivot columns left of the free one, so a
-nullspace vector's largest column is its own free column, and coordinates
-in a nullspace basis are read there (`nullspace_coords`), not solved for.
+Back-substitution is fraction-free (`_kernel_vector`): the partial vector
+is scaled just enough for each pivot division to be exact.  It only
+reaches pivot columns left of the free one, so a nullspace vector's
+largest column is its own free column, and coordinates in a nullspace
+basis are read there (`nullspace_coords`) by one exact division, not
+solved for.  A coordinate is an int when that division is exact and a
+Fraction otherwise; so is every `solve_in_span` coefficient.
 
 Over GF(2), `rank_mod2` takes rows as int bitmasks.  Homology uses it as a
 certificate only: a GF(2) rank of an integer matrix is at most its Q rank,
@@ -81,16 +85,39 @@ def _echelon(rows):
     return pivots
 
 
-def _back_substitute(pivots, x):
-    """Extend `x` (dict column -> Fraction: the nonzero free values) by the
-    pivot values that solve every pivot row, in one descending pass (a
-    pivot row only reaches columns right of its pivot)."""
-    for col in sorted(pivots, reverse=True):
+def _kernel_vector(pivots, order, f):
+    """The integral kernel vector with content 1, a positive entry at the
+    free column f and 0 at every other free column.  One descending
+    fraction-free pass over the pivot columns `order` left of f (a pivot
+    row only reaches columns right of its pivot): before each pivot value
+    is divided out exactly, the partial vector is scaled by m = |p| // g
+    for the pivot p, the row sum s and g = gcd(s, p).  The new entry
+    -s * m // p is s // g up to sign, which is coprime to m, so the content
+    stays 1 from the start {f: 1}."""
+    x = {f: 1}
+    for col in order:
+        if col >= f:
+            continue
         row = pivots[col]
         s = sum(v * x[k] for k, v in row.items() if k in x)
         if s:
-            x[col] = -s / row[col]
+            p = row[col]
+            m = abs(p) // gcd(s, p)
+            if m > 1:
+                for k in x:
+                    x[k] *= m
+            x[col] = -s * m // p
     return x
+
+
+def _exact_div(a, b):
+    """a / b for an int or Fraction a and a nonzero int b: an int when the
+    division is exact, a Fraction otherwise."""
+    if isinstance(a, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
 
 
 def sparse_rank(rows):
@@ -128,20 +155,25 @@ def sparse_nullspace(rows, ncols):
     """Basis of the nullspace of the matrix over Q.
 
     `rows` is a list of sparse rows over columns 0..ncols-1; the result is
-    a list of sparse vectors (dict col -> Fraction) spanning {x | Ax = 0},
-    one per non-pivot column f, with 1 at f and 0 at the other non-pivot
-    columns.
+    a list of integral sparse vectors (dict col -> int) spanning
+    {x | Ax = 0}, one per non-pivot column f, with content 1, a positive
+    entry at f and 0 at the other non-pivot columns.
     """
     pivots = _echelon(rows)
-    return [_back_substitute(pivots, {f: Fraction(1)})
+    order = sorted(pivots, reverse=True)
+    return [_kernel_vector(pivots, order, f)
             for f in range(ncols) if f not in pivots]
 
 
 def nullspace_coords(basis, target):
     """Coefficients of sparse `target` in a `sparse_nullspace` basis (keys
     relabelled in column order are fine), or None: each is target's entry
-    at its vector's largest key, kept only if they rebuild target exactly."""
-    coeffs = [Fraction(target.get(max(b), 0)) for b in basis]
+    at its vector's largest key divided by the vector's entry there (an int
+    when exact, else a Fraction), kept only if they rebuild target exactly."""
+    coeffs = []
+    for b in basis:
+        f = max(b)
+        coeffs.append(_exact_div(target.get(f, 0), b[f]))
     rest = dict(target)
     for c, b in zip(coeffs, basis):
         if c:
@@ -153,9 +185,12 @@ def nullspace_coords(basis, target):
 def solve_in_span(basis, target):
     """Coefficients expressing sparse vector `target` in `basis`, or None.
 
-    `basis` is a list of sparse vectors.  Returns a list of Fractions c with
-    sum(c_i * basis_i) == target, or None when target is outside the span;
-    a basis vector dependent on earlier ones gets coefficient 0.
+    `basis` is a list of sparse vectors.  Returns a list c of ints and
+    Fractions with sum(c_i * basis_i) == target, or None when target is
+    outside the span; a basis vector dependent on earlier ones gets
+    coefficient 0.  The vectors and target are the columns of one system,
+    target last: its kernel vector at the target column x gives
+    c_i = -x_i / x_target.
     """
     cols = len(basis)
     support = set(target)
@@ -170,8 +205,8 @@ def solve_in_span(basis, target):
     pivots = _echelon(rows)
     if cols in pivots:
         return None
-    x = _back_substitute(pivots, {cols: Fraction(-1)})
-    return [x.get(j, Fraction(0)) for j in range(cols)]
+    x = _kernel_vector(pivots, sorted(pivots, reverse=True), cols)
+    return [_exact_div(-x.get(j, 0), x[cols]) for j in range(cols)]
 
 
 # -- sheaf maps, and dense adapters (lists of lists) ------------------------
@@ -199,6 +234,6 @@ def mat_rank(a):
 
 
 def mat_nullspace(a, ncols):
-    """Dense nullspace: returns list of column vectors (lists of Fractions)."""
-    return [[vec.get(i, Fraction(0)) for i in range(ncols)]
+    """Dense nullspace: returns list of column vectors (lists of ints)."""
+    return [[vec.get(i, 0) for i in range(ncols)]
             for vec in sparse_nullspace(_dense_rows(a), ncols)]

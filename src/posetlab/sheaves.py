@@ -1,12 +1,12 @@
 """Sheaves on posets: cellular complexes, duality, and the C/D operations.
 
 A sheaf stores per-element stalk dimensions and exact rational restriction
-maps on cover pairs, in the format of the elimination kernel in `linalg`:
-the map F_hi -> F_lo is a list of dim F_lo sparse rows, each a dict
-{column: nonzero value} over the columns 0 .. dim F_hi - 1.  Ranks,
-nullspaces and coordinates read these rows as they are, and arbitrary
-restrictions are composed along cover paths with `linalg.mat_mul` (well
-defined because commutation is validated).
+maps (int or Fraction entries, never floats) on cover pairs, in the format
+of the elimination kernel in `linalg`: the map F_hi -> F_lo is a list of
+dim F_lo sparse rows, each a dict {column: nonzero value} over the columns
+0 .. dim F_hi - 1.  Ranks, nullspaces and coordinates read these rows as
+they are, and arbitrary restrictions are composed along cover paths with
+`linalg.mat_mul` (well defined because commutation is validated).
 
 Cellular complexes live on the base poset itself, with the cells graded by
 corank.  Their incidence signs come from an orientation (Karu, "The
@@ -24,11 +24,14 @@ The D operation needs a surjection alpha: C(F)-dual -> C(F) assembled from
 a "generic enough" random rational combination of the per-cell maps
 alpha_f, one per basis section at each top-rank element s.  Each goes
 through the dual of the constant sheaf on [bottom, s), read off the
-orientation rather than built.  The randomness source is explicit and the
-seed-independent part (C(F), its dual, the alpha_f family) is cached per
-input sheaf, so seed sweeps only redo the cheap assembly, surjectivity
-check and kernel extraction.  Coordinates in degree-zero cohomology bases
-are read with `linalg.nullspace_coords`, not solved for.
+orientation rather than built.  The rational draws are scaled by the lcm
+of their denominators to integers: alpha changes by one positive scalar,
+which leaves its ranks and its integral nullspace bases as they are.  The
+randomness source is explicit and the seed-independent part (C(F), its
+dual, the alpha_f family) is cached per input sheaf, so seed sweeps only
+redo the cheap assembly, surjectivity check and kernel extraction.
+Coordinates in degree-zero cohomology bases are read with
+`linalg.nullspace_coords` by one exact division, not solved for.
 
 `cd_coefficient_via_CD` caches the constant sheaf and its C's on the poset
 P.  That sheaf lives on a copy of P (its top skeleton, same ids), so the
@@ -40,6 +43,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import flags, homology
 from .linalg import (betti_from_ranks, mat_mul, nullspace_coords,
@@ -196,8 +200,9 @@ def _orientation(base):
 
     Built in rank order: once [bottom, z) is certified Gorenstein*, the
     signs on the lower covers of z span the nullspace of those sums, a line
-    spanned by a +-1 vector; its entry at the first lower cover is +1, so
-    every atom gets +1 against the bottom.  Raises BadBase naming z when
+    spanned by a +-1 vector.  The signs compare the integral basis vector's
+    entries exactly with its entry at the first lower cover, which gets +1,
+    so every atom gets +1 against the bottom.  Raises BadBase naming z when
     [bottom, z) is not Gorenstein* or the nullspace is not such a line.
     """
     eps = base._cache.get("orientation")
@@ -212,15 +217,16 @@ def _orientation(base):
                 for x in _down_covers(base, y):
                     rows.setdefault(x, {})[j] = eps[(x, y)]
             null = sparse_nullspace(list(rows.values()), len(below))
-            lead = null[0].get(0) if len(null) == 1 else None
-            signs = [null[0].get(j, 0) / lead for j in range(len(below))] if lead else []
-            if (not signs or any(abs(s) != 1 for s in signs)
+            vec = null[0] if len(null) == 1 else {}
+            lead = vec.get(0)
+            entries = [vec.get(j, 0) for j in range(len(below))]
+            if (not lead or any(abs(v) != abs(lead) for v in entries)
                     or not homology.is_gorenstein_star(
                         interval_view(base, base._bottom_idx, base._index(z)))):
                 raise BadBase(f"no orientation below {z!r}: "
                               f"[bottom, {z!r}) is not Gorenstein*")
-            for y, s in zip(below, signs):
-                eps[(y, z)] = int(s)
+            for y, v in zip(below, entries):
+                eps[(y, z)] = 1 if v * lead > 0 else -1
         base._cache["orientation"] = eps
     return eps
 
@@ -431,16 +437,7 @@ def op_D(F, rng, check=True):
     sk = cf.base
     failed_at = None
     for _attempt in range(OP_D_RETRIES):
-        coeffs = [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
-                  for _ in family]
-        alpha = {}
-        for sigma in sk.elements():
-            rows = [{} for _ in range(cf.dim(sigma))]
-            for c, maps in zip(coeffs, family):
-                for acc, row in zip(rows, maps.get(sigma, ())):
-                    for j, v in row.items():
-                        acc[j] = acc.get(j, 0) + c * v
-            alpha[sigma] = rows
+        alpha = _draw_alpha(cf, family, rng)
         failed_at = next((tau for tau in sk.elements()
                           if sk.rank(tau) == sk.n and cf.dim(tau)
                           and sparse_rank(alpha[tau]) != cf.dim(tau)), None)
@@ -449,6 +446,26 @@ def op_D(F, rng, check=True):
     raise SurjectivityFailed(
         f"no surjective combination found after {OP_D_RETRIES} tries "
         f"(last failure at {failed_at!r})")
+
+
+def _draw_alpha(cf, family, rng):
+    """One random combination of the alpha_f, stalk by stalk, scaled to
+    integer coefficients: the draws are positive rationals, multiplied by
+    the lcm of their denominators.  That changes alpha by one positive
+    scalar, which changes no rank and no normalised `sparse_nullspace`."""
+    coeffs = [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+              for _ in family]
+    scale = lcm(*(c.denominator for c in coeffs))
+    coeffs = [c.numerator * (scale // c.denominator) for c in coeffs]
+    alpha = {}
+    for sigma in cf.base.elements():
+        rows = [{} for _ in range(cf.dim(sigma))]
+        for c, maps in zip(coeffs, family):
+            for acc, row in zip(rows, maps.get(sigma, ())):
+                for j, v in row.items():
+                    acc[j] = acc.get(j, 0) + c * v
+        alpha[sigma] = rows
+    return alpha
 
 
 def _kernel_sheaf(cf, cf_dual, alpha):

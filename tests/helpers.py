@@ -4,10 +4,13 @@ Everything here is deliberately naive: chains are materialized one by one,
 Euler sums run over all pairs, isomorphism is a backtracking search,
 products scan every factor cover for every pair, cd-splits are solved for
 in the span of expanded cd-words, and sheaves are pulled back to the order
-complex, whose simplicial signs need no orientation.  The
-`composed_posets` strategy draws the posets that the property tests share.
+complex, whose simplicial signs need no orientation.  Two oracles keep an
+earlier form of a routine: the structural check scanning for covers, and
+op_D's random combination summed in Fractions.  The `composed_posets`
+strategy draws the posets that the property tests share.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 
 from hypothesis import strategies as st
@@ -244,6 +247,32 @@ def cellular_betti_mod2_oracle(root, x, gap):
     return {k - 1: b for k, b in enumerate(betti) if b}
 
 
+def structural_check_oracle(root, mask, bottom_idx, n):
+    """`homology._structural_check` finding every member's covers inside
+    `mask` by scanning its up-set, whatever the mask: the verdicts and
+    witnesses the `_covers_up` shortcut on closed masks must keep."""
+    if not (mask >> bottom_idx) & 1:
+        return hm.CertResult(False, "bottom not in subset")
+    base = root._rank[bottom_idx]
+    members = list(_bits(mask))
+    for i in members:
+        if root._rank[i] - base < 0:
+            return hm.CertResult(False, "element below the bottom rank", (root._ids[i],))
+        if i != bottom_idx and not (root._geq[bottom_idx] >> i) & 1:
+            return hm.CertResult(False, "element not above the bottom", (root._ids[i],))
+        if root._rank[i] - base > n:
+            return hm.CertResult(False, f"element above rank {n}", (root._ids[i],))
+    for i in members:
+        covers = root._minimal_in(root._geq[i] & mask & ~(1 << i))
+        if not covers and root._rank[i] - base != n:
+            return hm.CertResult(False, "maximal element below top rank", (root._ids[i],))
+        for j in covers:
+            if root._rank[j] - root._rank[i] >= 2:
+                return hm.CertResult(False, "cover skips a rank",
+                                     (root._ids[i], root._ids[j]))
+    return hm.CertResult(True)
+
+
 def wedge_at_bottom(P, Q):
     """P and Q, of equal rank, glued at their bottoms and nowhere else."""
     assert P.n == Q.n
@@ -403,6 +432,23 @@ def simplicial_cellular_complex(F, support=None):
     cc = CellularComplex(coords, diff_rows)
     _check_d_squared(cc)
     return cc
+
+
+def fraction_alpha_oracle(cf, family, rng):
+    """`sheaves._draw_alpha` as first written: the same draws, summed as
+    Fraction coefficients with no scaling to integers.  Its ranks and
+    normalised nullspace bases must be the integer-scaled alpha's."""
+    coeffs = [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+              for _ in family]
+    alpha = {}
+    for sigma in cf.base.elements():
+        rows = [{} for _ in range(cf.dim(sigma))]
+        for c, maps in zip(coeffs, family):
+            for acc, row in zip(rows, maps.get(sigma, ())):
+                for j, v in row.items():
+                    acc[j] = acc.get(j, 0) + c * v
+        alpha[sigma] = rows
+    return alpha
 
 
 def zero_sheaf(base):

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 
 from helpers import (all_chains, cellular_betti_mod2_oracle, cellular_rows_oracle,
                      composed_posets, derive_boundary_oracle, rp2_face_poset,
-                     rp3_face_poset)
+                     rp3_face_poset, structural_check_oracle)
 from posetlab import constructions as cons
 from posetlab import homology as hm
-from posetlab.corpus import gorenstein_corpus, lattice_corpus
+from posetlab.corpus import gorenstein_corpus, lattice_corpus, proper_elements
 from posetlab.poset import (GradedPoset, PosetError, _bits, from_json, iter_chains,
                             to_json)
+from posetlab.subdivision import _fiber_masks
 
 
 def path_poset():
@@ -689,3 +690,41 @@ def test_interval_walk_against_simplicial_oracles(drawn):
     if not rep:
         betti = hm.reduced_homology(hm.link(K, rep.witness)).as_dict()
         assert betti == rep.betti != {P.n - len(rep.witness) - 1: 1}
+
+
+def test_structural_check_against_the_cover_scan_oracle():
+    """`_structural_check` reads covers from `_covers_up` on a mask closed
+    below its members; its verdicts and witnesses are the up-set scan's on
+    the corpus posets, every `remove_upset` ball and boundary, and every
+    closed and open fiber of the subdivision and collapse maps of the
+    lattice corpus.  Each mask is also checked without its atoms, its
+    middle member and its last member: the first two are mostly not closed,
+    so the scan runs, and all three may fail."""
+    cases = [(P, P._mask, P._bottom_idx, P.n) for _, P in gorenstein_corpus(4)]
+    for _, L in lattice_corpus(4):
+        for nu in proper_elements(L):
+            ball, boundary = cons.remove_upset(L, nu)
+            cases.append((ball, ball._mask, ball._bottom_idx, ball.n))
+            cases.append((ball, ball._mask_of(boundary), ball._bottom_idx, ball.n - 1))
+            for phi in (cons.subdivision_target_and_map(L, nu)[1],
+                        cons.collapse_map(L, nu)):
+                closed, image_bit = _fiber_masks(phi)
+                for s, cmask in closed.items():
+                    r = phi.target.rank(s)
+                    cases.append((L, cmask, L._bottom_idx, r))
+                    cases.append((L, cmask & ~image_bit[s], L._bottom_idx, r - 1))
+    checks = {}
+    for P, mask, bottom, n in cases:
+        root = P._root
+        others = [i for i in _bits(mask) if i != bottom]
+        atoms = sum(1 << i for i in others
+                    if root._rank[i] == root._rank[bottom] + 1)
+        drop = others[len(others) // 2:][:1] + others[-1:]
+        for m in [mask, mask & ~atoms] + [mask & ~(1 << i) for i in drop]:
+            checks[(id(root), m, bottom, n)] = root
+    verdicts = set()
+    for (_, m, bottom, n), root in checks.items():
+        got = hm._structural_check(root, m, bottom, n)
+        assert got == structural_check_oracle(root, m, bottom, n), (m, n)
+        verdicts.add(got.reason)
+    assert {"", "maximal element below top rank", "cover skips a rank"} <= verdicts

@@ -1,6 +1,7 @@
 """The exact Q kernel of `linalg` against an independent dense oracle."""
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +16,9 @@ SCALARS = st.one_of(st.just(0), st.integers(-3, 3),
                     st.fractions(min_value=-3, max_value=3, max_denominator=4))
 
 
-def oracle_pivots(matrix, ncols):
-    """Pivot columns of the reduced row echelon form, by dense Fraction
-    Gauss-Jordan elimination."""
+def oracle_rref(matrix, ncols):
+    """The reduced row echelon form and its pivot columns, by dense
+    Fraction Gauss-Jordan elimination."""
     a = [[Fraction(x) for x in row] for row in matrix]
     pivots = []
     r = 0
@@ -32,7 +33,11 @@ def oracle_pivots(matrix, ncols):
                 a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
-    return pivots
+    return a[:r], pivots
+
+
+def oracle_pivots(matrix, ncols):
+    return oracle_rref(matrix, ncols)[1]
 
 
 def oracle_rank(matrix, ncols):
@@ -65,22 +70,50 @@ def test_rank_matches_oracle(case):
     assert mat_rank(rows) == rank
 
 
+def exact(value):
+    """An int or a Fraction, never a float (nor a bool)."""
+    return type(value) in (int, Fraction)
+
+
 @SETTINGS
 @given(matrices())
 def test_nullspace_is_the_canonical_basis(case):
     rows, ncols = case
-    free = [c for c in range(ncols) if c not in oracle_pivots(rows, ncols)]
+    rref, pivots = oracle_rref(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
     basis = sparse_nullspace([sparse(row) for row in rows], ncols)
-    assert len(basis) == ncols - oracle_rank(rows, ncols) == len(free)
+    assert len(basis) == ncols - len(pivots) == len(free)
     for f, vec in zip(free, basis):
-        assert all(isinstance(v, Fraction) and v for v in vec.values())
+        # integral, content 1, a positive entry at its own free column
+        assert all(type(v) is int and v for v in vec.values())
+        assert gcd(*vec.values()) == 1
+        assert vec[f] > 0
         assert all(sum(row[k] * v for k, v in vec.items()) == 0 for row in rows)
-        assert {c: vec.get(c, 0) for c in free} == {c: int(c == f) for c in free}
+        assert not any(vec.get(c) for c in free if c != f)
         # back-substitution stops at the free column: it is the largest
         assert max(vec) == f
+        # divided by its free entry it is the reduced echelon form's vector
+        # with 1 at f
+        canonical = {f: Fraction(1)}
+        canonical.update({c: -row[f] for c, row in zip(pivots, rref) if row[f]})
+        assert {k: Fraction(v, vec[f]) for k, v in vec.items()} == canonical
     if rows:
         assert mat_nullspace(rows, ncols) == [
-            [vec.get(c, Fraction(0)) for c in range(ncols)] for vec in basis]
+            [vec.get(c, 0) for c in range(ncols)] for vec in basis]
+
+
+@SETTINGS
+@given(matrices(), st.lists(st.fractions(min_value=Fraction(1, 4), max_value=4,
+                                         max_denominator=5),
+                            min_size=8, max_size=8))
+def test_positive_row_scaling_leaves_the_nullspace_basis(case, scales):
+    # op_D scales its random combination alpha by one positive integer; a
+    # basis normalised to content 1 and a positive free entry depends on
+    # the kernel alone
+    rows, ncols = case
+    scaled = [[c * x for x in row] for c, row in zip(scales, rows)]
+    assert (sparse_nullspace([sparse(row) for row in scaled], ncols)
+            == sparse_nullspace([sparse(row) for row in rows], ncols))
 
 
 @SETTINGS
@@ -101,7 +134,7 @@ def test_solve_in_span_reconstructs_or_refuses(case, data):
         assert got is None
         return
     assert len(got) == len(vectors)
-    assert all(isinstance(c, Fraction) for c in got)
+    assert all(exact(c) for c in got)
     assert [sum((c * vec[j] for c, vec in zip(got, vectors)), 0)
             for j in range(ncols)] == target
     for i, vec in enumerate(vectors):
@@ -132,7 +165,10 @@ def test_nullspace_coords_agree_with_solve_in_span(case, data):
     assert got == solve_in_span(basis, target)
     if inside:
         assert got == [Fraction(c) for c in coeffs]
-        assert all(isinstance(c, Fraction) for c in got)
+        assert all(exact(c) for c in got)
+        # an int exactly when the coefficient is a whole number
+        assert [type(c) is int for c in got] == [
+            Fraction(c).denominator == 1 for c in coeffs]
 
 
 @SETTINGS
@@ -146,10 +182,17 @@ def test_rank_mod2_bounds_the_rational_rank(rows):
 def test_canonical_vectors_on_a_fixed_matrix():
     # columns 0 and 2 pivot; column 1 = -2 * column 0, column 3 = 3 * column 2 - column 0
     rows = [{0: 1, 1: -2, 3: -1}, {0: 2, 1: -4, 2: 1, 3: 1}]
-    assert sparse_nullspace(rows, 4) == [{1: Fraction(1), 0: Fraction(2)},
-                                         {3: Fraction(1), 2: Fraction(-3),
-                                          0: Fraction(1)}]
+    assert sparse_nullspace(rows, 4) == [{1: 1, 0: 2}, {3: 1, 2: -3, 0: 1}]
     basis = [{0: 1, 1: 2}, {0: -2, 1: -4}, {1: 1}]
-    assert solve_in_span(basis, {0: 3, 1: 7}) == [Fraction(3), Fraction(0),
-                                                  Fraction(1)]
+    assert solve_in_span(basis, {0: 3, 1: 7}) == [3, 0, 1]
     assert solve_in_span(basis[:2], {0: 3, 1: 7}) is None
+    # a pivot of 2: the free entry holds the denominator, coordinates divide
+    # exactly there and stay ints when they can
+    basis = sparse_nullspace([{0: 2, 1: 1, 2: 1}], 3)
+    assert basis == [{1: 2, 0: -1}, {2: 2, 0: -1}]
+    assert nullspace_coords(basis, {0: -1, 1: 2}) == [1, 0]
+    assert nullspace_coords(basis, {0: -1, 1: 1, 2: 1}) == [Fraction(1, 2),
+                                                             Fraction(1, 2)]
+    assert nullspace_coords(basis, {0: 1, 1: 2}) is None
+    assert solve_in_span(basis, {0: -1, 1: 1, 2: 1}) == [Fraction(1, 2),
+                                                         Fraction(1, 2)]

@@ -5,14 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from helpers import (composed_posets, is_gorenstein_sheaf, pullback,
-                     sheaf_cd_split, simplicial_cellular_complex,
+from helpers import (composed_posets, fraction_alpha_oracle, is_gorenstein_sheaf,
+                     pullback, sheaf_cd_split, simplicial_cellular_complex,
                      torus_face_poset, wedge_at_bottom, zero_sheaf)
 from posetlab import constructions as cons
 from posetlab import flags
 from posetlab import homology as hm
 from posetlab import sheaves as sh
 from posetlab.corpus import gorenstein_corpus
+from posetlab.linalg import sparse_nullspace, sparse_rank
 from posetlab.ncpoly import cd, cd_words
 from posetlab.poset import GradedPoset, from_json, to_json
 
@@ -265,7 +266,7 @@ def test_facet_duals_are_read_off_the_orientation():
                 supp = [t for t in base.down_set(s) if t != s]
                 D = sh.dual_sheaf(sh.constant_sheaf(sk, supp))
                 at_bottom = D._h0[sk.bottom][0]
-                scale = 1 / at_bottom[min(at_bottom)]
+                scale = Fraction(1, at_bottom[min(at_bottom)])
                 for sigma in supp:
                     (gen,) = D._h0[sigma]
                     c = D.res_between(sigma, sk.bottom)[0][0] * scale
@@ -322,6 +323,51 @@ class TestOpD:
         F = sh.constant_sheaf(polygon3, supp)
         with pytest.raises(sh.SurjectivityFailed):
             sh.op_D(F, random.Random(0), check=False)
+
+
+def _exact_entries(F):
+    """Every restriction entry of F is an int or a Fraction, never a float."""
+    return all(type(v) in (int, Fraction)
+               for rows in F.res.values() for row in rows for v in row.values())
+
+
+def test_integer_alpha_keeps_the_fraction_alpha_kernels():
+    """Along every word's C/D chain on gorenstein_corpus(4), for three
+    seeds: op_D's integer-scaled alpha makes the same draws as the Fraction
+    assembly it replaced, has the same ranks and normalised nullspace
+    bases, so `_kernel_sheaf` builds the same sheaf from both; and no float
+    enters the constant, C, D or dual sheaves."""
+    for name, P in gorenstein_corpus(4):
+        if P.n < 2:
+            continue
+        for seed in range(3):
+            for w in cd_words(P.n):
+                rng = random.Random(seed)
+                F = sh.constant_sheaf(P)
+                for letter in reversed(w):
+                    assert _exact_entries(F), (name, w)
+                    if letter == "c":
+                        F = sh.op_C(F, check=False)
+                        continue
+                    cf, cf_dual, family = sh._alpha_family(F, check=False)
+                    assert _exact_entries(cf) and _exact_entries(cf_dual), (name, w)
+                    old_rng = random.Random()
+                    old_rng.setstate(rng.getstate())
+                    alpha = sh._draw_alpha(cf, family, rng)
+                    old = fraction_alpha_oracle(cf, family, old_rng)
+                    assert rng.getstate() == old_rng.getstate()
+                    for sigma, rows in alpha.items():
+                        assert all(type(v) in (int, Fraction)
+                                   for row in rows for v in row.values())
+                        assert sparse_rank(rows) == sparse_rank(old[sigma])
+                        ncols = cf_dual.dim(sigma)
+                        assert (sparse_nullspace(rows, ncols)
+                                == sparse_nullspace(old[sigma], ncols)), (name, w, sigma)
+                    K = sh._kernel_sheaf(cf, cf_dual, alpha)
+                    K_old = sh._kernel_sheaf(cf, cf_dual, old)
+                    assert (K.stalk_dim, K.res) == (K_old.stalk_dim, K_old.res)
+                    F = K
+                assert _exact_entries(F), (name, w)
 
 
 class TestSheafAbIndex:

@@ -16,10 +16,10 @@ from .constructions import (PosetMap, boolean_algebra, cartesian_product,
                             polytope_product, pyr_poset, remove_upset,
                             semisuspension, star_product,
                             subdivision_target_and_map, with_top)
-from .homology import (HomologyProfile, SimplicialComplex, derive_boundary,
-                       is_cohen_macaulay, is_gorenstein_complex,
-                       is_gorenstein_star, is_near_gorenstein_star, link,
-                       order_complex_simplicial, reduced_homology)
+from .homology import (SimplicialComplex, derive_boundary, is_cohen_macaulay,
+                       is_gorenstein_complex, is_gorenstein_star,
+                       is_near_gorenstein_star, link, order_complex_simplicial,
+                       reduced_homology)
 from .subdivision import (decompose, is_subdivision, verify_corollary_semisusp,
                           verify_main_inequality, verify_stanley_minimum,
                           verify_subdivision_inequality)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import constructions as cons
 from . import flags, homology, sheaves, subdivision
 from .ncpoly import (NcPoly, ab_expand, alpha, alpha_ab_form, cd_contract,
-                     cd_words, to_text)
+                     cd_words, pyr_op, to_text)
 from .poset import TOP
 
 
@@ -246,7 +246,6 @@ def criterion_8_algebra_properties(seed=0, trials=500, max_rank=4):
             S = cons.star_product(P, Q)
             if flags.ab_index(S) != flags.ab_index(P) * flags.ab_index(Q):
                 return False, "star product is not multiplicative"
-    from .ncpoly import pyr_op
     for name, P in gorenstein_corpus(max_rank):
         if P.n > 3:
             continue

@@ -36,10 +36,11 @@ and `cd_of` contracts each key once per memo.  The memo lives in the
 `_cache` of the poset being swept (`decompose` uses its source's, next to
 the fiber-Phi cache), so it lasts exactly as long as the maps or intervals
 whose keys repeat; a process-wide memo would outlive them.
-`near_cd_index` contracts both parts of its split through the same memo,
-so the fibers of one source share them.  `cd_index` always contracts
-afresh.  Only successes are stored, so a key that is not cd-expressible
-raises NotEulerian (NotExpressible in `near_cd_index`) on every call.
+`cd_index` contracts its poset's key through the memo of the poset's root,
+and `near_cd_index` both parts of its split, so the fibers of one source
+share them.  Only successes are stored, so a key that is not
+cd-expressible raises NotEulerian (NotExpressible in `near_cd_index`) on
+every call.
 
 Everything returns exact NcPoly values; contraction failures surface as
 NotEulerian.
@@ -143,9 +144,13 @@ def ab_index(P, scale=None):
     included); homogeneous of degree n.  With `scale`, each chain's
     weight is multiplied by scale(i) at the root index i of its largest
     element (the sheaf engine passes dim F); scale must be a nonnegative
-    integer, since negative slots cannot be packed.
+    integer, since negative slots cannot be packed."""
+    return ab_of(_ab_key(P, scale))
 
-    One bottom-up packed walk (see the module docstring), inverted over
+
+def _ab_key(P, scale=None):
+    """The key (n, h) of `ab_index(P, scale)`, h in `_ab_words(n)` order:
+    one bottom-up packed walk (see the module docstring), inverted over
     subsets into the ab-word coefficients."""
     order, near, level = _plan(P, False)
     bot = P._bottom_idx
@@ -158,7 +163,7 @@ def ab_index(P, scale=None):
     width = max(total, max(count.values(), default=0)).bit_length()
     _, out = _pack(order, near, level, width)
     f = w_bot + sum(w * out[i] for w, i in zip(weights, order))
-    return ab_of((P.n, _flag_h(f, width, P.n)))
+    return P.n, tuple(_flag_h(f, width, P.n))
 
 
 def _intervals(P, top_down, among):
@@ -216,13 +221,6 @@ def ab_of(key):
     return NcPoly("ab", dict(zip(_ab_words(n), h)))
 
 
-def _contract(ab):
-    try:
-        return cd_contract(ab)
-    except NotExpressible as exc:
-        raise NotEulerian(str(exc)) from exc
-
-
 def contraction_memo(P):
     """The memo `cd_of` keeps for P's root poset."""
     return P._root._cache.setdefault("cd_contract", {})
@@ -247,13 +245,14 @@ def cd_of(key, memo):
 
 
 def cd_index(P):
-    """cd-index of an Eulerian poset: cd_contract(ab_index(P))."""
+    """cd-index of an Eulerian poset: cd_contract(ab_index(P)), through
+    `cd_of` and the contraction memo of P's root."""
     if isinstance(P, GradedPoset):
         if "cd_index" in P._cache:
             return P._cache["cd_index"]
         if not P.is_eulerian():
             raise NotEulerian("cd_index needs an Eulerian poset")
-    res = _contract(ab_index(P))
+    res = cd_of(_ab_key(P), contraction_memo(P))
     if isinstance(P, GradedPoset):
         P._cache["cd_index"] = res
     return res
@@ -282,13 +281,11 @@ def near_cd_index(P, boundary_ids):
     always contains the bottom, whether or not boundary_ids names it.
     """
     boundary_ids = set(boundary_ids)
-    n = P.n
-    h = tuple(map(ab_index(P).coeff, _ab_words(n)))
+    n, h = _ab_key(P)
     if boundary_ids:
         root = P._root
         bmask = (root._mask_of(boundary_ids) & P._mask) | 1 << P._bottom_idx
-        psi_b = ab_index(SubPoset(root, bmask, P._bottom_idx, n - 1))
-        hb = tuple(map(psi_b.coeff, _ab_words(n - 1)))
+        _, hb = _ab_key(SubPoset(root, bmask, P._bottom_idx, n - 1))
     else:
         hb = (0,) * len(_ab_words(n - 1))
     # the words of psi_b * a are the first len(hb) words of degree n

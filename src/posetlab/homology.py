@@ -69,8 +69,8 @@ the kernel answers those by popcount and needs no precondition for them.
 interval is a sphere and each (x, top) a sphere or acyclic; a walk that
 accepts exactly that reads the boundary off as the bottom plus the x whose
 (x, top) is acyclic, and on a ball without 2-torsion it never leaves the
-cellular route.  Only when the walk fails does the chain route recompute
-each element's links, so that the error says why.  The chain
+cellular route.  A walk that fails has proved the poset no ball, so its
+witness chain and that chain's link Betti numbers are the error.  The chain
 route counts its faces before it builds them and refuses more than
 FACE_BUDGET (FaceBudgetExceeded, a ValueError).
 """
@@ -180,39 +180,6 @@ class SimplicialComplex:
         return f"SimplicialComplex(dim={self.dim}, f={self.f_vector()})"
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
-    """Reduced Betti numbers; betti[i] is the dimension in degree i-1, so
-    the empty-simplex degree -1 (nonzero exactly for the empty complex)
-    sits at index 0."""
-
-    betti: tuple
-
-    @classmethod
-    def from_dict(cls, d):
-        if not d:
-            return cls(())
-        top = max(d)
-        return cls(tuple(d.get(i, 0) for i in range(-1, top + 1)))
-
-    def degree(self, d):
-        i = d + 1
-        return self.betti[i] if 0 <= i < len(self.betti) else 0
-
-    def as_dict(self):
-        return {i - 1: b for i, b in enumerate(self.betti) if b}
-
-    def is_zero(self):
-        return all(b == 0 for b in self.betti)
-
-    def is_real_in_degree(self, d):
-        """Exactly one dimension of homology, sitting in degree d."""
-        return self.as_dict() == {d: 1}
-
-    def euler_characteristic_reduced(self):
-        return sum((-1) ** (i - 1) * b for i, b in enumerate(self.betti))
-
-
 def _boundary_betti(faces, rank, boundary_row):
     """Reduced Betti numbers {degree: dim}, nonzero only, of the simplicial
     complex whose d-faces are faces[d] (ascending vertex tuples) for
@@ -244,9 +211,10 @@ def _faces_betti_mod2(faces):
 
 
 def reduced_homology(K):
-    """Reduced Betti numbers over Q via exact ranks of the augmented
-    boundary matrices."""
-    return HomologyProfile.from_dict(_faces_betti({-1: [()], **K.by_dim}))
+    """Reduced Betti numbers {degree: dim}, nonzero only, over Q via exact
+    ranks of the augmented boundary matrices: {-1: 1} for the empty
+    complex, {} for an acyclic one."""
+    return _faces_betti({-1: [()], **K.by_dim})
 
 
 def link(K, s):
@@ -272,7 +240,7 @@ def is_gorenstein_complex(K):
         raise NotPure(f"maximal simplices in dimensions {sorted(maximal_dims)}")
     for s in K.all_simplices():
         want = K.dim - len(s)
-        if not reduced_homology(link(K, s)).is_real_in_degree(want):
+        if reduced_homology(link(K, s)) != {want: 1}:
             return False
     return True
 
@@ -634,8 +602,9 @@ def derive_boundary(P):
     each (bottom, x) is a sphere, so the link of x vanishes exactly then.
     An acyclic (x, top) does not end the walk's cellular route, since it
     lies inside no interval visited later.  When the walk fails the poset is
-    no ball, and the chain route recomputes the candidate element by
-    element, so that the error says why."""
+    no ball, and the error names the walk's witness chain and the Betti
+    numbers of its link: no chain of a ball has them, since its links are
+    spheres, or acyclic for chains inside the boundary, below rank n."""
     root, bottom = P._root, P._bottom_idx
     bmask = 1 << bottom
 
@@ -646,14 +615,10 @@ def derive_boundary(P):
             return True
         return betti == {d: 1}
 
-    if _first_bad_interval(root, P._mask, bottom, P.n, fits):
-        above_bottom = root._geq[bottom] & P._mask & ~(1 << bottom)
-        bmask = 1 << bottom
-        for i in _bits(P._mask & ~(1 << bottom)):
-            lower = _subset_betti(root, above_bottom & root._leq[i] & ~(1 << i))
-            upper = _subset_betti(root, root._geq[i] & P._mask & ~(1 << i))
-            if not lower or not upper:
-                bmask |= 1 << i
+    bad = _first_bad_interval(root, P._mask, bottom, P.n, fits)
+    if bad:
+        raise NotNearGorenstein(f"not a homology ball: the link of chain {bad[0]!r} "
+                                f"has reduced Betti numbers {bad[1]!r}")
     if P.n == 0:
         bmask = 0
     else:

@@ -272,17 +272,10 @@ def alpha_ab_form(k):
     return term1 + term2 * B
 
 
-def coeffwise_leq(p, q):
-    """True iff every coefficient of p is <= the matching one of q."""
-    _require_alphabet(p.alphabet, q)
-    for w in set(p.terms) | set(q.terms):
-        if p.coeff(w) > q.coeff(w):
-            return False
-    return True
-
-
 def coeffwise_witness(p, q):
-    """Words where p's coefficient exceeds q's (degree-lex order)."""
+    """Words where p's coefficient exceeds q's (degree-lex order); p <= q
+    coefficientwise exactly when there is none."""
+    _require_alphabet(p.alphabet, q)
     bad = [w for w in set(p.terms) | set(q.terms) if p.coeff(w) > q.coeff(w)]
     return sorted(bad, key=lambda w: (word_degree(p.alphabet, w), w))
 

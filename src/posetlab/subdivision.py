@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import constructions, flags, homology
-from .ncpoly import NcPoly, coeffwise_leq, coeffwise_witness, to_text
-from .poset import NotALattice, SubPoset, _bits, upper_view
+from .ncpoly import NcPoly, coeffwise_witness, pyr_op, to_text
+from .poset import NotALattice, SubPoset, _bits, interval_view, upper_view
 
 
 class RankMismatch(Exception):
@@ -174,8 +174,8 @@ def verify_subdivision_inequality(phi):
         raise NotASubdivision(report.reason)
     lo = flags.cd_index(phi.target)
     hi = flags.cd_index(phi.source)
-    ok = coeffwise_leq(lo, hi)
-    return InequalityReport(ok, hi, lo, tuple(coeffwise_witness(lo, hi)))
+    witness = tuple(coeffwise_witness(lo, hi))
+    return InequalityReport(not witness, hi, lo, witness)
 
 
 def verify_main_inequality(L, nu):
@@ -190,17 +190,13 @@ def verify_main_inequality(L, nu):
     if nu == L.bottom:
         raise ValueError("nu must satisfy 0 < nu < top")
     left = flags.cd_index(L)
-    lower = L.interval(L.bottom, nu, closed_upper=False)
-    upper = upper_view(L, nu)
-    from .ncpoly import pyr_op
-    right = flags.cd_index(lower) * pyr_op(flags.cd_index(upper))
-    right_dual = pyr_op(flags.cd_index(lower)) * flags.cd_index(upper)
-    ok1 = coeffwise_leq(right, left)
-    ok2 = coeffwise_leq(right_dual, left)
+    lower = flags.cd_index(interval_view(L, L._bottom_idx, L._root._index(nu)))
+    upper = flags.cd_index(upper_view(L, nu))
+    right = lower * pyr_op(upper)
     witness = tuple(coeffwise_witness(right, left)) or tuple(
-        coeffwise_witness(right_dual, left))
+        coeffwise_witness(pyr_op(lower) * upper, left))
     note = "" if L.is_lattice() else "input is not a lattice"
-    return InequalityReport(ok1 and ok2, left, right, witness, note)
+    return InequalityReport(not witness, left, right, witness, note)
 
 
 def verify_stanley_minimum(L):
@@ -210,8 +206,8 @@ def verify_stanley_minimum(L):
         raise NotGorensteinStar("the Boolean-minimum bound needs a Gorenstein* poset")
     boolean = flags.cd_index(constructions.boolean_algebra(L.n + 1))
     mine = flags.cd_index(L)
-    ok = coeffwise_leq(boolean, mine)
-    return InequalityReport(ok, mine, boolean, tuple(coeffwise_witness(boolean, mine)))
+    witness = tuple(coeffwise_witness(boolean, mine))
+    return InequalityReport(not witness, mine, boolean, witness)
 
 
 def verify_corollary_semisusp(L, nu):
@@ -220,5 +216,5 @@ def verify_corollary_semisusp(L, nu):
         raise NotALattice("the semisuspension corollary needs a lattice")
     lo = flags.lambda_nu_prime_cd(L, nu)
     hi = flags.cd_index(L)
-    ok = coeffwise_leq(lo, hi)
-    return InequalityReport(ok, hi, lo, tuple(coeffwise_witness(lo, hi)))
+    witness = tuple(coeffwise_witness(lo, hi))
+    return InequalityReport(not witness, hi, lo, witness)

@@ -190,6 +190,17 @@ def torus_face_poset():
     return _face_poset(TORUS_TRIANGLES)
 
 
+def pinched_disks_poset():
+    """Face poset of the triangles 123 and 145, which share vertex 1."""
+    return GradedPoset.from_covers(
+        3, {0: 0, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 12: 2, 13: 2, 23: 2,
+            14: 2, 15: 2, 45: 2, 123: 3, 145: 3},
+        [(0, v) for v in (1, 2, 3, 4, 5)]
+        + [(e // 10, e) for e in (12, 13, 23, 14, 15, 45)]
+        + [(e % 10, e) for e in (12, 13, 23, 14, 15, 45)]
+        + [(e, 123) for e in (12, 13, 23)] + [(e, 145) for e in (14, 15, 45)])
+
+
 def derive_boundary_oracle(P):
     """`homology.derive_boundary` element by element on the chain route: i
     is a boundary element when the order complex of (bottom, i) or of

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import rp2_face_poset
+from helpers import pinched_disks_poset, rp2_face_poset
 from posetlab import cli
 from posetlab import constructions as cons
 from posetlab import homology
@@ -147,6 +147,16 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", "near-gorenstein-star", cone,
                                "--boundary", "auto")
         assert code == 0
+
+    def test_near_gorenstein_star_auto_on_no_ball(self, capsys, tmp_path):
+        """Two triangles sharing a vertex: the interval walk fails at the
+        shared vertex, and the error names it and its link's homology."""
+        path = write_poset(tmp_path, pinched_disks_poset())
+        code, out, err = run_cli(capsys, "check", "near-gorenstein-star", path,
+                                 "--boundary", "auto")
+        assert (code, out) == (2, "")
+        assert err == ("error: not a homology ball: the link of chain (1,) "
+                       "has reduced Betti numbers {0: 1}\n")
 
     def test_cm(self, capsys, tmp_path):
         p3 = write_poset(tmp_path, cons.polygon(3))

@@ -9,7 +9,7 @@ from helpers import cd_split_with_a
 from posetlab.ncpoly import (A, B, C, D, NcPoly, NotExpressible,
                              NotHomogeneous, ab, ab_expand, alpha,
                              alpha_ab_form, cd, cd_contract, cd_words,
-                             coeffwise_leq, coeffwise_witness, derivation_G,
+                             coeffwise_witness, derivation_G,
                              from_json, parse_poly, pyr_op, to_json, to_text)
 
 
@@ -149,16 +149,19 @@ class TestAlpha:
 
 class TestCoeffwise:
     def test_hexagon_bound(self):
-        assert coeffwise_leq(cd("cc") + D, cd("cc") + 4 * D)
+        assert coeffwise_witness(cd("cc") + D, cd("cc") + 4 * D) == []
 
     def test_2gon_failure(self):
-        assert not coeffwise_leq(cd("cc") + D, cd("cc"))
         assert coeffwise_witness(cd("cc") + D, cd("cc")) == ["d"]
+
+    def test_alphabets_must_match(self):
+        with pytest.raises(ValueError):
+            coeffwise_witness(cd("cc"), ab("aa"))
 
     @settings(max_examples=30, deadline=None)
     @given(cd_polys(5))
     def test_reflexive(self, p):
-        assert coeffwise_leq(p, p)
+        assert coeffwise_witness(p, p) == []
 
 
 class TestSplitWithA:

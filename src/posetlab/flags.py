@@ -49,6 +49,7 @@ NotEulerian.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -298,7 +299,9 @@ def _semisuspension_sum(L, nu, index, factor):
     """Sum over nu <= pi < 1-hat of index([0, pi)) * factor(rho(pi, top)),
     for an Eulerian lattice L and nu strictly above its bottom; index maps
     an interval key (n, h) to its index, and the keys come from one
-    bottom-up walk that inverts only the pi >= nu."""
+    bottom-up walk that inverts only the pi >= nu.  The key fixes the rank
+    gap rho(pi, top) = L.n - n, so each distinct key is one product, times
+    the number of pi that share it."""
     if not L.is_lattice():
         raise NotALattice("this operation needs a lattice")
     if not L.is_eulerian():
@@ -306,9 +309,9 @@ def _semisuspension_sum(L, nu, index, factor):
     ni = L._index(nu)
     if ni == L._bottom_idx:
         raise NotComparable("nu must be strictly above the bottom")
-    return reduce(operator.add, (
-        index(key) * factor(L.n + 1 - L._rank[pi])
-        for pi, key in lower_intervals(L, L._geq[ni]).items()))
+    keys = Counter(lower_intervals(L, L._geq[ni]).values())
+    return reduce(operator.add, (index(key) * factor(L.n - key[0]) * count
+                                 for key, count in keys.items()))
 
 
 def lambda_nu_ab_formula(L, nu):

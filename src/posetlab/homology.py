@@ -125,7 +125,7 @@ class SimplicialComplex:
     collection is validated to be closed under taking faces.
     """
 
-    __slots__ = ("by_dim", "dim")
+    __slots__ = ("by_dim", "dim", "_faces")
 
     def __init__(self, simplices):
         by_dim = {}
@@ -140,13 +140,13 @@ class SimplicialComplex:
         for d, group in by_dim.items():
             group.sort()
             if d > 0:
-                lower = set(by_dim.get(d - 1, ()))
                 for s in group:
                     for face in combinations(s, d):
-                        if face not in lower:
+                        if face not in seen:
                             raise ValueError(f"complex not closed: missing {face}")
         self.by_dim = by_dim
         self.dim = max(by_dim) if by_dim else -1
+        self._faces = seen
 
     @classmethod
     def closure_of(cls, maximal):
@@ -169,9 +169,7 @@ class SimplicialComplex:
 
     def __contains__(self, s):
         t = tuple(sorted(s))
-        if not t:
-            return True
-        return t in set(self.by_dim.get(len(t) - 1, ()))
+        return not t or t in self._faces
 
     def f_vector(self):
         return tuple(len(self.by_dim.get(d, ())) for d in range(self.dim + 1))

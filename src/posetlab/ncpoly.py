@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 
 class NotExpressible(Exception):
@@ -239,9 +240,11 @@ def pyr_op(p):
     return p * C + derivation_G(p)
 
 
+@lru_cache(maxsize=None)
 def alpha(k):
     """The alpha_k cd-polynomial: alpha_0 = -1, then the (c^2-2d)-power
-    formulas (even and odd cases).  Integer coefficients despite the 1/2."""
+    formulas (even and odd cases).  Integer coefficients despite the 1/2.
+    Built once per k and shared, so callers must not mutate the result."""
     if k < 0:
         raise ValueError("alpha needs k >= 0")
     if k == 0:

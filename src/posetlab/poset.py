@@ -314,7 +314,16 @@ class GradedPoset:
         """Every interval [tau, pi], pi up to the virtual top, satisfies the
         Euler-Poincare relation (alternating rank sum vanishes): as many
         even-rank as odd-rank elements in each [tau, pi] with tau < pi, and
-        for [tau, 1-hat) an even-minus-odd count of (-1)^n."""
+        for [tau, 1-hat) an even-minus-odd count of (-1)^n.
+
+        Only the intervals of even rank gap are summed.  Let every proper
+        subinterval of [s, u] be Eulerian, so mu(v, w) = (-1)^rho(v, w) on
+        them, and let m = rho(s, u) be odd.  The two Moebius recursions give
+        mu(s, u) = -1 - sum_{s<v<u} (-1)^rho(s, v) and, since (-1)^rho(v, u)
+        = -(-1)^rho(s, v), mu(s, u) = sum_{s<v<u} (-1)^rho(s, v) - 1.  Their
+        sum is 2 mu(s, u) = -2, so mu(s, u) = -1 = (-1)^m and [s, u] is
+        Eulerian.  By induction on the length, the even gaps decide every
+        interval."""
         if "eulerian" in self._cache:
             return self._cache["eulerian"]
         even = sum(1 << i for i, r in enumerate(self._rank) if not r & 1)
@@ -324,37 +333,50 @@ class GradedPoset:
         ok = True
         for t, up in enumerate(self._geq):
             up_even, up_odd = up & even, up & odd
-            if (up_even.bit_count() - up_odd.bit_count() != top
+            # [t, p] has an even gap when rho(p) and rho(t) have the same
+            # parity, and [t, 1-hat] when rho(t) and n + 1 have
+            parity = self._rank[t] & 1
+            same = up_odd if parity else up_even
+            if ((parity != self.n & 1
+                 and up_even.bit_count() - up_odd.bit_count() != top)
                     or any((leq[p] & up_even).bit_count() != (leq[p] & up_odd).bit_count()
-                           for p in _bits(up ^ (1 << t)))):
+                           for p in _bits(same ^ (1 << t)))):
                 ok = False
                 break
         self._cache["eulerian"] = ok
         return ok
+
+    def _join_idx(self, ub):
+        """The least element of the nonempty upper set `ub`, or None.  Indices
+        are in rank order, so a least element is the lowest set bit k of
+        ub, and k is least exactly when geq[k] == ub."""
+        k = (ub & -ub).bit_length() - 1
+        return k if self._geq[k] == ub else None
 
     def join(self, x, y):
         """Least upper bound of x and y; TOP when only the virtual top works.
 
         Raises NotALattice when two incomparable minimal upper bounds exist.
         """
-        minimal = self._minimal_in(self._geq[self._index(x)] & self._geq[self._index(y)])
-        if not minimal:
+        ub = self._geq[self._index(x)] & self._geq[self._index(y)]
+        if not ub:
             return TOP
-        if len(minimal) == 1:
-            return self._ids[minimal[0]]
+        k = self._join_idx(ub)
+        if k is not None:
+            return self._ids[k]
         raise NotALattice(
-            f"join({x!r}, {y!r}) has {len(minimal)} minimal upper bounds")
+            f"join({x!r}, {y!r}) has {len(self._minimal_in(ub))} minimal upper bounds")
 
     def is_lattice(self):
-        """True iff every pair has a join (possibly the virtual top)."""
+        """True iff every pair has a join (possibly the virtual top): a pair
+        with no common upper bound joins at the virtual top, and every other
+        pair passes `_join_idx`, run once per distinct set of common upper
+        bounds that an element shares with the later ones."""
         if "lattice" in self._cache:
             return self._cache["lattice"]
-        geq = self._geq
-        # a comparable pair joins at its larger element and a pair with no
-        # common upper bound at the virtual top, so only the rest can fail
-        ok = not any(len(self._minimal_in(ub)) > 1
-                     for i, gi in enumerate(geq) for gj in geq[i + 1:]
-                     if (ub := gi & gj) not in (0, gi, gj))
+        geq, join = self._geq, self._join_idx
+        ok = all(join(ub) is not None for i, gi in enumerate(geq)
+                 for ub in {gi & gj for gj in geq[i + 1:]} - {0})
         self._cache["lattice"] = ok
         return ok
 
@@ -469,6 +491,8 @@ def iter_chains(root, mask):
 
 
 def to_json_dict(P):
+    if isinstance(P, SubPoset):
+        P = P.root._materialize(P.mask, P.n, P._rank_offset)
     ids = P.elements()
     if P.bottom != 0 or sorted(ids) != list(range(len(ids))):
         # renumber deterministically: bottom first, then by (rank, id)

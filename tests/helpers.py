@@ -4,22 +4,28 @@ Everything here is deliberately naive: chains are materialized one by one,
 Euler sums run over all pairs, isomorphism is a backtracking search,
 products scan every factor cover for every pair, cd-splits are solved for
 in the span of expanded cd-words, and sheaves are pulled back to the order
-complex, whose simplicial signs need no orientation.  Two oracles keep an
-earlier form of a routine: the structural check scanning for covers, and
-op_D's random combination summed in Fractions.  The `composed_posets`
-strategy draws the posets that the property tests share.
+complex, whose simplicial signs need no orientation.  Three oracles keep an
+earlier form of a routine: the lattice test scanning each pair's minimal
+upper bounds, the structural check scanning for covers, and op_D's random
+combination summed in Fractions.  The `composed_posets` and
+`graded_posets` strategies draw the posets that the property tests share.
 """
 
+import operator
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 
 from hypothesis import strategies as st
 
 from posetlab import constructions as cons
+from posetlab import flags
 from posetlab import homology as hm
 from posetlab import linalg
-from posetlab.ncpoly import (A, NcPoly, NotExpressible, NotHomogeneous,
-                             _require_alphabet, ab, ab_expand, cd, cd_words)
+from posetlab.corpus import lattice_corpus, proper_elements
+from posetlab.ncpoly import (A, B, NcPoly, NotExpressible, NotHomogeneous,
+                             _require_alphabet, ab, ab_expand, alpha, cd,
+                             cd_words, power)
 from posetlab.poset import TOP, GradedPoset, PosetError, _bits
 from posetlab.sheaves import (CellularComplex, Sheaf, _check_d_squared,
                               dual_dimension_formula, is_cm_sheaf,
@@ -77,6 +83,49 @@ def eulerian_oracle(P):
                 if total != 0:
                     return False
     return True
+
+
+def lattice_oracle(P):
+    """Every pair has a join: each pair that is incomparable and has a
+    common upper bound scans those bounds for its minimal ones
+    (`GradedPoset._minimal_in`) and must find exactly one."""
+    geq = P._geq
+    return not any(len(P._minimal_in(ub)) > 1
+                   for i, gi in enumerate(geq) for gj in geq[i + 1:]
+                   if (ub := gi & gj) not in (0, gi, gj))
+
+
+def lattices_and_balls():
+    """Every lattice of `lattice_corpus(4)` and the `remove_upset` ball of
+    each of its proper elements, which is a lattice but not Eulerian."""
+    lattices = [L for _, L in lattice_corpus(4)]
+    return lattices + [cons.remove_upset(L, nu)[0]
+                       for L in lattices for nu in proper_elements(L)]
+
+
+def _star_factor(g):
+    """(a-b)^(g-1) b, less 2 a (a-b)^(g-2) b when the gap g is even."""
+    term = power(A - B, g - 1)
+    if g % 2 == 0:
+        term = term - 2 * (A * power(A - B, g - 2))
+    return term * B
+
+
+# formula -> (index of an interval, factor of its rank gap to the top)
+SEMISUSPENSION_ROUTES = {
+    flags.lambda_nu_ab_formula: (flags.ab_index, lambda g: A * power(B - A, g - 1)),
+    flags.star_chain_sum: (flags.ab_index, _star_factor),
+    flags.lambda_nu_prime_cd: (flags.cd_index, alpha.__wrapped__),
+}
+
+
+def semisuspension_sum_oracle(L, nu, formula):
+    """`formula`, one of the semisuspension sums of `flags`, one pi at a
+    time: the index of the materialized [0-hat, pi) times the factor of
+    rho(pi, top), summed over nu <= pi.  No lattice or Euler check."""
+    index, factor = SEMISUSPENSION_ROUTES[formula]
+    return reduce(operator.add, (index(L.interval(L.bottom, pi)) * factor(L.rho_to_top(pi))
+                                 for pi in L.up_set(nu)))
 
 
 def isomorphic(P, Q):
@@ -474,7 +523,37 @@ def is_gorenstein_sheaf(F):
         dual_dimension_formula(F, x) == F.dim(x) for x in F.base.elements())
 
 
-# -- composed posets ----------------------------------------------------------
+# -- random and composed posets -----------------------------------------------
+
+
+@st.composite
+def graded_posets(draw, max_rank=3, max_width=3):
+    """Random graded posets of rank 1 to max_rank with 1 to max_width
+    elements per rank above the bottom: each element covers a nonempty
+    set of the rank below, and every element below the top rank is
+    covered by at least one."""
+    n = draw(st.integers(min_value=1, max_value=max_rank))
+    layers = [[0]]
+    next_id = 1
+    for r in range(1, n + 1):
+        size = draw(st.integers(min_value=1, max_value=max_width))
+        layers.append(list(range(next_id, next_id + size)))
+        next_id += size
+    ranks = {e: r for r, layer in enumerate(layers) for e in layer}
+    covers = []
+    for r in range(1, n + 1):
+        for e in layers[r]:
+            below = draw(st.sets(st.sampled_from(layers[r - 1]), min_size=1))
+            covers.extend((b, e) for b in below)
+    # make sure nothing below the top rank is maximal
+    cover_set = set(covers)
+    for r in range(n):
+        for e in layers[r]:
+            if not any(lo == e for lo, hi in cover_set):
+                hi = draw(st.sampled_from(layers[r + 1]))
+                covers.append((e, hi))
+                cover_set.add((e, hi))
+    return GradedPoset.from_covers(n, ranks, covers)
 
 
 _BASES = {

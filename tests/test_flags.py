@@ -2,14 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (ab_index_oracle, all_chains, composed_posets,
-                     count_maximal_chains, eulerian_oracle)
+from helpers import (SEMISUSPENSION_ROUTES, ab_index_oracle, all_chains,
+                     composed_posets, count_maximal_chains, eulerian_oracle,
+                     graded_posets, lattice_oracle, lattices_and_balls,
+                     semisuspension_sum_oracle)
 from posetlab import constructions as cons
 from posetlab import corpus, flags
 from posetlab.flags import InvalidChain
 from posetlab.ncpoly import (A, B, NcPoly, NotExpressible, ab, ab_expand, cd,
                              cd_contract, parse_poly, pyr_op)
-from posetlab.poset import (TOP, GradedPoset, NotComparable, NotEulerian,
+from posetlab.poset import (TOP, GradedPoset, NotALattice, NotComparable, NotEulerian,
                             SubPoset, _bits, interval_view)
 
 
@@ -325,6 +327,32 @@ class TestSemisuspensionFormulas:
         coatom = next(e for e in L.elements() if L.rank(e) == 2)
         lam = cons.lambda_nu_poset(L, coatom)
         assert flags.lambda_nu_ab_formula(L, coatom) == flags.ab_index(lam)
+
+
+def _assert_semisuspension_sums_match_oracle(L):
+    """All three semisuspension formulas at every nu above the bottom of L
+    against the per-pi oracle sum, or raising what the pair-scan lattice
+    oracle and the literal Euler sums predict."""
+    error = (NotALattice if not lattice_oracle(L)
+             else NotEulerian if not eulerian_oracle(L) else None)
+    for nu in corpus.proper_elements(L):
+        for formula in SEMISUSPENSION_ROUTES:
+            if error is None:
+                assert formula(L, nu) == semisuspension_sum_oracle(L, nu, formula)
+            else:
+                with pytest.raises(error):
+                    formula(L, nu)
+
+
+def test_semisuspension_sums_against_oracle_on_corpus_and_balls():
+    for L in lattices_and_balls():
+        _assert_semisuspension_sums_match_oracle(L)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(graded_posets(max_rank=4, max_width=4))
+def test_semisuspension_sums_against_oracle_on_random_posets(P):
+    _assert_semisuspension_sums_match_oracle(P)
 
 
 class TestPyrAlphaRecurrence:

@@ -38,6 +38,11 @@ class TestSimplicialComplex:
         K = hm.SimplicialComplex.closure_of([(1,)])
         assert () in K
 
+    def test_contains_any_vertex_order(self):
+        K = hm.SimplicialComplex.closure_of([(1, 2, 3), (3, 4)])
+        assert (3, 1) in K and [2, 1, 3] in K and (4, 3) in K
+        assert (1, 4) not in K and (1, 2, 3, 4) not in K and (5,) not in K
+
 
 class TestOrderComplexSimplicial:
     def test_triangle_gives_hexagon_complex(self, polygon3):

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import cd_split_with_a
+from posetlab import constructions as cons
+from posetlab import corpus, flags
 from posetlab.ncpoly import (A, B, C, D, NcPoly, NotExpressible,
                              NotHomogeneous, ab, ab_expand, alpha,
                              alpha_ab_form, cd, cd_contract, cd_words,
@@ -145,6 +147,21 @@ class TestAlpha:
     @pytest.mark.parametrize("k", range(1, 9))
     def test_ab_form_matches_expansion(self, k):
         assert alpha_ab_form(k) == ab_expand(alpha(k))
+
+    def test_shared_alphas_stay_unchanged_by_their_users(self):
+        """alpha(k) is built once and shared, and NcPoly is mutable: after
+        criterion 5 and the flag formulas have used the shared values (the
+        whole suite runs them earlier too), each still equals a fresh
+        uncached build."""
+        assert alpha(5) is alpha(5)
+        passed, detail = corpus.criterion_5_flag_formulas(max_rank=3)
+        assert passed, detail
+        L = cons.boolean_algebra(4)
+        for nu in corpus.proper_elements(L):
+            flags.lambda_nu_prime_cd(L, nu)
+            flags.pyr_alpha_recurrence_check(L, nu)
+        for k in range(9):
+            assert alpha(k) == alpha.__wrapped__(k)
 
 
 class TestCoeffwise:

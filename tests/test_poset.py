@@ -2,10 +2,11 @@ import json
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from helpers import eulerian_oracle, isomorphic
+from helpers import (eulerian_oracle, graded_posets, isomorphic, lattice_oracle,
+                     lattices_and_balls)
 from posetlab import constructions as cons
+from posetlab import corpus
 from posetlab.poset import (TOP, GradedPoset, NoBottom, NotALattice,
                             NotComparable, NotGraded, NoUniqueTop,
                             PosetError, RankedTooHigh, UnknownElement, UnreachableElement,
@@ -14,6 +15,14 @@ from posetlab.poset import (TOP, GradedPoset, NoBottom, NotALattice,
 
 def two_atoms():
     return GradedPoset.from_covers(1, {0: 0, 1: 1, 2: 1}, [(0, 1), (0, 2)])
+
+
+def bowtie_across_ranks():
+    """Rank 3: atoms 1 and 2 below 3; 4 above 1 and 5 above 2 only; 6
+    above 4 and 5, 7 above 3."""
+    return GradedPoset.from_covers(
+        3, {0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 3, 7: 3},
+        [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 5), (4, 6), (5, 6), (3, 7)])
 
 
 class TestFromCovers:
@@ -171,8 +180,19 @@ class TestJoin:
         assert polygon3.rank(j) == 2 and polygon3.leq(1, j) and polygon3.leq(2, j)
 
     def test_2gon_not_a_lattice(self, polygon2):
-        with pytest.raises(NotALattice):
+        with pytest.raises(NotALattice) as err:
             polygon2.join(1, 2)
+        assert str(err.value) == "join(1, 2) has 2 minimal upper bounds"
+
+    def test_bowtie_across_ranks(self):
+        """Atoms 1 and 2 have the minimal upper bounds 3 (rank 2) and 6
+        (rank 3): the lowest bit of their upper bounds is 3, and 6 is not
+        above it."""
+        P = bowtie_across_ranks()
+        with pytest.raises(NotALattice) as err:
+            P.join(2, 1)
+        assert str(err.value) == "join(2, 1) has 2 minimal upper bounds"
+        assert P.join(3, 4) is TOP and P.join(4, 5) == 6 and P.join(1, 3) == 3
 
     def test_comparable_pair(self, polygon3):
         e = next(e for e in polygon3.elements()
@@ -216,6 +236,25 @@ class TestIsLattice:
 
     def test_boolean(self, boolean4):
         assert boolean4.is_lattice()
+
+    def test_bowtie_across_ranks(self):
+        P = bowtie_across_ranks()
+        assert not P.is_lattice() and not lattice_oracle(P)
+
+
+def test_lattice_and_euler_tests_against_oracles_on_corpus_and_balls():
+    """The lowest-bit join test and the even-gap Euler sums against the
+    pair scan and the literal alternating sums."""
+    for P in lattices_and_balls():
+        assert P.is_lattice() == lattice_oracle(P)
+        assert P.is_eulerian() == eulerian_oracle(P)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graded_posets(max_rank=4, max_width=4))
+def test_lattice_and_euler_tests_against_oracles_on_random_posets(P):
+    assert P.is_lattice() == lattice_oracle(P)
+    assert P.is_eulerian() == eulerian_oracle(P)
 
 
 class TestJson:
@@ -297,6 +336,17 @@ class TestJson:
         with pytest.raises(PosetError, match="covers must be a list"):
             int_pairs((0, 1), "covers")
 
+    @pytest.mark.parametrize("name", ["boolean4", "cube", "pyr_polygon5"])
+    def test_view_round_trip(self, name):
+        """A ball's boundary, a SubPoset view, is written out through the
+        poset it spans."""
+        L = dict(corpus.lattice_corpus(4))[name]
+        ball, boundary = cons.remove_upset(L, corpus.proper_elements(L)[0])
+        view = ball.restrict(boundary, n=ball.n - 1)
+        text = to_json(view)
+        assert isomorphic(from_json(text), view)
+        assert to_json(from_json(text)) == text
+
     def test_renumbered_export(self):
         # dual posets get nonzero bottoms internally; JSON must renumber
         P = cons.with_top(cons.polygon(3)).dual()
@@ -304,32 +354,6 @@ class TestJson:
         assert doc["elements"][0]["id"] == 0
         assert doc["elements"][0]["rank"] == 0
         assert isomorphic(from_json(json.dumps(doc)), P)
-
-
-@st.composite
-def graded_posets(draw):
-    n = draw(st.integers(min_value=1, max_value=3))
-    layers = [[0]]
-    next_id = 1
-    for r in range(1, n + 1):
-        size = draw(st.integers(min_value=1, max_value=3))
-        layers.append(list(range(next_id, next_id + size)))
-        next_id += size
-    ranks = {e: r for r, layer in enumerate(layers) for e in layer}
-    covers = []
-    for r in range(1, n + 1):
-        for e in layers[r]:
-            below = draw(st.sets(st.sampled_from(layers[r - 1]), min_size=1))
-            covers.extend((b, e) for b in below)
-    # make sure nothing below the top rank is maximal
-    cover_set = set(covers)
-    for r in range(n):
-        for e in layers[r]:
-            if not any(lo == e for lo, hi in cover_set):
-                hi = draw(st.sampled_from(layers[r + 1]))
-                covers.append((e, hi))
-                cover_set.add((e, hi))
-    return GradedPoset.from_covers(n, ranks, covers)
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 
 
 class PosetError(Exception):
@@ -368,15 +369,31 @@ class GradedPoset:
             f"join({x!r}, {y!r}) has {len(self._minimal_in(ub))} minimal upper bounds")
 
     def is_lattice(self):
-        """True iff every pair has a join (possibly the virtual top): a pair
-        with no common upper bound joins at the virtual top, and every other
-        pair passes `_join_idx`, run once per distinct set of common upper
-        bounds that an element shares with the later ones."""
+        """True iff every pair has a join (possibly the virtual top).  By the
+        Bjorner-Edelman-Ziegler lemma ("Hyperplane arrangements with a
+        lattice of regions", DCG 1990, Lemma 2.1) only the pairs of covers
+        of a common element are checked, each by `_join_idx` unless they
+        have no common upper bound (then they join at the virtual top).
+
+        Proof that these pairs suffice, in P with its virtual top, a
+        finite bounded poset, which is a lattice once every pair has a
+        join.  Suppose some pair has none; among such pairs x, y and their
+        common lower bounds z, take one with rank z maximal.  Then every
+        pair with a common lower bound of higher rank has a join, and x, y
+        are incomparable, so z < x and z < y.  Take covers x' <= x and
+        y' <= y of z.  They differ (a common x' would be a higher lower
+        bound of x, y), so w = x' v y' exists by the check.  Every common
+        upper bound of x, y lies above x' and y', hence above w.  The pairs
+        (x, w) and (y, w) have the lower bounds x' and y' above z, so their
+        joins u and v exist, and (u, v) has the lower bound w, so t = u v v
+        exists.  Every common upper bound of x, y lies above x and w, hence
+        above u, likewise above v, hence above t, and t >= x, y: t is the
+        join of x and y, a contradiction."""
         if "lattice" in self._cache:
             return self._cache["lattice"]
         geq, join = self._geq, self._join_idx
-        ok = all(join(ub) is not None for i, gi in enumerate(geq)
-                 for ub in {gi & gj for gj in geq[i + 1:]} - {0})
+        ok = all(not (ub := geq[a] & geq[b]) or join(ub) is not None
+                 for ups in self._covers_up for a, b in combinations(ups, 2))
         self._cache["lattice"] = ok
         return ok
 

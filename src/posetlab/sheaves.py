@@ -20,6 +20,12 @@ the base is a CW poset, that cycle space is a line spanned by a +-1
 vector, and the complex computes the same cohomology as the order complex.
 Where some [bottom, z) is not Gorenstein* BadBase is raised, naming z.
 
+Each sheaf has one cochain complex (`_cochains`), cached on it.  The rows
+of d_k at an element lie over cells above it, so the complex of an up-set
+is the rows whose element lies in it: upper-interval H^0 and the
+Cohen-Macaulay test read row subsets, the latter over GF(2) first (a
+certificate that never refutes) and over Q only where that fails.
+
 The D operation needs a surjection alpha: C(F)-dual -> C(F) assembled from
 a "generic enough" random rational combination of the per-cell maps
 alpha_f, one per basis section at each top-rank element s.  Each goes
@@ -28,9 +34,11 @@ orientation rather than built.  The rational draws are scaled by the lcm
 of their denominators to integers: alpha changes by one positive scalar,
 which leaves its ranks and its integral nullspace bases as they are.  The
 randomness source is explicit and the seed-independent part (C(F), its
-dual, the alpha_f family) is cached per input sheaf, so seed sweeps only
-redo the cheap assembly, surjectivity check and kernel extraction.
-Coordinates in degree-zero cohomology bases are read with
+dual, the alpha_f family indexed by cell) is cached per input sheaf, so
+seed sweeps only redo the cheap assembly, surjectivity check and kernel
+extraction.  The kernel is checked to be a subsheaf eagerly, but its
+restrictions are built when `res` is first read (never, after a word's
+last D).  Coordinates in degree-zero cohomology bases are read with
 `linalg.nullspace_coords` by one exact division, not solved for.
 
 `cd_coefficient_via_CD` caches the constant sheaf and its C's on the poset
@@ -42,15 +50,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import flags, homology
-from .linalg import (betti_from_ranks, mat_mul, nullspace_coords,
+from .linalg import (betti_from_ranks, mat_mul, nullspace_coords, rank_mod2,
                      sparse_nullspace, sparse_rank)
 from .linalg import solve_in_span  # noqa: F401  (the perfbench self-test rebinds it)
 from .ncpoly import word_degree
-from .poset import GradedPoset, _bits, interval_view
+from .poset import GradedPoset, interval_view
 
 
 class BadSupport(Exception):
@@ -79,13 +86,21 @@ class Sheaf:
     res[(sigma, tau)] maps F_sigma -> F_tau for a cover sigma > tau: dim
     F_tau sparse rows over the columns 0 .. dim F_sigma - 1.  Pairs with a
     zero-dimensional end are omitted; compositions through them are zero.
+    `res` may be given as a function returning that dict, called on the
+    first read.
     """
 
     def __init__(self, base, stalk_dim, res):
         self.base = base
         self.stalk_dim = {e: stalk_dim.get(e, 0) for e in base.elements()}
-        self.res = dict(res)
+        self._res = res if callable(res) else dict(res)
         self._res_memo = {}
+
+    @property
+    def res(self):
+        if callable(self._res):
+            self._res = self._res()
+        return self._res
 
     def dim(self, x):
         return self.stalk_dim.get(x, 0)
@@ -172,6 +187,7 @@ class CellularComplex:
     coords: list          # coords[k]: list of (element, local index)
     diff_rows: list       # diff_rows[k]: rows of d_k: C^k -> C^(k+1),
                           # indexed by C^(k+1) coordinates
+    at: list = None       # at[k]: base index of each C^k coordinate's element
 
     def term_dims(self):
         return [len(c) for c in self.coords]
@@ -191,6 +207,21 @@ class CellularComplex:
         basis = sparse_nullspace(rows, ncols)
         keys = self.coords[0]
         return [{keys[i]: v for i, v in vec.items()} for vec in basis]
+
+    def restrict(self, mask, top=None):
+        """The complex on the elements whose base index is in `mask`, in
+        degrees up to `top` (default: all): the rows whose element lies in
+        it, over its cells renumbered in order (columns outside it dropped;
+        an up-set has none), trailing empty degrees removed."""
+        keep = [[i for i, e in enumerate(es) if mask >> e & 1]
+                for es in self.at[:None if top is None else top + 1]]
+        while keep and not keep[-1]:
+            keep.pop()
+        cols = [{i: j for j, i in enumerate(ks)} for ks in keep]
+        return CellularComplex(
+            [[self.coords[k][i] for i in ks] for k, ks in enumerate(keep)],
+            [[{cols[k][c]: v for c, v in self.diff_rows[k][r].items() if c in cols[k]}
+              for r in keep[k + 1]] for k in range(len(keep) - 1)])
 
 
 def _orientation(base):
@@ -231,15 +262,19 @@ def _orientation(base):
     return eps
 
 
-def cellular_complex(F, support=None, check=True):
-    """The cellular complex of F (restricted to `support` when given, which
-    must make the restriction a sheaf, e.g. an up-set or interval-closed)."""
+def _cochains(F):
+    """The whole cellular complex of F, built once and cached on F.  Each
+    row of d_k belongs to a C^(k+1) coordinate's element y (`at[k + 1]`),
+    and its columns are coordinates at covers of y."""
+    cached = getattr(F, "_cochain_cache", None)
+    if cached is not None:
+        return cached
     base = F.base
+    res = F.res
     eps = _orientation(base)
     n = base.n
-    members = set(base.elements()) if support is None else set(support)
     by_deg = {}
-    for e in sorted(members, key=lambda e: (base.rank(e), e)):
+    for e in sorted(base.elements(), key=lambda e: (base.rank(e), e)):
         if F.dim(e):
             by_deg.setdefault(n - base.rank(e), []).append(e)
     top_deg = max(by_deg) if by_deg else -1
@@ -253,15 +288,24 @@ def cellular_complex(F, support=None, check=True):
         rows = [dict() for _ in coords[k + 1]]
         for y in by_deg.get(k + 1, []):
             for z in _up_covers(base, y):
-                if z not in members or not F.dim(z):
-                    continue
                 sign = eps[(y, z)]
-                for r, entries in enumerate(F.res.get((z, y), ())):
+                for r, entries in enumerate(res.get((z, y), ())):
                     row = rows[coord_idx[k + 1][(y, r)]]
                     for c, v in entries.items():
                         row[coord_idx[k][(z, c)]] = sign * v
         diff_rows.append(rows)
-    cc = CellularComplex(coords, diff_rows)
+    at = [[base._index(e) for e, _ in cs] for cs in coords]
+    F._cochain_cache = CellularComplex(coords, diff_rows, at)
+    return F._cochain_cache
+
+
+def cellular_complex(F, support=None, check=True):
+    """The cellular complex of F, restricted to `support` when given (which
+    must make the restriction a sheaf, e.g. an up-set or interval-closed),
+    read off `_cochains(F)`."""
+    base = F.base
+    mask = base._mask if support is None else base._mask_of(support)
+    cc = _cochains(F).restrict(mask)
     if check:
         _check_d_squared(cc)
     return cc
@@ -288,24 +332,50 @@ def _up_covers(base, y):
 
 
 def _down_covers(base, x):
-    xi = base._index(x)
-    return [base._ids[i] for i in _bits(base._leq[xi]) if xi in base._covers_up[i]]
+    table = base._cache.get("down_covers")
+    if table is None:
+        table = [[] for _ in base._ids]
+        for i, ups in enumerate(base._covers_up):
+            for j in ups:
+                table[j].append(base._ids[i])
+        base._cache["down_covers"] = table
+    return table[base._index(x)]
+
+
+def _odd_entries(row):
+    """Bitmask of the odd entries of the row scaled to integers by the lcm
+    of its denominators."""
+    scale = lcm(*(v.denominator for v in row.values()))
+    return sum(1 << c for c, v in row.items() if int(v * scale) & 1)
 
 
 def is_cm_sheaf(F):
     """Cohen-Macaulay: upper-interval cellular cohomology vanishes above
-    degree 0, for every element."""
+    degree 0, for every element.
+
+    The complex of the up-set U of x is the rows of `_cochains(F)` whose
+    element lies in U, ranked over GF(2) first: each row scaled to integers
+    by the lcm of its denominators and taken mod 2.  Scaling a row keeps
+    its Q rank, and an integer matrix's GF(2) rank is at most its Q rank
+    (an odd minor is a nonzero integer), so dim C^k - rank_2 d_k -
+    rank_2 d_(k-1) bounds dim H^k over Q from above.  Where these bounds
+    vanish above degree 0 the Q cohomology does too; only the other
+    up-sets are ranked over Q, which decides."""
     if getattr(F, "_is_cm", None) is not None:
         return F._is_cm
-    out = True
-    for x in F.base.elements():
-        cc = cellular_complex(F, F.base.up_set(x), check=False)
-        dims = cc.cohomology_dims()
-        if any(d for d in dims[1:]):
-            out = False
-            break
-    F._is_cm = out
-    return out
+    cc = _cochains(F)
+    odd = [[_odd_entries(row) for row in rows] for rows in cc.diff_rows]
+
+    def higher_cohomology(mask, matrices, rank):
+        dims = [sum(mask >> e & 1 for e in es) for es in cc.at]
+        ranks = [rank([row for e, row in zip(cc.at[k + 1], rows) if mask >> e & 1])
+                 for k, rows in enumerate(matrices)]
+        return any(betti_from_ranks(dims, ranks)[1:])
+
+    F._is_cm = not any(higher_cohomology(mask, odd, rank_mod2)
+                       and higher_cohomology(mask, cc.diff_rows, sparse_rank)
+                       for mask in F.base._geq)
+    return F._is_cm
 
 
 def dual_sheaf(F):
@@ -318,8 +388,9 @@ def dual_sheaf(F):
 
 def _dual_poset(F):
     base = F.base
-    h0 = {x: cellular_complex(F, base.up_set(x), check=False).kernel_deg0()
-          for x in base.elements()}
+    cc = _cochains(F)
+    h0 = {x: cc.restrict(mask, 1).kernel_deg0()
+          for x, mask in zip(base.elements(), base._geq)}
     stalks = {x: len(b) for x, b in h0.items()}
     res = {}
     for lo, hi in base.covers():
@@ -366,22 +437,22 @@ def skeleton_poset(P, k):
 
 
 def op_C(F, check=True):
-    """Restriction to the (n-1)-skeleton; Cohen-Macaulay stays."""
+    """Restriction to the (n-1)-skeleton; Cohen-Macaulay stays.  The
+    restrictions are F's, filtered when first read."""
     base = F.base
     if check and not is_cm_sheaf(F):
         raise NotCohenMacaulay("op_C needs a Cohen-Macaulay sheaf")
     sk = skeleton_poset(base, base.n - 1)
     keep = set(sk.elements())
     stalks = {e: F.dim(e) for e in keep}
-    res = {pair: m for pair, m in F.res.items()
-           if pair[0] in keep and pair[1] in keep}
-    return Sheaf(sk, stalks, res)
+    return Sheaf(sk, stalks, lambda: {pair: m for pair, m in F.res.items()
+                                      if pair[0] in keep and pair[1] in keep})
 
 
 def _alpha_family(F, check=True):
     """Seed-independent data for op_D: the restriction C(F), its dual, and
     the stalkwise matrices of every alpha_f (one per basis section at each
-    top-rank element).  Cached on the sheaf instance.
+    top-rank element), as an `_AlphaFamily`.  Cached on the sheaf instance.
 
     The dual of the constant sheaf on [bottom, s) has H^0 over [sigma, s)
     spanned by y -> eps(y, s) on the lower covers y of s above sigma: the
@@ -421,7 +492,7 @@ def _alpha_family(F, check=True):
                 stalk_maps[sigma] = [{j: c * t for j, t in enumerate(t_col) if c and t}
                                      for c in phi_col[sigma]]
             family.append(stalk_maps)
-    out = (cf, cf_dual, family)
+    out = (cf, cf_dual, _AlphaFamily(family))
     F._alpha_family_cache = out
     return out
 
@@ -448,51 +519,83 @@ def op_D(F, rng, check=True):
         f"(last failure at {failed_at!r})")
 
 
+class _AlphaFamily(list):
+    """The alpha_f, one {sigma: rows} dict per f, also indexed by cell:
+    at[sigma] lists (f, rows) for the alpha_f that live at sigma, f
+    ascending."""
+
+    def __init__(self, maps):
+        super().__init__(maps)
+        self.at = {}
+        for f, stalk_maps in enumerate(self):
+            for sigma, rows in stalk_maps.items():
+                self.at.setdefault(sigma, []).append((f, rows))
+
+
 def _draw_alpha(cf, family, rng):
     """One random combination of the alpha_f, stalk by stalk, scaled to
-    integer coefficients: the draws are positive rationals, multiplied by
-    the lcm of their denominators.  That changes alpha by one positive
-    scalar, which changes no rank and no normalised `sparse_nullspace`."""
-    coeffs = [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
-              for _ in family]
-    scale = lcm(*(c.denominator for c in coeffs))
-    coeffs = [c.numerator * (scale // c.denominator) for c in coeffs]
+    integer coefficients: the draws are positive rationals a/b, reduced by
+    gcd(a, b) and multiplied by the lcm of their denominators.  That changes
+    alpha by one positive scalar, which changes no rank and no normalised
+    `sparse_nullspace`."""
+    draws = [(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)) for _ in family]
+    draws = [(a // g, b // g) for a, b in draws for g in (gcd(a, b),)]
+    scale = lcm(*(b for _, b in draws))
+    coeffs = [a * (scale // b) for a, b in draws]
     alpha = {}
     for sigma in cf.base.elements():
         rows = [{} for _ in range(cf.dim(sigma))]
-        for c, maps in zip(coeffs, family):
-            for acc, row in zip(rows, maps.get(sigma, ())):
+        for f, maps in family.at.get(sigma, ()):
+            c = coeffs[f]
+            for acc, row in zip(rows, maps):
                 for j, v in row.items():
                     acc[j] = acc.get(j, 0) + c * v
         alpha[sigma] = rows
     return alpha
 
 
+def _apply(rows, vec):
+    """Matrix (sparse rows) times sparse vector, zeros dropped."""
+    out = {}
+    for r, entries in enumerate(rows):
+        v = sum(x * vec[c] for c, x in entries.items() if c in vec)
+        if v:
+            out[r] = v
+    return out
+
+
 def _kernel_sheaf(cf, cf_dual, alpha):
+    """ker(alpha) on the (n-1)-skeleton: stalks are the `sparse_nullspace`
+    bases of alpha, restrictions those of cf_dual in these bases.  That the
+    kernel is a subsheaf is checked here: for each cover lo < hi and each
+    basis vector b at hi, the restricted vector W b lies in ker(alpha_lo),
+    the membership `nullspace_coords` tests.  The coordinates of W b in
+    the basis at lo are built when `res` is first read."""
     sk = cf.base
     target = skeleton_poset(sk, sk.n - 1)
     bases = {sigma: sparse_nullspace(alpha[sigma], cf_dual.dim(sigma))
              for sigma in target.elements()}
     stalks = {s: len(v) for s, v in bases.items()}
-    res = {}
+    images = {}
     for lo, hi in target.covers():
         if stalks[hi] == 0 or stalks[lo] == 0:
             continue
         w = cf_dual.res.get((hi, lo), ())
-        rows = [{} for _ in range(stalks[lo])]
-        for i, vec in enumerate(bases[hi]):
-            image = {}
-            for r, entries in enumerate(w):
-                v = sum(x * vec[c] for c, x in entries.items() if c in vec)
-                if v:
-                    image[r] = v
-            coeffs = nullspace_coords(bases[lo], image)
-            if coeffs is None:
-                raise ArithmeticError("kernel restriction escaped the kernel")
-            for r, c in enumerate(coeffs):
-                if c:
-                    rows[r][i] = c
-        res[(hi, lo)] = rows
+        images[(hi, lo)] = [_apply(w, vec) for vec in bases[hi]]
+        if any(_apply(alpha[lo], image) for image in images[(hi, lo)]):
+            raise ArithmeticError("kernel restriction escaped the kernel")
+
+    def res():
+        out = {}
+        for (hi, lo), imgs in images.items():
+            rows = [{} for _ in range(stalks[lo])]
+            for i, image in enumerate(imgs):
+                for r, c in enumerate(nullspace_coords(bases[lo], image)):
+                    if c:
+                        rows[r][i] = c
+            out[(hi, lo)] = rows
+        return out
+
     return Sheaf(target, stalks, res)
 
 

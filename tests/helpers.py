@@ -4,11 +4,13 @@ Everything here is deliberately naive: chains are materialized one by one,
 Euler sums run over all pairs, isomorphism is a backtracking search,
 products scan every factor cover for every pair, cd-splits are solved for
 in the span of expanded cd-words, and sheaves are pulled back to the order
-complex, whose simplicial signs need no orientation.  Three oracles keep an
+complex, whose simplicial signs need no orientation.  Five oracles keep an
 earlier form of a routine: the lattice test scanning each pair's minimal
-upper bounds, the structural check scanning for covers, and op_D's random
-combination summed in Fractions.  The `composed_posets` and
-`graded_posets` strategies draw the posets that the property tests share.
+upper bounds, the structural check scanning for covers, op_D's random
+combination summed in Fractions, the cellular complex built per up-set,
+and the kernel sheaf with every restriction solved for when it is built.  The `composed_posets`, `graded_posets`
+and `eulerian_lattices` strategies draw the posets that the property tests
+share.
 """
 
 import operator
@@ -28,8 +30,8 @@ from posetlab.ncpoly import (A, B, NcPoly, NotExpressible, NotHomogeneous,
                              cd_words, power)
 from posetlab.poset import TOP, GradedPoset, PosetError, _bits
 from posetlab.sheaves import (CellularComplex, Sheaf, _check_d_squared,
-                              dual_dimension_formula, is_cm_sheaf,
-                              sheaf_ab_index)
+                              _orientation, _up_covers, dual_dimension_formula,
+                              is_cm_sheaf, sheaf_ab_index, skeleton_poset)
 
 
 def all_chains(P):
@@ -511,6 +513,67 @@ def fraction_alpha_oracle(cf, family, rng):
     return alpha
 
 
+def cellular_complex_oracle(F, support):
+    """`sheaves.cellular_complex` as first written: the complex of F on
+    `support` built from scratch, cell by cell, with no shared complex."""
+    base = F.base
+    eps = _orientation(base)
+    n = base.n
+    members = set(support)
+    by_deg = {}
+    for e in sorted(members, key=lambda e: (base.rank(e), e)):
+        if F.dim(e):
+            by_deg.setdefault(n - base.rank(e), []).append(e)
+    top_deg = max(by_deg) if by_deg else -1
+    coords, coord_idx = [], []
+    for k in range(top_deg + 1):
+        cs = [(e, j) for e in by_deg.get(k, []) for j in range(F.dim(e))]
+        coords.append(cs)
+        coord_idx.append({key: i for i, key in enumerate(cs)})
+    diff_rows = []
+    for k in range(top_deg):
+        rows = [dict() for _ in coords[k + 1]]
+        for y in by_deg.get(k + 1, []):
+            for z in _up_covers(base, y):
+                if z not in members or not F.dim(z):
+                    continue
+                for r, entries in enumerate(F.res.get((z, y), ())):
+                    row = rows[coord_idx[k + 1][(y, r)]]
+                    for c, v in entries.items():
+                        row[coord_idx[k][(z, c)]] = eps[(y, z)] * v
+        diff_rows.append(rows)
+    return CellularComplex(coords, diff_rows)
+
+
+def eager_kernel_sheaf_oracle(cf, cf_dual, alpha):
+    """`sheaves._kernel_sheaf` as first written: every restriction solved
+    for in the kernel bases when the sheaf is built."""
+    target = skeleton_poset(cf.base, cf.base.n - 1)
+    bases = {sigma: linalg.sparse_nullspace(alpha[sigma], cf_dual.dim(sigma))
+             for sigma in target.elements()}
+    stalks = {s: len(v) for s, v in bases.items()}
+    res = {}
+    for lo, hi in target.covers():
+        if stalks[hi] == 0 or stalks[lo] == 0:
+            continue
+        w = cf_dual.res.get((hi, lo), ())
+        rows = [{} for _ in range(stalks[lo])]
+        for i, vec in enumerate(bases[hi]):
+            image = {}
+            for r, entries in enumerate(w):
+                v = sum(x * vec[c] for c, x in entries.items() if c in vec)
+                if v:
+                    image[r] = v
+            coeffs = linalg.nullspace_coords(bases[lo], image)
+            if coeffs is None:
+                raise ArithmeticError("kernel restriction escaped the kernel")
+            for r, c in enumerate(coeffs):
+                if c:
+                    rows[r][i] = c
+        res[(hi, lo)] = rows
+    return Sheaf(target, stalks, res)
+
+
 def zero_sheaf(base):
     return Sheaf(base, {}, {})
 
@@ -554,6 +617,25 @@ def graded_posets(draw, max_rank=3, max_width=3):
                 covers.append((e, hi))
                 cover_set.add((e, hi))
     return GradedPoset.from_covers(n, ranks, covers)
+
+
+@st.composite
+def eulerian_lattices(draw, max_rank=4, max_size=40):
+    """Face lattices of polytopes of rank 2 to max_rank (with the virtual
+    top), at most max_size elements: a simplex (B3 to B5) or a polygon
+    (3- to 6-gon), then up to two pyramids or polytope products with a
+    segment (a prism) or a triangle.  Each is an Eulerian lattice; steps
+    that overshoot the rank or the size are skipped."""
+    P = draw(st.sampled_from(
+        [*(lambda k=k: cons.boolean_algebra(k) for k in range(3, 6)),
+         *(lambda m=m: cons.polygon(m) for m in range(3, 7))]))()
+    factors = {"segment": cons.segment, "polygon3": lambda: cons.polygon(3)}
+    for op in draw(st.lists(st.sampled_from(["pyr", "segment", "polygon3"]), max_size=2)):
+        nxt = (cons.pyr_poset(P) if op == "pyr"
+               else cons.polytope_product(P, factors[op]()))
+        if nxt.n <= max_rank and len(nxt) <= max_size:
+            P = nxt
+    return P
 
 
 _BASES = {

@@ -3,9 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (SEMISUSPENSION_ROUTES, ab_index_oracle, all_chains,
-                     composed_posets, count_maximal_chains, eulerian_oracle,
-                     graded_posets, lattice_oracle, lattices_and_balls,
-                     semisuspension_sum_oracle)
+                     composed_posets, count_maximal_chains, eulerian_lattices,
+                     eulerian_oracle, graded_posets, lattice_oracle,
+                     lattices_and_balls, semisuspension_sum_oracle)
 from posetlab import constructions as cons
 from posetlab import corpus, flags
 from posetlab.flags import InvalidChain
@@ -353,6 +353,15 @@ def test_semisuspension_sums_against_oracle_on_corpus_and_balls():
 @given(graded_posets(max_rank=4, max_width=4))
 def test_semisuspension_sums_against_oracle_on_random_posets(P):
     _assert_semisuspension_sums_match_oracle(P)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(eulerian_lattices())
+def test_semisuspension_sums_against_oracle_on_random_eulerian_lattices(L):
+    """`graded_posets` draws almost no Eulerian lattice, so the values of the
+    sums are compared on polytope face lattices as well."""
+    assert 2 <= L.n <= 4 and lattice_oracle(L) and eulerian_oracle(L)
+    _assert_semisuspension_sums_match_oracle(L)
 
 
 class TestPyrAlphaRecurrence:

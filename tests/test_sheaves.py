@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from helpers import (composed_posets, fraction_alpha_oracle, is_gorenstein_sheaf,
-                     pullback, sheaf_cd_split, simplicial_cellular_complex,
-                     torus_face_poset, wedge_at_bottom, zero_sheaf)
+from helpers import (cellular_complex_oracle, composed_posets,
+                     eager_kernel_sheaf_oracle, fraction_alpha_oracle,
+                     is_gorenstein_sheaf, pullback, sheaf_cd_split,
+                     simplicial_cellular_complex, torus_face_poset,
+                     wedge_at_bottom, zero_sheaf)
 from posetlab import constructions as cons
 from posetlab import flags
 from posetlab import homology as hm
@@ -119,8 +121,9 @@ class TestCellularComplex:
         simplicial_cellular_complex(pullback(F))
         eps = sh._orientation(P)
         eps[min(eps)] *= -1  # one flipped sign breaks d o d = 0
+        # F keeps the complex it built; a new sheaf reads the flipped sign
         with pytest.raises(ValueError):
-            sh.cellular_complex(F, check=True)
+            sh.cellular_complex(sh.constant_sheaf(P), check=True)
 
     def test_poset_base_rejected(self):
         # a poset base needs an orientation; two edges on separate
@@ -368,6 +371,88 @@ def test_integer_alpha_keeps_the_fraction_alpha_kernels():
                     assert (K.stalk_dim, K.res) == (K_old.stalk_dim, K_old.res)
                     F = K
                 assert _exact_entries(F), (name, w)
+
+
+def _assert_complexes_match_per_upset_oracle(F, where):
+    """Every upper interval's complex, H^0 basis and the Cohen-Macaulay
+    verdict read off F's one cochain complex equal those of the complex
+    built per up-set."""
+    base = F.base
+    h0 = sh._dual_poset(F)._h0
+    cm = True
+    for x in base.elements():
+        old = cellular_complex_oracle(F, base.up_set(x))
+        cc = sh.cellular_complex(F, base.up_set(x))
+        assert (cc.coords, cc.diff_rows) == (old.coords, old.diff_rows), (where, x)
+        assert h0[x] == old.kernel_deg0(), (where, x)
+        cm = cm and not any(old.cohomology_dims()[1:])
+    assert sh.is_cm_sheaf(F) == cm, where
+
+
+def test_sheaf_pipeline_against_first_written_routes():
+    """Along every word's C/D chain on gorenstein_corpus(4), for three
+    seeds, and on sheaves that are not Cohen-Macaulay: the shared cochain
+    complex gives the per-up-set route's complexes, H^0 bases and
+    Cohen-Macaulay verdicts, and each kernel sheaf's restrictions, read
+    after it is built, are those the eager kernel sheaf solved for."""
+    cone = cons.with_top(cons.polygon(3))
+    not_cm = [sh.constant_sheaf(two_triangles()),
+              sh.constant_sheaf(cone, [e for e in cone.elements() if cone.rank(e) <= 2])]
+    for F in not_cm:
+        assert not sh.is_cm_sheaf(F)
+        _assert_complexes_match_per_upset_oracle(F, "not CM")
+    for name, P in gorenstein_corpus(4):
+        if P.n < 2:
+            continue
+        for seed in range(3):
+            for w in cd_words(P.n):
+                rng = random.Random(seed)
+                F = sh.constant_sheaf(P)
+                for letter in reversed(w):
+                    _assert_complexes_match_per_upset_oracle(F, (name, seed, w))
+                    if letter == "c":
+                        F = sh.op_C(F, check=False)
+                        continue
+                    cf, cf_dual, family = sh._alpha_family(F, check=False)
+                    alpha = sh._draw_alpha(cf, family, rng)
+                    F = sh._kernel_sheaf(cf, cf_dual, alpha)
+                    old = eager_kernel_sheaf_oracle(cf, cf_dual, alpha)
+                    assert (F.stalk_dim, F.res) == (old.stalk_dim, old.res), (name, w)
+                _assert_complexes_match_per_upset_oracle(F, (name, seed, w))
+
+
+def test_tampered_alpha_raises_before_restrictions_are_read(monkeypatch):
+    """An alpha_f that is no map of sheaves makes op_D raise the escape
+    error from the subsheaf check alone: no coordinate is solved for."""
+    F = sh.constant_sheaf(cons.cube_poset(3))
+    cf, _, family = sh._alpha_family(F)
+    row = next(r for r in family.at[cf.base.bottom][0][1] if r)
+    row[min(row)] = 2 * row[min(row)] + 1
+
+    def no_coordinates(*args):
+        raise AssertionError("kernel coordinates were solved for")
+
+    monkeypatch.setattr(sh, "nullspace_coords", no_coordinates)
+    with pytest.raises(ArithmeticError, match="kernel restriction escaped the kernel"):
+        sh.op_D(F, random.Random(0))
+
+
+def test_cohen_macaulay_test_falls_back_to_q_on_even_restrictions(monkeypatch):
+    """Restrictions doubled on B4 make an isomorphic sheaf whose rows all
+    vanish mod 2: the GF(2) certificate fails and the Q ranks decide, where
+    the constant sheaf is certified over GF(2) alone."""
+    P = cons.boolean_algebra(4)
+    ranked = []
+
+    def counting_rank(rows):
+        ranked.append(rows)
+        return sparse_rank(rows)
+
+    monkeypatch.setattr(sh, "sparse_rank", counting_rank)
+    assert sh.is_cm_sheaf(sh.constant_sheaf(P)) and not ranked
+    doubled = sh.Sheaf(P, {e: 1 for e in P.elements()},
+                       {(hi, lo): [{0: 2}] for lo, hi in P.covers()})
+    assert doubled.validate() and sh.is_cm_sheaf(doubled) and ranked
 
 
 class TestSheafAbIndex:

@@ -23,8 +23,7 @@ Where some [bottom, z) is not Gorenstein* BadBase is raised, naming z.
 Each sheaf has one cochain complex (`_cochains`), cached on it.  The rows
 of d_k at an element lie over cells above it, so the complex of an up-set
 is the rows whose element lies in it: upper-interval H^0 and the
-Cohen-Macaulay test read row subsets, the latter over GF(2) first (a
-certificate that never refutes) and over Q only where that fails.
+Cohen-Macaulay test read row subsets.
 
 The D operation needs a surjection alpha: C(F)-dual -> C(F) assembled from
 a "generic enough" random rational combination of the per-cell maps
@@ -53,7 +52,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import flags, homology
-from .linalg import (betti_from_ranks, mat_mul, nullspace_coords, rank_mod2,
+from .linalg import (betti_from_ranks, mat_mul, nullspace_coords,
                      sparse_nullspace, sparse_rank)
 from .linalg import solve_in_span  # noqa: F401  (the perfbench self-test rebinds it)
 from .ncpoly import word_degree
@@ -187,7 +186,7 @@ class CellularComplex:
     coords: list          # coords[k]: list of (element, local index)
     diff_rows: list       # diff_rows[k]: rows of d_k: C^k -> C^(k+1),
                           # indexed by C^(k+1) coordinates
-    at: list = None       # at[k]: base index of each C^k coordinate's element
+    at: list              # at[k]: base index of each C^k coordinate's element
 
     def term_dims(self):
         return [len(c) for c in self.coords]
@@ -221,7 +220,8 @@ class CellularComplex:
         return CellularComplex(
             [[self.coords[k][i] for i in ks] for k, ks in enumerate(keep)],
             [[{cols[k][c]: v for c, v in self.diff_rows[k][r].items() if c in cols[k]}
-              for r in keep[k + 1]] for k in range(len(keep) - 1)])
+              for r in keep[k + 1]] for k in range(len(keep) - 1)],
+            [[self.at[k][i] for i in ks] for k, ks in enumerate(keep)])
 
 
 def _orientation(base):
@@ -342,39 +342,21 @@ def _down_covers(base, x):
     return table[base._index(x)]
 
 
-def _odd_entries(row):
-    """Bitmask of the odd entries of the row scaled to integers by the lcm
-    of its denominators."""
-    scale = lcm(*(v.denominator for v in row.values()))
-    return sum(1 << c for c, v in row.items() if int(v * scale) & 1)
-
-
 def is_cm_sheaf(F):
     """Cohen-Macaulay: upper-interval cellular cohomology vanishes above
-    degree 0, for every element.
-
-    The complex of the up-set U of x is the rows of `_cochains(F)` whose
-    element lies in U, ranked over GF(2) first: each row scaled to integers
-    by the lcm of its denominators and taken mod 2.  Scaling a row keeps
-    its Q rank, and an integer matrix's GF(2) rank is at most its Q rank
-    (an odd minor is a nonzero integer), so dim C^k - rank_2 d_k -
-    rank_2 d_(k-1) bounds dim H^k over Q from above.  Where these bounds
-    vanish above degree 0 the Q cohomology does too; only the other
-    up-sets are ranked over Q, which decides."""
+    degree 0, for every element.  The complex of the up-set of x is the
+    rows of `_cochains(F)` whose element lies in it."""
     if getattr(F, "_is_cm", None) is not None:
         return F._is_cm
     cc = _cochains(F)
-    odd = [[_odd_entries(row) for row in rows] for rows in cc.diff_rows]
 
-    def higher_cohomology(mask, matrices, rank):
+    def higher_cohomology(mask):
         dims = [sum(mask >> e & 1 for e in es) for es in cc.at]
-        ranks = [rank([row for e, row in zip(cc.at[k + 1], rows) if mask >> e & 1])
-                 for k, rows in enumerate(matrices)]
+        ranks = [sparse_rank([row for e, row in zip(cc.at[k + 1], rows) if mask >> e & 1])
+                 for k, rows in enumerate(cc.diff_rows)]
         return any(betti_from_ranks(dims, ranks)[1:])
 
-    F._is_cm = not any(higher_cohomology(mask, odd, rank_mod2)
-                       and higher_cohomology(mask, cc.diff_rows, sparse_rank)
-                       for mask in F.base._geq)
+    F._is_cm = not any(higher_cohomology(mask) for mask in F.base._geq)
     return F._is_cm
 
 

@@ -491,7 +491,8 @@ def simplicial_cellular_complex(F, support=None):
                     if entries.get(c):
                         rows[index[k + 1][(y, r)]][col] = (-1) ** i * entries[c]
         diff_rows.append(rows)
-    cc = CellularComplex(coords, diff_rows)
+    cc = CellularComplex(coords, diff_rows,
+                         [[oc._index(e) for e, _ in cs] for cs in coords])
     _check_d_squared(cc)
     return cc
 
@@ -542,7 +543,8 @@ def cellular_complex_oracle(F, support):
                     for c, v in entries.items():
                         row[coord_idx[k][(z, c)]] = eps[(y, z)] * v
         diff_rows.append(rows)
-    return CellularComplex(coords, diff_rows)
+    return CellularComplex(coords, diff_rows,
+                           [[base._index(e) for e, _ in cs] for cs in coords])
 
 
 def eager_kernel_sheaf_oracle(cf, cf_dual, alpha):

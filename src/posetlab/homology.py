@@ -60,10 +60,17 @@ are subcomplexes of one complex, the cells of (x, top), and each is closed
 under taking boundaries: below a cell z of (x, y) and above x everything
 lies in (x, y).  So the walk builds the boundary rows of (x, top) once per
 x (`_cell_table`) and every interval above x takes its rows from there, bit
-for bit the rows it would build from its own elements.  Most intervals are
-short: an empty gap, or an antichain of k points, has reduced GF(2) and Q
-homology {-1: 1}, {} (k = 1) or {0: k - 1}, whatever lies around it, so
-the kernel answers those by popcount and needs no precondition for them.
+for bit the rows it would build from its own elements.  Most intervals need
+no complex at all.  A cover y of x bounds the empty interval, the
+(-1)-sphere, which every predicate accepts, and indices are in rank order,
+so the walk skips the covers by rank: it takes only the y from the first
+index of rank(x) + 2 on.  A gap inside the one rank above x (every real
+interval of rank 2, and each (x, top) of height at most 2) is k points,
+whose reduced homology over every field is {-1: 1}, {} (k = 1) or
+{0: k - 1}, whatever lies around it; `_points_betti` reads it off the
+popcount, with no precondition, so the kernel only sees gaps that reach two
+levels.  And every predicate accepts a real interval that is a sphere, so
+the walk asks `fits` only about each (x, top) and the real non-spheres.
 
 `derive_boundary` runs the same walk.  In a homology ball every real
 interval is a sphere and each (x, top) a sphere or acyclic; a walk that
@@ -77,6 +84,7 @@ FACE_BUDGET (FaceBudgetExceeded, a ValueError).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -328,22 +336,25 @@ def _cell_table(root, x, above):
     return levels, rows
 
 
+def _points_betti(gap):
+    """Reduced Betti numbers {degree: dim} of an open interval whose
+    elements `gap` form a set of points, no two comparable (empty, or inside
+    one rank): {-1: 1} for none, {} for one and {0: k - 1} for k > 1.  Exact
+    over every field, and whatever lies around the interval."""
+    points = gap.bit_count()
+    return {0: points - 1} if points > 1 else {} if points else {-1: 1}
+
+
 def _cellular_betti_mod2(x, gap, levels, rows):
     """GF(2) Betti numbers {degree: dim} of the open interval above x whose
     elements are `gap`, from its cellular complex, with the levels and
-    boundary rows of `_cell_table(root, x, above)`, `gap` inside `above`:
-    x is the cell of dimension -1, each z in `gap` a cell of dimension
-    rank z - rank x - 1, and the boundary of z is the sum of the cells it
-    covers.  Equals the order complex's GF(2) homology when every interval
-    (u, v) with x <= u < v < y is a GF(2) sphere, which the caller
-    guarantees (see the module docstring).
-
-    An empty gap, or one inside the first level (an antichain), is a set of
-    points whose Betti numbers are read off its size: these are exact over
-    every field and need no precondition."""
-    if not gap & ~levels[1]:
-        points = gap.bit_count()
-        return {-1: 1} if not points else {0: points - 1} if points > 1 else {}
+    boundary rows of `_cell_table(root, x, above)`, `gap` inside `above` and
+    reaching two levels above x (a gap inside one level is a set of points,
+    `_points_betti`): x is the cell of dimension -1, each z in `gap` a cell
+    of dimension rank z - rank x - 1, and the boundary of z is the sum of
+    the cells it covers.  Equals the order complex's GF(2) homology when
+    every interval (u, v) with x <= u < v < y is a GF(2) sphere, which the
+    caller guarantees (see the module docstring)."""
     cells = [levels[0]] + [level & gap for level in levels[1:]]
     while not cells[-1]:
         cells.pop()
@@ -418,44 +429,59 @@ def _first_bad_interval(root, mask, bottom_idx, n, fits):
     rank(bottom) + n + 1, as (witness chain ids, betti); None when every
     interval fits.
 
+    `fits` is asked only about the intervals that can fail.  Every predicate
+    accepts a real interval (x, y) that is a sphere, {d: 1}, so `fits` sees
+    only each (x, top) and the real intervals that are no sphere.  A cover y
+    of x bounds the empty interval, the (-1)-sphere, so the walk skips the
+    covers by rank: indices are in rank order, and the y with index at
+    least s, the first index of rank(x) + 2, are exactly those two or more
+    ranks above x.  A gap with no index from s on lies inside rank(x) + 1;
+    it is a set of points, answered by `_points_betti` (every real interval
+    of rank 2, and each (x, top) of height at most 2).
+
     Top-down, every interval (u, v) with x <= u < v < y has been visited
     when (x, y) is reached, so while every real interval so far is a GF(2)
     sphere the cellular kernel's precondition holds and it computes the
-    GF(2) Betti numbers (see the module docstring).  Its answer is the Q
-    answer when it sits in at most one degree; any other answer, and every
-    interval after the first real one that is no GF(2) sphere, goes through
-    the chain route `_subset_betti`.
+    GF(2) Betti numbers of each longer gap (see the module docstring).  Its
+    answer is the Q answer when it sits in at most one degree; any other
+    answer, and every longer gap after the first real interval that is no
+    GF(2) sphere, goes through the chain route `_subset_betti`.
 
     The kernel reads its rows from one `_cell_table` per x, built at the
-    first interval above x that misses the cache: for z in (x, y) the
-    elements below z and above x all lie in (x, y), so the table's row of z
-    is the row of z in every interval (x, y) that contains z, and in
-    (x, top).  A gap that is empty or an antichain (y of rank at most
-    rank(x) + 2, or an (x, top) of that height) is a set of points, read
-    off by popcount without elimination."""
+    first gap above x that misses the cache: for z in (x, y) the elements
+    below z and above x all lie in (x, y), so the table's row of z is the
+    row of z in every interval (x, y) that contains z, and in (x, top)."""
     geq, leq, rank = root._geq, root._leq, root._rank
     known = root._cache.setdefault("subset_betti", {})
     mod2 = root._cache.setdefault("subset_betti_mod2", {})
-    order = list(_bits(geq[bottom_idx] & mask))
     spheres = True
-    for x in reversed(order):
+    for x in reversed(list(_bits(geq[bottom_idx] & mask))):
         above = geq[x] & mask & ~(1 << x)
-        intervals = [(y, above & leq[y] & ~(1 << y), rank[y] - rank[x] - 2)
-                     for y in _bits(above)]
-        intervals.append((None, above, rank[bottom_idx] + n - 1 - rank[x]))
+        s = bisect_left(rank, rank[x] + 2)
         table = None
-        for y, gap, d in intervals:
-            betti = None
-            if spheres:
+        for y in [*_bits(above >> s << s), None]:
+            if y is None:
+                gap, d = above, rank[bottom_idx] + n - 1 - rank[x]
+            else:
+                gap, d = above & leq[y] & ~(1 << y), rank[y] - rank[x] - 2
+            if not gap >> s:
+                betti = gf2 = _points_betti(gap)
+            elif spheres:
                 if gap not in mod2:
                     table = table or _cell_table(root, x, above)
                     mod2[gap] = _cellular_betti_mod2(x, gap, *table)
-                # (x, top) lies inside no interval visited later
-                spheres = y is None or mod2[gap] == {d: 1}
-                if len(mod2[gap]) <= 1:
-                    betti = known.setdefault(gap, mod2[gap])
-            if betti is None:
+                gf2 = mod2[gap]
+                betti = (known.setdefault(gap, gf2) if len(gf2) <= 1
+                         else _subset_betti(root, gap))
+            else:
                 betti = _subset_betti(root, gap)
+            if y is not None:
+                sphere = {d: 1}
+                # gf2 is unset only when spheres already is False; (x, top)
+                # lies inside no interval visited later
+                spheres = spheres and gf2 == sphere
+                if betti == sphere:
+                    continue
             if not fits(x, y is None, betti, d):
                 chain = _climb(root, mask & leq[x], bottom_idx)
                 if y is not None:

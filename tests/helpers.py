@@ -4,11 +4,12 @@ Everything here is deliberately naive: chains are materialized one by one,
 Euler sums run over all pairs, isomorphism is a backtracking search,
 products scan every factor cover for every pair, cd-splits are solved for
 in the span of expanded cd-words, and sheaves are pulled back to the order
-complex, whose simplicial signs need no orientation.  Five oracles keep an
+complex, whose simplicial signs need no orientation.  Six oracles keep an
 earlier form of a routine: the lattice test scanning each pair's minimal
 upper bounds, the structural check scanning for covers, op_D's random
 combination summed in Fractions, the cellular complex built per up-set,
-and the kernel sheaf with every restriction solved for when it is built.  The `composed_posets`, `graded_posets`
+the kernel sheaf with every restriction solved for when it is built, and
+the interval walk asking about every interval.  The `composed_posets`, `graded_posets`
 and `eulerian_lattices` strategies draw the posets that the property tests
 share.
 """
@@ -280,6 +281,35 @@ def derive_boundary_oracle(P):
     if not hm.certify_near_gorenstein(root, P._mask, bottom, P.n, bmask):
         raise hm.NotNearGorenstein("candidate boundary fails the homology conditions")
     return frozenset(root._ids[i] for i in range(len(root._ids)) if (bmask >> i) & 1)
+
+
+def first_bad_interval_oracle(root, mask, bottom_idx, n, fits):
+    """`homology._first_bad_interval` taken literally: in the walk's order
+    (x descending; for each x every y above it ascending, covers included,
+    then the virtual top) each open interval's Betti numbers over Q come
+    from exact elimination on its order complex, and `fits` is asked about
+    every one.  The first failure, as (witness chain ids, betti), with the
+    walk's witness chain; None when every interval fits.  The Betti numbers
+    are memoized per gap in the root's cache, apart from the walk's own."""
+    rank, leq, geq = root._rank, root._leq, root._geq
+    literal = root._cache.setdefault("literal_betti", {})
+    members = [i for i in range(len(root._ids))
+               if (mask >> i) & 1 and (geq[bottom_idx] >> i) & 1]
+    for x in reversed(members):
+        above = geq[x] & mask & ~(1 << x)
+        intervals = [(y, above & leq[y] & ~(1 << y), rank[y] - rank[x] - 2)
+                     for y in members if (above >> y) & 1]
+        intervals.append((None, above, rank[bottom_idx] + n - 1 - rank[x]))
+        for y, gap, d in intervals:
+            if gap not in literal:
+                literal[gap] = hm._faces_betti(hm._chain_faces(root, gap))
+            betti = literal[gap]
+            if not fits(x, y is None, betti, d):
+                chain = hm._climb(root, mask & leq[x], bottom_idx)
+                if y is not None:
+                    chain += [y] + hm._climb(root, mask, y)
+                return tuple(root._ids[i] for i in chain), betti
+    return None
 
 
 def cellular_rows_oracle(root, x, gap):

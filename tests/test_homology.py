@@ -2,13 +2,15 @@ import ast
 import gc
 import re
 from contextlib import contextmanager
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 
 from helpers import (all_chains, cellular_betti_mod2_oracle, cellular_rows_oracle,
-                     composed_posets, derive_boundary_oracle, pinched_disks_poset,
-                     rp2_face_poset, rp3_face_poset, structural_check_oracle)
+                     composed_posets, derive_boundary_oracle, first_bad_interval_oracle,
+                     pinched_disks_poset, rp2_face_poset, rp3_face_poset,
+                     structural_check_oracle)
 from posetlab import constructions as cons
 from posetlab import homology as hm
 from posetlab.corpus import gorenstein_corpus, lattice_corpus, proper_elements
@@ -255,7 +257,7 @@ class TestDeriveBoundary:
                 if first[L.rank(nu)] != nu:
                     continue
                 for P in [ball.restrict(boundary, n=ball.n - 1),
-                          *_with_a_cover_dropped(ball)]:
+                          *islice(_covers_dropped(ball), 1)]:
                     errors.add(_agrees_with_the_chain_route(P)[1].split(":")[0])
         assert errors == {"no boundary of rank n-1 exists", "not a homology ball",
                           "candidate boundary fails the homology conditions"}
@@ -277,14 +279,7 @@ class TestDeriveBoundary:
         """The walk alone decides: no `_subset_betti` call while the corpus
         balls and the cone over a triangle are derived, nor while a B4 and
         a B8 ball with a cover dropped are refuted."""
-        calls, chain_route = [], hm._subset_betti
-
-        def counted(root, mask):
-            calls.append(mask)
-            return chain_route(root, mask)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hm, "_subset_betti", counted)
+        with _chain_route_calls() as calls:
             for _, L in lattice_corpus(4):
                 for nu in L.elements()[1:]:
                     ball, boundary = cons.remove_upset(L, nu)
@@ -294,25 +289,48 @@ class TestDeriveBoundary:
                 e for e in cone.elements() if cone.rank(e) < cone.n)
             for k in (4, 8):
                 ball, _ = cons.remove_upset(cons.boolean_algebra(k), 1)
-                [damaged] = _with_a_cover_dropped(ball)
+                damaged = next(_covers_dropped(ball))
                 with pytest.raises(hm.NotNearGorenstein, match="^not a homology ball: "):
                     hm.derive_boundary(damaged)
         assert not calls
 
 
-def _with_a_cover_dropped(P):
-    """P without its first cover above the bottom whose removal leaves a
-    graded poset, if there is one."""
+@contextmanager
+def _chain_route_calls():
+    """Record the gap mask of every `_subset_betti` call; yields the list."""
+    chain_route, calls = hm._subset_betti, []
+
+    def counted(root, mask):
+        calls.append(mask)
+        return chain_route(root, mask)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hm, "_subset_betti", counted)
+        yield calls
+
+
+def _covers_dropped(P):
+    """P without one of its covers above the bottom, for each such cover
+    whose removal leaves a graded poset."""
     covers = P.covers()
     for c in covers:
         if c[0] != P.bottom:
             try:
-                return [GradedPoset.from_covers(
+                yield GradedPoset.from_covers(
                     P.n, {e: P.rank(e) for e in P.elements()},
-                    [d for d in covers if d != c])]
+                    [d for d in covers if d != c])
             except PosetError:
                 pass
-    return []
+
+
+def _covers_added(P):
+    """P with one cover added between adjacent ranks above the bottom, for
+    each pair of elements that it does not order yet."""
+    ranks = {e: P.rank(e) for e in P.elements()}
+    for u in P.elements():
+        for v in P.elements():
+            if 0 < ranks[u] == ranks[v] - 1 and not P.leq(u, v):
+                yield GradedPoset.from_covers(P.n, ranks, P.covers() + [(u, v)])
 
 
 def _derive_outcome(derive, P):
@@ -511,9 +529,11 @@ class TestFaceBudget:
 @contextmanager
 def _checked_cellular_kernel():
     """Wrap `_cellular_betti_mod2` so that every call the walk makes is
-    checked against the GF(2) chain complex of the same interval; yields the
-    list of (root, x, gap) calls.  `_cell_table` is wrapped too, to tell
-    each kernel call which root poset its table rows come from."""
+    checked against the GF(2) chain complex of the same interval, and its
+    gap checked to reach two levels above x (a gap inside one level is a
+    set of points, which the walk answers itself); yields the list of
+    (root, x, gap) calls.  `_cell_table` is wrapped too, to tell each kernel
+    call which root poset its table rows come from."""
     kernel, build, calls, roots = hm._cellular_betti_mod2, hm._cell_table, [], {}
 
     def table(root, x, above):
@@ -525,6 +545,7 @@ def _checked_cellular_kernel():
         betti = kernel(x, gap, levels, rows)
         root = roots[id(rows)][0]
         assert betti == hm._faces_betti_mod2(hm._chain_faces(root, gap)), (x, gap)
+        assert max(root._rank[z] for z in _bits(gap)) >= root._rank[x] + 2, (x, gap)
         calls.append((root, x, gap))
         return betti
 
@@ -555,8 +576,10 @@ class TestCellularKernel:
     def test_pendant_edge_interval_never_reaches_the_kernel(self):
         """Checking only the lower intervals (0, z) is not enough: the
         kernel answers {1: -1} on (0, 9), whose GF(2) homology is {2: 1}.
-        The top-down walk meets a non-sphere above 0 first and takes the
-        chain route from there on."""
+        The top-down walk meets a non-sphere above 0 first, the single point
+        (6, 9), and takes the chain route from there on: the Cohen-Macaulay
+        walk computes (0, 9) by `_subset_betti`.  The Gorenstein* walk fails
+        at (8, top) before it gets there."""
         P = pendant_edge_poset()
         root = P._root
         bottom, above = P._bottom_idx, P._mask & ~(1 << P._bottom_idx)
@@ -568,14 +591,32 @@ class TestCellularKernel:
         K = hm.order_complex_simplicial(P)
         oracles = {hm.gorenstein_star_report: hm.is_gorenstein_complex(K),
                    hm.cohen_macaulay_report: _literal_cm(K)}
+        chain_route = {}
         for report, want in oracles.items():
-            with _checked_cellular_kernel() as calls:
+            with _checked_cellular_kernel() as calls, _chain_route_calls() as gaps:
                 rep = report(pendant_edge_poset())
-            assert calls
+            chain_route[report] = gaps
             assert (P._bottom_idx, gap) not in {(x, g) for _, x, g in calls}
             assert bool(rep) == want
             if not rep:
                 assert rep.betti == hm.reduced_homology(hm.link(K, rep.witness))
+        assert gap in chain_route[hm.cohen_macaulay_report]
+        assert gap not in chain_route[hm.gorenstein_star_report]
+
+    def test_kernel_sees_only_gaps_that_reach_two_levels(self):
+        """Under all four predicates over both corpora and one
+        `remove_upset` ball per lattice, the walk answers every gap inside
+        one level itself: each kernel call's gap reaches rank(x) + 2, which
+        `_checked_cellular_kernel` asserts."""
+        with _checked_cellular_kernel() as calls:
+            for _, P in gorenstein_corpus(4) + lattice_corpus(4):
+                hm.gorenstein_star_report(P)
+                hm.cohen_macaulay_report(P)
+                _derive_outcome(hm.derive_boundary, P)
+            for _, L in lattice_corpus(4):
+                ball, boundary = cons.remove_upset(L, L.elements()[1])
+                assert hm.near_gorenstein_star_report(ball, boundary)
+        assert len(calls) > 100, len(calls)
 
     def test_kernel_against_chain_complex_on_the_corpus(self):
         """Every interval the walk hands to the kernel, over the Gorenstein*
@@ -632,8 +673,9 @@ def test_cellular_kernel_against_chain_complex(drawn):
 def _assert_cell_table_against_oracle(P):
     """For each x of P, one `_cell_table` against the complex that the
     oracle builds from each interval (x, y) and (x, top) alone: the table's
-    rows and levels restrict to the oracle's, and the kernel's Betti numbers
-    are the oracle's, antichain and empty gaps included."""
+    rows and levels restrict to the oracle's, and the Betti numbers are the
+    oracle's: the kernel's, or `_points_betti`'s for a gap that is empty or
+    lies inside the first level."""
     root = P._root
     for x in _bits(P._mask):
         above = root._geq[x] & P._mask & ~(1 << x)
@@ -642,8 +684,9 @@ def _assert_cell_table_against_oracle(P):
             cells, want = cellular_rows_oracle(root, x, gap)
             assert {z: rows[z] for z in want} == want, (x, gap)
             assert [levels[0]] + [level & gap for level in levels[1:len(cells)]] == cells
-            assert (hm._cellular_betti_mod2(x, gap, levels, rows)
-                    == cellular_betti_mod2_oracle(root, x, gap)), (x, gap)
+            betti = (hm._points_betti(gap) if not gap & ~levels[1]
+                     else hm._cellular_betti_mod2(x, gap, levels, rows))
+            assert betti == cellular_betti_mod2_oracle(root, x, gap), (x, gap)
 
 
 def test_cell_table_against_oracle_on_the_corpora():
@@ -722,6 +765,80 @@ def test_interval_walk_against_simplicial_oracles(drawn):
     if not rep:
         betti = hm.reduced_homology(hm.link(K, rep.witness))
         assert betti == rep.betti != {P.n - len(rep.witness) - 1: 1}
+
+
+def _walk_outcomes(P, boundary):
+    """Every predicate's answer on P from cold caches: the Gorenstein* and
+    Cohen-Macaulay reports, `derive_boundary`'s boundary or error, and the
+    near-Gorenstein* report when a boundary is given."""
+    P._root._cache.clear()
+    out = [hm.gorenstein_star_report(P), hm.cohen_macaulay_report(P),
+           _derive_outcome(hm.derive_boundary, P)]
+    if boundary is not None:
+        out.append(hm.near_gorenstein_star_report(P, boundary))
+    return out
+
+
+def _assert_walk_against_literal_oracle(P, boundary=None):
+    """The interval walk and `first_bad_interval_oracle`, which visits
+    every interval, computes each over Q and asks `fits` about each, give
+    every predicate the same answers: verdicts, reasons, witness chains,
+    Betti numbers, boundaries and error messages.  Returns them."""
+    fast = _walk_outcomes(P, boundary)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hm, "_first_bad_interval", first_bad_interval_oracle)
+        assert _walk_outcomes(P, boundary) == fast
+    return fast
+
+
+# The literal oracle ranks every interval over Q by exact elimination, so
+# it cuts into balls only the lattices of at most 35 elements (all but
+# pyr(cube) and pyr(cross)), drops covers only from the posets of at most
+# 27 (all but those, B5, pyr(B4), pyr(7-gon) and pyr(8-gon)), and adds
+# covers only to those of at most 15.
+_BALL_SIZE, _DAMAGE_SIZE, _ADDED_SIZE = 35, 27, 15
+
+
+def test_interval_walk_against_literal_oracle_on_the_corpora():
+    """Both corpora, the `remove_upset` balls of their lattices, the
+    pendant-edge poset, RP^2 and RP^3."""
+    cases = [(P, None) for P in dict(gorenstein_corpus(4) + lattice_corpus(4)).values()]
+    cases += [cons.remove_upset(L, nu) for _, L in lattice_corpus(4)
+              if len(L) <= _BALL_SIZE for nu in proper_elements(L)]
+    cases += [(P, None) for P in (pendant_edge_poset(), rp2_face_poset(),
+                                  rp3_face_poset())]
+    verdicts = {tuple(bool(cert) for cert in _assert_walk_against_literal_oracle(*case)
+                      if isinstance(cert, hm.CertResult))
+                for case in cases}
+    assert {(True, True), (False, True), (False, True, True)} <= verdicts
+
+
+def test_interval_walk_against_literal_oracle_with_a_cover_dropped():
+    """Every poset obtained from a corpus poset by dropping one cover above
+    the bottom: no longer Eulerian, so never Gorenstein*."""
+    damaged = [D for P in dict(gorenstein_corpus(4) + lattice_corpus(4)).values()
+               if len(P) <= _DAMAGE_SIZE for D in _covers_dropped(P)]
+    for D in damaged:
+        assert not _assert_walk_against_literal_oracle(D)[0]
+    assert len(damaged) > 400, len(damaged)
+
+
+def test_interval_walk_against_literal_oracle_with_a_cover_added():
+    """Every poset obtained from a corpus poset by adding one cover between
+    adjacent ranks above the bottom: some real interval then has a point
+    too many, or its (x, top) does."""
+    added = [Q for P in dict(gorenstein_corpus(4) + lattice_corpus(4)).values()
+             if len(P) <= _ADDED_SIZE for Q in _covers_added(P)]
+    for Q in added:
+        assert not _assert_walk_against_literal_oracle(Q)[0]
+    assert len(added) > 100, len(added)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(composed_posets(("sphere", "cone", "ball", "ball_boundary", "perturbed",
+                        "disjoint", "wrong_boundary")))
+def test_interval_walk_against_literal_oracle(drawn):
+    _assert_walk_against_literal_oracle(*drawn)
 
 
 def test_structural_check_against_the_cover_scan_oracle():

@@ -31,8 +31,8 @@ walk gives every lower or every upper interval's ab-index, the coproduct of
 flag f-vectors (Psi is a coalgebra map: Ehrenborg-Readdy, Coproducts and
 the cd-index, J. Algebraic Combin. 1998).
 
-An interval's index is read as the key (n, h), h in `_ab_words(n)` order,
-and `cd_of` contracts each key once per memo.  The memo lives in the
+An interval's index is read as the key (n, h), h in `ncpoly._ab_words(n)`
+order, and `cd_of` contracts each key once per memo.  The memo lives in the
 `_cache` of the poset being swept (`decompose` uses its source's, next to
 the fiber-Phi cache), so it lasts exactly as long as the maps or intervals
 whose keys repeat; a process-wide memo would outlive them.
@@ -53,8 +53,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .ncpoly import (A, B, NcPoly, NotExpressible, alpha, cd_contract, power,
-                     pyr_op)
+from .ncpoly import (A, B, NcPoly, NotExpressible, _ab_words, ab_of, alpha,
+                     cd_contract, power, pyr_op)
 from .poset import (TOP, GradedPoset, NotALattice, NotComparable, NotEulerian,
                     SubPoset, _bits, interval_view)
 
@@ -198,28 +198,12 @@ def lower_intervals(P, among):
 
 
 @lru_cache(maxsize=None)
-def _ab_words(n):
-    """The ab-words of length n, the S-th with b exactly at the positions
-    r (0-based) whose bit 1 << r is set in S."""
-    words = [""]
-    for _ in range(n):
-        words = [w + "a" for w in words] + [w + "b" for w in words]
-    return tuple(words)
-
-
-@lru_cache(maxsize=None)
 def _reversal(n):
     """For each S < 2^n, S with its n bits in reverse order."""
     rev = [0] * (1 << n)
     for S in range(1, 1 << n):
         rev[S] = rev[S >> 1] >> 1 | (S & 1) << (n - 1)
     return tuple(rev)
-
-
-def ab_of(key):
-    """The ab-index with the coefficients key = (n, h)."""
-    n, h = key
-    return NcPoly("ab", dict(zip(_ab_words(n), h)))
 
 
 def contraction_memo(P):

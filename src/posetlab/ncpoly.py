@@ -3,11 +3,13 @@
 Words are plain strings over a two-letter alphabet; a polynomial is a map
 word -> coefficient with zero coefficients never stored.  Degrees: a, b, c
 all count 1, d counts 2.  Coefficients are exact (int, with Fraction
-appearing transiently inside the alpha polynomials and contraction).
+appearing transiently inside the alpha polynomials).
 
-The module implements the letter substitutions c = a+b, d = ab+ba in both
-directions, the pyramid derivation G(c) = d, G(d) = cd, the alpha
-polynomials used for semisuspension flag formulas, and text/JSON formats.
+The module owns the ab-word order (`_ab_words`: b at the set bits of S in
+the S-th word), so a degree-n ab-index is the array of 2^n coefficients the
+flag walk makes, and `cd_contract` contracts that array through c = a+b,
+d = ab+ba.  Also here: the pyramid derivation G(c) = d, G(d) = cd, the alpha
+polynomials of the semisuspension formulas, and text/JSON formats.
 """
 
 from __future__ import annotations
@@ -162,65 +164,63 @@ def ab_expand(p):
     return NcPoly("ab", out)
 
 
-def _split_leading(p):
-    """Split degree >= 1 ab-polynomial as a*pa + b*pb."""
-    pa, pb = {}, {}
-    for word, coeff in p.terms.items():
-        (pa if word[0] == "a" else pb)[word[1:]] = coeff
-    return NcPoly("ab", pa), NcPoly("ab", pb)
+@lru_cache(maxsize=None)
+def _ab_words(n):
+    """{word: S} for the ab-words of length n, the S-th with b exactly at the
+    positions r (0-based) whose bit 1 << r is set in S; shared, never mutated."""
+    words = [""]
+    for _ in range(n):
+        words = [w + "a" for w in words] + [w + "b" for w in words]
+    return {w: S for S, w in enumerate(words)}
+
+
+def ab_of(key):
+    """The ab-polynomial with the coefficients key = (n, h)."""
+    n, h = key
+    return NcPoly("ab", dict(zip(_ab_words(n), h)))
+
+
+def _contract(h):
+    """{cd-word: coeff} expanding to the coefficient array h: with h = a*pa +
+    b*pb, c*q + d*r forces r = b-part of pa - pb and q = pa - b*r."""
+    if len(h) == 1:
+        return {"": h[0]}
+    pa, pb = h[0::2], h[1::2]
+    if len(h) == 2:
+        if pa != pb:
+            raise NotExpressible(
+                f"degree-1 part {pa[0]}*a + {pb[0]}*b is not a multiple of c")
+        return {"c": pa[0]}
+    diff = [x - y for x, y in zip(pa, pb)]
+    r = diff[1::2]
+    if diff[0::2] != [-x for x in r]:
+        raise NotExpressible("residual is not of the form (b-a)*r")
+    pa[1::2] = [x - y for x, y in zip(pa[1::2], r)]
+    out = {"c" + w: c for w, c in _contract(pa).items()}
+    out.update(("d" + w, c) for w, c in _contract(r).items())
+    return out
 
 
 def cd_contract(p):
-    """The unique cd-polynomial expanding to the homogeneous ab-poly p.
-
-    Peels the leading letter: p = c*q + d*r forces q = p_a - b*r and
-    r = b-part of (p_a - p_b); failure at any level raises NotExpressible.
-    """
+    """The unique cd-polynomial expanding to the homogeneous ab-poly p, from
+    its coefficient array; NotExpressible when there is none."""
     _require_alphabet("ab", p)
-    if p.is_zero():
-        return NcPoly.zero("cd")
-    if not p.is_homogeneous():
+    n = len(next(iter(p.terms), ""))
+    if any(len(w) != n for w in p.terms):
         raise NotHomogeneous("cd_contract needs a homogeneous input")
-    n = p.degree()
-
-    def rec(q, deg):
-        if deg == 0:
-            return NcPoly("cd", {"": q.coeff("")})
-        qa, qb = _split_leading(q)
-        if deg == 1:
-            ca, cb = qa.coeff(""), qb.coeff("")
-            if ca != cb:
-                raise NotExpressible(f"degree-1 part {ca}*a + {cb}*b is not a multiple of c")
-            return NcPoly("cd", {"c": ca} if ca else {})
-        diff = qa - qb  # must equal (b - a) * r
-        da, db = _split_leading(diff) if not diff.is_zero() else (NcPoly.zero("ab"),) * 2
-        if da != -db:
-            raise NotExpressible("residual is not of the form (b-a)*r")
-        r = db
-        head = rec(qa - B * r, deg - 1)
-        tail = rec(r, deg - 2)
-        return NcPoly("cd", {"c" + w: c for w, c in head.terms.items()}) + \
-            NcPoly("cd", {"d" + w: c for w, c in tail.terms.items()})
-
-    return rec(p, n)
+    index, h = _ab_words(n), [0] * (1 << n)
+    for word, coeff in p.terms.items():
+        if word not in index:
+            raise ValueError(f"{word!r} is not a word over 'ab'")
+        h[index[word]] = coeff
+    return NcPoly("cd", _contract(h))
 
 
 def cd_words(n):
     """All cd-words of degree n in lexicographic order."""
-    if n < 0:
-        return []
-    out = []
-
-    def rec(prefix, deg):
-        if deg == n:
-            out.append(prefix)
-            return
-        rec(prefix + "c", deg + 1)
-        if deg + 2 <= n:
-            rec(prefix + "d", deg + 2)
-
-    rec("", 0)
-    return sorted(out)
+    if n < 2:
+        return ["c" * n] if n >= 0 else []
+    return ["c" + w for w in cd_words(n - 1)] + ["d" + w for w in cd_words(n - 2)]
 
 
 def derivation_G(p):
@@ -378,8 +378,22 @@ def to_json_dict(p):
 
 
 def from_json_dict(doc):
-    return NcPoly(doc["alphabet"],
-                  {t["word"]: Fraction(t["coeff"]) for t in doc["terms"]})
+    """Inverse of `to_json_dict`; a malformed document raises ValueError."""
+    try:
+        alphabet = doc["alphabet"]
+        pairs = [(t["word"], t["coeff"]) for t in doc["terms"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed polynomial document: {exc!r}") from None
+    terms = NcPoly(alphabet).terms  # a fresh dict, once the alphabet is checked
+    for word, coeff in pairs:
+        if (type(word) is not str or set(word) - set(alphabet) or word in terms
+                or type(coeff) not in (str, int)):  # no floats, no bools
+            raise ValueError(f"malformed term {word!r}: {coeff!r} of an {alphabet}-polynomial")
+        try:
+            terms[word] = Fraction(coeff)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"malformed coefficient {coeff!r} of {word!r}") from None
+    return NcPoly(alphabet, terms)
 
 
 def to_json(p, indent=None):

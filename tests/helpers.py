@@ -4,12 +4,13 @@ Everything here is deliberately naive: chains are materialized one by one,
 Euler sums run over all pairs, isomorphism is a backtracking search,
 products scan every factor cover for every pair, cd-splits are solved for
 in the span of expanded cd-words, and sheaves are pulled back to the order
-complex, whose simplicial signs need no orientation.  Six oracles keep an
+complex, whose simplicial signs need no orientation.  Seven oracles keep an
 earlier form of a routine: the lattice test scanning each pair's minimal
 upper bounds, the structural check scanning for covers, op_D's random
 combination summed in Fractions, the cellular complex built per up-set,
-the kernel sheaf with every restriction solved for when it is built, and
-the interval walk asking about every interval.  The `composed_posets`, `graded_posets`
+the kernel sheaf with every restriction solved for when it is built, the
+interval walk asking about every interval, and cd-contraction peeling
+leading letters off NcPoly words.  The `composed_posets`, `graded_posets`
 and `eulerian_lattices` strategies draw the posets that the property tests
 share.
 """
@@ -67,6 +68,49 @@ def ab_index_oracle(P):
             term = term * amb
         total = total + term
     return total
+
+
+def _split_leading(p):
+    """Split degree >= 1 ab-polynomial as a*pa + b*pb."""
+    pa, pb = {}, {}
+    for word, coeff in p.terms.items():
+        (pa if word[0] == "a" else pb)[word[1:]] = coeff
+    return NcPoly("ab", pa), NcPoly("ab", pb)
+
+
+def cd_contract_oracle(p):
+    """The unique cd-polynomial expanding to the homogeneous ab-poly p.
+
+    Peels the leading letter: p = c*q + d*r forces q = p_a - b*r and
+    r = b-part of (p_a - p_b); failure at any level raises NotExpressible.
+    """
+    _require_alphabet("ab", p)
+    if p.is_zero():
+        return NcPoly.zero("cd")
+    if not p.is_homogeneous():
+        raise NotHomogeneous("cd_contract needs a homogeneous input")
+    n = p.degree()
+
+    def rec(q, deg):
+        if deg == 0:
+            return NcPoly("cd", {"": q.coeff("")})
+        qa, qb = _split_leading(q)
+        if deg == 1:
+            ca, cb = qa.coeff(""), qb.coeff("")
+            if ca != cb:
+                raise NotExpressible(f"degree-1 part {ca}*a + {cb}*b is not a multiple of c")
+            return NcPoly("cd", {"c": ca} if ca else {})
+        diff = qa - qb  # must equal (b - a) * r
+        da, db = _split_leading(diff) if not diff.is_zero() else (NcPoly.zero("ab"),) * 2
+        if da != -db:
+            raise NotExpressible("residual is not of the form (b-a)*r")
+        r = db
+        head = rec(qa - B * r, deg - 1)
+        tail = rec(r, deg - 2)
+        return NcPoly("cd", {"c" + w: c for w, c in head.terms.items()}) + \
+            NcPoly("cd", {"d" + w: c for w, c in tail.terms.items()})
+
+    return rec(p, n)
 
 
 def eulerian_oracle(P):

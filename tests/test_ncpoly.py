@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cd_split_with_a
+from helpers import cd_contract_oracle, cd_split_with_a
 from posetlab import constructions as cons
 from posetlab import corpus, flags
 from posetlab.ncpoly import (A, B, C, D, NcPoly, NotExpressible,
                              NotHomogeneous, ab, ab_expand, alpha,
                              alpha_ab_form, cd, cd_contract, cd_words,
                              coeffwise_witness, derivation_G,
-                             from_json, parse_poly, pyr_op, to_json, to_text)
+                             from_json, from_json_dict, parse_poly, pyr_op,
+                             to_json, to_text)
 
 
 def cd_polys(max_degree=8):
@@ -77,6 +78,85 @@ class TestCdContract:
     @given(cd_polys())
     def test_round_trip(self, p):
         assert cd_contract(ab_expand(p)) == p
+
+    def test_letter_outside_alphabet(self):
+        with pytest.raises(ValueError, match="'x'"):
+            cd_contract(NcPoly("ab", {"x": 1, "a": 1}))
+
+    def test_zero(self):
+        assert cd_contract(NcPoly.zero("ab")).is_zero()
+
+
+def ab_words(n):
+    return st.lists(st.sampled_from("ab"), min_size=n, max_size=n).map("".join)
+
+
+@st.composite
+def homogeneous_ab_polys(draw, max_degree=10):
+    """Sparse homogeneous ab-polynomials: mostly not cd-expressible."""
+    n = draw(st.integers(0, max_degree))
+    return NcPoly("ab", draw(st.dictionaries(ab_words(n), st.integers(-3, 3),
+                                             max_size=12)))
+
+
+@st.composite
+def perturbed_expansions(draw, max_degree=10):
+    """ab_expand of a cd-polynomial, half the time with one coefficient
+    changed, so contraction can fail at any depth."""
+    n = draw(st.integers(0, max_degree))
+    words = cd_words(n)
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=len(words), max_size=len(words)))
+    p = ab_expand(NcPoly("cd", dict(zip(words, coeffs))))
+    if draw(st.booleans()):
+        p = p + ab(draw(ab_words(n)), draw(st.integers(-2, 2)))
+    return p
+
+
+def contraction_outcome(contract, p):
+    """contract(p), or the type and message of what it raised."""
+    try:
+        return contract(p)
+    except (NotExpressible, NotHomogeneous) as exc:
+        return type(exc), str(exc)
+
+
+class TestCdContractOracle:
+    """`cd_contract` on the coefficient array agrees with the NcPoly
+    recursion: the same polynomial, or the same exception and message."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(homogeneous_ab_polys())
+    def test_random_homogeneous(self, p):
+        assert contraction_outcome(cd_contract, p) == \
+            contraction_outcome(cd_contract_oracle, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(perturbed_expansions())
+    def test_expansions(self, p):
+        assert contraction_outcome(cd_contract, p) == \
+            contraction_outcome(cd_contract_oracle, p)
+
+    @pytest.mark.parametrize("p", [
+        A + ab("aa"),
+        ab_expand(cd("cd") + D) * Fraction(1, 3) + ab("aab", Fraction(1, 2)),
+        # c*q + d*r, q failing at degree 1 and r by its residual: q comes first
+        (A + B) * (A + B) * (A + B) * A + ab_expand(D) * ab("aa"),
+    ])
+    def test_examples(self, p):
+        assert contraction_outcome(cd_contract, p) == \
+            contraction_outcome(cd_contract_oracle, p)
+
+    def test_gorenstein_interval_keys(self):
+        """Every key that `upper_intervals` and `lower_intervals` hand the
+        contraction memos over the Gorenstein* corpus."""
+        keys = set()
+        for _, P in corpus.gorenstein_corpus(4):
+            keys.update(flags.upper_intervals(P).values())
+            keys.update(flags.lower_intervals(P, P._mask).values())
+        assert keys
+        for key in keys:
+            p = flags.ab_of(key)
+            assert cd_contract(p) == cd_contract_oracle(p)
 
 
 class TestAlphabetChecks:
@@ -224,6 +304,35 @@ class TestFormats:
     def test_fraction_coefficients_in_json(self):
         p = NcPoly("cd", {"c": Fraction(1, 2)})
         assert from_json(to_json(p)) == p
+
+    def test_integer_coefficients_in_json(self):
+        doc = {"alphabet": "cd", "terms": [{"word": "cc", "coeff": 2}]}
+        assert from_json_dict(doc) == cd("cc", 2)
+
+    @pytest.mark.parametrize("doc", [
+        {"alphabet": "ab", "terms": [{"word": "x", "coeff": "1"}]},
+        {"alphabet": "cd", "terms": [{"word": "ab", "coeff": "1"}]},
+        {"alphabet": "ab", "terms": [{"word": 3, "coeff": "1"}]},
+        {"alphabet": "ab", "terms": [{"word": "a", "coeff": "1"},
+                                     {"word": "a", "coeff": "2"}]},
+        {"alphabet": "xy", "terms": []},
+        {"alphabet": ["a", "b"], "terms": [{"word": "a", "coeff": "1"}]},
+        {"alphabet": "ab"},
+        {"terms": []},
+        {"alphabet": "ab", "terms": [{"word": "a"}]},
+        {"alphabet": "ab", "terms": ["a"]},
+        {"alphabet": "ab", "terms": 5},
+        {"alphabet": "ab", "terms": [{"word": "a", "coeff": "one"}]},
+        {"alphabet": "ab", "terms": [{"word": "a", "coeff": "1/0"}]},
+        {"alphabet": "ab", "terms": [{"word": "a", "coeff": 1.5}]},
+        {"alphabet": "ab", "terms": [{"word": "a", "coeff": None}]},
+        {"alphabet": "ab", "terms": [{"word": "a", "coeff": True}]},
+        ["ab"],
+        None,
+    ])
+    def test_malformed_json_rejected(self, doc):
+        with pytest.raises(ValueError):
+            from_json_dict(doc)
 
 
 def test_acceptance_scale_round_trip():

@@ -53,8 +53,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .ncpoly import (A, B, NcPoly, NotExpressible, _ab_words, ab_of, alpha,
-                     cd_contract, power, pyr_op)
+from .ncpoly import (A, B, NcPoly, NotExpressible, ab_of, alpha, cd_contract,
+                     power, pyr_op)
 from .poset import (TOP, GradedPoset, NotALattice, NotComparable, NotEulerian,
                     SubPoset, _bits, interval_view)
 
@@ -150,7 +150,7 @@ def ab_index(P, scale=None):
 
 
 def _ab_key(P, scale=None):
-    """The key (n, h) of `ab_index(P, scale)`, h in `_ab_words(n)` order:
+    """The key (n, h) of `ab_index(P, scale)`, h in ncpoly's word order:
     one bottom-up packed walk (see the module docstring), inverted over
     subsets into the ab-word coefficients."""
     order, near, level = _plan(P, False)
@@ -169,7 +169,7 @@ def _ab_key(P, scale=None):
 
 def _intervals(P, top_down, among):
     """{i: (n_i, h)} for each i of the walk that is in the mask `among`:
-    [0-hat, i) bottom-up, [i, 1-hat) top-down, h in `_ab_words` order."""
+    [0-hat, i) bottom-up, [i, 1-hat) top-down, h in ncpoly's word order."""
     order, near, level = _plan(P, top_down)
     count, _ = _pack(order, near, level, 0)
     width = max(count.values(), default=0).bit_length()
@@ -272,7 +272,7 @@ def near_cd_index(P, boundary_ids):
         bmask = (root._mask_of(boundary_ids) & P._mask) | 1 << P._bottom_idx
         _, hb = _ab_key(SubPoset(root, bmask, P._bottom_idx, n - 1))
     else:
-        hb = (0,) * len(_ab_words(n - 1))
+        hb = (0,) * (1 << max(n - 1, 0))
     # the words of psi_b * a are the first len(hb) words of degree n
     phi = tuple(c - cb for c, cb in zip(h, hb)) + h[len(hb):]
     memo = contraction_memo(P)

@@ -181,29 +181,29 @@ def ab_of(key):
 
 
 def _contract(h):
-    """{cd-word: coeff} expanding to the coefficient array h: with h = a*pa +
+    """The cd-polynomial expanding to the coefficient array h: with h = a*pa +
     b*pb, c*q + d*r forces r = b-part of pa - pb and q = pa - b*r."""
     if len(h) == 1:
-        return {"": h[0]}
+        return cd("", h[0])
     pa, pb = h[0::2], h[1::2]
     if len(h) == 2:
         if pa != pb:
             raise NotExpressible(
                 f"degree-1 part {pa[0]}*a + {pb[0]}*b is not a multiple of c")
-        return {"c": pa[0]}
+        return cd("c", pa[0])
     diff = [x - y for x, y in zip(pa, pb)]
     r = diff[1::2]
     if diff[0::2] != [-x for x in r]:
         raise NotExpressible("residual is not of the form (b-a)*r")
     pa[1::2] = [x - y for x, y in zip(pa[1::2], r)]
-    out = {"c" + w: c for w, c in _contract(pa).items()}
-    out.update(("d" + w, c) for w, c in _contract(r).items())
-    return out
+    return C * _contract(pa) + D * _contract(r)
 
 
 def cd_contract(p):
     """The unique cd-polynomial expanding to the homogeneous ab-poly p, from
-    its coefficient array; NotExpressible when there is none."""
+    its coefficient array; NotExpressible when there is none.  The array has
+    2^n entries for p of degree n, so this costs Theta(2^n) time and memory
+    however few terms p has."""
     _require_alphabet("ab", p)
     n = len(next(iter(p.terms), ""))
     if any(len(w) != n for w in p.terms):
@@ -213,7 +213,7 @@ def cd_contract(p):
         if word not in index:
             raise ValueError(f"{word!r} is not a word over 'ab'")
         h[index[word]] = coeff
-    return NcPoly("cd", _contract(h))
+    return _contract(h)
 
 
 def cd_words(n):

@@ -123,13 +123,23 @@ def _cmd_build(args):
     return 0
 
 
-def _cmd_ab_index(args):
-    _emit_poly(flags.ab_index(_load_poset(args.poset)), args.json)
-    return 0
+# each polynomial command: its help text, whether it takes --element, and
+# the function of the poset (and the element) whose polynomial it prints
+_POLY = {
+    "ab-index": ("ab-index of a poset file ('-' = stdin)", False,
+                 lambda P, _element: flags.ab_index(P)),
+    "cd-index": ("cd-index of a poset file ('-' = stdin)", False,
+                 lambda P, _element: flags.cd_index(P)),
+    "lambda-nu": ("ab-index of Lambda_nu via the closed flag formula", True,
+                  lambda P, element: flags.lambda_nu_ab_formula(P, element)),
+    "lambda-nu-prime": ("cd-index of the semisuspension via the alpha formula", True,
+                        lambda P, element: flags.lambda_nu_prime_cd(P, element)),
+}
 
 
-def _cmd_cd_index(args):
-    _emit_poly(flags.cd_index(_load_poset(args.poset)), args.json)
+def _cmd_poly(args):
+    index = _POLY[args.command][2]
+    _emit_poly(index(_load_poset(args.poset), args.element), args.json)
     return 0
 
 
@@ -144,18 +154,6 @@ def _cmd_near_cd_index(args):
     else:
         print(f"phi      = {to_text(nc.phi)}")
         print(f"boundary = {to_text(nc.boundary)}")
-    return 0
-
-
-def _cmd_lambda_nu(args):
-    P = _load_poset(args.poset)
-    _emit_poly(flags.lambda_nu_ab_formula(P, args.element), args.json)
-    return 0
-
-
-def _cmd_lambda_nu_prime(args):
-    P = _load_poset(args.poset)
-    _emit_poly(flags.lambda_nu_prime_cd(P, args.element), args.json)
     return 0
 
 
@@ -272,28 +270,18 @@ def build_parser():
     b.add_argument("--element", type=int, help="distinguished element id")
     b.set_defaults(fn=_cmd_build)
 
-    for name, fn in [("ab-index", _cmd_ab_index), ("cd-index", _cmd_cd_index)]:
-        p = sub.add_parser(name, help=f"{name} of a poset file ('-' = stdin)")
+    for name, (text, needs_element, _index) in _POLY.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("poset")
-        p.set_defaults(fn=fn)
+        if needs_element:
+            p.add_argument("--element", type=int, required=True)
+        p.set_defaults(fn=_cmd_poly, element=None)
 
     p = sub.add_parser("near-cd-index", help="cd-index split of a near-Gorenstein* pair")
     p.add_argument("poset")
     p.add_argument("--boundary", required=True,
                    help="comma-separated element ids, or 'auto'")
     p.set_defaults(fn=_cmd_near_cd_index)
-
-    p = sub.add_parser("lambda-nu",
-                       help="ab-index of Lambda_nu via the closed flag formula")
-    p.add_argument("poset")
-    p.add_argument("--element", type=int, required=True)
-    p.set_defaults(fn=_cmd_lambda_nu)
-
-    p = sub.add_parser("lambda-nu-prime",
-                       help="cd-index of the semisuspension via the alpha formula")
-    p.add_argument("poset")
-    p.add_argument("--element", type=int, required=True)
-    p.set_defaults(fn=_cmd_lambda_nu_prime)
 
     p = sub.add_parser("check", help="homology certification")
     p.add_argument("property", choices=["gorenstein-star", "near-gorenstein-star", "cm"])

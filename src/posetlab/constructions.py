@@ -239,12 +239,19 @@ def order_complex(P):
                                    provenance=prov)
 
 
-def _lambda_nu_mask(L, nu):
+def _proper_nu(L, nu, what):
+    """The index of nu, once L is known to be a lattice (NotALattice names
+    `what` otherwise) and nu to lie strictly above its bottom."""
     if not L.is_lattice():
-        raise NotALattice("Lambda_nu needs a lattice")
+        raise NotALattice(f"{what} needs a lattice")
     ni = L._index(nu)
     if ni == L._bottom_idx:
         raise ValueError("nu must be strictly above the bottom")
+    return ni
+
+
+def _lambda_nu_mask(L, nu):
+    ni = _proper_nu(L, nu, "Lambda_nu")
     mask = 0
     for i in range(len(L)):
         if L._geq[i] & L._geq[ni]:
@@ -286,11 +293,7 @@ def remove_upset(L, nu):
 
     The boundary is returned in the ids of the new poset.
     """
-    if not L.is_lattice():
-        raise NotALattice("remove_upset needs a lattice")
-    ni = L._index(nu)
-    if ni == L._bottom_idx:
-        raise ValueError("nu must be strictly above the bottom")
+    ni = _proper_nu(L, nu, "remove_upset")
     keep = L._mask & ~L._geq[ni]
     sub = L._materialize(keep, L.n, 0)
     boundary = frozenset(
@@ -304,11 +307,7 @@ def subdivision_target_and_map(L, nu):
     tau < nu goes to itself, tau >= nu goes to (tau, top-coordinate), and
     anything else goes to (tau v nu, bottom-coordinate), with the virtual
     join landing on the apex cell (top, bottom-coordinate)."""
-    if not L.is_lattice():
-        raise NotALattice("the subdivision target needs a lattice")
-    ni = L._index(nu)
-    if ni == L._bottom_idx:
-        raise ValueError("nu must be strictly above the bottom")
+    _proper_nu(L, nu, "the subdivision target")
     lower = L.interval(L.bottom, nu, closed_upper=False)
     upper = L.interval(nu, TOP)
     pyr = pyr_poset(upper)

@@ -156,15 +156,6 @@ class SimplicialComplex:
         self.dim = max(by_dim) if by_dim else -1
         self._faces = seen
 
-    @classmethod
-    def closure_of(cls, maximal):
-        faces = set()
-        for s in maximal:
-            t = tuple(sorted(s))
-            for k in range(1, len(t) + 1):
-                faces.update(combinations(t, k))
-        return cls(faces)
-
     def simplices(self, d):
         return self.by_dim.get(d, [])
 

@@ -9,13 +9,13 @@ The module owns the ab-word order (`_ab_words`: b at the set bits of S in
 the S-th word), so a degree-n ab-index is the array of 2^n coefficients the
 flag walk makes, and `cd_contract` contracts that array through c = a+b,
 d = ab+ba.  Also here: the pyramid derivation G(c) = d, G(d) = cd, the alpha
-polynomials of the semisuspension formulas, and text/JSON formats.
+polynomials of the semisuspension formulas, and the formats: JSON both
+ways, text for output only.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -75,16 +75,6 @@ class NcPoly:
 
     def coeff(self, word):
         return self.terms.get(word, 0)
-
-    def degree(self):
-        """Maximal term degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(word_degree(self.alphabet, w) for w in self.terms)
-
-    def is_homogeneous(self):
-        degs = {word_degree(self.alphabet, w) for w in self.terms}
-        return len(degs) <= 1
 
     def __eq__(self, other):
         return (isinstance(other, NcPoly) and self.alphabet == other.alphabet
@@ -319,57 +309,6 @@ def to_text(p):
         else:
             chunks.append(f"+ {piece}" if coeff > 0 else f"- {piece}")
     return " ".join(chunks)
-
-
-_TERM_RE = re.compile(r"^(?:(-?\d+(?:/\d+)?)\s*\*?\s*)?([a-d*^\d\s]*)$")
-
-
-def parse_poly(text, alphabet=None):
-    """Parse the text format; the alphabet is inferred unless given."""
-    text = text.strip()
-    if text in ("", "0"):
-        return NcPoly.zero(alphabet or "cd")
-    letters = set(text) & set("abcd")
-    if alphabet is None:
-        if letters <= {"a", "b"} and letters:
-            alphabet = "ab"
-        elif letters <= {"c", "d"} and letters:
-            alphabet = "cd"
-        else:
-            raise ValueError(f"cannot infer alphabet of {text!r}")
-    terms = {}
-    # split into signed terms
-    normalized = text.replace("-", "+-")
-    for raw in normalized.split("+"):
-        raw = raw.strip()
-        if not raw:
-            continue
-        sign = 1
-        if raw.startswith("-"):
-            sign = -1
-            raw = raw[1:].strip()
-        m = _TERM_RE.match(raw)
-        if not m:
-            raise ValueError(f"cannot parse term {raw!r}")
-        coeff_s, body = m.group(1), (m.group(2) or "").replace("*", "").replace(" ", "")
-        coeff = Fraction(coeff_s) if coeff_s else Fraction(1)
-        word = ""
-        i = 0
-        while i < len(body):
-            letter = body[i]
-            if letter not in alphabet:
-                raise ValueError(f"letter {letter!r} not in alphabet {alphabet!r}")
-            i += 1
-            exp = 1
-            if i < len(body) and body[i] == "^":
-                j = i + 1
-                while j < len(body) and body[j].isdigit():
-                    j += 1
-                exp = int(body[i + 1:j])
-                i = j
-            word += letter * exp
-        terms[word] = terms.get(word, 0) + sign * coeff
-    return NcPoly(alphabet, terms)
 
 
 def to_json_dict(p):

@@ -471,11 +471,6 @@ def interval_view(P, lo, hi=TOP):
     return SubPoset(root, mask, lo, root._rank[hi] - root._rank[lo] - 1)
 
 
-def upper_view(P, x):
-    """The half-open upper interval [x, 1-hat) of P as a SubPoset view."""
-    return interval_view(P, P._root._index(x))
-
-
 def iter_chains(root, mask):
     """Every chain inside the index set `mask` of `root`, as an ascending
     index tuple, the empty chain first: depth first, each level in

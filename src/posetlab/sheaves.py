@@ -56,7 +56,7 @@ from .linalg import (betti_from_ranks, mat_mul, nullspace_coords,
                      sparse_nullspace, sparse_rank)
 from .linalg import solve_in_span  # noqa: F401  (the perfbench self-test rebinds it)
 from .ncpoly import word_degree
-from .poset import GradedPoset, interval_view
+from .poset import GradedPoset, _bits, interval_view
 
 
 class BadSupport(Exception):
@@ -158,15 +158,10 @@ def constant_sheaf(base, support=None):
         supp = set(base.elements())
     else:
         supp = set(support)
-        for e in supp:
-            base._index(e)
-        for x in base.elements():
-            if x in supp:
-                continue
-            below = any(base.leq(t, x) and t != x for t in supp)
-            above = any(base.leq(x, t) and t != x for t in supp)
-            if below and above:
-                raise BadSupport(f"{x!r} lies between support elements")
+        inside = base._mask_of(supp)  # UnknownElement for an unknown id
+        for i in _bits(base._mask & ~inside):
+            if base._leq[i] & inside and base._geq[i] & inside:
+                raise BadSupport(f"{base._ids[i]!r} lies between support elements")
     stalks = {e: 1 if e in supp else 0 for e in base.elements()}
     res = {}
     for lo, hi in base.covers():
@@ -187,13 +182,6 @@ class CellularComplex:
     diff_rows: list       # diff_rows[k]: rows of d_k: C^k -> C^(k+1),
                           # indexed by C^(k+1) coordinates
     at: list              # at[k]: base index of each C^k coordinate's element
-
-    def term_dims(self):
-        return [len(c) for c in self.coords]
-
-    def cohomology_dims(self):
-        return betti_from_ranks(self.term_dims(),
-                                [sparse_rank(rows) for rows in self.diff_rows])
 
     def kernel_deg0(self):
         """Basis of H^0 = ker(d_0) as dicts keyed by (element, local).
@@ -299,15 +287,14 @@ def _cochains(F):
     return F._cochain_cache
 
 
-def cellular_complex(F, support=None, check=True):
+def cellular_complex(F, support=None):
     """The cellular complex of F, restricted to `support` when given (which
     must make the restriction a sheaf, e.g. an up-set or interval-closed),
-    read off `_cochains(F)`."""
+    read off `_cochains(F)`; d o d = 0 is checked."""
     base = F.base
     mask = base._mask if support is None else base._mask_of(support)
     cc = _cochains(F).restrict(mask)
-    if check:
-        _check_d_squared(cc)
+    _check_d_squared(cc)
     return cc
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import constructions, flags, homology
 from .ncpoly import NcPoly, coeffwise_witness, pyr_op, to_text
-from .poset import NotALattice, SubPoset, _bits, interval_view, upper_view
+from .poset import NotALattice, SubPoset, _bits, interval_view
 
 
 class RankMismatch(Exception):
@@ -190,8 +190,9 @@ def verify_main_inequality(L, nu):
     if nu == L.bottom:
         raise ValueError("nu must satisfy 0 < nu < top")
     left = flags.cd_index(L)
-    lower = flags.cd_index(interval_view(L, L._bottom_idx, L._root._index(nu)))
-    upper = flags.cd_index(upper_view(L, nu))
+    ni = L._root._index(nu)
+    lower = flags.cd_index(interval_view(L, L._bottom_idx, ni))
+    upper = flags.cd_index(interval_view(L, ni))
     right = lower * pyr_op(upper)
     witness = tuple(coeffwise_witness(right, left)) or tuple(
         coeffwise_witness(pyr_op(lower) * upper, left))

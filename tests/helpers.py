@@ -29,7 +29,7 @@ from posetlab import linalg
 from posetlab.corpus import lattice_corpus, proper_elements
 from posetlab.ncpoly import (A, B, NcPoly, NotExpressible, NotHomogeneous,
                              _require_alphabet, ab, ab_expand, alpha, cd,
-                             cd_words, power)
+                             cd_words, power, word_degree)
 from posetlab.poset import TOP, GradedPoset, PosetError, _bits
 from posetlab.sheaves import (CellularComplex, Sheaf, _check_d_squared,
                               _orientation, _up_covers, dual_dimension_formula,
@@ -70,6 +70,22 @@ def ab_index_oracle(P):
     return total
 
 
+def homogeneous_degree(p, who):
+    """The common degree of p's terms (-1 for the zero polynomial); raises
+    NotHomogeneous, saying `who` needs a homogeneous input, when they differ."""
+    degrees = {word_degree(p.alphabet, w) for w in p.terms} or {-1}
+    if len(degrees) > 1:
+        raise NotHomogeneous(f"{who} needs a homogeneous input")
+    return degrees.pop()
+
+
+def closure(maximal):
+    """The simplicial complex of every nonempty face of the given simplices."""
+    return hm.SimplicialComplex({face for s in maximal
+                                 for k in range(1, len(s) + 1)
+                                 for face in combinations(sorted(s), k)})
+
+
 def _split_leading(p):
     """Split degree >= 1 ab-polynomial as a*pa + b*pb."""
     pa, pb = {}, {}
@@ -87,9 +103,7 @@ def cd_contract_oracle(p):
     _require_alphabet("ab", p)
     if p.is_zero():
         return NcPoly.zero("cd")
-    if not p.is_homogeneous():
-        raise NotHomogeneous("cd_contract needs a homogeneous input")
-    n = p.degree()
+    n = homogeneous_degree(p, "cd_contract")
 
     def rec(q, deg):
         if deg == 0:
@@ -497,9 +511,7 @@ def cd_split_with_a(p):
     _require_alphabet("ab", p)
     if p.is_zero():
         return NcPoly.zero("cd"), NcPoly.zero("cd")
-    if not p.is_homogeneous():
-        raise NotHomogeneous("cd_split_with_a needs a homogeneous input")
-    n = p.degree()
+    n = homogeneous_degree(p, "cd_split_with_a")
     basis, tags = [], []
     for w in cd_words(n):
         basis.append(ab_expand(cd(w)).terms)
@@ -569,6 +581,12 @@ def simplicial_cellular_complex(F, support=None):
                          [[oc._index(e) for e, _ in cs] for cs in coords])
     _check_d_squared(cc)
     return cc
+
+
+def cohomology_dims(cc):
+    """The dimensions of the cohomology of the cellular complex cc."""
+    return linalg.betti_from_ranks([len(c) for c in cc.coords],
+                                   [linalg.sparse_rank(rows) for rows in cc.diff_rows])
 
 
 def fraction_alpha_oracle(cf, family, rng):

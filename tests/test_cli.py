@@ -11,9 +11,10 @@ import pytest
 from helpers import pinched_disks_poset, rp2_face_poset
 from posetlab import cli
 from posetlab import constructions as cons
-from posetlab import homology
+from posetlab import homology, ncpoly
 from posetlab import poset as poset_mod
 from posetlab import sheaves
+from posetlab.ncpoly import ab, cd
 
 
 def run_cli(capsys, *argv):
@@ -236,6 +237,28 @@ class TestLambdaNuCommands:
         code, out, err = run_cli(capsys, command, b3, "--element", "0")
         assert code == 2 and out == ""
         assert err == "error: nu must be strictly above the bottom\n"
+
+    @pytest.mark.parametrize("command", ["lambda-nu", "lambda-nu-prime"])
+    def test_element_required(self, capsys, tmp_path, command):
+        p4 = write_poset(tmp_path, cons.polygon(4))
+        code, out, err = run_cli(capsys, command, p4)
+        assert code == 2 and out == ""
+        assert "--element" in err
+
+    @pytest.mark.parametrize("argv,want", [
+        (["ab-index"], ab("aa") + ab("ab", 3) + ab("ba", 3) + ab("bb")),
+        (["cd-index"], cd("cc") + cd("d", 2)),
+        (["lambda-nu", "--element", "1"], ab("aa") + ab("ab") + ab("ba", 2)),
+        (["lambda-nu-prime", "--element", "1"], cd("cc") + cd("d")),
+    ], ids=["ab-index", "cd-index", "lambda-nu", "lambda-nu-prime"])
+    def test_json(self, capsys, tmp_path, argv, want):
+        # each polynomial command on the square, as JSON and as text
+        p4 = write_poset(tmp_path, cons.polygon(4))
+        code, out, err = run_cli(capsys, "--json", argv[0], p4, *argv[1:])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == ncpoly.to_json_dict(want)
+        code, out, _ = run_cli(capsys, argv[0], p4, *argv[1:])
+        assert out == ncpoly.to_text(want) + "\n"
 
 
 class TestCorpus:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (all_chains, cellular_betti_mod2_oracle, cellular_rows_oracle,
-                     composed_posets, derive_boundary_oracle, first_bad_interval_oracle,
+                     closure, composed_posets, derive_boundary_oracle, first_bad_interval_oracle,
                      pinched_disks_poset, rp2_face_poset, rp3_face_poset,
                      structural_check_oracle)
 from posetlab import constructions as cons
@@ -32,16 +32,12 @@ class TestSimplicialComplex:
         with pytest.raises(ValueError):
             hm.SimplicialComplex([(1, 2, 3), (1, 2)])  # missing edges
 
-    def test_closure_of(self):
-        K = hm.SimplicialComplex.closure_of([(1, 2, 3)])
-        assert K.f_vector() == (3, 3, 1)
-
     def test_contains_empty_simplex(self):
-        K = hm.SimplicialComplex.closure_of([(1,)])
+        K = closure([(1,)])
         assert () in K
 
     def test_contains_any_vertex_order(self):
-        K = hm.SimplicialComplex.closure_of([(1, 2, 3), (3, 4)])
+        K = closure([(1, 2, 3), (3, 4)])
         assert (3, 1) in K and [2, 1, 3] in K and (4, 3) in K
         assert (1, 4) not in K and (1, 2, 3, 4) not in K and (5,) not in K
 
@@ -70,7 +66,7 @@ class TestReducedHomology:
         assert hm.reduced_homology(K) == {0: 1}
 
     def test_contractible(self):
-        K = hm.SimplicialComplex.closure_of([(1, 2, 3)])
+        K = closure([(1, 2, 3)])
         assert hm.reduced_homology(K) == {}
 
     def test_empty_complex(self):
@@ -112,16 +108,15 @@ class TestGorensteinComplex:
         assert hm.is_gorenstein_complex(hm.order_complex_simplicial(polygon3))
 
     def test_path_of_edges_fails(self):
-        K = hm.SimplicialComplex.closure_of([(1, 2), (2, 3), (3, 4)])
+        K = closure([(1, 2), (2, 3), (3, 4)])
         assert not hm.is_gorenstein_complex(K)
 
     def test_disjoint_circles_fail(self):
-        K = hm.SimplicialComplex.closure_of(
-            [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)])
+        K = closure([(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)])
         assert not hm.is_gorenstein_complex(K)
 
     def test_impure_raises(self):
-        K = hm.SimplicialComplex.closure_of([(1, 2, 3), (4, 5)])
+        K = closure([(1, 2, 3), (4, 5)])
         with pytest.raises(hm.NotPure):
             hm.is_gorenstein_complex(K)
 

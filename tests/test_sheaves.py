@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from helpers import (cellular_complex_oracle, composed_posets,
+from helpers import (cellular_complex_oracle, cohomology_dims, composed_posets,
                      eager_kernel_sheaf_oracle, fraction_alpha_oracle,
                      is_gorenstein_sheaf, pullback, sheaf_cd_split,
                      simplicial_cellular_complex, torus_face_poset,
@@ -17,7 +17,7 @@ from posetlab import sheaves as sh
 from posetlab.corpus import gorenstein_corpus
 from posetlab.linalg import sparse_nullspace, sparse_rank
 from posetlab.ncpoly import cd, cd_words
-from posetlab.poset import GradedPoset, from_json, to_json
+from posetlab.poset import GradedPoset, UnknownElement, from_json, to_json
 
 
 class TestConstantSheaf:
@@ -42,6 +42,27 @@ class TestConstantSheaf:
         e = polygon3.maximal_elements()[0]
         with pytest.raises(sh.BadSupport):
             sh.constant_sheaf(polygon3, [polygon3.bottom, e])
+
+    def test_unknown_support_element(self, polygon3):
+        with pytest.raises(UnknownElement):
+            sh.constant_sheaf(polygon3, [polygon3.bottom, 99])
+
+    def test_interval_closed_check_against_pairwise_oracle(self):
+        # every support on the square: BadSupport names the first element
+        # outside it with support elements both below and above
+        P = cons.polygon(4)
+        elems = P.elements()
+        for bits in range(1 << len(elems)):
+            supp = [e for k, e in enumerate(elems) if bits >> k & 1]
+            between = [x for x in elems if x not in supp
+                       and any(P.leq(t, x) for t in supp)
+                       and any(P.leq(x, t) for t in supp)]
+            if between:
+                with pytest.raises(sh.BadSupport,
+                                   match=f"^{between[0]!r} lies between support elements$"):
+                    sh.constant_sheaf(P, supp)
+            else:
+                assert sum(sh.constant_sheaf(P, supp).stalk_dim.values()) == len(supp)
 
 
 def two_edges():
@@ -93,7 +114,7 @@ class TestCellularComplex:
         n = polygon3.n
         for cc in (sh.cellular_complex(F),
                    simplicial_cellular_complex(pullback(F))):
-            dims = cc.cohomology_dims()
+            dims = cohomology_dims(cc)
             for i, d in enumerate(dims):
                 assert d == betti.get(n - i - 1, 0), i
 
@@ -101,7 +122,7 @@ class TestCellularComplex:
         F = zero_sheaf(polygon3)
         for cc in (sh.cellular_complex(F),
                    simplicial_cellular_complex(pullback(F))):
-            assert all(d == 0 for d in cc.term_dims())
+            assert not any(cc.coords)
 
     def test_gorenstein_link_has_one_dimensional_h0(self, polygon3):
         F = sh.constant_sheaf(polygon3)
@@ -111,19 +132,19 @@ class TestCellularComplex:
         w = oc.provenance[v][0]
         for cc in (sh.cellular_complex(F, polygon3.up_set(w)),
                    simplicial_cellular_complex(pf, oc.up_set(v))):
-            dims = cc.cohomology_dims()
+            dims = cohomology_dims(cc)
             assert dims[0] == 1 and all(d == 0 for d in dims[1:])
 
     def test_d_squared_validated(self):
         P = cons.polygon(3)
         F = sh.constant_sheaf(P)
-        sh.cellular_complex(F, check=True)  # raises on failure
+        sh.cellular_complex(F)  # raises on failure
         simplicial_cellular_complex(pullback(F))
         eps = sh._orientation(P)
         eps[min(eps)] *= -1  # one flipped sign breaks d o d = 0
         # F keeps the complex it built; a new sheaf reads the flipped sign
         with pytest.raises(ValueError):
-            sh.cellular_complex(sh.constant_sheaf(P), check=True)
+            sh.cellular_complex(sh.constant_sheaf(P))
 
     def test_poset_base_rejected(self):
         # a poset base needs an orientation; two edges on separate
@@ -141,7 +162,7 @@ class TestCellularComplex:
 
 
 def _upset_cohomology(cc):
-    dims = cc.cohomology_dims()
+    dims = cohomology_dims(cc)
     return dims[0] if dims else 0, not any(dims[1:])
 
 
@@ -386,7 +407,7 @@ def _assert_complexes_match_per_upset_oracle(F, where):
         assert cc == old, (where, x)
         assert cc.restrict(base._geq[base._index(x)]) == old, (where, x)
         assert h0[x] == old.kernel_deg0(), (where, x)
-        cm = cm and not any(old.cohomology_dims()[1:])
+        cm = cm and not any(cohomology_dims(old)[1:])
     assert sh.is_cm_sheaf(F) == cm, where
 
 

@@ -27,14 +27,20 @@ class PosetMap:
     assignment: dict = field(compare=False)
 
     def __post_init__(self):
-        for x in self.source.elements():
-            if x not in self.assignment:
+        # one bit test per cover; the first failure in covers() order is named
+        source, target, assignment = self.source, self.target, self.assignment
+        image = []
+        for x in source.elements():
+            if x not in assignment:
                 raise UnknownElement(f"map not defined on {x!r}")
-            self.target._index(self.assignment[x])
-        for lo, hi in self.source.covers():
-            if not self.target.leq(self.assignment[lo], self.assignment[hi]):
-                raise ValueError(
-                    f"map does not preserve order on cover ({lo!r}, {hi!r})")
+            image.append(target._index(assignment[x]))
+        geq = target._geq
+        if not all(geq[image[i]] >> image[j] & 1
+                   for i, ups in enumerate(source._covers_up) for j in ups):
+            lo, hi = next((lo, hi) for lo, hi in source.covers()
+                          if not target.leq(assignment[lo], assignment[hi]))
+            raise ValueError(
+                f"map does not preserve order on cover ({lo!r}, {hi!r})")
 
     def __call__(self, x):
         return self.assignment[x]

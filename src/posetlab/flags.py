@@ -17,7 +17,9 @@ since adding level l_j to sets of smaller levels is one uniform shift.  A
 slot of acc_i is at most the number of chains acc_i counts, which the same
 walk with W = 0 computes, so W = the bit length of the largest count (and,
 in `ab_index`, of the weighted total) leaves no carry.  Subset Moebius
-inversion (n * 2^n steps) of the unpacked slots gives the h_S (`_flag_h`).
+inversion (n * 2^n steps) of the slots gives the h_S (`_flag_h`), unpacked
+by halving f with one mask and one shift, so each bit is copied once per
+halving (`_unpack`).
 
 Bottom-up (elements above the bottom, l_i = rank above the bottom, near(i)
 = the elements strictly between) acc_pi is the flag f-vector of [0-hat, pi)
@@ -30,6 +32,16 @@ acc_x at 2^(n_x) slots, and one bit reversal of S re-indexes it.  So one
 walk gives every lower or every upper interval's ab-index, the coproduct of
 flag f-vectors (Psi is a coalgebra map: Ehrenborg-Readdy, Coproducts and
 the cd-index, J. Algebraic Combin. 1998).
+
+Each root poset caches one bottom-up walk (`_root_walk`), W the bit length
+of its total chain count.  An order ideal I of the root on its bottom
+holds [0-hat, i) for each member i, so acc_i is I's too and I's flag
+f-vector is 1 + the sum of out_i over its members: `_ab_key` reads the
+root, the fibers and boundaries of `decompose` and [0-hat, nu) so, and
+`lower_intervals` of a root reads acc.  No slot carries: each counts
+chains of the root, at most its total count, below 2^W.  Every other view
+(upper intervals, intervals off the bottom, scaled sums, non-ideals) walks
+itself.
 
 An interval's index is read as the key (n, h), h in `ncpoly._ab_words(n)`
 order, and `cd_of` contracts each key once per memo.  The memo lives in the
@@ -103,17 +115,22 @@ def _pack(order, near, level, width):
     return acc, out
 
 
-def _plan(P, top_down):
-    """(order, near, level) of the bottom-up or top-down walk over the view
-    P, after checking that P contains its bottom and nothing ranked above
-    its rank n."""
+def _members(P):
+    """The mask of the view P's elements above its bottom, after checking
+    that P contains its bottom and nothing ranked above its rank n."""
     root, bot, n = P._root, P._bottom_idx, P.n
     if not (P._mask >> bot) & 1:
         raise ValueError("the view does not contain its bottom")
-    base = root._rank[bot]
     members = P._mask & root._geq[bot]
-    if root._rank[members.bit_length() - 1] - base > n:
+    if root._rank[members.bit_length() - 1] - root._rank[bot] > n:
         raise ValueError(f"the view has an element ranked above its rank {n}")
+    return members
+
+
+def _plan(root, bot, members, n, top_down):
+    """(order, near, level) of the bottom-up or top-down walk over `members`
+    of `root` above `bot`, with the virtual top n + 1 ranks above bot."""
+    base = root._rank[bot]
     if top_down:
         order = list(_bits(members))[::-1]
         rel = root._geq
@@ -127,11 +144,33 @@ def _plan(P, top_down):
     return order, near, level
 
 
+def _root_walk(root):
+    """(width, acc, out) of the root poset's one bottom-up walk, cached."""
+    walk = root._cache.get("flag_walk")
+    if walk is None:
+        plan = _plan(root, root._bottom, root._geq[root._bottom], root.n, False)
+        count, _ = _pack(*plan, 0)
+        width = (1 + sum(count.values())).bit_length()
+        walk = root._cache["flag_walk"] = (width, *_pack(*plan, width))
+    return walk
+
+
+def _unpack(f, width, slots):
+    """The `slots` (a power of two) width-bit slots of f, lowest first, by
+    halving f down to 64 slots (see the module docstring)."""
+    if slots <= 64:
+        mask = (1 << width) - 1
+        return [(f >> (width * S)) & mask for S in range(slots)]
+    half = slots >> 1
+    shift = width * half
+    return (_unpack(f & ((1 << shift) - 1), width, half)
+            + _unpack(f >> shift, width, half))
+
+
 def _flag_h(f, width, n):
     """The h_S, S < 2^n, of the flag f-vector packed in f (slot S at bit
     width * S): unpack, then invert over subsets."""
-    slot = (1 << width) - 1
-    h = [(f >> (width * S)) & slot for S in range(1 << n)]
+    h = _unpack(f, width, 1 << n)
     for r in range(n):
         bit = 1 << r
         for S in range(1 << n):
@@ -151,10 +190,18 @@ def ab_index(P, scale=None):
 
 def _ab_key(P, scale=None):
     """The key (n, h) of `ab_index(P, scale)`, h in ncpoly's word order:
-    one bottom-up packed walk (see the module docstring), inverted over
-    subsets into the ab-word coefficients."""
-    order, near, level = _plan(P, False)
-    bot = P._bottom_idx
+    read off the root's walk when P is an order ideal on the root's bottom
+    and unscaled (see the module docstring), else from P's own walk."""
+    members = _members(P)
+    root, bot = P._root, P._bottom_idx
+    if scale is None and bot == root._bottom:
+        width, _, out = _root_walk(root)
+        inner = list(_bits(members & ~(1 << bot)))
+        down = reduce(operator.or_, map(root._leq.__getitem__, inner), 0)
+        if not down & root._geq[bot] & ~P._mask:
+            f = 1 + sum(map(out.__getitem__, inner))
+            return P.n, tuple(_flag_h(f, width, P.n))
+    order, near, level = _plan(root, bot, members, P.n, False)
     w_bot = 1 if scale is None else scale(bot)
     weights = [1 if scale is None else scale(i) for i in order]
     if w_bot < 0 or any(w < 0 for w in weights):
@@ -169,14 +216,20 @@ def _ab_key(P, scale=None):
 
 def _intervals(P, top_down, among):
     """{i: (n_i, h)} for each i of the walk that is in the mask `among`:
-    [0-hat, i) bottom-up, [i, 1-hat) top-down, h in ncpoly's word order."""
-    order, near, level = _plan(P, top_down)
-    count, _ = _pack(order, near, level, 0)
-    width = max(count.values(), default=0).bit_length()
-    acc, _ = _pack(order, near, level, width)
+    [0-hat, i) bottom-up, [i, 1-hat) top-down, h in ncpoly's word order.
+    A root's bottom-up walk is its cached one."""
+    members = _members(P)
+    if P is P._root and not top_down:
+        width, acc, _ = _root_walk(P)
+        level = P._rank
+    else:
+        order, near, level = _plan(P._root, P._bottom_idx, members, P.n, top_down)
+        count, _ = _pack(order, near, level, 0)
+        width = max(count.values(), default=0).bit_length()
+        acc, _ = _pack(order, near, level, width)
     keys = {}
-    for i in order:
-        if (among >> i) & 1:
+    for i in _bits(among):
+        if i in acc:
             n = level[i] - 1
             h = _flag_h(acc[i], width, n)
             keys[i] = (n, tuple(map(h.__getitem__, _reversal(n))) if top_down
@@ -184,10 +237,11 @@ def _intervals(P, top_down, among):
     return keys
 
 
-def upper_intervals(P):
-    """{x: (n, h)} for every element x of the view P: the rank n and the
-    ab-index coefficients h of [x, 1-hat), from one top-down walk."""
-    return _intervals(P, True, P._mask)
+def upper_intervals(P, among):
+    """{x: (n, h)} for each element x of the view P in the root-index mask
+    `among`: the rank n and the ab-index coefficients h of [x, 1-hat),
+    from one top-down walk."""
+    return _intervals(P, True, among)
 
 
 def lower_intervals(P, among):
@@ -336,7 +390,7 @@ def pyr_alpha_recurrence_check(P, tau, pi=TOP):
         raise NotComparable(f"{tau!r} is not below {pi!r}")
     whole = interval_view(P, ti, hi)
     memo = contraction_memo(P)
-    upper = upper_intervals(whole)
+    upper = upper_intervals(whole, whole._mask)
     left = pyr_op(cd_of(upper.pop(ti), memo)) - alpha(whole.n + 1)
     right = NcPoly.zero("cd")
     for si, key in upper.items():

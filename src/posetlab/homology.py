@@ -372,9 +372,10 @@ def _structural_check(root, mask, bottom_idx, n):
     raise rank by one inside the subset, maximal elements at rank n.
 
     When the subset holds everything between the bottom and each of its
-    members (a whole poset, a fiber, a boundary, an interval), its covers
-    are the root's covers inside it and are read from `_covers_up`;
-    otherwise they are found by scanning each member's up-set."""
+    members (a whole poset, a fiber, a boundary, an interval), i is maximal
+    iff geq[i] & mask = {i}, and its covers are the root's inside it (the
+    root caches its rank-skipping covers: `GradedPoset.__init__` allows
+    them); otherwise they are found by scanning each member's up-set."""
     if not (mask >> bottom_idx) & 1:
         return CertResult(False, "bottom not in subset")
     base = root._rank[bottom_idx]
@@ -387,12 +388,23 @@ def _structural_check(root, mask, bottom_idx, n):
         if root._rank[i] - base > n:
             return CertResult(False, f"element above rank {n}", (root._ids[i],))
     missing = root._geq[bottom_idx] & ~mask
-    closed = not any(root._leq[i] & missing for i in members)
+    if not any(root._leq[i] & missing for i in members):
+        geq, rank = root._geq, root._rank
+        skips = root._cache.get("rank_skips") or root._cache.setdefault(
+            "rank_skips", tuple(sum(1 << j for j in ups if rank[j] - rank[i] >= 2)
+                                for i, ups in enumerate(root._covers_up)))
+        for i in members:
+            if geq[i] & mask == 1 << i:
+                if rank[i] - base != n:
+                    return CertResult(False, "maximal element below top rank",
+                                      (root._ids[i],))
+            elif skip := skips[i] & mask:
+                j = (skip & -skip).bit_length() - 1
+                return CertResult(False, "cover skips a rank",
+                                  (root._ids[i], root._ids[j]))
+        return CertResult(True)
     for i in members:
-        if closed:
-            covers = [j for j in root._covers_up[i] if (mask >> j) & 1]
-        else:
-            covers = root._minimal_in(root._geq[i] & mask & ~(1 << i))
+        covers = root._minimal_in(root._geq[i] & mask & ~(1 << i))
         if not covers and root._rank[i] - base != n:
             return CertResult(False, "maximal element below top rank", (root._ids[i],))
         for j in covers:

@@ -7,10 +7,11 @@ truthy iff the property holds.
 
 Fiber certifications are cached on the source poset keyed by fiber element
 masks, so closed intervals shared between different maps, different nu and
-different target elements are certified once.  `decompose` reads the
-cd-index of every upper interval [sigma, 1-hat) of its target from one
-top-down flag walk (`flags.upper_intervals`) and contracts each distinct
-ab-index once, in a memo on the same source poset.
+different target elements are certified once.  Fibers and boundaries are
+order ideals of the source, read off its one cached flag walk.  `decompose`
+reads [sigma, 1-hat) for each sigma with Phi != 0 from one top-down walk of
+its target (`flags.upper_intervals`) and contracts each distinct ab-index
+once, in a memo on the same source poset.
 """
 
 from __future__ import annotations
@@ -63,20 +64,17 @@ class SubdivisionReport:
 
 def _fiber_masks(phi):
     """For every target element sigma: masks (over source indices) of the
-    closed and open fibers phi^-1[0,sigma] and phi^-1[0,sigma)."""
+    closed fiber phi^-1[0,sigma], bottom-up its image or'ed with the closed
+    fibers of its lower covers, and of the image phi^-1(sigma)."""
     src, tgt = phi.source, phi.target
-    closed = {s: 0 for s in tgt.elements()}
-    image_bit = {s: 0 for s in tgt.elements()}
-    for x in src.elements():
-        y = phi(x)
-        xb = 1 << src._index(x)
-        image_bit[y] |= xb
-    for s in tgt.elements():
-        m = 0
-        for t in tgt.down_set(s):
-            m |= image_bit[t]
-        closed[s] = m
-    return closed, image_bit
+    image = [0] * len(tgt._ids)
+    for i in src._indices():
+        image[tgt._index(phi(src._ids[i]))] |= 1 << i
+    closed = image[:]
+    for t, ups in enumerate(tgt._covers_up):
+        for u in ups:
+            closed[u] |= closed[t]
+    return dict(zip(tgt._ids, closed)), dict(zip(tgt._ids, image))
 
 
 def is_subdivision(phi):
@@ -133,10 +131,7 @@ def decompose(phi):
     src, tgt = phi.source, phi.target
     closed, image_bit = report.fibers
     cache = src._cache.setdefault("fiber_phi", {})
-    memo = flags.contraction_memo(src)
-    upper = flags.upper_intervals(tgt)
     terms = {}
-    assembled = NcPoly.zero("cd")
     for s in tgt.elements():
         cmask = closed[s]
         omask = cmask & ~image_bit[s]
@@ -146,8 +141,12 @@ def decompose(phi):
             bd_ids = [src._root._ids[i] for i in _bits(omask)]
             cache[key] = flags.near_cd_index(fiber, bd_ids).phi
         terms[s] = cache[key]
-        if not terms[s].is_zero():
-            assembled = assembled + terms[s] * flags.cd_of(upper[tgt._index(s)], memo)
+    memo = flags.contraction_memo(src)
+    upper = flags.upper_intervals(
+        tgt, sum(1 << tgt._index(s) for s, t in terms.items() if not t.is_zero()))
+    assembled = NcPoly.zero("cd")
+    for i, key in upper.items():
+        assembled = assembled + terms[tgt._ids[i]] * flags.cd_of(key, memo)
     source_cd = flags.cd_index(src)
     if assembled != source_cd:
         raise DecompositionMismatch(

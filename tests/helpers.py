@@ -28,9 +28,9 @@ from posetlab import homology as hm
 from posetlab import linalg
 from posetlab.corpus import lattice_corpus, proper_elements
 from posetlab.ncpoly import (A, B, NcPoly, NotExpressible, NotHomogeneous,
-                             _require_alphabet, ab, ab_expand, alpha, cd,
-                             cd_words, power, word_degree)
-from posetlab.poset import TOP, GradedPoset, PosetError, _bits
+                             _require_alphabet, ab, ab_expand, ab_of, alpha, cd,
+                             cd_contract, cd_words, power, word_degree)
+from posetlab.poset import TOP, GradedPoset, PosetError, SubPoset, _bits
 from posetlab.sheaves import (CellularComplex, Sheaf, _check_d_squared,
                               _orientation, _up_covers, dual_dimension_formula,
                               is_cm_sheaf, sheaf_ab_index, skeleton_poset)
@@ -68,6 +68,46 @@ def ab_index_oracle(P):
             term = term * amb
         total = total + term
     return total
+
+
+def flag_h_oracle(f, width, n):
+    """`flags._flag_h` unpacking slot by slot, one shift of all of f per
+    slot, then inverting over subsets."""
+    slot = (1 << width) - 1
+    h = [(f >> (width * S)) & slot for S in range(1 << n)]
+    for r in range(n):
+        bit = 1 << r
+        for S in range(1 << n):
+            if S & bit:
+                h[S] -= h[S ^ bit]
+    return h
+
+
+def ab_key_walk_oracle(P):
+    """The ab-index key (n, h) of the view P from its own bottom-up packed
+    walk, never the root's: what `flags._ab_key` reads off the root walk
+    for an order ideal must equal this."""
+    order, near, level = flags._plan(P._root, P._bottom_idx, flags._members(P),
+                                     P.n, False)
+    count, _ = flags._pack(order, near, level, 0)
+    width = (1 + sum(count.values())).bit_length()
+    _, out = flags._pack(order, near, level, width)
+    return P.n, tuple(flag_h_oracle(1 + sum(out.values()), width, P.n))
+
+
+def near_cd_index_oracle(P, boundary_ids):
+    """`flags.near_cd_index` of the view P from `ab_key_walk_oracle` keys
+    and fresh contractions, with no memo and no root walk."""
+    root, n = P._root, P.n
+    _, h = ab_key_walk_oracle(P)
+    bmask = (root._mask_of(boundary_ids) & P._mask) | 1 << P._bottom_idx
+    if set(boundary_ids):
+        _, hb = ab_key_walk_oracle(SubPoset(root, bmask, P._bottom_idx, n - 1))
+    else:
+        hb = (0,) * (1 << max(n - 1, 0))
+    phi = tuple(c - cb for c, cb in zip(h, hb)) + h[len(hb):]
+    return flags.NearCdIndex(cd_contract(ab_of((n, phi))),
+                             cd_contract(ab_of((n - 1, hb))))
 
 
 def homogeneous_degree(p, who):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from helpers import (cartesian_product_oracle, isomorphic,
@@ -6,7 +8,8 @@ from posetlab import constructions as cons
 from posetlab import flags
 from posetlab.corpus import gorenstein_corpus, lattice_corpus
 from posetlab.ncpoly import cd
-from posetlab.poset import NotALattice, TOP, UnknownElement
+from posetlab.poset import (TOP, GradedPoset, NotALattice, UnknownElement,
+                            from_json_dict)
 
 
 class TestBooleanAlgebra:
@@ -321,6 +324,20 @@ class TestPosetMap:
         with pytest.raises(UnknownElement):
             cons.PosetMap(polygon3, polygon3,
                           {e: e for e in polygon3.elements() if e != 1})
+
+    def test_first_failing_cover_in_covers_order(self):
+        """A JSON source whose ids are not its indices: the chain
+        0 < 7 < 1 < 4 sits at indices 0..3, so the cover (7, 1) comes first
+        in index order, but covers() sorts (1, 4) first, and the message
+        names it."""
+        source = from_json_dict({
+            "n": 3, "elements": [{"id": e, "rank": r}
+                                 for e, r in ((0, 0), (7, 1), (1, 2), (4, 3))],
+            "covers": [[0, 7], [7, 1], [1, 4]]})
+        assert source._ids == (0, 7, 1, 4)
+        target = GradedPoset.from_covers(1, {0: 0, 1: 1, 2: 1}, [(0, 1), (0, 2)])
+        with pytest.raises(ValueError, match=re.escape("on cover (1, 4)")):
+            cons.PosetMap(source, target, {0: 0, 7: 1, 1: 2, 4: 1})
 
     def test_must_preserve_order(self, polygon3):
         bad = {e: e for e in polygon3.elements()}

@@ -1,14 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (SEMISUSPENSION_ROUTES, ab_index_oracle, all_chains,
-                     composed_posets, count_maximal_chains, eulerian_lattices,
-                     eulerian_oracle, graded_posets, homogeneous_degree,
-                     lattice_oracle, lattices_and_balls, semisuspension_sum_oracle)
+from helpers import (SEMISUSPENSION_ROUTES, ab_index_oracle, ab_key_walk_oracle,
+                     all_chains, composed_posets, count_maximal_chains,
+                     eulerian_lattices, eulerian_oracle, flag_h_oracle, graded_posets,
+                     homogeneous_degree, lattice_oracle, lattices_and_balls,
+                     near_cd_index_oracle, semisuspension_sum_oracle)
 from posetlab import constructions as cons
 from posetlab import corpus, flags
 from posetlab.flags import InvalidChain
+from posetlab.subdivision import _fiber_masks
 from posetlab.ncpoly import (A, B, NcPoly, NotExpressible, ab, ab_expand, cd,
                              cd_contract, pyr_op)
 from posetlab.poset import (TOP, GradedPoset, NotALattice, NotComparable, NotEulerian,
@@ -137,7 +141,7 @@ def _assert_readers_match_views(P):
     bottom."""
     root, bot = P._root, P._bottom_idx
     members = list(_bits(P._mask & root._geq[bot]))
-    upper = flags.upper_intervals(P)
+    upper = flags.upper_intervals(P, P._mask)
     assert sorted(upper) == members
     for x, key in upper.items():
         view = interval_view(P, x)
@@ -182,7 +186,7 @@ class TestIntervalReaders:
         """B4's upper intervals are Boolean algebras, one per rank: four
         contractions, every other key a memo hit."""
         memo = {}
-        keys = flags.upper_intervals(boolean4)
+        keys = flags.upper_intervals(boolean4, boolean4._mask)
         for key in keys.values():
             first = flags.cd_of(key, memo)
             assert first == cd_contract(flags.ab_of(key))
@@ -200,12 +204,80 @@ class TestIntervalReaders:
         broken = GradedPoset.from_covers(
             2, {0: 0, 1: 1, 2: 1, 3: 2}, [(0, 1), (0, 2), (1, 3), (2, 3)])
         memo = flags.contraction_memo(broken)
-        key = flags.upper_intervals(broken)[1]
+        key = flags.upper_intervals(broken, broken._mask)[1]
         assert flags.ab_of(key) == ab("a")
         for _ in range(3):
             with pytest.raises(NotEulerian):
                 flags.cd_of(key, memo)
         assert key not in memo
+
+
+def test_flag_h_against_per_slot_unpacking():
+    """The halving unpacker against one shift of f per slot, on random
+    packed values: every width from 1 to 40 bits, n up to 9 (512 slots,
+    three halvings above the 64-slot base), top slots zero or full."""
+    rng = random.Random(0)
+    for width in range(1, 41):
+        for n in range(10):
+            slots = [rng.getrandbits(width) for _ in range(1 << n)]
+            slots[-1] = rng.choice((0, (1 << width) - 1, slots[-1]))
+            f = sum(v << (width * S) for S, v in enumerate(slots))
+            assert flags._flag_h(f, width, n) == flag_h_oracle(f, width, n)
+
+
+def _views_of_root(P, rng):
+    """Views of the root P whose keys `_ab_key` must give as their own
+    walk would: P, random order ideals (at their own top rank and at P's),
+    the same ideals with a member that has a member above it removed (no
+    ideal), and the lower and upper intervals of random elements."""
+    root, bot = P._root, P._bottom_idx
+    views = [P]
+    others = [i for i in P._indices() if i != bot]
+    for _ in range(12):
+        mask = 1 << bot
+        for i in rng.sample(others, rng.randint(1, min(3, len(others)))):
+            mask |= root._leq[i]
+        top = root._rank[mask.bit_length() - 1]
+        views += [SubPoset(root, mask, bot, top), SubPoset(root, mask, bot, P.n)]
+        inner = [i for i in _bits(mask) if i != bot and root._geq[i] & mask != 1 << i]
+        if inner:
+            views.append(SubPoset(root, mask & ~(1 << rng.choice(inner)), bot, top))
+    for i in rng.sample(others, min(6, len(others))):
+        views += [interval_view(P, bot, i), interval_view(P, i)]
+    return views
+
+
+class TestRootWalk:
+    """`_ab_key` and `lower_intervals` read order ideals of a root off its
+    one cached walk; every answer equals the view's own walk."""
+
+    def test_ab_key_of_ideals_non_ideals_and_intervals(self):
+        rng = random.Random(1)
+        read = 0
+        for name, P in corpus.gorenstein_corpus(4):
+            for view in _views_of_root(P, rng):
+                assert flags._ab_key(view) == ab_key_walk_oracle(view), name
+            read += "flag_walk" in P._cache
+        assert read == len(corpus.gorenstein_corpus(4))
+
+    def test_ideal_ranked_above_its_rank_raises(self, boolean4):
+        atom = boolean4._index(1)
+        ideal = SubPoset(boolean4, boolean4._leq[atom], boolean4._bottom_idx, 0)
+        with pytest.raises(ValueError, match="ranked above its rank 0"):
+            flags._ab_key(ideal)
+
+    def test_lower_intervals_of_a_root_among_random_masks(self):
+        rng = random.Random(2)
+        for name, P in corpus.gorenstein_corpus(4):
+            bot = P._bottom_idx
+            for _ in range(4):
+                among = rng.getrandbits(len(P))
+                keys = flags.lower_intervals(P, among)
+                assert sorted(keys) == [i for i in _bits(among) if i != bot], name
+                for pi, key in keys.items():
+                    view = interval_view(P, bot, pi)
+                    assert key == ab_key_walk_oracle(view)
+                    assert flags.ab_of(key) == flags.ab_index(view)
 
 
 class TestCdIndex:
@@ -267,6 +339,26 @@ class TestNearCdIndex:
             assert all(v == cd_contract(flags.ab_of(k)) for k, v in memo.items())
             again = flags.near_cd_index(ball, boundary)
             assert again.phi is nc.phi and again.boundary is nc.boundary
+
+    def test_every_fiber_of_criterion_3_maps(self):
+        """Each distinct fiber split of every subdivision and collapse map
+        of the lattice corpus, read off the source's root walk, against
+        the split of the fiber's own walks with fresh contractions."""
+        for name, L in corpus.lattice_corpus(4):
+            seen = set()
+            for nu in corpus.proper_elements(L):
+                for phi in (cons.subdivision_target_and_map(L, nu)[1],
+                            cons.collapse_map(L, nu)):
+                    closed, image = _fiber_masks(phi)
+                    for s, cmask in closed.items():
+                        key = (cmask, cmask & ~image[s], phi.target.rank(s))
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                        fiber = SubPoset(L, cmask, L._bottom_idx, key[2])
+                        bd = [L._ids[i] for i in _bits(key[1])]
+                        assert flags.near_cd_index(fiber, bd) == \
+                            near_cd_index_oracle(fiber, bd), (name, nu, s)
 
     def test_failed_split_is_never_stored(self):
         """[1, 1-hat) = {1, 3} has ab-index a, so no split of this poset is

@@ -836,6 +836,35 @@ def test_interval_walk_against_literal_oracle(drawn):
     _assert_walk_against_literal_oracle(*drawn)
 
 
+class TestStructuralCheckOnClosedMasks:
+    """Checks that the closed-mask path keeps."""
+
+    def test_root_with_a_rank_skipping_cover(self):
+        """`_materialize` of a non-convex mask builds its root through
+        `GradedPoset.__init__`: the chain {} < {0,1} of B3 keeps a cover
+        from rank 0 to rank 2, which from_covers would have refused."""
+        B3 = cons.boolean_algebra(3)
+        pair = next(e for e in B3.elements() if B3.rank(e) == 2)
+        root = B3._materialize(1 << B3._bottom_idx | 1 << B3._index(pair), 2, 0)
+        got = hm._structural_check(root, root._mask, root._bottom_idx, root.n)
+        assert got == hm.CertResult(False, "cover skips a rank", (0, 1))
+        assert got == structural_check_oracle(root, root._mask, root._bottom_idx, root.n)
+
+    def test_fiber_with_a_maximal_element_below_top_rank(self):
+        """The down-sets of a rank-2 element of B4 and of an atom outside
+        it form an order ideal; read at rank 2, that atom is a maximal
+        element at rank 1."""
+        B4 = cons.boolean_algebra(4)
+        atoms = [e for e in B4.elements() if B4.rank(e) == 1]
+        pair = next(e for e in B4.elements() if B4.rank(e) == 2
+                    and not B4.leq(atoms[-1], e))
+        mask = B4._leq[B4._index(pair)] | B4._leq[B4._index(atoms[-1])]
+        got = hm._structural_check(B4, mask, B4._bottom_idx, 2)
+        assert got == hm.CertResult(False, "maximal element below top rank",
+                                    (atoms[-1],))
+        assert got == structural_check_oracle(B4, mask, B4._bottom_idx, 2)
+
+
 def test_structural_check_against_the_cover_scan_oracle():
     """`_structural_check` reads covers from `_covers_up` on a mask closed
     below its members; its verdicts and witnesses are the up-set scan's on

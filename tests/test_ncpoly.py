@@ -152,7 +152,7 @@ class TestCdContractOracle:
         contraction memos over the Gorenstein* corpus."""
         keys = set()
         for _, P in corpus.gorenstein_corpus(4):
-            keys.update(flags.upper_intervals(P).values())
+            keys.update(flags.upper_intervals(P, P._mask).values())
             keys.update(flags.lower_intervals(P, P._mask).values())
         assert keys
         for key in keys:

@@ -96,7 +96,7 @@ class TestDecompose:
         monkeypatch.setattr(flags, "cd_index",
                             lambda P: cd_calls.append(P) or cd_index(P))
         monkeypatch.setattr(flags, "upper_intervals",
-                            lambda P: walks.append(P) or upper_intervals(P))
+                            lambda P, among: walks.append(P) or upper_intervals(P, among))
         for phi in (cons.subdivision_target_and_map(boolean4, 1)[1],
                     cons.collapse_map(boolean4, 5)):
             cd_calls.clear()

@@ -164,10 +164,8 @@ def _cmd_check(args):
     elif args.property == "near-gorenstein-star":
         boundary = _parse_boundary(P, args.boundary or "auto")
         cert = homology.near_gorenstein_star_report(P, boundary)
-    elif args.property == "cm":
+    else:  # cm: argparse admits no other choice
         cert = homology.cohen_macaulay_report(P)
-    else:
-        raise ValueError(f"unknown property {args.property!r}")
     report = {"property": args.property, "holds": bool(cert)}
     if not cert:
         report["reason"] = cert.reason
@@ -184,6 +182,8 @@ def _cmd_check(args):
 
 def _cmd_verify(args):
     if args.what == "decomposition":
+        if args.map is None:
+            raise ValueError("verify decomposition requires --map")
         phi = _map_from_json(_read_text(args.map))
         dec = subdivision.decompose(phi)
         print(f"assembled = {to_text(dec.assembled)}")
@@ -194,15 +194,17 @@ def _cmd_verify(args):
         ineq = subdivision.verify_subdivision_inequality(phi)
         print("subdivision inequality:", "holds" if ineq else f"fails at {ineq.witness}")
         return 0 if ineq else MATH_FAIL
+    if args.poset is None:
+        raise ValueError(f"verify {args.what} requires a poset file")
+    if args.element is None and args.what != "stanley":
+        raise ValueError(f"verify {args.what} requires --element")
     P = _load_poset(args.poset)
     if args.what == "main-inequality":
         rep = subdivision.verify_main_inequality(P, args.element)
     elif args.what == "stanley":
         rep = subdivision.verify_stanley_minimum(P)
-    elif args.what == "semisusp":
+    else:  # semisusp: argparse admits no other choice
         rep = subdivision.verify_corollary_semisusp(P, args.element)
-    else:
-        raise ValueError(f"unknown verification {args.what!r}")
     if rep:
         print(f"verified: {to_text(rep.right)} <= {to_text(rep.left)}")
         return 0
@@ -322,11 +324,13 @@ def run(argv=None):
         return args.fn(args)
     except SystemExit as exc:
         return USAGE_FAIL if exc.code not in (0, None) else 0
+    except BrokenPipeError:
+        raise  # a closed stdout is main()'s to handle, not a usage error
     except (PosetError, subdivision.RankMismatch, subdivision.SourceNotGorenstein,
             subdivision.TargetNotGorenstein, subdivision.NotGorensteinStar,
             homology.BoundaryNotIdeal, homology.BoundaryWrongRank,
             homology.NotNearGorenstein, sheaves.BadBase, sheaves.BadSupport,
-            sheaves.NotCohenMacaulay, ncpoly.NotHomogeneous, FileNotFoundError,
+            sheaves.NotCohenMacaulay, ncpoly.NotHomogeneous, OSError,
             ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_FAIL

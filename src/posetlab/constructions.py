@@ -216,7 +216,7 @@ def cube_poset(d=3):
     rev = bounded.dual()
     # strip the unique maximal element (the old bottom) to drop the top
     top = max(rev.elements(), key=rev.rank)
-    return rev.interval(rev.bottom, top, closed_upper=False)
+    return rev.interval(rev.bottom, top)
 
 
 def order_complex(P):
@@ -233,7 +233,7 @@ def order_complex(P):
     ranks = {i: len(c) for c, i in ids.items()}
     labels, prov = {}, {}
     for c, i in ids.items():
-        names = [P.label(P.bottom)] + [P.label(root._ids[j]) for j in c]
+        names = [root.label(root._ids[j]) for j in (P._bottom_idx,) + c]
         labels[i] = "<".join(names)
         prov[i] = tuple(root._ids[j] for j in c)
     covers = []
@@ -314,7 +314,7 @@ def subdivision_target_and_map(L, nu):
     anything else goes to (tau v nu, bottom-coordinate), with the virtual
     join landing on the apex cell (top, bottom-coordinate)."""
     _proper_nu(L, nu, "the subdivision target")
-    lower = L.interval(L.bottom, nu, closed_upper=False)
+    lower = L.interval(L.bottom, nu)
     upper = L.interval(nu, TOP)
     pyr = pyr_poset(upper)
     target = star_product(lower, pyr)

@@ -84,8 +84,10 @@ FACE_BUDGET (FaceBudgetExceeded, a ValueError).
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 from .linalg import betti_from_ranks, rank_mod2, sparse_rank
@@ -378,17 +380,21 @@ def _structural_check(root, mask, bottom_idx, n):
     them); otherwise they are found by scanning each member's up-set."""
     if not (mask >> bottom_idx) & 1:
         return CertResult(False, "bottom not in subset")
-    base = root._rank[bottom_idx]
+    base, above = root._rank[bottom_idx], root._geq[bottom_idx]
+    # ranks ascend with the index: the members ranked above n lie from `high` on
+    high = bisect_left(root._rank, base + n + 1)
+    if bad := mask & ~above | mask >> high << high:
+        i = (bad & -bad).bit_length() - 1
+        if root._rank[i] < base:
+            reason = "element below the bottom rank"
+        elif not (above >> i) & 1:
+            reason = "element not above the bottom"
+        else:
+            reason = f"element above rank {n}"
+        return CertResult(False, reason, (root._ids[i],))
     members = list(_bits(mask))
-    for i in members:
-        if root._rank[i] - base < 0:
-            return CertResult(False, "element below the bottom rank", (root._ids[i],))
-        if i != bottom_idx and not (root._geq[bottom_idx] >> i) & 1:
-            return CertResult(False, "element not above the bottom", (root._ids[i],))
-        if root._rank[i] - base > n:
-            return CertResult(False, f"element above rank {n}", (root._ids[i],))
-    missing = root._geq[bottom_idx] & ~mask
-    if not any(root._leq[i] & missing for i in members):
+    down = reduce(operator.or_, map(root._leq.__getitem__, members), 0)
+    if not down & above & ~mask:
         geq, rank = root._geq, root._rank
         skips = root._cache.get("rank_skips") or root._cache.setdefault(
             "rank_skips", tuple(sum(1 << j for j in ups if rank[j] - rank[i] >= 2)

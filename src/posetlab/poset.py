@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from operator import attrgetter
 
 
 class PosetError(Exception):
@@ -173,16 +174,6 @@ class GradedPoset:
     def _bottom_idx(self):
         return self._bottom
 
-    @property
-    def _rank_offset(self):
-        return 0
-
-    def _vrank(self, i):
-        return self._rank[i]
-
-    def _indices(self):
-        return range(len(self._ids))
-
     # -- public id-space API -------------------------------------------------
 
     def __len__(self):
@@ -190,7 +181,7 @@ class GradedPoset:
 
     def elements(self):
         """Element ids sorted by (rank, id)."""
-        return [self._ids[i] for i in self._indices()]
+        return list(self._ids)
 
     def rank(self, x):
         return self._rank[self._index(x)]
@@ -237,25 +228,20 @@ class GradedPoset:
 
     # -- intervals -----------------------------------------------------------
 
-    def interval(self, x, upper, closed_upper=False):
-        """The interval [x, upper], [x, upper) or [x, 1-hat) as a new poset.
+    def interval(self, x, upper):
+        """The half-open interval [x, upper) or [x, 1-hat) as a new poset.
 
         Ranks are normalized so x has rank 0; provenance maps new ids back
-        to the source ids.  `upper` may be TOP (then closed_upper must be
-        False, since the virtual top is never stored).
+        to the source ids.  `upper` may be TOP.
         """
         xi = self._index(x)
         if upper is TOP:
-            if closed_upper:
-                raise ValueError("the virtual top cannot be included in an interval")
             hi = TOP
         else:
             hi = self._index(upper)
             if not (self._geq[xi] >> hi) & 1:
                 raise NotComparable(f"{x!r} is not below {upper!r}")
         view = interval_view(self, xi, hi)
-        if closed_upper:
-            return self._materialize(view.mask | 1 << hi, view.n + 1, self._rank[xi])
         return self._materialize(view.mask, view.n, self._rank[xi])
 
     def _materialize(self, mask, new_n, rank_offset):
@@ -284,13 +270,12 @@ class GradedPoset:
             mask |= 1 << self._index(e)
         return mask
 
-    def restrict(self, element_ids, n=None, bottom=None):
+    def restrict(self, element_ids, n=None):
         """A lightweight SubPoset view on a subset of elements."""
         mask = self._mask_of(element_ids)
-        bot = self._index(bottom) if bottom is not None else self._bottom
-        if not (mask >> bot) & 1:
+        if not (mask >> self._bottom) & 1:
             raise UnknownElement("bottom of the view must belong to it")
-        return SubPoset(self, mask, bot, self.n if n is None else n)
+        return SubPoset(self, mask, self._bottom, self.n if n is None else n)
 
     # -- predicates ----------------------------------------------------------
 
@@ -403,11 +388,11 @@ class GradedPoset:
 
 @dataclass(frozen=True)
 class SubPoset:
-    """A read-only view on a subset of a GradedPoset's elements.
-
-    Used for fibers, boundaries and half-open upper intervals where we want
-    to share the root's order relation and homology caches instead of
-    re-materializing a poset.  Ranks are the root's minus `rank_offset`.
+    """A read-only view on a subset of a GradedPoset's elements: fibers,
+    boundaries and half-open intervals that share the root's order relation
+    and homology caches.  A view is an index record (the root, the mask of
+    its member indices, the root index of its bottom, its rank n) with no
+    id-space API; materialize it, as `to_json_dict` does, to read it by ids.
     """
 
     root: GradedPoset
@@ -415,49 +400,10 @@ class SubPoset:
     bottom_idx: int
     n: int
 
-    @property
-    def _root(self):
-        return self.root
-
-    @property
-    def _mask(self):
-        return self.mask
-
-    @property
-    def _bottom_idx(self):
-        return self.bottom_idx
-
-    @property
-    def _rank_offset(self):
-        return self.root._rank[self.bottom_idx]
-
-    def _vrank(self, i):
-        return self.root._rank[i] - self._rank_offset
-
-    def _indices(self):
-        return list(_bits(self.mask))
-
-    def __len__(self):
-        return self.mask.bit_count()
-
-    def elements(self):
-        return [self.root._ids[i] for i in self._indices()]
-
-    def rank(self, x):
-        return self._vrank(self.root._index(x))
-
-    @property
-    def bottom(self):
-        return self.root._ids[self.bottom_idx]
-
-    def leq(self, x, y):
-        return self.root.leq(x, y)
-
-    def label(self, x):
-        return self.root.label(x)
-
-    def rho_to_top(self, x):
-        return self.n + 1 - self.rank(x)
+    # the names the kernels read on a GradedPoset too
+    _root = property(attrgetter("root"))
+    _mask = property(attrgetter("mask"))
+    _bottom_idx = property(attrgetter("bottom_idx"))
 
 
 def interval_view(P, lo, hi=TOP):
@@ -466,7 +412,7 @@ def interval_view(P, lo, hi=TOP):
     root = P._root
     mask = root._geq[lo] & P._mask
     if hi is TOP:
-        return SubPoset(root, mask, lo, P.n - P._vrank(lo))
+        return SubPoset(root, mask, lo, P.n - root._rank[lo] + root._rank[P._bottom_idx])
     mask &= root._leq[hi] & ~(1 << hi)
     return SubPoset(root, mask, lo, root._rank[hi] - root._rank[lo] - 1)
 
@@ -503,8 +449,11 @@ def iter_chains(root, mask):
 
 
 def to_json_dict(P):
+    """The JSON document of P; a SubPoset view is written as its materialized
+    document read back, raising what reading it would (covers may skip a rank)."""
     if isinstance(P, SubPoset):
-        P = P.root._materialize(P.mask, P.n, P._rank_offset)
+        base = P.root._rank[P.bottom_idx]
+        P = from_json_dict(to_json_dict(P.root._materialize(P.mask, P.n, base)))
     ids = P.elements()
     if P.bottom != 0 or sorted(ids) != list(range(len(ids))):
         # renumber deterministically: bottom first, then by (rank, id)

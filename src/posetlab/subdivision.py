@@ -68,7 +68,7 @@ def _fiber_masks(phi):
     fibers of its lower covers, and of the image phi^-1(sigma)."""
     src, tgt = phi.source, phi.target
     image = [0] * len(tgt._ids)
-    for i in src._indices():
+    for i in range(len(src._ids)):
         image[tgt._index(phi(src._ids[i]))] |= 1 << i
     closed = image[:]
     for t, ups in enumerate(tgt._covers_up):

@@ -37,35 +37,47 @@ from posetlab.sheaves import (CellularComplex, Sheaf, _check_d_squared,
 
 
 def all_chains(P):
-    """Every chain starting at the bottom, materialized as id tuples."""
-    ids = [e for e in P.elements() if e != P.bottom]
+    """Every chain starting at the bottom, materialized as id tuples; a
+    SubPoset view is read through its root, in root ids."""
+    root = P._root
+    ids = [root._ids[i] for i in _bits(P._mask) if i != P._bottom_idx]
     out = []
 
     def extend(chain):
         out.append(chain)
         last = chain[-1]
         for e in ids:
-            if e != last and P.leq(last, e):
+            if e != last and root.leq(last, e):
                 extend(chain + (e,))
 
-    extend((P.bottom,))
+    extend((root._ids[P._bottom_idx],))
     return out
 
 
-def ab_index_oracle(P):
-    """Direct weight-by-weight chain summation."""
+def ab_index_oracle(P, scale=None):
+    """Direct weight-by-weight chain summation, each chain times
+    scale(root index of its largest element) when a scale is given; ranks
+    are the root's, measured from the bottom of P."""
+    root = P._root
+    base = root._rank[P._bottom_idx]
+
+    def rank(x):
+        return root.rank(x) - base
+
     amb = ab("a") - ab("b")
     b = ab("b")
     total = NcPoly.zero("ab")
     for chain in all_chains(P):
         term = NcPoly.one("ab")
         for x, y in zip(chain, chain[1:]):
-            gap = P.rank(y) - P.rank(x)
+            gap = rank(y) - rank(x)
             for _ in range(gap - 1):
                 term = term * amb
             term = term * b
-        for _ in range(P.n + 1 - P.rank(chain[-1]) - 1):
+        for _ in range(P.n + 1 - rank(chain[-1]) - 1):
             term = term * amb
+        if scale is not None:
+            term = term * scale(root._index(chain[-1]))
         total = total + term
     return total
 
@@ -227,6 +239,19 @@ def semisuspension_sum_oracle(L, nu, formula):
     index, factor = SEMISUSPENSION_ROUTES[formula]
     return reduce(operator.add, (index(L.interval(L.bottom, pi)) * factor(L.rho_to_top(pi))
                                  for pi in L.up_set(nu)))
+
+
+def view_poset(P):
+    """The SubPoset view P read through its root as a standalone poset on
+    root ids: the members with ranks measured from the view's bottom, and
+    every pair x < y with no member strictly between as a cover."""
+    root = P._root
+    base = root._rank[P._bottom_idx]
+    ids = [root._ids[i] for i in _bits(P._mask)]
+    below = {(x, y) for x in ids for y in ids if x != y and root.leq(x, y)}
+    covers = [(x, y) for x, y in below
+              if not any((x, z) in below and (z, y) in below for z in ids)]
+    return GradedPoset.from_covers(P.n, {e: root.rank(e) - base for e in ids}, covers)
 
 
 def isomorphic(P, Q):

@@ -375,6 +375,26 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "--element" in err
 
+    @pytest.mark.parametrize("argv,named", [
+        (["verify", "decomposition"], "--map"),
+        (["verify", "stanley"], "a poset file"),
+        (["verify", "main-inequality", "{poset}"], "--element"),
+        (["verify", "semisusp", "{poset}"], "--element"),
+        (["cd-index", "{directory}"], "{directory}"),
+    ], ids=["decomposition-without-map", "stanley-without-poset",
+            "main-inequality-without-element", "semisusp-without-element",
+            "directory-as-poset"])
+    def test_malformed_invocation(self, capsys, tmp_path, argv, named):
+        """One `error:` line naming what is missing or wrong, exit 2, no
+        output and no traceback."""
+        paths = {"poset": write_poset(tmp_path, cons.boolean_algebra(3)),
+                 "directory": str(tmp_path)}
+        code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named.format(**paths) in err and "Traceback" not in err
+
     def test_closed_stdout_exits_quietly(self):
         """A reader that stops early (`build boolean 11 | head -1`) gets
         exit 1 and nothing on stderr: no traceback, no "Exception ignored"

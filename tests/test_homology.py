@@ -2,7 +2,7 @@ import ast
 import gc
 import re
 from contextlib import contextmanager
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -870,10 +870,17 @@ def test_structural_check_against_the_cover_scan_oracle():
     below its members; its verdicts and witnesses are the up-set scan's on
     the corpus posets, every `remove_upset` ball and boundary, and every
     closed and open fiber of the subdivision and collapse maps of the
-    lattice corpus.  Each mask is also checked without its atoms, its
-    middle member and its last member: the first two are mostly not closed,
-    so the scan runs, and all three may fail."""
+    lattice corpus, and the upper intervals of the corpus posets.  Each
+    mask is also checked without its atoms, its middle member and its last
+    member: the first two are mostly not closed, so the scan runs, and all
+    three may fail.  It is checked with members the whole-mask bit tests
+    must reject, alone and mixed: one below the bottom's rank, one outside
+    the bottom's up-set, one above rank n, and, at rank n - 1, the members
+    of its top rank."""
     cases = [(P, P._mask, P._bottom_idx, P.n) for _, P in gorenstein_corpus(4)]
+    for _, P in gorenstein_corpus(4):
+        for x in list(_bits(P._mask))[1::7]:
+            cases.append((P, P._geq[x], x, P.n - P._rank[x]))
     for _, L in lattice_corpus(4):
         for nu in proper_elements(L):
             ball, boundary = cons.remove_upset(L, nu)
@@ -895,9 +902,22 @@ def test_structural_check_against_the_cover_scan_oracle():
         drop = others[len(others) // 2:][:1] + others[-1:]
         for m in [mask, mask & ~atoms] + [mask & ~(1 << i) for i in drop]:
             checks[(id(root), m, bottom, n)] = root
+        base, indices = root._rank[bottom], range(len(root._ids))
+        below = [i for i in indices if root._rank[i] < base][-1:]
+        outside = [i for i in indices
+                   if root._rank[i] >= base and not (root._geq[bottom] >> i) & 1]
+        high = [i for i in _bits(root._geq[bottom]) if root._rank[i] > base + n][:1]
+        strays = list(dict.fromkeys(below + outside[:1] + high + outside[-1:]))
+        for k in range(1, len(strays) + 1):
+            for group in combinations(strays, k):
+                extra = sum(1 << i for i in group)
+                checks[(id(root), mask | extra, bottom, n)] = root
+        checks[(id(root), mask, bottom, n - 1)] = root
     verdicts = set()
     for (_, m, bottom, n), root in checks.items():
         got = hm._structural_check(root, m, bottom, n)
         assert got == structural_check_oracle(root, m, bottom, n), (m, n)
         verdicts.add(got.reason)
-    assert {"", "maximal element below top rank", "cover skips a rank"} <= verdicts
+    assert {"", "maximal element below top rank", "cover skips a rank",
+            "element below the bottom rank", "element not above the bottom"} <= verdicts
+    assert any(reason.startswith("element above rank") for reason in verdicts)

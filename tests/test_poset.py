@@ -1,16 +1,19 @@
 import json
+from dataclasses import dataclass, fields
+from inspect import signature
 
 import pytest
 from hypothesis import given, settings
 
 from helpers import (eulerian_oracle, graded_posets, isomorphic, lattice_oracle,
-                     lattices_and_balls)
+                     lattices_and_balls, view_poset)
 from posetlab import constructions as cons
 from posetlab import corpus
 from posetlab.poset import (TOP, GradedPoset, NoBottom, NotALattice,
                             NotComparable, NotGraded, NoUniqueTop,
-                            PosetError, RankedTooHigh, UnknownElement, UnreachableElement,
-                            from_json, int_pairs, to_json, to_json_dict)
+                            PosetError, RankedTooHigh, SubPoset, UnknownElement,
+                            UnreachableElement, from_json, int_pairs, to_json,
+                            to_json_dict)
 
 
 def two_atoms():
@@ -116,23 +119,32 @@ class TestInterval:
         full = polygon3.interval(polygon3.bottom, TOP)
         assert isomorphic(full, polygon3)
 
-    def test_closed_vertex_edge(self, polygon3):
-        e = next(e for e in polygon3.elements()
-                 if polygon3.rank(e) == 2 and polygon3.leq(1, e))
-        iv = polygon3.interval(1, e, closed_upper=True)
-        assert iv.n == 1 and len(iv) == 2
-
     def test_not_comparable(self, polygon3):
         with pytest.raises(NotComparable):
-            polygon3.interval(1, 2, closed_upper=True)
-
-    def test_closed_top_rejected(self, polygon3):
-        with pytest.raises(ValueError):
-            polygon3.interval(1, TOP, closed_upper=True)
+            polygon3.interval(1, 2)
 
     def test_provenance_maps_back(self, polygon3):
         up = polygon3.interval(1, TOP)
         assert up.provenance[up.bottom] == 1
+
+
+def test_sub_poset_is_an_index_record():
+    """A view holds the four fields the kernels read and the three aliases
+    they share with GradedPoset, and nothing else; GradedPoset keeps no
+    view shims, and interval and restrict take no unused option."""
+
+    @dataclass(frozen=True)
+    class Record:
+        root: GradedPoset
+        mask: int
+        bottom_idx: int
+        n: int
+
+    assert [f.name for f in fields(SubPoset)] == ["root", "mask", "bottom_idx", "n"]
+    assert set(vars(SubPoset)) - set(vars(Record)) == {"_root", "_mask", "_bottom_idx"}
+    assert not {"_rank_offset", "_vrank", "_indices"} & set(dir(GradedPoset))
+    assert list(signature(GradedPoset.interval).parameters) == ["self", "x", "upper"]
+    assert list(signature(GradedPoset.restrict).parameters) == ["self", "element_ids", "n"]
 
 
 class TestDual:
@@ -344,8 +356,16 @@ class TestJson:
         ball, boundary = cons.remove_upset(L, corpus.proper_elements(L)[0])
         view = ball.restrict(boundary, n=ball.n - 1)
         text = to_json(view)
-        assert isomorphic(from_json(text), view)
+        assert isomorphic(from_json(text), view_poset(view))
         assert to_json(from_json(text)) == text
+
+    def test_view_whose_covers_skip_a_rank_is_not_written(self):
+        """A non-convex view materializes to covers that skip a rank:
+        to_json raises the NotGraded that reading its document back would."""
+        B = cons.boolean_algebra(4)
+        view = B.restrict([e for e in B.elements() if B.rank(e) != 1])
+        with pytest.raises(NotGraded, match=r"^cover \(0, 1\) skips from rank 0 to 2$"):
+            to_json(view)
 
     def test_renumbered_export(self):
         # dual posets get nonzero bottoms internally; JSON must renumber

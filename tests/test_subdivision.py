@@ -187,7 +187,7 @@ class TestMainInequality:
         # the target's cd-index equals the product side of the inequality
         for L, nu in [(cons.polygon(5), 1), (cons.boolean_algebra(4), 1)]:
             T, phi = cons.subdivision_target_and_map(L, nu)
-            lower = L.interval(L.bottom, nu, closed_upper=False)
+            lower = L.interval(L.bottom, nu)
             product = flags.cd_index(lower) * pyr_op(
                 flags.cd_index(interval_view(L, L._index(nu))))
             assert flags.cd_index(T) == product

@@ -9,7 +9,7 @@ cd-coefficients as stalk dimensions through the C/D sheaf operations.
 
 from .poset import TOP, GradedPoset, SubPoset
 from .ncpoly import NcPoly, ab_expand, cd_contract, derivation_G, pyr_op, alpha
-from .flags import ab_index, cd_index, near_cd_index, weight
+from .flags import ab_index, cd_index, near_cd_index
 from .constructions import (PosetMap, boolean_algebra, cartesian_product,
                             collapse_map, cross_polytope, cube_poset,
                             lambda_nu_poset, order_complex, polygon,

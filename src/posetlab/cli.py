@@ -158,6 +158,8 @@ def _cmd_near_cd_index(args):
 
 
 def _cmd_check(args):
+    if args.boundary is not None and args.property != "near-gorenstein-star":
+        raise ValueError(f"check {args.property} takes no --boundary")
     P = _load_poset(args.poset)
     if args.property == "gorenstein-star":
         cert = homology.gorenstein_star_report(P)

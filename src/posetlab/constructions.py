@@ -212,6 +212,8 @@ def cross_polytope(d):
 
 def cube_poset(d=3):
     """Face poset of the d-cube: the dual of the cross-polytope."""
+    if d < 1:
+        raise ValueError("cube_poset needs d >= 1")
     bounded = with_top(cross_polytope(d))
     rev = bounded.dual()
     # strip the unique maximal element (the old bottom) to drop the top

@@ -257,8 +257,8 @@ def criterion_8_algebra_properties(seed=0, trials=500, max_rank=4):
             continue
         F = sheaves.constant_sheaf(P)
         D = sheaves.dual_sheaf(F)
-        for e in P.elements():
-            if sheaves.dual_dimension_formula(F, e) != D.dim(e):
+        for i, e in enumerate(P.elements()):
+            if sheaves.dual_dimension_formula(F, i) != D.dim(i):
                 return False, f"duality dimension formula fails on {name} at {e}"
             duals += 1
     return True, (f"{trials} contraction roundtrips; star/pyramid compatibility; "

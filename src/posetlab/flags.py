@@ -1,4 +1,4 @@
-"""Chain enumeration: weights, ab/cd-indices and the semisuspension formulas.
+"""Chain enumeration: ab/cd-indices and the semisuspension formulas.
 
 The ab-index is Stanley's sum over rank sets S of {1..n} of h_S times the
 ab-word with b exactly at the positions in S (Flag f-vectors and the
@@ -71,10 +71,6 @@ from .poset import (TOP, GradedPoset, NotALattice, NotComparable, NotEulerian,
                     SubPoset, _bits, interval_view)
 
 
-class InvalidChain(Exception):
-    pass
-
-
 @lru_cache(maxsize=None)
 def _amb_pow(k):
     """(a - b)^k."""
@@ -85,21 +81,6 @@ def _amb_pow(k):
 def _bma_pow(k):
     """(b - a)^k."""
     return power(B - A, k)
-
-
-def weight(P, chain):
-    """Weight of a chain {0-hat = s0 < s1 < ... < sk}: the alternating
-    product of (a-b)^(gap-1) factors joined by b's, ending with the gap to
-    the virtual top."""
-    if not chain or chain[0] != P.bottom:
-        raise InvalidChain("chains must start at the bottom element")
-    for x, y in zip(chain, chain[1:]):
-        if x == y or not P.leq(x, y):
-            raise InvalidChain(f"{x!r} < {y!r} fails in the chain")
-    out = NcPoly.one("ab")
-    for x, y in zip(chain, chain[1:]):
-        out = out * _amb_pow(P.rank(y) - P.rank(x) - 1) * B
-    return out * _amb_pow(P.rho_to_top(chain[-1]) - 1)
 
 
 def _pack(order, near, level, width):

@@ -9,8 +9,10 @@ Internally elements live at contiguous indices 0..m-1 in rank order (the
 constructor rejects any other order, so ascending indices need no sort) and
 the full order relation is materialized as per-element bitmasks, which makes
 interval, join and chain queries cheap at the few-hundred-element scale this
-library targets.  Public APIs speak element ids, which our constructors keep
-equal to the internal indices.
+library targets.  Public APIs speak element ids; the kernels read indices
+and convert ids once, at the API.  `from_covers` sorts ids by (rank, id),
+so ids 0..m-1 equal indices only when numbered in rank order: a product
+numbers its pairs in (x, y) order, and its ids are not its indices.
 """
 
 from __future__ import annotations
@@ -208,23 +210,11 @@ class GradedPoset:
         """True iff x <= y (reflexive)."""
         return bool((self._geq[self._index(x)] >> self._index(y)) & 1)
 
-    def up_set(self, x):
-        """All ids y >= x."""
-        return [self._ids[j] for j in _bits(self._geq[self._index(x)])]
-
-    def down_set(self, x):
-        """All ids y <= x."""
-        return [self._ids[j] for j in _bits(self._leq[self._index(x)])]
-
     def maximal_elements(self):
         return [self._ids[i] for i, up in enumerate(self._geq) if up == 1 << i]
 
     def label(self, x):
         return self.labels.get(x, str(x))
-
-    def rho_to_top(self, x):
-        """Rank gap rho(x, 1-hat) = n + 1 - rho(x)."""
-        return self.n + 1 - self.rank(x)
 
     # -- intervals -----------------------------------------------------------
 

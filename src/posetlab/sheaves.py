@@ -1,12 +1,13 @@
 """Sheaves on posets: cellular complexes, duality, and the C/D operations.
 
-A sheaf stores per-element stalk dimensions and exact rational restriction
-maps (int or Fraction entries, never floats) on cover pairs, in the format
-of the elimination kernel in `linalg`: the map F_hi -> F_lo is a list of
-dim F_lo sparse rows, each a dict {column: nonzero value} over the columns
-0 .. dim F_hi - 1.  Ranks, nullspaces and coordinates read these rows as
-they are, and arbitrary restrictions are composed along cover paths with
-`linalg.mat_mul` (well defined because commutation is validated).
+A sheaf stores stalk dimensions and exact rational restriction maps (int
+or Fraction entries, never floats) on cover pairs, keyed by base index;
+element ids enter only as supports and leave only in error messages.  The
+map F_hi -> F_lo is in the format of the elimination kernel in `linalg`: a
+list of dim F_lo sparse rows, each a dict {column: nonzero value} over the
+columns 0 .. dim F_hi - 1.  Ranks, nullspaces and coordinates read these
+rows as they are, and arbitrary restrictions are composed along cover paths
+with `linalg.mat_mul` (well defined because commutation is validated).
 
 Cellular complexes live on the base poset itself, with the cells graded by
 corank.  Their incidence signs come from an orientation (Karu, "The
@@ -40,14 +41,16 @@ restrictions are built when `res` is first read (never, after a word's
 last D).  Coordinates in degree-zero cohomology bases are read with
 `linalg.nullspace_coords` by one exact division, not solved for.
 
-`cd_coefficient_via_CD` caches the constant sheaf and its C's on the poset
-P.  That sheaf lives on a copy of P (its top skeleton, same ids), so the
-cache holds no reference back to P and P is freed by reference counting.
+A k-skeleton of P is an index prefix with P's ids: P, its skeletons and
+every C/D image share one index space.  `cd_coefficient_via_CD` caches the
+constant sheaf and its C's on a copy of P (its top skeleton), so the cache
+holds no reference back to P and P is freed by reference counting.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -80,18 +83,18 @@ OP_D_RETRIES = 8
 
 
 class Sheaf:
-    """Stalk dimensions plus restriction maps on cover pairs.
+    """Stalk dimensions plus restriction maps on cover pairs, by base index.
 
-    res[(sigma, tau)] maps F_sigma -> F_tau for a cover sigma > tau: dim
-    F_tau sparse rows over the columns 0 .. dim F_sigma - 1.  Pairs with a
-    zero-dimensional end are omitted; compositions through them are zero.
-    `res` may be given as a function returning that dict, called on the
-    first read.
+    stalk_dim[i] is dim F_i.  res[(sigma, tau)] maps F_sigma -> F_tau for a
+    cover sigma > tau: dim F_tau sparse rows over the columns 0 .. dim
+    F_sigma - 1.  Pairs with a zero-dimensional end are omitted;
+    compositions through them are zero.  `res` may be given as a function
+    returning that dict, called on the first read.
     """
 
     def __init__(self, base, stalk_dim, res):
         self.base = base
-        self.stalk_dim = {e: stalk_dim.get(e, 0) for e in base.elements()}
+        self.stalk_dim = list(stalk_dim)
         self._res = res if callable(res) else dict(res)
         self._res_memo = {}
 
@@ -101,8 +104,8 @@ class Sheaf:
             self._res = self._res()
         return self._res
 
-    def dim(self, x):
-        return self.stalk_dim.get(x, 0)
+    def dim(self, i):
+        return self.stalk_dim[i]
 
     def res_between(self, sigma, tau):
         """Composite restriction F_sigma -> F_tau for sigma >= tau."""
@@ -113,8 +116,8 @@ class Sheaf:
             if self.dim(sigma) == 0 or self.dim(tau) == 0:
                 out = [{} for _ in range(self.dim(tau))]
             else:
-                step = next(d for d in _down_covers(self.base, sigma)
-                            if self.base.leq(tau, d))
+                step = next(d for d in _down_covers(self.base)[sigma]
+                            if self.base._leq[d] >> tau & 1)
                 out = self._through(sigma, step, tau)
             self._res_memo[key] = out
         return self._res_memo[key]
@@ -129,45 +132,40 @@ class Sheaf:
     def validate(self):
         """Shapes on covers and commutation of all two-step compositions
         (which forces commutation of all paths, by induction on rank)."""
+        base = self.base
+        ids = base._ids
         for (s, t), m in self.res.items():
             if len(m) != self.dim(t) or any(
                     not 0 <= c < self.dim(s) for row in m for c in row):
-                raise ValueError(f"restriction {s}->{t} has the wrong shape")
-        for s in self.base.elements():
-            for t in self.base.elements():
-                if s == t or not self.base.leq(t, s):
-                    continue
-                mats = [self._through(s, d, t) for d in _down_covers(self.base, s)
-                        if self.base.leq(t, d)]
+                raise ValueError(f"restriction {ids[s]}->{ids[t]} has the wrong shape")
+        down = _down_covers(base)
+        for s, below in enumerate(base._leq):
+            for t in _bits(below & ~(1 << s)):
+                mats = [self._through(s, d, t) for d in down[s]
+                        if base._leq[d] >> t & 1]
                 if any(m != mats[0] for m in mats[1:]):
-                    raise ValueError(f"restrictions {s}->{t} do not commute")
+                    raise ValueError(f"restrictions {ids[s]}->{ids[t]} do not commute")
         return True
 
     def __repr__(self):
-        total = sum(self.stalk_dim.values())
+        total = sum(self.stalk_dim)
         return f"Sheaf(base rank {self.base.n}, total stalk dim {total})"
 
 
 def constant_sheaf(base, support=None):
-    """Stalk 1 on the support (default: everywhere), identity restrictions.
+    """Stalk 1 on the support ids (default: everywhere), identity restrictions.
 
     The support must be interval-closed: no element outside it may sit
     between two elements inside it.
     """
-    if support is None:
-        supp = set(base.elements())
-    else:
-        supp = set(support)
-        inside = base._mask_of(supp)  # UnknownElement for an unknown id
-        for i in _bits(base._mask & ~inside):
-            if base._leq[i] & inside and base._geq[i] & inside:
-                raise BadSupport(f"{base._ids[i]!r} lies between support elements")
-    stalks = {e: 1 if e in supp else 0 for e in base.elements()}
-    res = {}
-    for lo, hi in base.covers():
-        if lo in supp and hi in supp:
-            res[(hi, lo)] = [{0: 1}]
-    return Sheaf(base, stalks, res)
+    # _mask_of raises UnknownElement for an unknown id
+    inside = base._mask if support is None else base._mask_of(support)
+    for i in _bits(base._mask & ~inside):
+        if base._leq[i] & inside and base._geq[i] & inside:
+            raise BadSupport(f"{base._ids[i]!r} lies between support elements")
+    res = {(hi, lo): [{0: 1}] for lo in _bits(inside)
+           for hi in base._covers_up[lo] if inside >> hi & 1}
+    return Sheaf(base, [inside >> i & 1 for i in range(len(base))], res)
 
 
 # -- cellular complexes -------------------------------------------------------
@@ -178,13 +176,12 @@ class CellularComplex:
     """C^k = direct sum of stalks at corank-k elements, with the base's
     orientation as incidence signs; d o d = 0 is checked at construction."""
 
-    coords: list          # coords[k]: list of (element, local index)
+    coords: list          # coords[k]: list of (base index, local index)
     diff_rows: list       # diff_rows[k]: rows of d_k: C^k -> C^(k+1),
                           # indexed by C^(k+1) coordinates
-    at: list              # at[k]: base index of each C^k coordinate's element
 
     def kernel_deg0(self):
-        """Basis of H^0 = ker(d_0) as dicts keyed by (element, local).
+        """Basis of H^0 = ker(d_0) as dicts keyed by (index, local).
         C^0 lies in one rank, so these keys sort in column order and
         `nullspace_coords` reads coordinates in this basis."""
         if not self.coords:
@@ -200,21 +197,20 @@ class CellularComplex:
         degrees up to `top` (default: all): the rows whose element lies in
         it, over its cells renumbered in order (columns outside it dropped;
         an up-set has none), trailing empty degrees removed."""
-        keep = [[i for i, e in enumerate(es) if mask >> e & 1]
-                for es in self.at[:None if top is None else top + 1]]
+        keep = [[i for i, (e, _) in enumerate(cs) if mask >> e & 1]
+                for cs in self.coords[:None if top is None else top + 1]]
         while keep and not keep[-1]:
             keep.pop()
         cols = [{i: j for j, i in enumerate(ks)} for ks in keep]
         return CellularComplex(
             [[self.coords[k][i] for i in ks] for k, ks in enumerate(keep)],
             [[{cols[k][c]: v for c, v in self.diff_rows[k][r].items() if c in cols[k]}
-              for r in keep[k + 1]] for k in range(len(keep) - 1)],
-            [[self.at[k][i] for i in ks] for k, ks in enumerate(keep)])
+              for r in keep[k + 1]] for k in range(len(keep) - 1)])
 
 
 def _orientation(base):
-    """eps[(y, z)] = +-1 on every cover y < z, with the sum of
-    eps(x, y) * eps(y, z) over the y in (x, z) zero for every length-2
+    """eps[(y, z)] = +-1 on every cover y < z of base indices, with the sum
+    of eps(x, y) * eps(y, z) over the y in (x, z) zero for every length-2
     interval [x, z] (cached per poset).
 
     Built in rank order: once [bottom, z) is certified Gorenstein*, the
@@ -227,13 +223,13 @@ def _orientation(base):
     eps = base._cache.get("orientation")
     if eps is None:
         eps = {}
-        for z in base.elements():
-            below = _down_covers(base, z)
+        down = _down_covers(base)
+        for z, below in enumerate(down):
             if not below:
                 continue
             rows = {}
             for j, y in enumerate(below):
-                for x in _down_covers(base, y):
+                for x in down[y]:
                     rows.setdefault(x, {})[j] = eps[(x, y)]
             null = sparse_nullspace(list(rows.values()), len(below))
             vec = null[0] if len(null) == 1 else {}
@@ -241,9 +237,9 @@ def _orientation(base):
             entries = [vec.get(j, 0) for j in range(len(below))]
             if (not lead or any(abs(v) != abs(lead) for v in entries)
                     or not homology.is_gorenstein_star(
-                        interval_view(base, base._bottom_idx, base._index(z)))):
-                raise BadBase(f"no orientation below {z!r}: "
-                              f"[bottom, {z!r}) is not Gorenstein*")
+                        interval_view(base, base._bottom_idx, z))):
+                raise BadBase(f"no orientation below {base._ids[z]!r}: "
+                              f"[bottom, {base._ids[z]!r}) is not Gorenstein*")
             for y, v in zip(below, entries):
                 eps[(y, z)] = 1 if v * lead > 0 else -1
         base._cache["orientation"] = eps
@@ -252,8 +248,8 @@ def _orientation(base):
 
 def _cochains(F):
     """The whole cellular complex of F, built once and cached on F.  Each
-    row of d_k belongs to a C^(k+1) coordinate's element y (`at[k + 1]`),
-    and its columns are coordinates at covers of y."""
+    row of d_k belongs to a C^(k+1) coordinate's element y, and its columns
+    are coordinates at covers of y."""
     cached = getattr(F, "_cochain_cache", None)
     if cached is not None:
         return cached
@@ -262,9 +258,9 @@ def _cochains(F):
     eps = _orientation(base)
     n = base.n
     by_deg = {}
-    for e in sorted(base.elements(), key=lambda e: (base.rank(e), e)):
-        if F.dim(e):
-            by_deg.setdefault(n - base.rank(e), []).append(e)
+    for e, d in enumerate(F.stalk_dim):
+        if d:
+            by_deg.setdefault(n - base._rank[e], []).append(e)
     top_deg = max(by_deg) if by_deg else -1
     coords, coord_idx = [], []
     for k in range(top_deg + 1):
@@ -275,22 +271,21 @@ def _cochains(F):
     for k in range(top_deg):
         rows = [dict() for _ in coords[k + 1]]
         for y in by_deg.get(k + 1, []):
-            for z in _up_covers(base, y):
+            for z in base._covers_up[y]:
                 sign = eps[(y, z)]
                 for r, entries in enumerate(res.get((z, y), ())):
                     row = rows[coord_idx[k + 1][(y, r)]]
                     for c, v in entries.items():
                         row[coord_idx[k][(z, c)]] = sign * v
         diff_rows.append(rows)
-    at = [[base._index(e) for e, _ in cs] for cs in coords]
-    F._cochain_cache = CellularComplex(coords, diff_rows, at)
+    F._cochain_cache = CellularComplex(coords, diff_rows)
     return F._cochain_cache
 
 
 def cellular_complex(F, support=None):
-    """The cellular complex of F, restricted to `support` when given (which
-    must make the restriction a sheaf, e.g. an up-set or interval-closed),
-    read off `_cochains(F)`; d o d = 0 is checked."""
+    """The cellular complex of F, restricted to the element ids `support`
+    when given (which must make the restriction a sheaf, e.g. an up-set or
+    interval-closed), read off `_cochains(F)`; d o d = 0 is checked."""
     base = F.base
     mask = base._mask if support is None else base._mask_of(support)
     cc = _cochains(F).restrict(mask)
@@ -310,23 +305,16 @@ def _check_d_squared(cc):
                 raise ValueError("cellular differential does not square to zero")
 
 
-# Covers of one element share a rank, and indices are sorted by (rank, id),
-# so both lists below come out in ascending id order.
-
-
-def _up_covers(base, y):
-    return [base._ids[j] for j in base._covers_up[base._index(y)]]
-
-
-def _down_covers(base, x):
+def _down_covers(base):
+    """down[i]: the lower covers of base index i, ascending (cached)."""
     table = base._cache.get("down_covers")
     if table is None:
-        table = [[] for _ in base._ids]
+        table = [[] for _ in base._covers_up]
         for i, ups in enumerate(base._covers_up):
             for j in ups:
-                table[j].append(base._ids[i])
+                table[j].append(i)
         base._cache["down_covers"] = table
-    return table[base._index(x)]
+    return table
 
 
 def is_cm_sheaf(F):
@@ -336,10 +324,11 @@ def is_cm_sheaf(F):
     if getattr(F, "_is_cm", None) is not None:
         return F._is_cm
     cc = _cochains(F)
+    at = [[e for e, _ in cs] for cs in cc.coords]
 
     def higher_cohomology(mask):
-        dims = [sum(mask >> e & 1 for e in es) for es in cc.at]
-        ranks = [sparse_rank([row for e, row in zip(cc.at[k + 1], rows) if mask >> e & 1])
+        dims = [sum(mask >> e & 1 for e in es) for es in at]
+        ranks = [sparse_rank([row for e, row in zip(at[k + 1], rows) if mask >> e & 1])
                  for k, rows in enumerate(cc.diff_rows)]
         return any(betti_from_ranks(dims, ranks)[1:])
 
@@ -358,21 +347,21 @@ def dual_sheaf(F):
 def _dual_poset(F):
     base = F.base
     cc = _cochains(F)
-    h0 = {x: cc.restrict(mask, 1).kernel_deg0()
-          for x, mask in zip(base.elements(), base._geq)}
-    stalks = {x: len(b) for x, b in h0.items()}
+    h0 = [cc.restrict(mask, 1).kernel_deg0() for mask in base._geq]
+    stalks = [len(b) for b in h0]
     res = {}
-    for lo, hi in base.covers():
-        if stalks[hi] == 0 or stalks[lo] == 0:
-            continue
-        hi_set = set(base.up_set(hi))
-        # row i: coordinates in basis_hi of basis_lo[i] projected to
-        # [hi, top); the map H0(lo) -> H0(hi) has the transposed matrix
-        mat = [nullspace_coords(h0[hi], {k: v for k, v in vec.items()
-                                         if k[0] in hi_set}) for vec in h0[lo]]
-        if None in mat:
-            raise ArithmeticError("projected cocycle escaped the target kernel")
-        res[(hi, lo)] = [{j: v for j, v in enumerate(row) if v} for row in mat]
+    for lo, ups in enumerate(base._covers_up):
+        for hi in ups:
+            if stalks[hi] == 0 or stalks[lo] == 0:
+                continue
+            hi_set = base._geq[hi]
+            # row i: coordinates in basis_hi of basis_lo[i] projected to
+            # [hi, top); the map H0(lo) -> H0(hi) has the transposed matrix
+            mat = [nullspace_coords(h0[hi], {k: v for k, v in vec.items()
+                                             if hi_set >> k[0] & 1}) for vec in h0[lo]]
+            if None in mat:
+                raise ArithmeticError("projected cocycle escaped the target kernel")
+            res[(hi, lo)] = [{j: v for j, v in enumerate(row) if v} for row in mat]
     dual = Sheaf(base, stalks, res)
     dual._h0 = h0
     return dual
@@ -380,42 +369,40 @@ def _dual_poset(F):
 
 def dual_dimension_formula(F, sigma):
     """The numeric shadow of duality: sum over pi >= sigma of
-    (-1)^(n - rank(pi)) * dim F_pi (non-strict at sigma)."""
+    (-1)^(n - rank(pi)) * dim F_pi (non-strict at sigma), by base index."""
     base = F.base
-    return sum((-1) ** (base.n - base.rank(p)) * F.dim(p)
-               for p in base.up_set(sigma))
+    return sum((-1) ** (base.n - base._rank[p]) * F.dim(p)
+               for p in _bits(base._geq[sigma]))
 
 
 # -- skeletons and the C / D operations ---------------------------------------
 
 
 def skeleton_poset(P, k):
+    """The k-skeleton of P: its first indices, up to rank k, with P's ids."""
     cache = P._cache.setdefault("skeleton", {})
     if k not in cache:
-        ids = [e for e in P.elements() if P.rank(e) <= k]
-        ranks = {e: P.rank(e) for e in ids}
-        keep = set(ids)
-        covers = [(a, b) for a, b in P.covers() if a in keep and b in keep]
-        labels = {e: P.label(e) for e in ids}
-        cache[k] = GradedPoset.from_covers(k, ranks, covers, labels=labels)
+        m = bisect_left(P._rank, k + 1)
+        covers_up = [[j for j in ups if j < m] for ups in P._covers_up[:m]]
+        labels = {e: P.label(e) for e in P._ids[:m]}
+        cache[k] = GradedPoset(k, P._ids[:m], P._rank[:m], covers_up, labels=labels)
         # the skeleton keeps every lower interval, and so the orientation
         if "orientation" in P._cache:
             cache[k]._cache["orientation"] = {
-                c: s for c, s in P._cache["orientation"].items() if c[1] in keep}
+                c: s for c, s in P._cache["orientation"].items() if c[1] < m}
     return cache[k]
 
 
 def op_C(F, check=True):
-    """Restriction to the (n-1)-skeleton; Cohen-Macaulay stays.  The
-    restrictions are F's, filtered when first read."""
+    """Restriction to the (n-1)-skeleton, an index prefix of the base;
+    Cohen-Macaulay stays.  F's restrictions, filtered when first read."""
     base = F.base
     if check and not is_cm_sheaf(F):
         raise NotCohenMacaulay("op_C needs a Cohen-Macaulay sheaf")
     sk = skeleton_poset(base, base.n - 1)
-    keep = set(sk.elements())
-    stalks = {e: F.dim(e) for e in keep}
-    return Sheaf(sk, stalks, lambda: {pair: m for pair, m in F.res.items()
-                                      if pair[0] in keep and pair[1] in keep})
+    m = len(sk)
+    return Sheaf(sk, F.stalk_dim[:m],
+                 lambda: {pair: rows for pair, rows in F.res.items() if pair[0] < m})
 
 
 def _alpha_family(F, check=True):
@@ -433,15 +420,15 @@ def _alpha_family(F, check=True):
         return cached
     base = F.base
     eps = _orientation(base)
+    down = _down_covers(base)
     cf = op_C(F, check=check)
     cf_dual = _dual_poset(cf)
     h0_cf = cf_dual._h0
     family = []
-    for s in base.maximal_elements():
-        if F.dim(s) == 0:
+    for s, up in enumerate(base._geq):
+        if up != 1 << s or F.dim(s) == 0:
             continue
-        below = _down_covers(base, s)
-        supp = [t for t in base.down_set(s) if t != s]
+        supp = list(_bits(base._leq[s] & ~(1 << s)))
         for k in range(F.dim(s)):
             # phi_f stalk columns for the k-th basis section at s
             phi_col = {t: [row.get(k, 0) for row in F.res_between(s, t)]
@@ -452,7 +439,7 @@ def _alpha_family(F, check=True):
                     continue
                 # induced H0 map of phi_f on the up-set of sigma
                 image = {(y, i): eps[(y, s)] * entry
-                         for y in below if base.leq(sigma, y)
+                         for y in down[s] if base._leq[y] >> sigma & 1
                          for i, entry in enumerate(phi_col[y]) if entry}
                 t_col = nullspace_coords(h0_cf[sigma], image)
                 if t_col is None:
@@ -478,14 +465,14 @@ def op_D(F, rng, check=True):
     failed_at = None
     for _attempt in range(OP_D_RETRIES):
         alpha = _draw_alpha(cf, family, rng)
-        failed_at = next((tau for tau in sk.elements()
-                          if sk.rank(tau) == sk.n and cf.dim(tau)
-                          and sparse_rank(alpha[tau]) != cf.dim(tau)), None)
+        failed_at = next((tau for tau, d in enumerate(cf.stalk_dim)
+                          if sk._rank[tau] == sk.n and d
+                          and sparse_rank(alpha[tau]) != d), None)
         if failed_at is None:
             return _kernel_sheaf(cf, cf_dual, alpha)
     raise SurjectivityFailed(
         f"no surjective combination found after {OP_D_RETRIES} tries "
-        f"(last failure at {failed_at!r})")
+        f"(last failure at {sk._ids[failed_at]!r})")
 
 
 class _AlphaFamily(list):
@@ -502,24 +489,24 @@ class _AlphaFamily(list):
 
 
 def _draw_alpha(cf, family, rng):
-    """One random combination of the alpha_f, stalk by stalk, scaled to
-    integer coefficients: the draws are positive rationals a/b, reduced by
-    gcd(a, b) and multiplied by the lcm of their denominators.  That changes
-    alpha by one positive scalar, which changes no rank and no normalised
-    `sparse_nullspace`."""
+    """One random combination of the alpha_f, stalk by stalk (a list by
+    base index), scaled to integer coefficients: the draws are positive
+    rationals a/b, reduced by gcd(a, b) and multiplied by the lcm of their
+    denominators.  That changes alpha by one positive scalar, which changes
+    no rank and no normalised `sparse_nullspace`."""
     draws = [(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)) for _ in family]
     draws = [(a // g, b // g) for a, b in draws for g in (gcd(a, b),)]
     scale = lcm(*(b for _, b in draws))
     coeffs = [a * (scale // b) for a, b in draws]
-    alpha = {}
-    for sigma in cf.base.elements():
-        rows = [{} for _ in range(cf.dim(sigma))]
+    alpha = []
+    for sigma, d in enumerate(cf.stalk_dim):
+        rows = [{} for _ in range(d)]
         for f, maps in family.at.get(sigma, ()):
             c = coeffs[f]
             for acc, row in zip(rows, maps):
                 for j, v in row.items():
                     acc[j] = acc.get(j, 0) + c * v
-        alpha[sigma] = rows
+        alpha.append(rows)
     return alpha
 
 
@@ -542,17 +529,18 @@ def _kernel_sheaf(cf, cf_dual, alpha):
     the basis at lo are built when `res` is first read."""
     sk = cf.base
     target = skeleton_poset(sk, sk.n - 1)
-    bases = {sigma: sparse_nullspace(alpha[sigma], cf_dual.dim(sigma))
-             for sigma in target.elements()}
-    stalks = {s: len(v) for s, v in bases.items()}
+    bases = [sparse_nullspace(alpha[sigma], cf_dual.dim(sigma))
+             for sigma in range(len(target))]
+    stalks = [len(v) for v in bases]
     images = {}
-    for lo, hi in target.covers():
-        if stalks[hi] == 0 or stalks[lo] == 0:
-            continue
-        w = cf_dual.res.get((hi, lo), ())
-        images[(hi, lo)] = [_apply(w, vec) for vec in bases[hi]]
-        if any(_apply(alpha[lo], image) for image in images[(hi, lo)]):
-            raise ArithmeticError("kernel restriction escaped the kernel")
+    for lo, ups in enumerate(target._covers_up):
+        for hi in ups:
+            if stalks[hi] == 0 or stalks[lo] == 0:
+                continue
+            w = cf_dual.res.get((hi, lo), ())
+            images[(hi, lo)] = [_apply(w, vec) for vec in bases[hi]]
+            if any(_apply(alpha[lo], image) for image in images[(hi, lo)]):
+                raise ArithmeticError("kernel restriction escaped the kernel")
 
     def res():
         out = {}
@@ -573,9 +561,7 @@ def _kernel_sheaf(cf, cf_dual, alpha):
 
 def sheaf_ab_index(F):
     """Sum over chains of wt(chain) * dim F at the largest chain element."""
-    base = F.base
-    root = base._root
-    return flags.ab_index(base, lambda i: F.dim(root._ids[i]))
+    return flags.ab_index(F.base, F.dim)
 
 
 def cd_coefficient_via_CD(P, word, seed=0):
@@ -594,7 +580,7 @@ def cd_coefficient_via_CD(P, word, seed=0):
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     prefix = P._cache.setdefault("cd_prefix", {})
     if 0 not in prefix:
-        # on a copy of P with the same ids: no reference cycle through P
+        # on a copy of P, same ids and indices: no reference cycle through P
         const = constant_sheaf(skeleton_poset(P, P.n))
         if not is_cm_sheaf(const):
             raise NotCohenMacaulay("the constant sheaf on P is not Cohen-Macaulay")
@@ -611,4 +597,4 @@ def cd_coefficient_via_CD(P, word, seed=0):
             current = op_C(current, check=False)
         else:
             current = op_D(current, rng, check=False)
-    return current.dim(current.base.bottom)
+    return current.dim(current.base._bottom)

@@ -1,10 +1,11 @@
 """Brute-force oracles used to check the production implementations.
 
-Everything here is deliberately naive: chains are materialized one by one,
-Euler sums run over all pairs, isomorphism is a backtracking search,
-products scan every factor cover for every pair, cd-splits are solved for
-in the span of expanded cd-words, and sheaves are pulled back to the order
-complex, whose simplicial signs need no orientation.  Seven oracles keep an
+Everything here is deliberately naive: chains are materialized one by one
+and weighted factor by factor, Euler sums run over all pairs, isomorphism
+is a backtracking search, products scan every factor cover for every pair,
+cd-splits are solved for in the span of expanded cd-words, and sheaves are
+pulled back to the order complex, whose simplicial signs need no
+orientation.  Seven oracles keep an
 earlier form of a routine: the lattice test scanning each pair's minimal
 upper bounds, the structural check scanning for covers, op_D's random
 combination summed in Fractions, the cellular complex built per up-set,
@@ -30,10 +31,35 @@ from posetlab.corpus import lattice_corpus, proper_elements
 from posetlab.ncpoly import (A, B, NcPoly, NotExpressible, NotHomogeneous,
                              _require_alphabet, ab, ab_expand, ab_of, alpha, cd,
                              cd_contract, cd_words, power, word_degree)
-from posetlab.poset import TOP, GradedPoset, PosetError, SubPoset, _bits
+from posetlab.poset import (TOP, GradedPoset, PosetError, SubPoset, _bits,
+                            from_json_dict)
 from posetlab.sheaves import (CellularComplex, Sheaf, _check_d_squared,
-                              _orientation, _up_covers, dual_dimension_formula,
+                              _orientation, dual_dimension_formula,
                               is_cm_sheaf, sheaf_ab_index, skeleton_poset)
+
+
+class InvalidChain(Exception):
+    pass
+
+
+def weight(P, chain):
+    """Weight of a chain {0-hat = s0 < s1 < ... < sk} of ids: the
+    alternating product of (a-b)^(gap-1) factors joined by b's, ending with
+    the gap to the virtual top."""
+    if not chain or chain[0] != P.bottom:
+        raise InvalidChain("chains must start at the bottom element")
+    for x, y in zip(chain, chain[1:]):
+        if x == y or not P.leq(x, y):
+            raise InvalidChain(f"{x!r} < {y!r} fails in the chain")
+    out = NcPoly.one("ab")
+    for x, y in zip(chain, chain[1:]):
+        out = out * power(A - B, P.rank(y) - P.rank(x) - 1) * B
+    return out * power(A - B, P.n - P.rank(chain[-1]))
+
+
+def up_set(P, x):
+    """The ids y >= x, in index order."""
+    return [P._ids[j] for j in _bits(P._geq[P._index(x)])]
 
 
 def all_chains(P):
@@ -237,8 +263,9 @@ def semisuspension_sum_oracle(L, nu, formula):
     time: the index of the materialized [0-hat, pi) times the factor of
     rho(pi, top), summed over nu <= pi.  No lattice or Euler check."""
     index, factor = SEMISUSPENSION_ROUTES[formula]
-    return reduce(operator.add, (index(L.interval(L.bottom, pi)) * factor(L.rho_to_top(pi))
-                                 for pi in L.up_set(nu)))
+    terms = (index(L.interval(L.bottom, pi)) * factor(L.n + 1 - L.rank(pi))
+             for pi in up_set(L, nu))
+    return reduce(operator.add, terms)
 
 
 def view_poset(P):
@@ -488,6 +515,19 @@ def structural_check_oracle(root, mask, bottom_idx, n):
     return hm.CertResult(True)
 
 
+def relabelled(P, rng):
+    """P read back from JSON under a random id permutation that keeps the
+    bottom at 0, as the benchmark's inputs are, and the id map P -> it."""
+    elems = P.elements()
+    fresh = list(range(1, len(elems)))
+    rng.shuffle(fresh)
+    new = dict(zip(elems, [0] + fresh))
+    return from_json_dict({
+        "n": P.n,
+        "elements": [{"id": new[e], "rank": P.rank(e)} for e in elems],
+        "covers": [[new[a], new[b]] for a, b in P.covers()]}), new
+
+
 def wedge_at_bottom(P, Q):
     """P and Q, of equal rank, glued at their bottoms and nowhere else."""
     assert P.n == Q.n
@@ -608,10 +648,11 @@ def pullback(F):
     the stalk at its largest element (the bottom for the empty chain)."""
     base = F.base
     oc = cons.order_complex(base)
-    top = {e: (oc.provenance[e] or (base.bottom,))[-1] for e in oc.elements()}
-    stalks = {e: F.dim(top[e]) for e in oc.elements()}
+    top = [base._index((oc.provenance[e] or (base.bottom,))[-1]) for e in oc.elements()]
+    stalks = [F.dim(t) for t in top]
     res = {(hi, lo): F.res_between(top[hi], top[lo])
-           for lo, hi in oc.covers() if stalks[hi] and stalks[lo]}
+           for lo, ups in enumerate(oc._covers_up) for hi in ups
+           if stalks[hi] and stalks[lo]}
     return Sheaf(oc, stalks, res)
 
 
@@ -620,30 +661,29 @@ def simplicial_cellular_complex(F, support=None):
     `support` when given), with simplicial incidence signs: dropping the
     i-th vertex of a chain has sign (-1)^i.  d o d = 0 is checked."""
     oc = F.base
-    element_of = {oc.provenance[e]: e for e in oc.elements()}
-    members = set(oc.elements()) if support is None else set(support)
+    element_of = {oc.provenance[e]: i for i, e in enumerate(oc.elements())}
+    members = oc._mask if support is None else oc._mask_of(support)
     cells = {}
-    for e in members:
+    for e in _bits(members):
         for j in range(F.dim(e)):
-            cells.setdefault(oc.n - oc.rank(e), []).append((e, j))
+            cells.setdefault(oc.n - oc._rank[e], []).append((e, j))
     coords = [sorted(cells.get(k, [])) for k in range(max(cells, default=-1) + 1)]
     index = [{c: i for i, c in enumerate(cs)} for cs in coords]
     diff_rows = []
     for k in range(len(coords) - 1):
         rows = [{} for _ in coords[k + 1]]
         for (z, c), col in index[k].items():
-            chain = oc.provenance[z]
+            chain = oc.provenance[oc._ids[z]]
             for i in range(len(chain)):
                 y = element_of[chain[:i] + chain[i + 1:]]
                 m = F.res.get((z, y))
-                if y not in members or m is None:
+                if not members >> y & 1 or m is None:
                     continue
                 for r, entries in enumerate(m):
                     if entries.get(c):
                         rows[index[k + 1][(y, r)]][col] = (-1) ** i * entries[c]
         diff_rows.append(rows)
-    cc = CellularComplex(coords, diff_rows,
-                         [[oc._index(e) for e, _ in cs] for cs in coords])
+    cc = CellularComplex(coords, diff_rows)
     _check_d_squared(cc)
     return cc
 
@@ -660,14 +700,14 @@ def fraction_alpha_oracle(cf, family, rng):
     normalised nullspace bases must be the integer-scaled alpha's."""
     coeffs = [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
               for _ in family]
-    alpha = {}
-    for sigma in cf.base.elements():
+    alpha = []
+    for sigma in range(len(cf.base)):
         rows = [{} for _ in range(cf.dim(sigma))]
         for c, maps in zip(coeffs, family):
             for acc, row in zip(rows, maps.get(sigma, ())):
                 for j, v in row.items():
                     acc[j] = acc.get(j, 0) + c * v
-        alpha[sigma] = rows
+        alpha.append(rows)
     return alpha
 
 
@@ -677,11 +717,11 @@ def cellular_complex_oracle(F, support):
     base = F.base
     eps = _orientation(base)
     n = base.n
-    members = set(support)
+    members = base._mask_of(support)
     by_deg = {}
-    for e in sorted(members, key=lambda e: (base.rank(e), e)):
+    for e in _bits(members):
         if F.dim(e):
-            by_deg.setdefault(n - base.rank(e), []).append(e)
+            by_deg.setdefault(n - base._rank[e], []).append(e)
     top_deg = max(by_deg) if by_deg else -1
     coords, coord_idx = [], []
     for k in range(top_deg + 1):
@@ -692,27 +732,27 @@ def cellular_complex_oracle(F, support):
     for k in range(top_deg):
         rows = [dict() for _ in coords[k + 1]]
         for y in by_deg.get(k + 1, []):
-            for z in _up_covers(base, y):
-                if z not in members or not F.dim(z):
+            for z in base._covers_up[y]:
+                if not members >> z & 1 or not F.dim(z):
                     continue
                 for r, entries in enumerate(F.res.get((z, y), ())):
                     row = rows[coord_idx[k + 1][(y, r)]]
                     for c, v in entries.items():
                         row[coord_idx[k][(z, c)]] = eps[(y, z)] * v
         diff_rows.append(rows)
-    return CellularComplex(coords, diff_rows,
-                           [[base._index(e) for e, _ in cs] for cs in coords])
+    return CellularComplex(coords, diff_rows)
 
 
 def eager_kernel_sheaf_oracle(cf, cf_dual, alpha):
     """`sheaves._kernel_sheaf` as first written: every restriction solved
     for in the kernel bases when the sheaf is built."""
     target = skeleton_poset(cf.base, cf.base.n - 1)
-    bases = {sigma: linalg.sparse_nullspace(alpha[sigma], cf_dual.dim(sigma))
-             for sigma in target.elements()}
-    stalks = {s: len(v) for s, v in bases.items()}
+    bases = [linalg.sparse_nullspace(alpha[sigma], cf_dual.dim(sigma))
+             for sigma in range(len(target))]
+    stalks = [len(v) for v in bases]
     res = {}
-    for lo, hi in target.covers():
+    covers = [(lo, hi) for lo, ups in enumerate(target._covers_up) for hi in ups]
+    for lo, hi in covers:
         if stalks[hi] == 0 or stalks[lo] == 0:
             continue
         w = cf_dual.res.get((hi, lo), ())
@@ -734,7 +774,7 @@ def eager_kernel_sheaf_oracle(cf, cf_dual, alpha):
 
 
 def zero_sheaf(base):
-    return Sheaf(base, {}, {})
+    return Sheaf(base, [0] * len(base), {})
 
 
 def is_gorenstein_sheaf(F):
@@ -742,7 +782,7 @@ def is_gorenstein_sheaf(F):
     the higher cohomology gone, that dim H^0 is the Euler characteristic
     `dual_dimension_formula(F, x)`."""
     return is_cm_sheaf(F) and all(
-        dual_dimension_formula(F, x) == F.dim(x) for x in F.base.elements())
+        dual_dimension_formula(F, x) == F.dim(x) for x in range(len(F.base)))
 
 
 # -- random and composed posets -----------------------------------------------

@@ -381,9 +381,13 @@ class TestExitCodes:
         (["verify", "main-inequality", "{poset}"], "--element"),
         (["verify", "semisusp", "{poset}"], "--element"),
         (["cd-index", "{directory}"], "{directory}"),
+        (["check", "cm", "{poset}", "--boundary", "1"], "--boundary"),
+        (["check", "gorenstein-star", "{poset}", "--boundary", "auto"], "--boundary"),
+        (["build", "cube", "0"], "cube_poset needs d >= 1"),
     ], ids=["decomposition-without-map", "stanley-without-poset",
             "main-inequality-without-element", "semisusp-without-element",
-            "directory-as-poset"])
+            "directory-as-poset", "cm-with-boundary", "gorenstein-star-with-boundary",
+            "cube-zero"])
     def test_malformed_invocation(self, capsys, tmp_path, argv, named):
         """One `error:` line naming what is missing or wrong, exit 2, no
         output and no traceback."""

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (SEMISUSPENSION_ROUTES, ab_index_oracle, ab_key_walk_oracle,
-                     all_chains, composed_posets, count_maximal_chains,
-                     eulerian_lattices, eulerian_oracle, flag_h_oracle, graded_posets,
-                     homogeneous_degree, lattice_oracle, lattices_and_balls,
-                     near_cd_index_oracle, semisuspension_sum_oracle)
+from helpers import (SEMISUSPENSION_ROUTES, InvalidChain, ab_index_oracle,
+                     ab_key_walk_oracle, all_chains, composed_posets,
+                     count_maximal_chains, eulerian_lattices, eulerian_oracle,
+                     flag_h_oracle, graded_posets, homogeneous_degree, lattice_oracle,
+                     lattices_and_balls, near_cd_index_oracle,
+                     semisuspension_sum_oracle, weight)
 from posetlab import constructions as cons
 from posetlab import corpus, flags
-from posetlab.flags import InvalidChain
 from posetlab.subdivision import _fiber_masks
 from posetlab.ncpoly import (A, B, NcPoly, NotExpressible, ab, ab_expand, cd,
                              cd_contract, pyr_op)
@@ -25,25 +25,25 @@ def two_atoms():
 
 class TestWeight:
     def test_bottom_chain_of_ngon(self, polygon3):
-        assert flags.weight(polygon3, [0]) == (A - B) * (A - B)
+        assert weight(polygon3, [0]) == (A - B) * (A - B)
 
     def test_maximal_chain_of_ngon(self, polygon3):
         e = next(e for e in polygon3.elements()
                  if polygon3.rank(e) == 2 and polygon3.leq(1, e))
-        assert flags.weight(polygon3, [0, 1, e]) == ab("bb")
+        assert weight(polygon3, [0, 1, e]) == ab("bb")
 
     def test_rank0_bottom_chain_is_empty_product(self):
-        assert flags.weight(cons.single_point(), [0]) == NcPoly.one("ab")
+        assert weight(cons.single_point(), [0]) == NcPoly.one("ab")
 
     def test_rank1_bottom_chain(self):
         # the a+b value of the rank-1 ab-index pins this down
-        assert flags.weight(two_atoms(), [0]) == A - B
+        assert weight(two_atoms(), [0]) == A - B
 
     def test_invalid_chain(self, polygon3):
         with pytest.raises(InvalidChain):
-            flags.weight(polygon3, [1])
+            weight(polygon3, [1])
         with pytest.raises(InvalidChain):
-            flags.weight(polygon3, [0, 2, 1])
+            weight(polygon3, [0, 2, 1])
 
 
 class TestAbIndex:
@@ -98,7 +98,7 @@ class TestAbIndex:
         the f-vector slot of the empty rank set on its own."""
         want = NcPoly.zero("ab")
         for chain in all_chains(boolean4):
-            want = want + flags.weight(boolean4, chain) * big(chain[-1])
+            want = want + weight(boolean4, chain) * big(chain[-1])
         assert flags.ab_index(boolean4, big) == want
 
 

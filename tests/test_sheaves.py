@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from helpers import (cellular_complex_oracle, cohomology_dims, composed_posets,
-                     eager_kernel_sheaf_oracle, fraction_alpha_oracle,
-                     is_gorenstein_sheaf, pullback, sheaf_cd_split,
-                     simplicial_cellular_complex, torus_face_poset,
-                     wedge_at_bottom, zero_sheaf)
+from helpers import (all_chains, cellular_complex_oracle, cohomology_dims,
+                     composed_posets, eager_kernel_sheaf_oracle,
+                     fraction_alpha_oracle, is_gorenstein_sheaf, pullback,
+                     relabelled, sheaf_cd_split, simplicial_cellular_complex,
+                     torus_face_poset, up_set, wedge_at_bottom, weight, zero_sheaf)
 from posetlab import constructions as cons
 from posetlab import flags
 from posetlab import homology as hm
@@ -17,7 +17,7 @@ from posetlab import sheaves as sh
 from posetlab.corpus import gorenstein_corpus
 from posetlab.linalg import sparse_nullspace, sparse_rank
 from posetlab.ncpoly import cd, cd_words
-from posetlab.poset import GradedPoset, UnknownElement, from_json, to_json
+from posetlab.poset import GradedPoset, UnknownElement, _bits, from_json, to_json
 
 
 class TestConstantSheaf:
@@ -31,7 +31,7 @@ class TestConstantSheaf:
         supp = [x for x in polygon3.elements()
                 if polygon3.leq(x, e) and x != e]
         F = sh.constant_sheaf(polygon3, supp)
-        assert sum(F.stalk_dim.values()) == len(supp)
+        assert sum(F.stalk_dim) == len(supp)
 
     def test_single_maximal_support(self, polygon3):
         e = polygon3.maximal_elements()[0]
@@ -62,7 +62,7 @@ class TestConstantSheaf:
                                    match=f"^{between[0]!r} lies between support elements$"):
                     sh.constant_sheaf(P, supp)
             else:
-                assert sum(sh.constant_sheaf(P, supp).stalk_dim.values()) == len(supp)
+                assert sum(sh.constant_sheaf(P, supp).stalk_dim) == len(supp)
 
 
 def two_edges():
@@ -83,26 +83,26 @@ class TestPullback:
 
     def test_constant_pulls_back_to_constant(self, polygon3):
         pf = pullback(sh.constant_sheaf(polygon3))
-        assert all(d == 1 for d in pf.stalk_dim.values())
+        assert all(d == 1 for d in pf.stalk_dim)
 
     def test_edge_support_pulls_back_to_chains_through_it(self, polygon3):
         e = polygon3.maximal_elements()[0]
         F = sh.constant_sheaf(polygon3, [e])
         pf = pullback(F)
         oc = pf.base
-        for x in oc.elements():
+        for i, x in enumerate(oc.elements()):
             chain = oc.provenance[x]
             want = 1 if (chain and chain[-1] == e) else 0
-            assert pf.dim(x) == want
+            assert pf.dim(i) == want
 
     def test_stalk_dims_preserved_along_fibers(self, boolean4):
         F = sh.constant_sheaf(boolean4)
         pf = pullback(F)
         oc = pf.base
-        for x in oc.elements():
+        for i, x in enumerate(oc.elements()):
             chain = oc.provenance[x]
             top = chain[-1] if chain else boolean4.bottom
-            assert pf.dim(x) == F.dim(top)
+            assert pf.dim(i) == F.dim(boolean4._index(top))
 
 
 class TestCellularComplex:
@@ -130,8 +130,8 @@ class TestCellularComplex:
         oc = pf.base
         v = next(e for e in oc.elements() if oc.rank(e) == 1)
         w = oc.provenance[v][0]
-        for cc in (sh.cellular_complex(F, polygon3.up_set(w)),
-                   simplicial_cellular_complex(pf, oc.up_set(v))):
+        for cc in (sh.cellular_complex(F, up_set(polygon3, w)),
+                   simplicial_cellular_complex(pf, up_set(oc, v))):
             dims = cohomology_dims(cc)
             assert dims[0] == 1 and all(d == 0 for d in dims[1:])
 
@@ -195,8 +195,8 @@ def test_poset_complex_against_order_complex_oracle():
             chain = {oc.provenance[e]: e for e in oc.elements()}
             for sigma in base.elements():
                 x = chain[() if sigma == base.bottom else (sigma,)]
-                got = _upset_cohomology(sh.cellular_complex(F, base.up_set(sigma)))
-                want = _upset_cohomology(simplicial_cellular_complex(pf, oc.up_set(x)))
+                got = _upset_cohomology(sh.cellular_complex(F, up_set(base, sigma)))
+                want = _upset_cohomology(simplicial_cellular_complex(pf, up_set(oc, x)))
                 assert got == want, (name, base.n, sigma)
 
 
@@ -244,14 +244,14 @@ class TestDualSheaf:
     def test_gorenstein_dual_is_constant(self, polygon3):
         F = sh.constant_sheaf(polygon3)
         D = sh.dual_sheaf(F)
-        assert all(D.dim(e) == 1 for e in polygon3.elements())
+        assert all(D.dim(i) == 1 for i in range(len(polygon3)))
         assert D.validate()
 
     def test_near_gorenstein_dual_is_interior(self, polygon3):
         P = cons.with_top(polygon3)
         D = sh.dual_sheaf(sh.constant_sheaf(P))
-        for e in P.elements():
-            assert D.dim(e) == (1 if P.rank(e) == 3 else 0)
+        for i, e in enumerate(P.elements()):
+            assert D.dim(i) == (1 if P.rank(e) == 3 else 0)
 
     def test_dimension_formula(self, small_gorenstein):
         for name, P in small_gorenstein:
@@ -259,8 +259,8 @@ class TestDualSheaf:
                 continue
             F = sh.constant_sheaf(P)
             D = sh.dual_sheaf(F)
-            for e in P.elements():
-                assert sh.dual_dimension_formula(F, e) == D.dim(e), name
+            for i in range(len(P)):
+                assert sh.dual_dimension_formula(F, i) == D.dim(i), name
 
     def test_double_dual_dimensions(self, polygon3):
         P = cons.with_top(polygon3)
@@ -285,16 +285,17 @@ def test_facet_duals_are_read_off_the_orientation():
         for base in (P, cons.with_top(P)):
             eps = sh._orientation(base)
             sk = sh.skeleton_poset(base, base.n - 1)
-            for s in base.maximal_elements():
-                below = sh._down_covers(base, s)
-                supp = [t for t in base.down_set(s) if t != s]
-                D = sh.dual_sheaf(sh.constant_sheaf(sk, supp))
-                at_bottom = D._h0[sk.bottom][0]
+            for top in base.maximal_elements():
+                s = base._index(top)
+                below = sh._down_covers(base)[s]
+                supp = [t for t in _bits(base._leq[s]) if t != s]
+                D = sh.dual_sheaf(sh.constant_sheaf(sk, [sk._ids[t] for t in supp]))
+                at_bottom = D._h0[sk._bottom][0]
                 scale = Fraction(1, at_bottom[min(at_bottom)])
                 for sigma in supp:
                     (gen,) = D._h0[sigma]
-                    c = D.res_between(sigma, sk.bottom)[0][0] * scale
-                    want = {y: eps[(y, s)] for y in below if base.leq(sigma, y)}
+                    c = D.res_between(sigma, sk._bottom)[0][0] * scale
+                    want = {y: eps[(y, s)] for y in below if base._leq[y] >> sigma & 1}
                     assert {y: c * v for (y, _), v in gen.items()} == want, \
                         (name, base.n, s, sigma)
 
@@ -303,7 +304,7 @@ class TestOpC:
     def test_skeleton_restriction(self, polygon3):
         C = sh.op_C(sh.constant_sheaf(polygon3))
         assert C.base.n == 1
-        assert all(C.dim(e) == 1 for e in C.base.elements())
+        assert all(C.dim(i) == 1 for i in range(len(C.base)))
 
     def test_twice_gives_the_cc_coefficient(self, polygon3):
         C2 = sh.op_C(sh.op_C(sh.constant_sheaf(polygon3)))
@@ -311,7 +312,7 @@ class TestOpC:
 
     def test_zero_sheaf(self, polygon3):
         C = sh.op_C(zero_sheaf(polygon3))
-        assert sum(C.stalk_dim.values()) == 0
+        assert sum(C.stalk_dim) == 0
 
 
 class TestOpD:
@@ -380,7 +381,7 @@ def test_integer_alpha_keeps_the_fraction_alpha_kernels():
                     alpha = sh._draw_alpha(cf, family, rng)
                     old = fraction_alpha_oracle(cf, family, old_rng)
                     assert rng.getstate() == old_rng.getstate()
-                    for sigma, rows in alpha.items():
+                    for sigma, rows in enumerate(alpha):
                         assert all(type(v) in (int, Fraction)
                                    for row in rows for v in row.values())
                         assert sparse_rank(rows) == sparse_rank(old[sigma])
@@ -402,11 +403,11 @@ def _assert_complexes_match_per_upset_oracle(F, where):
     h0 = sh._dual_poset(F)._h0
     cm = True
     for x in base.elements():
-        old = cellular_complex_oracle(F, base.up_set(x))
-        cc = sh.cellular_complex(F, base.up_set(x))
+        old = cellular_complex_oracle(F, up_set(base, x))
+        cc = sh.cellular_complex(F, up_set(base, x))
         assert cc == old, (where, x)
         assert cc.restrict(base._geq[base._index(x)]) == old, (where, x)
-        assert h0[x] == old.kernel_deg0(), (where, x)
+        assert h0[base._index(x)] == old.kernel_deg0(), (where, x)
         cm = cm and not any(cohomology_dims(old)[1:])
     assert sh.is_cm_sheaf(F) == cm, where
 
@@ -448,7 +449,7 @@ def test_tampered_alpha_raises_before_restrictions_are_read(monkeypatch):
     error from the subsheaf check alone: no coordinate is solved for."""
     F = sh.constant_sheaf(cons.cube_poset(3))
     cf, _, family = sh._alpha_family(F)
-    row = next(r for r in family.at[cf.base.bottom][0][1] if r)
+    row = next(r for r in family.at[cf.base._bottom][0][1] if r)
     row[min(row)] = 2 * row[min(row)] + 1
 
     def no_coordinates(*args):
@@ -468,7 +469,6 @@ class TestSheafAbIndex:
         assert sh.sheaf_ab_index(zero_sheaf(polygon3)).is_zero()
 
     def test_lower_interval_support(self, polygon3):
-        from helpers import all_chains
         from posetlab.ncpoly import NcPoly
         e = polygon3.maximal_elements()[0]
         supp = [x for x in polygon3.elements()
@@ -477,7 +477,7 @@ class TestSheafAbIndex:
         total = NcPoly.zero("ab")
         for chain in all_chains(polygon3):
             if chain[-1] in supp:
-                total = total + flags.weight(polygon3, chain)
+                total = total + weight(polygon3, chain)
         assert sh.sheaf_ab_index(F) == total
 
     def test_split_of_near_gorenstein_constant(self, polygon3):
@@ -604,3 +604,91 @@ def test_extraction_against_flag_enumeration(drawn):
         want = nc.phi + nc.boundary * cd("c")
     for w in cd_words(P.n):
         assert sh.cd_coefficient_via_CD(P, w, seed=0) == want.coeff(w), w
+
+
+RELABELLED = {"B4": lambda: cons.boolean_algebra(4),
+              "cross3": lambda: cons.cross_polytope(3),
+              "cone": lambda: cons.with_top(cons.polygon(3))}
+
+
+@pytest.mark.parametrize("make", RELABELLED.values(), ids=RELABELLED.keys())
+class TestRelabelledBase:
+    """Sheaves are keyed by base index and take element ids only as
+    supports.  On a JSON relabelling whose ids are not its indices, every
+    answer agrees with the original through the id map, and the errors
+    name the relabelled ids."""
+
+    def test_ids_are_not_indices(self, make):
+        for seed in range(3):
+            Q, _ = relabelled(make(), random.Random(seed))
+            assert Q.elements() != list(range(len(Q)))
+
+    def test_cd_coefficients(self, make):
+        P = make()
+        for seed in range(3):
+            Q, _ = relabelled(P, random.Random(seed))
+            for w in cd_words(P.n):
+                assert (sh.cd_coefficient_via_CD(Q, w, seed=seed)
+                        == sh.cd_coefficient_via_CD(P, w, seed=seed)), (seed, w)
+
+    def test_constant_sheaf_on_a_mapped_support(self, make):
+        P = make()
+        Q, new = relabelled(P, random.Random(0))
+        for top in P.maximal_elements():
+            supp = [e for e in P.elements() if P.leq(e, top)]
+            F = sh.constant_sheaf(P, supp)
+            G = sh.constant_sheaf(Q, [new[e] for e in supp])
+            for e in P.elements():
+                assert G.dim(Q._index(new[e])) == F.dim(P._index(e)), (top, e)
+            assert ({(new[P._ids[hi]], new[P._ids[lo]]): m for (hi, lo), m in F.res.items()}
+                    == {(Q._ids[hi], Q._ids[lo]): m for (hi, lo), m in G.res.items()})
+
+    def test_dual_dimension_formula(self, make):
+        P = make()
+        Q, new = relabelled(P, random.Random(1))
+        F, G = sh.constant_sheaf(P), sh.constant_sheaf(Q)
+        D = sh.dual_sheaf(G)
+        for e in P.elements():
+            i, j = P._index(e), Q._index(new[e])
+            assert sh.dual_dimension_formula(G, j) == sh.dual_dimension_formula(F, i)
+            assert sh.dual_dimension_formula(G, j) == D.dim(j), e
+
+    def test_bad_support_names_the_relabelled_id(self, make):
+        # the first element between two support elements, in index order
+        named = set()
+        for seed in range(3):
+            Q, _ = relabelled(make(), random.Random(seed))
+            for top in Q.maximal_elements():
+                between = [x for x in Q.elements()
+                           if Q.leq(x, top) and x not in (Q.bottom, top)]
+                with pytest.raises(sh.BadSupport,
+                                   match=f"^{between[0]!r} lies between support elements$"):
+                    sh.constant_sheaf(Q, [Q.bottom, top])
+                named.add(between[0] != Q._index(between[0]))
+        assert True in named
+
+    def test_surjectivity_failure_names_the_relabelled_id(self, make):
+        # no section at any top-rank element: alpha is zero, and op_D fails
+        # at the lowest id of rank n - 1 in the support
+        for seed in range(3):
+            Q, _ = relabelled(make(), random.Random(seed))
+            top = Q.maximal_elements()[0]
+            supp = [x for x in Q.elements() if Q.leq(x, top) and x != top]
+            want = min(x for x in supp if Q.rank(x) == Q.n - 1)
+            with pytest.raises(sh.SurjectivityFailed,
+                               match=fr"\(last failure at {want!r}\)$"):
+                sh.op_D(sh.constant_sheaf(Q, supp), random.Random(0), check=False)
+
+
+def test_bad_base_names_the_relabelled_id():
+    """The cone over a torus, relabelled: BadBase names the apex by its
+    new id."""
+    P = cons.with_top(torus_face_poset())
+    apex = P.maximal_elements()[0]
+    named = set()
+    for seed in range(3):
+        Q, new = relabelled(P, random.Random(seed))
+        with pytest.raises(sh.BadBase, match=f"^no orientation below {new[apex]!r}: "):
+            sh.is_cm_sheaf(sh.constant_sheaf(Q))
+        named.add(new[apex] != Q._index(new[apex]))
+    assert True in named

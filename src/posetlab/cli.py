@@ -243,11 +243,19 @@ def _cmd_sheaf_cd(args):
 
 
 def _cmd_corpus(args):
+    # a corpus with no poset in it passes every check vacuously
     if args.action == "list":
+        if args.max_rank < 1:
+            raise ValueError("corpus list needs --max-rank >= 1")
         for name, P in corpus.gorenstein_corpus(args.max_rank):
             lattice = "lattice" if P.is_lattice() else "non-lattice"
             print(f"{name:<22} rank {P.n}  {len(P):>3} elements  {lattice}")
         return 0
+    if args.max_rank < 2:
+        raise ValueError("corpus run-all needs --max-rank >= 2, "
+                         "where the lattice corpus starts")
+    if args.sweeps < 1:
+        raise ValueError("corpus run-all needs --sweeps >= 1")
     results = corpus.run_acceptance(seed=args.seed, sweeps=args.sweeps,
                                     max_rank=args.max_rank)
     for r in results:

@@ -42,12 +42,6 @@ class PosetMap:
             raise ValueError(
                 f"map does not preserve order on cover ({lo!r}, {hi!r})")
 
-    def __call__(self, x):
-        return self.assignment[x]
-
-    def is_surjective(self):
-        return set(self.assignment.values()) == set(self.target.elements())
-
 
 def single_point():
     return GradedPoset.from_covers(0, {0: 0}, [], labels={0: "0"})
@@ -315,46 +309,37 @@ def subdivision_target_and_map(L, nu):
     tau < nu goes to itself, tau >= nu goes to (tau, top-coordinate), and
     anything else goes to (tau v nu, bottom-coordinate), with the virtual
     join landing on the apex cell (top, bottom-coordinate)."""
-    _proper_nu(L, nu, "the subdivision target")
-    lower = L.interval(L.bottom, nu)
-    upper = L.interval(nu, TOP)
+    ni = _proper_nu(L, nu, "the subdivision target")
+    lower, upper = L.interval(L.bottom, nu), L.interval(nu, TOP)
     pyr = pyr_poset(upper)
     target = star_product(lower, pyr)
 
-    lower_ids = {lower.provenance[e]: e for e in lower.elements()}
-    # pyr provenance: (upper-id or TOP, point-id or TOP); eps = 1 iff the
-    # point coordinate is the adjoined top
-    pyr_ids = {}
-    for e in pyr.elements():
-        src, pt = pyr.provenance[e]
-        eps = 1 if pt is TOP else 0
-        key = (TOP if src is TOP else upper.provenance[src], eps)
-        pyr_ids[key] = e
-    target_ids = {}
-    for e in target.elements():
-        side, old = target.provenance[e]
-        target_ids[(side, old)] = e
-
-    assignment = {}
-    for tau in L.elements():
-        if tau != L.bottom and L.leq(tau, nu) and tau != nu:
-            assignment[tau] = target_ids[("L", lower_ids[tau])]
-        elif tau == L.bottom:
-            assignment[tau] = target.bottom
-        elif L.leq(nu, tau):
-            assignment[tau] = target_ids[("R", pyr_ids[(tau, 1)])]
+    # target id by L-level key: tau for tau < nu, and (sigma, eps) for the
+    # pyramid cells, sigma in [nu, top] (TOP for the apex side) and eps true
+    # iff the point coordinate is the adjoined top
+    at = {}
+    for e, (side, old) in target.provenance.items():
+        if side == "L":
+            at[lower.provenance[old]] = e
         else:
-            j = L.join(tau, nu)
-            key = (TOP, 0) if j is TOP else (j, 0)
-            assignment[tau] = target_ids[("R", pyr_ids[key])]
+            sigma, pt = pyr.provenance[old]
+            at[(TOP if sigma is TOP else upper.provenance[sigma], pt is TOP)] = e
+
+    above, below = L._geq[ni], L._leq[ni]
+    assignment = {}
+    for i, tau in enumerate(L._ids):
+        if above >> i & 1:
+            assignment[tau] = at[(tau, True)]
+        elif below >> i & 1:
+            assignment[tau] = at[tau]
+        else:
+            assignment[tau] = at[(L.join(tau, nu), False)]
     return target, PosetMap(L, target, assignment)
 
 
 def collapse_map(L, nu):
     """The map L -> Lambda'_nu: identity on Lambda_nu, star elsewhere."""
     prime = semisuspension(L, nu)
-    back = {prime.provenance[e]: e for e in prime.elements()
-            if prime.provenance[e] != "*"}
-    star = next(e for e in prime.elements() if prime.provenance[e] == "*")
-    assignment = {tau: back.get(tau, star) for tau in L.elements()}
+    back = {old: e for e, old in prime.provenance.items()}
+    assignment = {tau: back.get(tau, back["*"]) for tau in L.elements()}
     return PosetMap(L, prime, assignment)

@@ -65,22 +65,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .ncpoly import (A, B, NcPoly, NotExpressible, ab_of, alpha, cd_contract,
-                     power, pyr_op)
+from .ncpoly import (NcPoly, NotExpressible, ab_of, alpha, alpha_ab_lambda,
+                     alpha_ab_star, cd_contract, pyr_op)
 from .poset import (TOP, GradedPoset, NotALattice, NotComparable, NotEulerian,
                     SubPoset, _bits, interval_view)
-
-
-@lru_cache(maxsize=None)
-def _amb_pow(k):
-    """(a - b)^k."""
-    return power(A - B, k)
-
-
-@lru_cache(maxsize=None)
-def _bma_pow(k):
-    """(b - a)^k."""
-    return power(B - A, k)
 
 
 def _pack(order, near, level, width):
@@ -336,21 +324,12 @@ def _semisuspension_sum(L, nu, index, factor):
 def lambda_nu_ab_formula(L, nu):
     """Closed flag formula for the ab-index of Lambda_nu: sum over
     nu <= pi < 1-hat of Psi_[0,pi) * a * (b-a)^(rho(pi,top)-1)."""
-    return _semisuspension_sum(L, nu, ab_of, lambda g: A * _bma_pow(g - 1))
-
-
-def _star_factor(g):
-    term = _amb_pow(g - 1)
-    if g % 2 == 0:
-        term = term - 2 * (A * _amb_pow(g - 2))
-    return term * B
+    return _semisuspension_sum(L, nu, ab_of, alpha_ab_lambda)
 
 
 def star_chain_sum(L, nu):
-    """Total weight of the chains through the added semisuspension cell:
-    the second summand vanishes for odd rank gaps (its 1 + (-1)^rho factor
-    is zero), which also covers the formally negative exponent."""
-    return _semisuspension_sum(L, nu, ab_of, _star_factor)
+    """Total weight of the chains through the added semisuspension cell."""
+    return _semisuspension_sum(L, nu, ab_of, alpha_ab_star)
 
 
 def lambda_nu_prime_cd(L, nu):

@@ -252,17 +252,28 @@ def alpha(k):
     return res
 
 
+@lru_cache(maxsize=None)
+def alpha_ab_lambda(k):
+    """a (b-a)^(k-1): the chain factor of `flags.lambda_nu_ab_formula`."""
+    return A * power(B - A, k - 1)
+
+
+@lru_cache(maxsize=None)
+def alpha_ab_star(k):
+    """(a-b)^(k-1) b - (1 + (-1)^k) a (a-b)^(k-2) b, whose second summand
+    vanishes for odd k (so does its formally negative exponent at k = 1):
+    the chain factor of `flags.star_chain_sum`."""
+    term = power(A - B, k - 1)
+    if k % 2 == 0:
+        term = term - 2 * (A * power(A - B, k - 2))
+    return term * B
+
+
 def alpha_ab_form(k):
-    """Closed ab-expression for alpha_k (k >= 1); the factor (1 + (-1)^k)
-    kills the second summand for odd k, which also covers the formally
-    negative exponent at k = 1."""
+    """Closed ab-expression for alpha_k (k >= 1): the two factors above, summed."""
     if k < 1:
         raise ValueError("alpha_ab_form needs k >= 1")
-    term1 = A * power(B - A, k - 1)
-    term2 = power(A - B, k - 1)
-    if k % 2 == 0:
-        term2 = term2 - 2 * (A * power(A - B, k - 2))
-    return term1 + term2 * B
+    return alpha_ab_lambda(k) + alpha_ab_star(k)
 
 
 def coeffwise_witness(p, q):

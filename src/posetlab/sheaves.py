@@ -174,7 +174,8 @@ def constant_sheaf(base, support=None):
 @dataclass
 class CellularComplex:
     """C^k = direct sum of stalks at corank-k elements, with the base's
-    orientation as incidence signs; d o d = 0 is checked at construction."""
+    orientation as incidence signs.  `_cochains` and `restrict` build it
+    unchecked; `cellular_complex` checks d o d = 0 on what it returns."""
 
     coords: list          # coords[k]: list of (base index, local index)
     diff_rows: list       # diff_rows[k]: rows of d_k: C^k -> C^(k+1),

@@ -63,18 +63,19 @@ class SubdivisionReport:
 
 
 def _fiber_masks(phi):
-    """For every target element sigma: masks (over source indices) of the
+    """Two lists by target index: the masks (over source indices) of the
     closed fiber phi^-1[0,sigma], bottom-up its image or'ed with the closed
     fibers of its lower covers, and of the image phi^-1(sigma)."""
     src, tgt = phi.source, phi.target
     image = [0] * len(tgt._ids)
-    for i in range(len(src._ids)):
-        image[tgt._index(phi(src._ids[i]))] |= 1 << i
+    assignment, index = phi.assignment, tgt._idx
+    for i, x in enumerate(src._ids):
+        image[index[assignment[x]]] |= 1 << i
     closed = image[:]
     for t, ups in enumerate(tgt._covers_up):
         for u in ups:
             closed[u] |= closed[t]
-    return dict(zip(tgt._ids, closed)), dict(zip(tgt._ids, image))
+    return closed, image
 
 
 def is_subdivision(phi):
@@ -87,21 +88,19 @@ def is_subdivision(phi):
         raise SourceNotGorenstein("source poset is not Gorenstein*")
     if not homology.is_gorenstein_star(tgt):
         raise TargetNotGorenstein("target poset is not Gorenstein*")
-    if not phi.is_surjective():
-        missing = sorted(set(tgt.elements()) - set(phi.assignment.values()))
-        return SubdivisionReport(False, "map is not surjective", missing[0])
-    closed, image_bit = _fiber_masks(phi)
-    for s in tgt.elements():
-        cmask = closed[s]
-        omask = cmask & ~image_bit[s]
+    closed, image = _fiber_masks(phi)
+    missing = [s for s, imask in zip(tgt._ids, image) if not imask]
+    if missing:
+        return SubdivisionReport(False, "map is not surjective", min(missing))
+    for s, cmask, imask, r in zip(tgt._ids, closed, image, tgt._rank):
         cert = homology.certify_near_gorenstein(
-            src._root, cmask, src._bottom_idx, tgt.rank(s), omask)
+            src._root, cmask, src._bottom_idx, r, cmask & ~imask)
         if not cert:
             return SubdivisionReport(False,
                                      f"fiber pair over {tgt.label(s)} is not "
                                      f"near-Gorenstein*: {cert.reason}",
                                      s, cert)
-    return SubdivisionReport(True, fibers=(closed, image_bit))
+    return SubdivisionReport(True, fibers=(closed, image))
 
 
 @dataclass(frozen=True)
@@ -112,9 +111,6 @@ class Decomposition:
     terms: dict = field(compare=False)
     assembled: NcPoly = None
     source_cd: NcPoly = None
-
-    def phi(self, sigma):
-        return self.terms[sigma]
 
 
 def decompose(phi):
@@ -129,29 +125,27 @@ def decompose(phi):
     if not report:
         raise NotASubdivision(report.reason)
     src, tgt = phi.source, phi.target
-    closed, image_bit = report.fibers
+    closed, image = report.fibers
     cache = src._cache.setdefault("fiber_phi", {})
-    terms = {}
-    for s in tgt.elements():
-        cmask = closed[s]
-        omask = cmask & ~image_bit[s]
-        key = (cmask, omask, tgt.rank(s))
+    terms = []
+    for cmask, imask, r in zip(closed, image, tgt._rank):
+        key = (cmask, cmask & ~imask, r)
         if key not in cache:
-            fiber = SubPoset(src._root, cmask, src._bottom_idx, tgt.rank(s))
-            bd_ids = [src._root._ids[i] for i in _bits(omask)]
+            fiber = SubPoset(src._root, cmask, src._bottom_idx, r)
+            bd_ids = [src._root._ids[i] for i in _bits(key[1])]
             cache[key] = flags.near_cd_index(fiber, bd_ids).phi
-        terms[s] = cache[key]
+        terms.append(cache[key])
     memo = flags.contraction_memo(src)
     upper = flags.upper_intervals(
-        tgt, sum(1 << tgt._index(s) for s, t in terms.items() if not t.is_zero()))
+        tgt, sum(1 << t for t, term in enumerate(terms) if not term.is_zero()))
     assembled = NcPoly.zero("cd")
-    for i, key in upper.items():
-        assembled = assembled + terms[tgt._ids[i]] * flags.cd_of(key, memo)
+    for t, key in upper.items():
+        assembled = assembled + terms[t] * flags.cd_of(key, memo)
     source_cd = flags.cd_index(src)
     if assembled != source_cd:
         raise DecompositionMismatch(
             f"assembled {to_text(assembled)} != source {to_text(source_cd)}")
-    return Decomposition(terms, assembled, source_cd)
+    return Decomposition(dict(zip(tgt._ids, terms)), assembled, source_cd)
 
 
 @dataclass(frozen=True)

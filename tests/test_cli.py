@@ -272,6 +272,15 @@ class TestCorpus:
         assert code == 0
         assert "pyr_cube" not in out and "polygon3" in out
 
+    def test_lowest_ranks_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "corpus", "list", "--max-rank", "1")
+        assert code == 0
+        assert out.split()[0] == "boolean2" and "polygon2" not in out
+        code, out, _ = run_cli(capsys, "corpus", "run-all", "--max-rank", "2",
+                               "--sweeps", "1")
+        assert code == 0
+        assert out.count("PASS") == 8 and "144 subdivision maps" in out
+
     def test_env_seed_default(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("POSETLAB_SEED", "11")
         p3 = write_poset(tmp_path, cons.polygon(3))
@@ -384,10 +393,16 @@ class TestExitCodes:
         (["check", "cm", "{poset}", "--boundary", "1"], "--boundary"),
         (["check", "gorenstein-star", "{poset}", "--boundary", "auto"], "--boundary"),
         (["build", "cube", "0"], "cube_poset needs d >= 1"),
+        (["corpus", "run-all", "--max-rank", "0"], "--max-rank >= 2"),
+        (["corpus", "run-all", "--max-rank", "1"], "--max-rank >= 2"),
+        (["corpus", "run-all", "--sweeps", "0"], "--sweeps >= 1"),
+        (["corpus", "list", "--max-rank", "-1"], "--max-rank >= 1"),
+        (["corpus", "list", "--max-rank", "0"], "--max-rank >= 1"),
     ], ids=["decomposition-without-map", "stanley-without-poset",
             "main-inequality-without-element", "semisusp-without-element",
             "directory-as-poset", "cm-with-boundary", "gorenstein-star-with-boundary",
-            "cube-zero"])
+            "cube-zero", "run-all-rank-0", "run-all-rank-1", "run-all-no-sweeps",
+            "list-rank-negative", "list-rank-0"])
     def test_malformed_invocation(self, capsys, tmp_path, argv, named):
         """One `error:` line naming what is missing or wrong, exit 2, no
         output and no traceback."""

@@ -342,8 +342,9 @@ class TestNearCdIndex:
                 for phi in (cons.subdivision_target_and_map(L, nu)[1],
                             cons.collapse_map(L, nu)):
                     closed, image = _fiber_masks(phi)
-                    for s, cmask in closed.items():
-                        key = (cmask, cmask & ~image[s], phi.target.rank(s))
+                    for s, cmask, imask, r in zip(phi.target._ids, closed, image,
+                                                  phi.target._rank):
+                        key = (cmask, cmask & ~imask, r)
                         if key in seen:
                             continue
                         seen.add(key)

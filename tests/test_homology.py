@@ -889,10 +889,9 @@ def test_structural_check_against_the_cover_scan_oracle():
             for phi in (cons.subdivision_target_and_map(L, nu)[1],
                         cons.collapse_map(L, nu)):
                 closed, image_bit = _fiber_masks(phi)
-                for s, cmask in closed.items():
-                    r = phi.target.rank(s)
+                for cmask, imask, r in zip(closed, image_bit, phi.target._rank):
                     cases.append((L, cmask, L._bottom_idx, r))
-                    cases.append((L, cmask & ~image_bit[s], L._bottom_idx, r - 1))
+                    cases.append((L, cmask & ~imask, L._bottom_idx, r - 1))
     checks = {}
     for P, mask, bottom, n in cases:
         root = P._root

@@ -1,10 +1,14 @@
+import random
+from collections import Counter
+
 import pytest
 
-from helpers import identity_map
+from helpers import identity_map, relabelled
 from posetlab import constructions as cons
 from posetlab import flags
 from posetlab import subdivision as sd
-from posetlab.ncpoly import NcPoly, cd, pyr_op
+from posetlab.corpus import lattice_corpus, proper_elements
+from posetlab.ncpoly import NcPoly, cd, pyr_op, to_text
 from posetlab.poset import GradedPoset, NotALattice, interval_view
 
 
@@ -45,6 +49,19 @@ class TestIsSubdivision:
                             {e: polygon3.bottom for e in polygon3.elements()})
         rep = sd.is_subdivision(phi)
         assert not rep and "surjective" in rep.reason
+        assert rep.failing_sigma == 1
+
+    def test_not_surjective_names_the_smallest_missing_id(self):
+        """On a relabelled square, id 1 is an edge: the smallest missing id
+        is 1, while the lowest missing index holds the vertex id 2."""
+        square = cons.polygon(4)
+        target, _ = relabelled(square, random.Random(0))
+        assert target._ids[1] == 2 and target.rank(1) == 2
+        phi = cons.PosetMap(square, target,
+                            {e: target.bottom for e in square.elements()})
+        rep = sd.is_subdivision(phi)
+        assert not rep and rep.reason == "map is not surjective"
+        assert rep.failing_sigma == 1
 
     def test_bad_fibers_reported_with_witness(self):
         # fold the square onto the 2-gon: fibers over edges are two
@@ -55,7 +72,7 @@ class TestIsSubdivision:
             5: 3, 6: 4, 7: 3, 8: 4})        # edges alternate
         rep = sd.is_subdivision(phi)
         assert not rep
-        assert rep.failing_sigma is not None
+        assert rep.failing_sigma == 1 and "over v1" in rep.reason
 
 
 class TestDecompose:
@@ -133,6 +150,30 @@ class TestDecompose:
                     cons.collapse_map(boolean4, 5)):
             sd.decompose(phi)
         assert len(calls) == len(flags.contraction_memo(boolean4))
+
+    def test_relabelled_maps_decompose_alike(self):
+        """The cube's maps with source and target relabelled, so that ids
+        are not indices, give the same sum and the same Phi under the id
+        map; the maps built on the relabelled cube give the same Phi up to
+        the targets' isomorphism."""
+        rng = random.Random(0)
+        L = dict(lattice_corpus(4))["cube"]
+        L2, lnew = relabelled(L, rng)
+        assert list(L2._ids) != sorted(L2._ids)
+        for nu in proper_elements(L):
+            maps = (cons.subdivision_target_and_map(L, nu)[1],
+                    cons.collapse_map(L, nu))
+            built = (cons.subdivision_target_and_map(L2, lnew[nu])[1],
+                     cons.collapse_map(L2, lnew[nu]))
+            for phi, built_phi in zip(maps, built):
+                T2, tnew = relabelled(phi.target, rng)
+                phi2 = cons.PosetMap(L2, T2, {lnew[x]: tnew[y]
+                                              for x, y in phi.assignment.items()})
+                dec, dec2 = sd.decompose(phi), sd.decompose(phi2)
+                assert dec2.assembled == dec.assembled
+                assert dec2.terms == {tnew[s]: p for s, p in dec.terms.items()}
+                assert Counter(map(to_text, dec.terms.values())) == Counter(
+                    map(to_text, sd.decompose(built_phi).terms.values())), nu
 
     def test_not_a_subdivision_raises(self, polygon3):
         phi = cons.PosetMap(polygon3, polygon3,

@@ -209,10 +209,12 @@ def _cmd_verify(args):
         rep = subdivision.verify_corollary_semisusp(P, args.element)
     if rep:
         print(f"verified: {to_text(rep.right)} <= {to_text(rep.left)}")
-        return 0
-    print(f"FAILS at monomials {list(rep.witness)}: "
-          f"{to_text(rep.right)} vs {to_text(rep.left)}")
-    return MATH_FAIL
+    else:
+        print(f"FAILS at monomials {list(rep.witness)}: "
+              f"{to_text(rep.right)} vs {to_text(rep.left)}")
+    if rep.note:
+        print(f"note: {rep.note}")
+    return 0 if rep else MATH_FAIL
 
 
 def _cmd_sheaf_cd(args):

@@ -16,10 +16,11 @@ sum_y eps(x, y) * eps(y, z) = 0 over every length-2 interval [x, z], which
 is exactly d o d = 0.  It is built once per poset in rank order: every
 atom gets +1 against the bottom, and on the lower covers of each z the
 signs are the +-1 generator of the top cycle space of the open interval
-(bottom, z).  Every [bottom, z) is certified Gorenstein* on the way, so
-the base is a CW poset, that cycle space is a line spanned by a +-1
-vector, and the complex computes the same cohomology as the order complex.
-Where some [bottom, z) is not Gorenstein* BadBase is raised, naming z.
+(bottom, z).  Every [bottom, z) is certified Gorenstein* (by one walk of a
+Gorenstein* base, else one walk per z), so the base is a CW poset, that
+cycle space is a +-1 line, and the complex computes the same cohomology as
+the order complex.  Where some [bottom, z) is not Gorenstein* BadBase is
+raised, naming z.
 
 Each sheaf has one cochain complex (`_cochains`), cached on it.  The rows
 of d_k at an element lie over cells above it, so the complex of an up-set
@@ -220,10 +221,14 @@ def _orientation(base):
     entries exactly with its entry at the first lower cover, which gets +1,
     so every atom gets +1 against the bottom.  Raises BadBase naming z when
     [bottom, z) is not Gorenstein* or the nullspace is not such a line.
+    A base certified Gorenstein* walks no [bottom, z): each open interval
+    of [bottom, z) plus its top z is an open interval of the base, which
+    its one walk certified.  Any other base walks each [bottom, z).
     """
     eps = base._cache.get("orientation")
     if eps is None:
         eps = {}
+        certified = homology.is_gorenstein_star(base)
         down = _down_covers(base)
         for z, below in enumerate(down):
             if not below:
@@ -237,7 +242,7 @@ def _orientation(base):
             lead = vec.get(0)
             entries = [vec.get(j, 0) for j in range(len(below))]
             if (not lead or any(abs(v) != abs(lead) for v in entries)
-                    or not homology.is_gorenstein_star(
+                    or not certified and not homology.is_gorenstein_star(
                         interval_view(base, base._bottom_idx, z))):
                 raise BadBase(f"no orientation below {base._ids[z]!r}: "
                               f"[bottom, {base._ids[z]!r}) is not Gorenstein*")
@@ -321,7 +326,15 @@ def _down_covers(base):
 def is_cm_sheaf(F):
     """Cohen-Macaulay: upper-interval cellular cohomology vanishes above
     degree 0, for every element.  The complex of the up-set of x is the
-    rows of `_cochains(F)` whose element lies in it."""
+    rows of `_cochains(F)` whose element lies in it.
+
+    `cd_coefficient_via_CD` skips these ranks for the constant sheaf on a
+    certified Gorenstein* base, which is Cohen-Macaulay: its rows for x are
+    the cellular complex of [x, top), x the empty cell; [x, top) is a CW
+    poset, as each [x, z) is certified, and the orientation restricts to
+    it.  So they compute the reduced homology of Delta(x, top), a sphere of
+    dimension n - rank(x) - 1 by the certificate, which sits in corank 0.
+    Balls and skeleta are not Gorenstein*: they take the ranks."""
     if getattr(F, "_is_cm", None) is not None:
         return F._is_cm
     cc = _cochains(F)
@@ -582,9 +595,12 @@ def cd_coefficient_via_CD(P, word, seed=0):
     prefix = P._cache.setdefault("cd_prefix", {})
     if 0 not in prefix:
         # on a copy of P, same ids and indices: no reference cycle through P
-        const = constant_sheaf(skeleton_poset(P, P.n))
-        if not is_cm_sheaf(const):
+        sk = skeleton_poset(P, P.n)
+        const = constant_sheaf(sk)
+        _orientation(sk)  # now, so that every skeleton copies it
+        if not (homology.is_gorenstein_star(sk) or is_cm_sheaf(const)):
             raise NotCohenMacaulay("the constant sheaf on P is not Cohen-Macaulay")
+        const._is_cm = True
         prefix[0] = const
     trailing = 0
     while trailing < len(word) and word[-1 - trailing] == "c":

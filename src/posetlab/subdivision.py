@@ -195,13 +195,14 @@ def verify_main_inequality(L, nu):
 
 def verify_stanley_minimum(L):
     """cd-index of the Boolean algebra of matching rank is a coefficientwise
-    lower bound for any Gorenstein* lattice."""
+    lower bound for any Gorenstein* lattice; the report notes lattice status."""
     if not homology.is_gorenstein_star(L):
         raise NotGorensteinStar("the Boolean-minimum bound needs a Gorenstein* poset")
     boolean = flags.cd_index(constructions.boolean_algebra(L.n + 1))
     mine = flags.cd_index(L)
     witness = tuple(coeffwise_witness(boolean, mine))
-    return InequalityReport(not witness, mine, boolean, witness)
+    note = "" if L.is_lattice() else "input is not a lattice"
+    return InequalityReport(not witness, mine, boolean, witness, note)
 
 
 def verify_corollary_semisusp(L, nu):

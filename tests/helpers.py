@@ -11,7 +11,9 @@ upper bounds, the structural check scanning for covers, op_D's random
 combination summed in Fractions, the cellular complex built per up-set,
 the kernel sheaf with every restriction solved for when it is built, the
 interval walk asking about every interval, and cd-contraction peeling
-leading letters off NcPoly words.  The `composed_posets`, `graded_posets`
+leading letters off NcPoly words.  `uncertified_copy` sends the sheaf
+layer down the route of a base that no walk certifies, the oracle of its
+certificate route.  The `composed_posets`, `graded_posets`
 and `eulerian_lattices` strategies draw the posets that the property tests
 share.
 """
@@ -34,7 +36,8 @@ from posetlab.ncpoly import (A, B, NcPoly, NotExpressible, NotHomogeneous,
 from posetlab.poset import (TOP, GradedPoset, PosetError, SubPoset, _bits,
                             from_json_dict)
 from posetlab.sheaves import (CellularComplex, Sheaf, _check_d_squared,
-                              _orientation, dual_dimension_formula,
+                              _orientation, cd_coefficient_via_CD,
+                              constant_sheaf, dual_dimension_formula,
                               is_cm_sheaf, sheaf_ab_index, skeleton_poset)
 
 
@@ -692,6 +695,31 @@ def cohomology_dims(cc):
     """The dimensions of the cohomology of the cellular complex cc."""
     return linalg.betti_from_ranks([len(c) for c in cc.coords],
                                    [linalg.sparse_rank(rows) for rows in cc.diff_rows])
+
+
+def uncertified_copy(P):
+    """P rebuilt on the same indices with empty caches, except that its
+    whole-poset Gorenstein* certificate is stored as failed: the sheaf layer
+    then takes the route of a base that no walk certifies, one walk of
+    [bottom, z) per z for the orientation and the ranks for the
+    Cohen-Macaulay test."""
+    Q = GradedPoset(P.n, P._ids, P._rank, P._covers_up)
+    Q._cache["gor_cert"] = {(Q._mask, Q._bottom_idx, Q.n): hm.CertResult(False, "withheld")}
+    return Q
+
+
+def certificate_and_interval_routes(P):
+    """The orientation and the constant sheaf's Cohen-Macaulay verdict by
+    both routes: as `cd_coefficient_via_CD` reads them off the certificate
+    of a fresh copy of P, and on `uncertified_copy(P)`.  Returns
+    ((eps, cm) by the certificate, (eps, cm) per interval and by ranks)."""
+    Q = GradedPoset(P.n, P._ids, P._rank, P._covers_up)
+    assert hm.is_gorenstein_star(Q)
+    cd_coefficient_via_CD(Q, "c" * Q.n)
+    const = Q._cache["cd_prefix"][0]
+    U = uncertified_copy(P)
+    return ((_orientation(const.base), const._is_cm),
+            (_orientation(U), is_cm_sheaf(constant_sheaf(U))))
 
 
 def fraction_alpha_oracle(cf, family, rng):

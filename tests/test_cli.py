@@ -103,6 +103,16 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "main-inequality", p5,
                                "--element", "1")
         assert code == 0
+        assert out.splitlines()[-1].startswith("verified: ")
+
+    @pytest.mark.parametrize("what", [["stanley"], ["main-inequality", "--element", "1"]])
+    def test_missing_lattice_hypothesis_is_noted(self, capsys, tmp_path, what):
+        p2 = write_poset(tmp_path, cons.polygon(2))
+        code, out, _ = run_cli(capsys, "verify", what[0], p2, *what[1:])
+        assert code == 1
+        verdict, note = out.splitlines()
+        assert verdict.startswith("FAILS at monomials ['d']")
+        assert note == "note: input is not a lattice"
 
     def test_decomposition(self, capsys, tmp_path):
         p6 = write_poset(tmp_path, cons.polygon(6))

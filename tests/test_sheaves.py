@@ -5,16 +5,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from helpers import (all_chains, cellular_complex_oracle, cohomology_dims,
+from helpers import (all_chains, cellular_complex_oracle,
+                     certificate_and_interval_routes, cohomology_dims,
                      composed_posets, eager_kernel_sheaf_oracle,
                      fraction_alpha_oracle, is_gorenstein_sheaf, pullback,
                      relabelled, sheaf_cd_split, simplicial_cellular_complex,
-                     torus_face_poset, up_set, wedge_at_bottom, weight, zero_sheaf)
+                     torus_face_poset, uncertified_copy, up_set,
+                     wedge_at_bottom, weight, zero_sheaf)
 from posetlab import constructions as cons
 from posetlab import flags
 from posetlab import homology as hm
 from posetlab import sheaves as sh
-from posetlab.corpus import gorenstein_corpus
+from posetlab.corpus import gorenstein_corpus, lattice_corpus
 from posetlab.linalg import sparse_nullspace, sparse_rank
 from posetlab.ncpoly import cd, cd_words
 from posetlab.poset import GradedPoset, UnknownElement, _bits, from_json, to_json
@@ -692,3 +694,63 @@ def test_bad_base_names_the_relabelled_id():
             sh.is_cm_sheaf(sh.constant_sheaf(Q))
         named.add(new[apex] != Q._index(new[apex]))
     assert True in named
+
+
+# -- the certificate route ------------------------------------------------------
+
+
+def _certified_cases():
+    yield from gorenstein_corpus(4)
+    yield from lattice_corpus(4)
+    yield "B6", cons.boolean_algebra(6)
+
+
+def test_certificate_route_equals_the_per_interval_route():
+    """On a certified base the orientation skips the walks of [bottom, z)
+    and the constant sheaf skips the ranks: the signs are those of the
+    route that walks each [bottom, z), and the ranks also find the sheaf
+    Cohen-Macaulay."""
+    for name, P in _certified_cases():
+        (eps, cm), (eps_intervals, cm_ranks) = certificate_and_interval_routes(P)
+        assert eps == eps_intervals, name
+        assert cm is cm_ranks is True, name
+
+
+@pytest.mark.parametrize("make", [lambda: cons.boolean_algebra(4),
+                                  lambda: cons.cube_poset(3),
+                                  lambda: cons.pyr_poset(cons.cross_polytope(3))],
+                         ids=["B4", "cube3", "pyr(cross3)"])
+def test_one_walk_per_cold_extraction(make, monkeypatch):
+    """A cold extraction on a certified base walks the base once and takes
+    no rank for the constant sheaf; the route it replaces walks every
+    distinct [bottom, z) and takes the ranks."""
+    walks, ranks = [], []
+    walk, rank = hm._certify_gorenstein, sh.sparse_rank
+    monkeypatch.setattr(hm, "_certify_gorenstein", lambda *a: walks.append(a) or walk(*a))
+    monkeypatch.setattr(sh, "sparse_rank", lambda rows: ranks.append(rows) or rank(rows))
+    P = from_json(to_json(make()))
+    sh.cd_coefficient_via_CD(P, "c" * P.n)
+    assert len(walks) == 1 and not ranks
+    for w in cd_words(P.n):
+        sh.cd_coefficient_via_CD(P, w, seed=0)
+    assert len(walks) == 1
+    walks.clear()
+    ranks.clear()
+    assert sh.is_cm_sheaf(sh.constant_sheaf(uncertified_copy(P)))
+    lower = {P._leq[z] ^ 1 << z for z in range(len(P)) if z != P._bottom}
+    assert len(walks) == len(lower) and ranks
+
+
+@pytest.mark.parametrize("make,want", [
+    (lambda: cons.remove_upset(cons.boolean_algebra(4), 1)[0],
+     {"ccc": 1, "cd": 0, "dc": 1}),
+    (lambda: sh.skeleton_poset(cons.cross_polytope(4), 2), {"cc": 1, "d": 6}),
+], ids=["ball", "cross4 2-skeleton"])
+def test_uncertified_bases_keep_their_coefficients(make, want):
+    """A ball and a skeleton are no Gorenstein* posets: their constant
+    sheaves take the per-interval orientation and the ranks, and their
+    coefficients are pinned for seeds 0-2."""
+    P = make()
+    assert not hm.is_gorenstein_star(P)
+    for seed in range(3):
+        assert {w: sh.cd_coefficient_via_CD(P, w, seed=seed) for w in cd_words(P.n)} == want

@@ -99,6 +99,19 @@ class TestDecompose:
         assert dec.terms[apex] == 3 * cd("d")
         assert dec.assembled == cd("cc") + cd("d", 4)
 
+    @pytest.mark.parametrize("m", range(3, 11))
+    def test_ngon_vertex_target_table(self, m):
+        """The m-gon over its subdivision target at a vertex: the bottom
+        term is 1, the apex cell (top, 0) absorbs the (m - 3)d excess of
+        c^2 + (m - 2)d over c^2 + d, and every other term vanishes."""
+        T, phi = cons.subdivision_target_and_map(cons.polygon(m), 1)
+        dec = sd.decompose(phi)
+        apex = next(e for e in T.elements() if T.label(e) == "(top,0)")
+        want = {T.bottom: NcPoly.one("cd"), apex: (m - 3) * cd("d")}
+        for s, poly in dec.terms.items():
+            assert poly == want.get(s, NcPoly.zero("cd")), T.label(s)
+        assert dec.assembled == cd("cc") + (m - 2) * cd("d")
+
     def test_every_phi_nonnegative(self, boolean4):
         _T, phi = cons.subdivision_target_and_map(boolean4, 1)
         dec = sd.decompose(phi)
@@ -247,6 +260,18 @@ class TestStanley:
     def test_boolean_is_equality(self, boolean4):
         rep = sd.verify_stanley_minimum(boolean4)
         assert rep and rep.left == rep.right
+        assert rep.note == ""
+
+    @pytest.mark.parametrize("make,witness", [
+        (lambda: cons.polygon(2), ("d",)),
+        (lambda: cons.star_product(cons.segment(), cons.polygon(3)), ("cd", "dc")),
+        (lambda: cons.star_product(cons.polygon(2), cons.segment()), ("cd", "dc")),
+    ], ids=["polygon2", "seg_star_polygon3", "polygon2_star_seg"])
+    def test_non_lattices_name_the_missing_hypothesis(self, make, witness):
+        rep = sd.verify_stanley_minimum(make())
+        assert not rep
+        assert rep.witness == witness
+        assert rep.note == "input is not a lattice"
 
 
 class TestSemisuspCorollary:

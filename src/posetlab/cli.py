@@ -220,7 +220,7 @@ def _cmd_verify(args):
 def _cmd_sheaf_cd(args):
     P = _load_poset(args.poset)
     want = flags.cd_index(P)
-    words = [args.word] if args.word else cd_words(P.n)
+    words = [args.word] if args.word is not None else cd_words(P.n)
     rows = []
     mismatches = 0
     for w in words:

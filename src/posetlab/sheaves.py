@@ -28,12 +28,12 @@ is the rows whose element lies in it: upper-interval H^0 and the
 Cohen-Macaulay test read row subsets.
 
 The D operation needs a surjection alpha: C(F)-dual -> C(F) assembled from
-a "generic enough" random rational combination of the per-cell maps
-alpha_f, one per basis section at each top-rank element s.  Each goes
-through the dual of the constant sheaf on [bottom, s), read off the
-orientation rather than built.  The rational draws are scaled by the lcm
-of their denominators to integers: alpha changes by one positive scalar,
-which leaves its ranks and its integral nullspace bases as they are.  The
+a "generic enough" random combination of the per-cell maps alpha_f, one
+per basis section at each top-rank element s.  Each goes through the dual
+of the constant sheaf on [bottom, s), read off the orientation rather than
+built.  The coefficients are integers uniform on [1, 10^12], two draws
+from [1, 10^6] each, so alpha's entries stay small; by Schwartz-Zippel a
+bad locus of degree D is hit with probability at most D / 10^12.  The
 randomness source is explicit and the seed-independent part (C(F), its
 dual, the alpha_f family indexed by cell) is cached per input sheaf, so
 seed sweeps only redo the cheap assembly, surjectivity check and kernel
@@ -53,7 +53,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import gcd, lcm
 
 from . import flags, homology
 from .linalg import (betti_from_ranks, mat_mul, nullspace_coords,
@@ -504,14 +503,11 @@ class _AlphaFamily(list):
 
 def _draw_alpha(cf, family, rng):
     """One random combination of the alpha_f, stalk by stalk (a list by
-    base index), scaled to integer coefficients: the draws are positive
-    rationals a/b, reduced by gcd(a, b) and multiplied by the lcm of their
-    denominators.  That changes alpha by one positive scalar, which changes
-    no rank and no normalised `sparse_nullspace`."""
-    draws = [(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)) for _ in family]
-    draws = [(a // g, b // g) for a, b in draws for g in (gcd(a, b),)]
-    scale = lcm(*(b for _, b in draws))
-    coeffs = [a * (scale // b) for a, b in draws]
+    base index).  Each alpha_f gets two draws a, b from [1, 10^6] and the
+    integer coefficient (a - 1) * 10^6 + b, uniform on [1, 10^12]; the
+    benchmark reads op_D's attempts off the draw count, two per alpha_f."""
+    coeffs = [(rng.randint(1, 10 ** 6) - 1) * 10 ** 6 + rng.randint(1, 10 ** 6)
+              for _ in family]
     alpha = []
     for sigma, d in enumerate(cf.stalk_dim):
         rows = [{} for _ in range(d)]

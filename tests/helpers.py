@@ -723,9 +723,9 @@ def certificate_and_interval_routes(P):
 
 
 def fraction_alpha_oracle(cf, family, rng):
-    """`sheaves._draw_alpha` as first written: the same draws, summed as
-    Fraction coefficients with no scaling to integers.  Its ranks and
-    normalised nullspace bases must be the integer-scaled alpha's."""
+    """`sheaves._draw_alpha` as first written: the same two draws per
+    alpha_f read as the rational coefficient a/b.  It is as generic as the
+    integer combination, so at a generic seed both have the same ranks."""
     coeffs = [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
               for _ in family]
     alpha = []

@@ -221,6 +221,15 @@ class TestSheafCd:
         doc = json.loads(out)
         assert doc["table"] == [{"word": "d", "extracted": 4, "flag": 4}]
 
+    def test_empty_word_on_a_point(self, capsys, tmp_path):
+        """On a rank-0 poset the empty word is the one cd-word, so
+        `--word ''` gives the default table."""
+        p0 = write_poset(tmp_path, cons.single_point())
+        code, out, _ = run_cli(capsys, "--json", "sheaf-cd", p0, "--word", "")
+        assert code == 0
+        assert json.loads(out)["table"] == [{"word": "", "extracted": 1, "flag": 1}]
+        assert run_cli(capsys, "--json", "sheaf-cd", p0) == (0, out, "")
+
     def test_word_with_foreign_letter(self, capsys, tmp_path):
         p3 = write_poset(tmp_path, cons.polygon(3))
         code, _, err = run_cli(capsys, "sheaf-cd", p3, "--word", "xy")
@@ -408,11 +417,12 @@ class TestExitCodes:
         (["corpus", "run-all", "--sweeps", "0"], "--sweeps >= 1"),
         (["corpus", "list", "--max-rank", "-1"], "--max-rank >= 1"),
         (["corpus", "list", "--max-rank", "0"], "--max-rank >= 1"),
+        (["sheaf-cd", "{poset}", "--word", ""], "must have degree 2"),
     ], ids=["decomposition-without-map", "stanley-without-poset",
             "main-inequality-without-element", "semisusp-without-element",
             "directory-as-poset", "cm-with-boundary", "gorenstein-star-with-boundary",
             "cube-zero", "run-all-rank-0", "run-all-rank-1", "run-all-no-sweeps",
-            "list-rank-negative", "list-rank-0"])
+            "list-rank-negative", "list-rank-0", "sheaf-cd-empty-word"])
     def test_malformed_invocation(self, capsys, tmp_path, argv, named):
         """One `error:` line naming what is missing or wrong, exit 2, no
         output and no traceback."""

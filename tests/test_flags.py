@@ -478,3 +478,12 @@ class TestProductCompat:
             if P.n <= 2:
                 assert flags.cd_index(cons.pyr_poset(P)) == \
                     pyr_op(flags.cd_index(P)), name
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_iterated_pyramids_over_polygons(self, m):
+        """The cd-index of pyr^k(m-gon) by flag enumeration is
+        Pyr^k(c^2 + (m - 2)d), at every rank up to 10 (up to 3,071 elements)."""
+        P, want = cons.polygon(m), cd("cc") + (m - 2) * cd("d")
+        while P.n < 10:
+            P, want = cons.pyr_poset(P), pyr_op(want)
+            assert flags.cd_index(P) == want, (m, P.n)

@@ -80,6 +80,15 @@ cellular route.  A walk that fails has proved the poset no ball, so its
 witness chain and that chain's link Betti numbers are the error.  The chain
 route counts its faces before it builds them and refuses more than
 FACE_BUDGET (FaceBudgetExceeded, a ValueError).
+
+A cone pair, F with a greatest element a over its boundary F - a, needs no
+walk of its own: it is near-Gorenstein* iff F - a is Gorenstein*.  Every
+real interval (x, y) with y != a lies in the ideal F - a, and (x, a) is
+its (x, top); each other (x, top) of F is the cone (x, a], acyclic over
+every ring, as x in the boundary or the bottom requires; and (a, top) is
+empty, the (-1)-sphere.  When F is all of [bottom, a] in a root whose own
+Gorenstein* certificate is cached, F - a is an interval of a Gorenstein*
+poset, and not even its walk is needed.
 """
 
 from __future__ import annotations
@@ -558,6 +567,13 @@ def _certify_near_gorenstein(root, mask, bottom_idx, n, bmask):
     if defect:
         reason, i = defect
         return CertResult(False, reason, () if i is None else (root._ids[i],))
+    # a cone pair is a ball iff its boundary is a sphere (module docstring); past
+    # the checks above, a boundary missing only the top index a makes a greatest
+    a = mask.bit_length() - 1
+    cone = bmask == mask & ~(1 << a)
+    if cone and mask == root._leq[a] & root._geq[root._bottom] and root._cache.get(
+            "gor_cert", {}).get((root._mask, root._bottom, root.n)):
+        return CertResult(True)
     bg = certify_gorenstein(root, bmask, bottom_idx, n - 1)
     if not bg:
         return CertResult(False, f"boundary not Gorenstein*: {bg.reason}",
@@ -565,8 +581,9 @@ def _certify_near_gorenstein(root, mask, bottom_idx, n, bmask):
     # (x, top) is acyclic for x in the boundary or the bottom (bset); every
     # other interval is a sphere
     bset = bmask | 1 << bottom_idx
-    bad = _first_bad_interval(root, mask, bottom_idx, n, lambda x, top, betti, d:
-                              not betti if top and (bset >> x) & 1 else betti == {d: 1})
+    bad = not cone and _first_bad_interval(
+        root, mask, bottom_idx, n,
+        lambda x, top, betti, d: not betti if top and (bset >> x) & 1 else betti == {d: 1})
     if not bad:
         return CertResult(True)
     reason = ("interior chain link is not a sphere" if root._mask_of(bad[0]) & ~bset

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from operator import attrgetter
+from operator import attrgetter, or_
 
 
 class PosetError(Exception):
@@ -235,12 +236,16 @@ class GradedPoset:
         return self._materialize(view.mask, view.n, self._rank[xi])
 
     def _materialize(self, mask, new_n, rank_offset):
-        """Renumber the elements in `mask` into a standalone GradedPoset."""
+        """Renumber the elements in `mask` into a standalone GradedPoset: a
+        convex mask keeps the root's covers, any other scans each up-set."""
         members = list(_bits(mask))
         newid = {i: k for k, i in enumerate(members)}
         ranks = [self._rank[i] - rank_offset for i in members]
-        covers_up = [[newid[j] for j in self._minimal_in(self._geq[i] & mask & ~(1 << i))]
-                     for i in members]
+        ups, downs = (reduce(or_, map(rel.__getitem__, members), 0)
+                      for rel in (self._geq, self._leq))
+        convex = ups & downs == mask
+        covers_up = [[newid[j] for j in (self._covers_up[i] if convex else self._minimal_in(
+                          self._geq[i] & mask & ~(1 << i))) if mask >> j & 1] for i in members]
         labels = {newid[i]: self.label(self._ids[i]) for i in members}
         prov = {newid[i]: self._ids[i] for i in members}
         return GradedPoset(new_n, range(len(members)), ranks, covers_up,
@@ -489,19 +494,22 @@ def from_json_dict(doc):
         raise PosetError(f"poset document lacks {', '.join(missing)}")
     if not _is_int(doc["n"]):
         raise PosetError("n must be an integer")
-    if not isinstance(doc["elements"], list):
+    entries = doc["elements"]
+    if not isinstance(entries, list):
         raise PosetError("elements must be a list")
-    ranks = {}
-    labels = {}
-    for entry in doc["elements"]:
-        if not (isinstance(entry, dict) and _is_int(entry.get("id"))
-                and _is_int(entry.get("rank"))):
-            raise PosetError(f"element {entry!r} needs an integer id and rank")
-        if entry["id"] in ranks:
-            raise PosetError(f"duplicate element id {entry['id']}")
-        ranks[entry["id"]] = entry["rank"]
-        if "label" in entry:
-            labels[entry["id"]] = entry["label"]
+    # as in `int_pairs`: only a list that fails one whole-list check is walked
+    ranks = ({e["id"]: e["rank"] for e in entries} if set(map(type, entries)) <= {dict}
+             and {type(e.get(k)) for e in entries for k in ("id", "rank")} <= {int} else {})
+    if len(ranks) != len(entries):
+        ranks = {}
+        for entry in entries:
+            if not (isinstance(entry, dict) and _is_int(entry.get("id"))
+                    and _is_int(entry.get("rank"))):
+                raise PosetError(f"element {entry!r} needs an integer id and rank")
+            if entry["id"] in ranks:
+                raise PosetError(f"duplicate element id {entry['id']}")
+            ranks[entry["id"]] = entry["rank"]
+    labels = {e["id"]: e["label"] for e in entries if "label" in e}
     if ranks.get(0) != 0:
         raise NoBottom("JSON posets must use id 0 for the bottom element")
     return GradedPoset.from_covers(doc["n"], ranks,

@@ -12,6 +12,11 @@ order ideals of the source, read off its one cached flag walk.  `decompose`
 reads [sigma, 1-hat) for each sigma with Phi != 0 from one top-down walk of
 its target (`flags.upper_intervals`) and contracts each distinct ab-index
 once, in a memo on the same source poset.
+
+Most fibers are cones [0-hat, tau] of the certified source, balls with no
+walk of their own (the cone lemma in `homology`): for the subdivision map
+those over the tau below nu and over the top-coordinate cells (tau, top),
+tau >= nu; for the collapse map those over Lambda_nu.
 """
 
 from __future__ import annotations

@@ -5,9 +5,10 @@ and weighted factor by factor, Euler sums run over all pairs, isomorphism
 is a backtracking search, products scan every factor cover for every pair,
 cd-splits are solved for in the span of expanded cd-words, and sheaves are
 pulled back to the order complex, whose simplicial signs need no
-orientation.  Seven oracles keep an
+orientation.  Nine oracles keep an
 earlier form of a routine: the lattice test scanning each pair's minimal
-upper bounds, the structural check scanning for covers, op_D's random
+upper bounds, the structural check and `_materialize` scanning for
+covers, near-Gorenstein* certification walking every ball, op_D's random
 combination summed in Fractions, the cellular complex built per up-set,
 the kernel sheaf with every restriction solved for when it is built, the
 interval walk asking about every interval, and cd-contraction peeling
@@ -516,6 +517,48 @@ def structural_check_oracle(root, mask, bottom_idx, n):
                 return hm.CertResult(False, "cover skips a rank",
                                      (root._ids[i], root._ids[j]))
     return hm.CertResult(True)
+
+
+def near_gorenstein_walk_oracle(root, mask, bottom_idx, n, bmask):
+    """`homology._certify_near_gorenstein` without its cone rule: every pair
+    that passes the structural and boundary checks has its boundary and
+    then its whole ball walked, a cone pair too."""
+    if n == 0:
+        return hm._certify_near_gorenstein(root, mask, bottom_idx, n, bmask)
+    st = hm._structural_check(root, mask, bottom_idx, n)
+    if not st:
+        return st
+    if bmask & ~mask:
+        return hm.CertResult(False, "boundary not inside the poset")
+    defect = hm._boundary_defect(root, mask, bottom_idx, n, bmask)
+    if defect:
+        reason, i = defect
+        return hm.CertResult(False, reason, () if i is None else (root._ids[i],))
+    bg = hm._certify_gorenstein(root, bmask, bottom_idx, n - 1)
+    if not bg:
+        return hm.CertResult(False, f"boundary not Gorenstein*: {bg.reason}",
+                             bg.witness, bg.betti)
+    bset = bmask | 1 << bottom_idx
+    bad = hm._first_bad_interval(root, mask, bottom_idx, n, lambda x, top, betti, d:
+                                 not betti if top and (bset >> x) & 1 else betti == {d: 1})
+    if not bad:
+        return hm.CertResult(True)
+    reason = ("interior chain link is not a sphere" if root._mask_of(bad[0]) & ~bset
+              else "boundary chain has nonzero link homology")
+    return hm.CertResult(False, reason, *bad)
+
+
+def materialize_oracle(P, mask, new_n, rank_offset):
+    """`GradedPoset._materialize` finding every member's covers inside
+    `mask` by scanning its up-set, whatever the mask: the output the
+    `_covers_up` shortcut on convex masks must keep."""
+    members = list(_bits(mask))
+    newid = {i: k for k, i in enumerate(members)}
+    covers_up = [[newid[j] for j in P._minimal_in(P._geq[i] & mask & ~(1 << i))]
+                 for i in members]
+    return GradedPoset(new_n, range(len(members)), [P._rank[i] - rank_offset for i in members],
+                       covers_up, labels={newid[i]: P.label(P._ids[i]) for i in members},
+                       provenance={newid[i]: P._ids[i] for i in members})
 
 
 def relabelled(P, rng):

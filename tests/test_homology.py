@@ -9,8 +9,9 @@ from hypothesis import given, settings
 
 from helpers import (all_chains, cellular_betti_mod2_oracle, cellular_rows_oracle,
                      closure, composed_posets, derive_boundary_oracle, first_bad_interval_oracle,
-                     pinched_disks_poset, rp2_face_poset, rp3_face_poset,
-                     structural_check_oracle)
+                     near_gorenstein_walk_oracle, pinched_disks_poset, rp2_face_poset,
+                     rp3_face_poset, structural_check_oracle, torus_face_poset,
+                     uncertified_copy)
 from posetlab import constructions as cons
 from posetlab import homology as hm
 from posetlab.corpus import gorenstein_corpus, lattice_corpus, proper_elements
@@ -920,3 +921,92 @@ def test_structural_check_against_the_cover_scan_oracle():
     assert {"", "maximal element below top rank", "cover skips a rank",
             "element below the bottom rank", "element not above the bottom"} <= verdicts
     assert any(reason.startswith("element above rank") for reason in verdicts)
+
+
+def _cone_pair(root, a, bottom_idx=None):
+    """The cone pair [bottom, a] over [bottom, a), as certification
+    arguments; the root's bottom unless another is given."""
+    bottom_idx = root._bottom_idx if bottom_idx is None else bottom_idx
+    mask = root._leq[a] & root._geq[bottom_idx]
+    return root, mask, bottom_idx, root._rank[a] - root._rank[bottom_idx], mask & ~(1 << a)
+
+
+class TestConePairs:
+    """A cone pair is near-Gorenstein* iff its boundary is Gorenstein*, so
+    certification walks at most the boundary (module docstring)."""
+
+    def test_corpus_fibers_against_the_walk(self):
+        """On every fiber pair of the subdivision and collapse maps of the
+        lattice corpus, on a certified source and on its uncertified copy,
+        the cone rule gives the full walk's verdict, reason, witness and
+        Betti numbers; most of those pairs are cones."""
+        cones = pairs = 0
+        for _, L in lattice_corpus(4):
+            assert hm.is_gorenstein_star(L)
+            copy = uncertified_copy(L)
+            for nu in proper_elements(L):
+                for phi in (cons.subdivision_target_and_map(L, nu)[1],
+                            cons.collapse_map(L, nu)):
+                    closed, image = _fiber_masks(phi)
+                    for cmask, imask, r in zip(closed, image, phi.target._rank):
+                        bmask = cmask & ~imask
+                        want = near_gorenstein_walk_oracle(L, cmask, L._bottom_idx, r, bmask)
+                        for root in (L, copy):
+                            got = hm._certify_near_gorenstein(
+                                root, cmask, root._bottom_idx, r, bmask)
+                            assert (got.ok, got.reason, got.witness, got.betti) == (
+                                want.ok, want.reason, want.witness, want.betti)
+                        a = cmask.bit_length() - 1
+                        pairs += 1
+                        cones += bmask == cmask & ~(1 << a)
+        assert cones > pairs / 2
+
+    @pytest.mark.parametrize("build", [torus_face_poset, rp2_face_poset])
+    def test_cone_over_a_non_sphere_fails_on_its_boundary(self, build):
+        """The cone over the torus or RP^2 fails as its boundary does, with
+        the boundary walk's witness and Betti numbers."""
+        P = cons.with_top(build())
+        args = _cone_pair(P, len(P) - 1)
+        got = hm.certify_near_gorenstein(*args)
+        bg = hm.certify_gorenstein(P, args[4], P._bottom_idx, P.n - 1)
+        assert not bg and got == near_gorenstein_walk_oracle(*args)
+        assert got == hm.CertResult(False, f"boundary not Gorenstein*: {bg.reason}",
+                                    bg.witness, bg.betti)
+        assert got.reason == "boundary not Gorenstein*: link homology not a sphere"
+
+    def test_two_maximal_elements_are_no_cone(self):
+        """A boundary that misses only the top index of a pair with two
+        maximal elements keeps the other one at rank n: the pair fails the
+        boundary check, as on the walk route, before the cone rule."""
+        B4 = cons.boolean_algebra(4)
+        c1, c2 = len(B4) - 3, len(B4) - 2
+        mask = B4._leq[c1] | B4._leq[c2]
+        args = (B4, mask, B4._bottom_idx, 3, mask & ~(1 << c2))
+        assert hm.is_gorenstein_star(B4)
+        got = hm.certify_near_gorenstein(*args)
+        assert got == near_gorenstein_walk_oracle(*args)
+        assert got == hm.CertResult(False, "boundary rank is not n-1")
+
+    def test_walks_taken(self, monkeypatch):
+        """A cone on [bottom, a] of a certified root needs no walk; on a root
+        with no cached certificate, with a withheld one, or on an interval
+        view above an atom, it walks its boundary only; a ball that is no
+        cone walks its boundary and itself."""
+        B4 = cons.boolean_algebra(4)
+        a = len(B4) - 2
+        atom = next(i for i in _bits(B4._leq[a]) if B4._rank[i] == 1)
+        assert hm.is_gorenstein_star(B4)
+        fresh = GradedPoset(B4.n, B4._ids, B4._rank, B4._covers_up)
+        pair = next(i for i in _bits(B4._leq[a]) if B4._rank[i] == 2)
+        ball, boundary = cons.remove_upset(B4, B4._ids[pair])
+        cases = [(_cone_pair(B4, a), 0), (_cone_pair(fresh, a), 1),
+                 (_cone_pair(uncertified_copy(B4), a), 1), (_cone_pair(B4, a, atom), 1),
+                 ((ball, ball._mask, ball._bottom_idx, ball.n, ball._mask_of(boundary)), 2)]
+        calls, walk = [], hm._first_bad_interval
+        monkeypatch.setattr(hm, "_first_bad_interval",
+                            lambda *args: calls.append(args[1]) or walk(*args))
+        for args, walks in cases:
+            calls.clear()
+            assert hm.certify_near_gorenstein(*args)
+            assert calls == [args[4], args[1]][:walks], args[1:]
+            assert near_gorenstein_walk_oracle(*args)

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (eulerian_oracle, graded_posets, isomorphic, lattice_oracle,
-                     lattices_and_balls, view_poset)
+                     lattices_and_balls, materialize_oracle, view_poset)
 from posetlab import constructions as cons
 from posetlab import corpus
 from posetlab.poset import (TOP, GradedPoset, NoBottom, NotALattice,
                             NotComparable, NotGraded, NoUniqueTop,
                             PosetError, RankedTooHigh, SubPoset, UnknownElement,
-                            UnreachableElement, from_json, int_pairs, to_json,
-                            to_json_dict)
+                            UnreachableElement, _bits, from_json, int_pairs,
+                            interval_view, to_json, to_json_dict)
 
 
 def two_atoms():
@@ -126,6 +126,34 @@ class TestInterval:
     def test_provenance_maps_back(self, polygon3):
         up = polygon3.interval(1, TOP)
         assert up.provenance[up.bottom] == 1
+
+
+def test_materialize_against_the_cover_scan_oracle():
+    """`_materialize` reads a convex mask's covers off the root; its covers,
+    ranks, labels and provenance are the up-set scan's on every interval
+    [x, y) and [x, top) of the corpus posets, every Lambda_nu and every
+    ideal left by `remove_upset` of the lattice corpus, and on B4 without
+    its atoms, which is not convex."""
+    cases = []
+    for _, P in corpus.gorenstein_corpus(4):
+        for x in range(len(P)):
+            for y in [*_bits(P._geq[x] & ~(1 << x)), TOP]:
+                view = interval_view(P, x, y)
+                cases.append((P, view.mask, view.n, P._rank[x]))
+    for _, L in corpus.lattice_corpus(4):
+        for nu in corpus.proper_elements(L):
+            cases.append((L, cons._lambda_nu_mask(L, nu), L.n, 0))
+            cases.append((L, L._mask & ~L._geq[L._index(nu)], L.n, 0))
+    B4 = cons.boolean_algebra(4)
+    cases.append((B4, sum(1 << i for i, r in enumerate(B4._rank) if r != 1), B4.n, 0))
+    convex = set()
+    for P, mask, n, offset in cases:
+        got, want = P._materialize(mask, n, offset), materialize_oracle(P, mask, n, offset)
+        assert (got.n, got._ids, got._rank, got._covers_up, got.labels, got.provenance) == (
+            want.n, want._ids, want._rank, want._covers_up, want.labels, want.provenance)
+        convex.add(all(P._geq[i] & P._leq[j] & ~mask == 0
+                       for i in _bits(mask) for j in _bits(mask)))
+    assert convex == {True, False}
 
 
 def test_sub_poset_is_an_index_record():
@@ -333,9 +361,9 @@ class TestJson:
         ({"id": 1, "rank": 1}, "duplicate element id 1"),
     ], ids=["bool-id", "float-rank", "no-rank", "list", "string", "list-id", "duplicate"])
     def test_element_entries_name_the_first_bad_entry(self, bad, message):
-        """Element entries that fail the whole-list check are walked entry
-        by entry; the message names the first bad one, not the later
-        string id."""
+        """Element entries that fail the whole-list check (exact dict and
+        int types, distinct ids) are walked entry by entry; the message
+        names the first bad one, not the later string id."""
         doc = {"n": 1, "elements": [{"id": 0, "rank": 0}, {"id": 1, "rank": 1}, bad,
                                     {"id": "x", "rank": 1}], "covers": [[0, 1]]}
         with pytest.raises(PosetError) as err:

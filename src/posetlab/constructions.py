@@ -4,15 +4,22 @@ Boolean algebras, polygons, star and Cartesian products, pyramids, order
 complexes, the semisuspension family, upset removal, and the subdivision
 target [0,nu) * Pyr[nu,1) with its three-case map.
 
-Derived posets use fresh contiguous ids; `provenance` maps each new id back
-to the source data (an id, a pair, a chain tuple, or "*"), and labels stay
+Cover lists (`single_point`, `boolean_algebra`, `polygon`) are validated
+by `GradedPoset.from_covers`; a derived poset is built from its inputs'
+index records and passed to the `GradedPoset` constructor unchecked.  Its
+ids keep the (rank, id) order and equal its indices, except in `with_top`,
+which keeps P's ids, and `_pair_product`, whose ids are its pair numbers
+in (P, Q) order, not its indices.  `provenance` maps each new id back to
+the source data (an id, a pair, a chain tuple, or "*"), and labels stay
 human readable because debugging subdivision maps without them is hopeless.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from .homology import budgeted_chains
 from .poset import TOP, GradedPoset, NotALattice, UnknownElement, _bits
@@ -99,71 +106,52 @@ def polygon(m):
 
 def with_top(P):
     """P with its virtual top materialized as a real element of rank n+1."""
-    ids = P.elements()
-    ranks = {e: P.rank(e) for e in ids}
-    top = max(ids) + 1
-    ranks[top] = P.n + 1
-    covers = list(P.covers()) + [(e, top) for e in P.maximal_elements()]
-    labels = {e: P.label(e) for e in ids}
-    labels[top] = "top"
-    prov = {e: e for e in ids}
-    prov[top] = TOP
-    return GradedPoset.from_covers(P.n + 1, ranks, covers, labels=labels,
-                                   provenance=prov)
+    top = max(P._ids) + 1
+    labels = {**{e: P.label(e) for e in P._ids}, top: "top"}
+    prov = {**dict(zip(P._ids, P._ids)), top: TOP}
+    return GradedPoset(P.n + 1, P._ids + (top,), P._rank + (P.n + 1,),
+                       [ups or (len(P),) for ups in P._covers_up] + [()],
+                       labels=labels, provenance=prov)
 
 
 def star_product(P, Q):
     """P * Q: all of P strictly below every element of Q minus its bottom;
-    rank adds, Gorenstein*-ness is preserved (certified in tests)."""
-    ranks, labels, prov, covers = {}, {}, {}, []
-    pid = {}
-    for e in P.elements():
-        i = len(ranks)
-        pid[e] = i
-        ranks[i] = P.rank(e)
-        labels[i] = P.label(e)
-        prov[i] = ("L", e)
-    qid = {}
-    for e in Q.elements():
-        if e == Q.bottom:
-            continue
-        i = len(ranks)
-        qid[e] = i
-        ranks[i] = P.n + Q.rank(e)
-        labels[i] = Q.label(e)
-        prov[i] = ("R", e)
-    covers += [(pid[a], pid[b]) for a, b in P.covers()]
-    covers += [(qid[a], qid[b]) for a, b in Q.covers() if a != Q.bottom]
-    atoms_q = [e for e in Q.elements() if Q.rank(e) == 1]
-    covers += [(pid[t], qid[a]) for t in P.maximal_elements() for a in atoms_q]
-    return GradedPoset.from_covers(P.n + Q.n, ranks, covers, labels=labels,
-                                   provenance=prov)
+    rank adds, Gorenstein*-ness is preserved (certified in tests).  Q's
+    index j > 0 becomes len(P) + j - 1, and P's maximal elements are
+    covered by Q's atoms."""
+    shift = len(P) - 1
+    atoms = [shift + j for j in Q._covers_up[0]]
+    covers_up = [ups or atoms for ups in P._covers_up]
+    covers_up += [[shift + j for j in ups] for ups in Q._covers_up[1:]]
+    ranks = P._rank + tuple(P.n + r for r in Q._rank[1:])
+    labels = [P.label(e) for e in P._ids] + [Q.label(e) for e in Q._ids[1:]]
+    prov = [("L", e) for e in P._ids] + [("R", e) for e in Q._ids[1:]]
+    return GradedPoset(P.n + Q.n, range(len(ranks)), ranks, covers_up,
+                       labels=dict(enumerate(labels)),
+                       provenance=dict(enumerate(prov)))
 
 
 def _pair_product(P, Q, n, drop=None, through=False):
-    """The pairs (x, y) of P x Q other than `drop`, numbered in
-    (P.elements(), Q.elements()) order and ranked rank x + rank y, each
-    covered by raising one coordinate along a factor cover.  Provenance is
-    (x, y), or the factors' own provenance of x and y when `through`."""
-    ranks, labels, prov = {}, {}, {}
-    pairs = {}
-    for x in P.elements():
-        for y in Q.elements():
-            if (x, y) == drop:
-                continue
-            i = len(ranks)
-            pairs[(x, y)] = i
-            ranks[i] = P.rank(x) + Q.rank(y)
-            labels[i] = f"({P.label(x)},{Q.label(y)})"
-            prov[i] = (P.provenance[x], Q.provenance[y]) if through else (x, y)
-    up_p, up_q = ({F._ids[i]: [F._ids[j] for j in ups]
-                   for i, ups in enumerate(F._covers_up)} for F in (P, Q))
-    covers = []
-    for (x, y), i in pairs.items():
-        covers += [(i, pairs[(b, y)]) for b in up_p[x] if (b, y) in pairs]
-        covers += [(i, pairs[(x, b)]) for b in up_q[y] if (x, b) in pairs]
-    return GradedPoset.from_covers(n, ranks, covers, labels=labels,
-                                   provenance=prov)
+    """The index pairs (a, b) of P x Q other than `drop`, ranked rank a +
+    rank b, each covered by raising one coordinate along a factor cover.
+    Each pair's id is its number in (a, b) order, and its index its place
+    by (rank, id), so the ids are not the indices.  Provenance is the
+    factors' ids (x, y), or their own provenance of x and y when
+    `through`."""
+    pairs = [(a, b) for a in range(len(P)) for b in range(len(Q)) if (a, b) != drop]
+    rank = [P._rank[a] + Q._rank[b] for a, b in pairs]
+    order = sorted(range(len(pairs)), key=rank.__getitem__)  # stable: ties by id
+    index = {pairs[k]: i for i, k in enumerate(order)}
+    covers_up = [[index[c, b] for c in P._covers_up[a] if (c, b) in index]
+                 + [index[a, c] for c in Q._covers_up[b] if (a, c) in index]
+                 for a, b in map(pairs.__getitem__, order)]
+    labels, prov = {}, {}
+    for k, (a, b) in enumerate(pairs):
+        x, y = P._ids[a], Q._ids[b]
+        labels[k] = f"({P.label(x)},{Q.label(y)})"
+        prov[k] = (P.provenance[x], Q.provenance[y]) if through else (x, y)
+    return GradedPoset(n, order, map(rank.__getitem__, order), covers_up,
+                       labels=labels, provenance=prov)
 
 
 def cartesian_product(P, Q):
@@ -175,7 +163,7 @@ def cartesian_product(P, Q):
     """
     PT, QT = with_top(P), with_top(Q)
     return _pair_product(PT, QT, P.n + Q.n + 1, through=True,
-                         drop=(PT.elements()[-1], QT.elements()[-1]))
+                         drop=(len(P), len(Q)))
 
 
 def polytope_product(P, Q):
@@ -226,19 +214,15 @@ def order_complex(P):
     chains = sorted(budgeted_chains(root, P._mask & ~(1 << P._bottom_idx)),
                     key=lambda c: (len(c), c))
     ids = {c: i for i, c in enumerate(chains)}
-    ranks = {i: len(c) for c, i in ids.items()}
+    covers_up = [[] for _ in chains]
     labels, prov = {}, {}
-    for c, i in ids.items():
-        names = [root.label(root._ids[j]) for j in (P._bottom_idx,) + c]
-        labels[i] = "<".join(names)
-        prov[i] = tuple(root._ids[j] for j in c)
-    covers = []
-    for c, i in ids.items():
+    for i, c in enumerate(chains):
         for k in range(len(c)):
-            sub = c[:k] + c[k + 1:]
-            covers.append((ids[sub], i))
-    return GradedPoset.from_covers(P.n, ranks, covers, labels=labels,
-                                   provenance=prov)
+            covers_up[ids[c[:k] + c[k + 1:]]].append(i)
+        labels[i] = "<".join(root.label(root._ids[j]) for j in (P._bottom_idx,) + c)
+        prov[i] = tuple(root._ids[j] for j in c)
+    return GradedPoset(P.n, range(len(chains)), map(len, chains), covers_up,
+                       labels=labels, provenance=prov)
 
 
 def _proper_nu(L, nu, what):
@@ -252,56 +236,47 @@ def _proper_nu(L, nu, what):
     return ni
 
 
-def _lambda_nu_mask(L, nu):
-    ni = _proper_nu(L, nu, "Lambda_nu")
-    mask = 0
-    for i in range(len(L)):
-        if L._geq[i] & L._geq[ni]:
-            mask |= 1 << i
-    return mask
+def _lambda_nu_mask(L, ni):
+    """Lambda_nu = {sigma | sigma v nu < top} for nu at index ni: the
+    elements below some element above nu."""
+    return reduce(or_, map(L._leq.__getitem__, _bits(L._geq[ni])))
 
 
 def lambda_nu_poset(L, nu):
     """Lambda_nu = {sigma | sigma v nu < top}: the faces of the facets
     containing nu; an induced subposet of rank n."""
-    return L._materialize(_lambda_nu_mask(L, nu), L.n, 0)
+    ni = _proper_nu(L, nu, "Lambda_nu")
+    return L._materialize(_lambda_nu_mask(L, ni), L.n, 0)
 
 
 def semisuspension(L, nu):
     """Lambda'_nu: Lambda_nu plus one rank-n cell * above exactly the
     elements not above nu.  The rank of * is forced to n; Eulerianness is
     certified by callers rather than assumed."""
-    mask = _lambda_nu_mask(L, nu)
-    ni = L._index(nu)
+    ni = _proper_nu(L, nu, "Lambda_nu")
+    mask = _lambda_nu_mask(L, ni)
     sub = L._materialize(mask, L.n, 0)
     star = len(sub)
-    ranks = {e: sub.rank(e) for e in sub.elements()}
-    ranks[star] = L.n
-    covers = list(sub.covers())
     # * covers the maximal elements of {sigma in Lambda_nu : nu not <= sigma};
     # sub numbers the members of `mask` in order, ids equal to indices
     below = sum(1 << e for e, i in enumerate(_bits(mask)) if not (L._geq[ni] >> i) & 1)
-    covers += [(e, star) for e in _bits(below) if sub._geq[e] & below == 1 << e]
-    labels = {e: sub.label(e) for e in sub.elements()}
-    labels[star] = "*"
-    prov = {e: sub.provenance[e] for e in sub.elements()}
-    prov[star] = "*"
-    return GradedPoset.from_covers(L.n, ranks, covers, labels=labels,
-                                   provenance=prov)
+    covers_up = [ups + (star,) if sub._geq[e] & below == 1 << e else ups
+                 for e, ups in enumerate(sub._covers_up)] + [()]
+    return GradedPoset(L.n, range(star + 1), sub._rank + (L.n,), covers_up,
+                       labels={**sub.labels, star: "*"},
+                       provenance={**sub.provenance, star: "*"})
 
 
 def remove_upset(L, nu):
     """(Lambda minus [nu, top), its boundary {tau | tau v nu < top}).
 
-    The boundary is returned in the ids of the new poset.
+    The boundary is returned in the ids of the new poset, its indices.
     """
     ni = _proper_nu(L, nu, "remove_upset")
     keep = L._mask & ~L._geq[ni]
-    sub = L._materialize(keep, L.n, 0)
-    boundary = frozenset(
-        e for e in sub.elements()
-        if L._geq[L._index(sub.provenance[e])] & L._geq[ni])
-    return sub, boundary
+    lam = _lambda_nu_mask(L, ni)
+    boundary = frozenset(e for e, i in enumerate(_bits(keep)) if lam >> i & 1)
+    return L._materialize(keep, L.n, 0), boundary
 
 
 def subdivision_target_and_map(L, nu):

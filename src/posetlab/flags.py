@@ -274,10 +274,6 @@ class NearCdIndex:
     phi: NcPoly
     boundary: NcPoly
 
-    @property
-    def total(self):
-        return self.phi + self.boundary
-
 
 def near_cd_index(P, boundary_ids):
     """Split Psi_P = Phi + Psi_boundary * a and contract both parts, each

@@ -10,9 +10,10 @@ constructor rejects any other order, so ascending indices need no sort) and
 the full order relation is materialized as per-element bitmasks, which makes
 interval, join and chain queries cheap at the few-hundred-element scale this
 library targets.  Public APIs speak element ids; the kernels read indices
-and convert ids once, at the API.  `from_covers` sorts ids by (rank, id),
-so ids 0..m-1 equal indices only when numbered in rank order: a product
-numbers its pairs in (x, y) order, and its ids are not its indices.
+and convert ids once, at the API.  Ids sit in (rank, id) order, the order
+`from_covers` sorts them into, so ids 0..m-1 equal indices only when
+numbered in rank order: a product numbers its pairs in (x, y) order, and
+its ids are not its indices.
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ class GradedPoset:
                  "_bottom", "labels", "provenance", "_cache")
 
     def __init__(self, n, ids, rank_by_idx, covers_up, labels=None, provenance=None):
-        # Use from_covers for validated construction from user data.
+        # Trusted input: index records derived from valid posets, ids in
+        # (rank, id) order.  from_covers validates cover lists.
         self.n = n
         self._ids = tuple(ids)
         m = len(self._ids)

@@ -115,7 +115,6 @@ class Decomposition:
 
     terms: dict = field(compare=False)
     assembled: NcPoly = None
-    source_cd: NcPoly = None
 
 
 def decompose(phi):
@@ -150,7 +149,7 @@ def decompose(phi):
     if assembled != source_cd:
         raise DecompositionMismatch(
             f"assembled {to_text(assembled)} != source {to_text(source_cd)}")
-    return Decomposition(dict(zip(tgt._ids, terms)), assembled, source_cd)
+    return Decomposition(dict(zip(tgt._ids, terms)), assembled)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,12 @@ covers, near-Gorenstein* certification walking every ball, op_D's random
 combination summed in Fractions, the cellular complex built per up-set,
 the kernel sheaf with every restriction solved for when it is built, the
 interval walk asking about every interval, and cd-contraction peeling
-leading letters off NcPoly words.  `uncertified_copy` sends the sheaf
-layer down the route of a base that no walk certifies, the oracle of its
-certificate route.  The `composed_posets`, `graded_posets`
+leading letters off NcPoly words.  The construction oracles (`with_top`,
+`star_product`, the products, `order_complex`, Lambda_nu,
+`semisuspension`, `remove_upset` and the subdivision map) keep the
+builders' form in element ids, each poset sent through `from_covers`.
+`uncertified_copy` sends the sheaf layer down the route of a base that no
+walk certifies, the oracle of its certificate route.  The `composed_posets`, `graded_posets`
 and `eulerian_lattices` strategies draw the posets that the property tests
 share.
 """
@@ -594,7 +597,7 @@ def wedge_at_bottom(P, Q):
 def cartesian_product_oracle(P, Q):
     """`constructions.cartesian_product`, scanning the full cover list of
     each bounded factor for every pair."""
-    PT, QT = cons.with_top(P), cons.with_top(Q)
+    PT, QT = with_top_oracle(P), with_top_oracle(Q)
     ptop = max(PT.elements(), key=PT.rank)
     qtop = max(QT.elements(), key=QT.rank)
     ranks, labels, prov = {}, {}, {}
@@ -642,6 +645,134 @@ def polytope_product_oracle(P, Q):
                 covers.append((i, pairs[(x, b)]))
     return GradedPoset.from_covers(P.n + Q.n, ranks, covers,
                                    labels=labels, provenance=prov)
+
+
+# -- constructions in id space -------------------------------------------
+
+
+def with_top_oracle(P):
+    """`constructions.with_top` through element ids and `from_covers`."""
+    ids = P.elements()
+    ranks = {e: P.rank(e) for e in ids}
+    top = max(ids) + 1
+    ranks[top] = P.n + 1
+    covers = list(P.covers()) + [(e, top) for e in P.maximal_elements()]
+    labels = {e: P.label(e) for e in ids}
+    labels[top] = "top"
+    prov = {e: e for e in ids}
+    prov[top] = TOP
+    return GradedPoset.from_covers(P.n + 1, ranks, covers, labels=labels,
+                                   provenance=prov)
+
+
+def star_product_oracle(P, Q):
+    """`constructions.star_product` through element ids and `from_covers`."""
+    ranks, labels, prov, covers = {}, {}, {}, []
+    pid = {}
+    for e in P.elements():
+        i = len(ranks)
+        pid[e] = i
+        ranks[i] = P.rank(e)
+        labels[i] = P.label(e)
+        prov[i] = ("L", e)
+    qid = {}
+    for e in Q.elements():
+        if e == Q.bottom:
+            continue
+        i = len(ranks)
+        qid[e] = i
+        ranks[i] = P.n + Q.rank(e)
+        labels[i] = Q.label(e)
+        prov[i] = ("R", e)
+    covers += [(pid[a], pid[b]) for a, b in P.covers()]
+    covers += [(qid[a], qid[b]) for a, b in Q.covers() if a != Q.bottom]
+    atoms_q = [e for e in Q.elements() if Q.rank(e) == 1]
+    covers += [(pid[t], qid[a]) for t in P.maximal_elements() for a in atoms_q]
+    return GradedPoset.from_covers(P.n + Q.n, ranks, covers, labels=labels,
+                                   provenance=prov)
+
+
+def order_complex_oracle(P):
+    """`constructions.order_complex` through chain-keyed dicts and
+    `from_covers`."""
+    root = P._root
+    chains = sorted(hm.budgeted_chains(root, P._mask & ~(1 << P._bottom_idx)),
+                    key=lambda c: (len(c), c))
+    ids = {c: i for i, c in enumerate(chains)}
+    ranks = {i: len(c) for c, i in ids.items()}
+    labels, prov = {}, {}
+    for c, i in ids.items():
+        names = [root.label(root._ids[j]) for j in (P._bottom_idx,) + c]
+        labels[i] = "<".join(names)
+        prov[i] = tuple(root._ids[j] for j in c)
+    covers = []
+    for c, i in ids.items():
+        for k in range(len(c)):
+            sub = c[:k] + c[k + 1:]
+            covers.append((ids[sub], i))
+    return GradedPoset.from_covers(P.n, ranks, covers, labels=labels,
+                                   provenance=prov)
+
+
+def lambda_nu_mask_oracle(L, nu):
+    """Lambda_nu by one join test against nu per element of L."""
+    ni = L._index(nu)
+    mask = 0
+    for i in range(len(L)):
+        if L._geq[i] & L._geq[ni]:
+            mask |= 1 << i
+    return mask
+
+
+def semisuspension_oracle(L, nu):
+    """`constructions.semisuspension` through element ids and
+    `from_covers`."""
+    mask = lambda_nu_mask_oracle(L, nu)
+    ni = L._index(nu)
+    sub = L._materialize(mask, L.n, 0)
+    star = len(sub)
+    ranks = {e: sub.rank(e) for e in sub.elements()}
+    ranks[star] = L.n
+    covers = list(sub.covers())
+    # * covers the maximal elements of {sigma in Lambda_nu : nu not <= sigma};
+    # sub numbers the members of `mask` in order, ids equal to indices
+    below = sum(1 << e for e, i in enumerate(_bits(mask)) if not (L._geq[ni] >> i) & 1)
+    covers += [(e, star) for e in _bits(below) if sub._geq[e] & below == 1 << e]
+    labels = {e: sub.label(e) for e in sub.elements()}
+    labels[star] = "*"
+    prov = {e: sub.provenance[e] for e in sub.elements()}
+    prov[star] = "*"
+    return GradedPoset.from_covers(L.n, ranks, covers, labels=labels,
+                                   provenance=prov)
+
+
+def remove_upset_oracle(L, nu):
+    """`constructions.remove_upset`, the boundary read one provenance
+    entry at a time."""
+    ni = L._index(nu)
+    sub = L._materialize(L._mask & ~L._geq[ni], L.n, 0)
+    boundary = frozenset(
+        e for e in sub.elements()
+        if L._geq[L._index(sub.provenance[e])] & L._geq[ni])
+    return sub, boundary
+
+
+def subdivision_map_oracle(L, nu):
+    """The target [0,nu) * Pyr[nu,top) and the assignment of
+    `subdivision_target_and_map`, built by the oracles and read by ids."""
+    lower, upper = L.interval(L.bottom, nu), L.interval(nu, TOP)
+    pyr = cartesian_product_oracle(upper, cons.single_point())
+    target = star_product_oracle(lower, pyr)
+    at = {}
+    for e, (side, old) in target.provenance.items():
+        if side == "L":
+            at[lower.provenance[old]] = e
+        else:
+            sigma, pt = pyr.provenance[old]
+            at[upper.provenance.get(sigma, TOP), pt is TOP] = e
+    return target, {tau: at[tau, True] if L.leq(nu, tau) else
+                    at[tau] if L.leq(tau, nu) else at[L.join(tau, nu), False]
+                    for tau in L.elements()}
 
 
 def identity_map(P):

@@ -1,15 +1,18 @@
+import random
 import re
 
 import pytest
 
-from helpers import (cartesian_product_oracle, isomorphic,
-                     polytope_product_oracle)
+from helpers import (cartesian_product_oracle, isomorphic, lambda_nu_mask_oracle,
+                     order_complex_oracle, polytope_product_oracle, relabelled,
+                     remove_upset_oracle, semisuspension_oracle, star_product_oracle,
+                     subdivision_map_oracle, with_top_oracle)
 from posetlab import constructions as cons
 from posetlab import flags
 from posetlab.corpus import gorenstein_corpus, lattice_corpus
 from posetlab.ncpoly import cd
 from posetlab.poset import (TOP, GradedPoset, NotALattice, UnknownElement,
-                            from_json_dict)
+                            from_json_dict, to_json, to_json_dict)
 
 
 class TestBooleanAlgebra:
@@ -94,11 +97,12 @@ class TestPolytopeProduct:
         assert isomorphic(left, right)
 
 
+def _record(P):
+    return (P.n, P._ids, P._rank, P._covers_up, P.labels, P.provenance, to_json(P))
+
+
 def _same_poset(P, Q):
-    return (P.elements() == Q.elements()
-            and list(map(P.rank, P.elements())) == list(map(Q.rank, Q.elements()))
-            and P.covers() == Q.covers() and P.labels == Q.labels
-            and P.provenance == Q.provenance)
+    return _record(P) == _record(Q)
 
 
 _CORPUS = gorenstein_corpus(4)
@@ -126,6 +130,63 @@ def test_pyramid_towers_match_the_pair_by_pair_oracle(height):
     assert _same_poset(fast, slow)
     assert _same_poset(cons.polytope_product(fast, cons.segment()),
                        polytope_product_oracle(slow, cons.segment()))
+
+
+def _factors():
+    """The corpus, a relabelled copy of each (its ids are not its indices),
+    the point, B1 and a pentagon whose ids leave gaps."""
+    rng = random.Random(0)
+    doc = to_json_dict(cons.polygon(5))
+    gapped = from_json_dict({"n": 2, "elements": [{**e, "id": 3 * e["id"]} for e in doc["elements"]],
+                             "covers": [[3 * a, 3 * b] for a, b in doc["covers"]]})
+    out = [("point", cons.single_point()), ("B1", cons.boolean_algebra(1)),
+           ("polygon5_gapped", gapped)]
+    for name, P in _CORPUS:
+        out += [(name, P), (name + "~", relabelled(P, rng)[0])]
+    return out
+
+
+_FACTORS = _factors()
+
+
+@pytest.mark.parametrize("left", range(len(_FACTORS)), ids=lambda i: _FACTORS[i][0])
+def test_constructions_match_their_id_space_oracles(left):
+    """Index-built posets equal the id-space builders' output record for
+    record: ids, ranks, covers, labels, provenance and JSON."""
+    P = _FACTORS[left][1]
+    assert _same_poset(cons.with_top(P), with_top_oracle(P))
+    assert _same_poset(cons.order_complex(P), order_complex_oracle(P))
+    for _, Q in _FACTORS:
+        if len(P) * len(Q) <= 60:
+            assert _same_poset(cons.star_product(P, Q), star_product_oracle(P, Q))
+            assert _same_poset(cons.cartesian_product(P, Q), cartesian_product_oracle(P, Q))
+            assert _same_poset(cons.polytope_product(P, Q), polytope_product_oracle(P, Q))
+
+
+_LATTICES = [(label, L) for name, P in lattice_corpus(4)
+             for label, L in ((name, P), (name + "~", relabelled(P, random.Random(1))[0]))]
+
+
+@pytest.mark.parametrize("which", range(len(_LATTICES)), ids=lambda i: _LATTICES[i][0])
+def test_nu_constructions_match_their_id_space_oracles(which):
+    """Lambda_nu, Lambda'_nu, the remove_upset pair and both maps of every
+    proper nu equal the id-space builders' output."""
+    L = _LATTICES[which][1]
+    for nu in L.elements()[1:]:
+        assert _same_poset(cons.lambda_nu_poset(L, nu),
+                           L._materialize(lambda_nu_mask_oracle(L, nu), L.n, 0))
+        prime = semisuspension_oracle(L, nu)
+        assert _same_poset(cons.semisuspension(L, nu), prime)
+        (sub, boundary), (want, want_boundary) = (cons.remove_upset(L, nu),
+                                                  remove_upset_oracle(L, nu))
+        assert _same_poset(sub, want) and boundary == want_boundary
+        target, phi = cons.subdivision_target_and_map(L, nu)
+        want, assignment = subdivision_map_oracle(L, nu)
+        assert _same_poset(target, want) and phi.assignment == assignment
+        phi = cons.collapse_map(L, nu)
+        back = {old: e for e, old in prime.provenance.items()}
+        assert _same_poset(phi.target, prime)
+        assert phi.assignment == {tau: back.get(tau, back["*"]) for tau in L.elements()}
 
 
 class TestPyramid:

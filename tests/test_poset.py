@@ -142,7 +142,7 @@ def test_materialize_against_the_cover_scan_oracle():
                 cases.append((P, view.mask, view.n, P._rank[x]))
     for _, L in corpus.lattice_corpus(4):
         for nu in corpus.proper_elements(L):
-            cases.append((L, cons._lambda_nu_mask(L, nu), L.n, 0))
+            cases.append((L, cons._lambda_nu_mask(L, L._index(nu)), L.n, 0))
             cases.append((L, L._mask & ~L._geq[L._index(nu)], L.n, 0))
     B4 = cons.boolean_algebra(4)
     cases.append((B4, sum(1 << i for i, r in enumerate(B4._rank) if r != 1), B4.n, 0))

@@ -1,12 +1,14 @@
 """The library keeps only what the library calls.
 
 Every top-level function, class and method in src/posetlab and scripts/
-must be referenced by a name, an attribute or an import outside its own
-body, be a dunder, be exported from posetlab/__init__.py, or sit on the
-allowlist below with its reason.  References are matched by name only, so
-any `.rank` keeps every method called `rank`; calls from tests do not
-count, so an API that only tests use fails here and belongs in
-tests/helpers.py.
+must be referenced outside its own body, be a dunder, be exported from
+posetlab/__init__.py, or sit on the allowlist below with its reason.  A
+method or property counts as referenced only through an attribute
+(`.rank` keeps every member called `rank`); a top-level definition also
+through a bare name that is read, not assigned, or an import.  So a local
+variable `total` keeps no property `total` alive.  Dataclass fields are no
+definitions here and stay out of scope.  Calls from tests do not count,
+so an API that only tests use fails here and belongs in tests/helpers.py.
 """
 
 import ast
@@ -41,21 +43,26 @@ def _definitions(tree):
 
 
 def _references(node):
-    """The names that `node` reads, calls or imports."""
-    out = Counter()
+    """The bare names that `node` reads or imports, and the attributes it
+    accesses, as two counters."""
+    names, attributes = Counter(), Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            out[sub.id] += 1
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            out[sub.attr] += 1
+            attributes[sub.attr] += 1
         elif isinstance(sub, ast.alias):
-            out[sub.name.rpartition(".")[2]] += 1
-    return out
+            names[sub.name.rpartition(".")[2]] += 1
+    return names, attributes
 
 
 def _unreferenced():
     trees = _trees()
-    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    names, attributes = Counter(), Counter()
+    for tree in trees.values():
+        tree_names, tree_attributes = _references(tree)
+        names += tree_names
+        attributes += tree_attributes
     exported = {alias.name for node in trees["__init__"].body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     for module, tree in trees.items():
@@ -63,7 +70,11 @@ def _unreferenced():
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if name in exported or everywhere[name] > _references(node)[name]:
+            own_names, own_attributes = _references(node)
+            outside = attributes[name] - own_attributes[name]
+            if "." not in qualified:  # a top-level definition
+                outside += names[name] - own_names[name]
+            if name in exported or outside > 0:
                 continue
             yield f"{module}.{qualified}"
 

@@ -6,12 +6,14 @@ target [0,nu) * Pyr[nu,1) with its three-case map.
 
 Cover lists (`single_point`, `boolean_algebra`, `polygon`) are validated
 by `GradedPoset.from_covers`; a derived poset is built from its inputs'
-index records and passed to the `GradedPoset` constructor unchecked.  Its
-ids keep the (rank, id) order and equal its indices, except in `with_top`,
-which keeps P's ids, and `_pair_product`, whose ids are its pair numbers
-in (P, Q) order, not its indices.  `provenance` maps each new id back to
-the source data (an id, a pair, a chain tuple, or "*"), and labels stay
-human readable because debugging subdivision maps without them is hopeless.
+index records and passed to the `GradedPoset` constructor unchecked, but
+for the covers of the semisuspension's *, which skip a rank when L is not
+thin.  Its ids keep the (rank, id) order and equal its indices, except in
+`with_top`, which keeps P's ids, and `_pair_product`, whose ids are its
+pair numbers in (P, Q) order, not its indices.  `provenance` maps each new
+id back to the source data (an id, a pair, a chain tuple, or "*"), and
+labels stay human readable because debugging subdivision maps without them
+is hopeless.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import combinations
 from operator import or_
 
 from .homology import budgeted_chains
-from .poset import TOP, GradedPoset, NotALattice, UnknownElement, _bits
+from .poset import TOP, GradedPoset, NotALattice, NotGraded, UnknownElement, _bits
 
 
 @dataclass(frozen=True)
@@ -186,18 +188,14 @@ def cross_polytope(d):
     d segment face posets (free sums of segments)."""
     if d < 1:
         raise ValueError("cross_polytope needs d >= 1")
-    out = segment()
-    for _ in range(d - 1):
-        out = polytope_product(out, segment())
-    return out
+    return reduce(polytope_product, [segment() for _ in range(d)])
 
 
 def cube_poset(d=3):
     """Face poset of the d-cube: the dual of the cross-polytope."""
     if d < 1:
         raise ValueError("cube_poset needs d >= 1")
-    bounded = with_top(cross_polytope(d))
-    rev = bounded.dual()
+    rev = with_top(cross_polytope(d)).dual()
     # strip the unique maximal element (the old bottom) to drop the top
     top = max(rev.elements(), key=rev.rank)
     return rev.interval(rev.bottom, top)
@@ -251,8 +249,8 @@ def lambda_nu_poset(L, nu):
 
 def semisuspension(L, nu):
     """Lambda'_nu: Lambda_nu plus one rank-n cell * above exactly the
-    elements not above nu.  The rank of * is forced to n; Eulerianness is
-    certified by callers rather than assumed."""
+    elements not above nu.  The rank of * is forced to n (NotGraded when L
+    is not thin); Eulerianness is certified by callers rather than assumed."""
     ni = _proper_nu(L, nu, "Lambda_nu")
     mask = _lambda_nu_mask(L, ni)
     sub = L._materialize(mask, L.n, 0)
@@ -260,8 +258,12 @@ def semisuspension(L, nu):
     # * covers the maximal elements of {sigma in Lambda_nu : nu not <= sigma};
     # sub numbers the members of `mask` in order, ids equal to indices
     below = sum(1 << e for e, i in enumerate(_bits(mask)) if not (L._geq[ni] >> i) & 1)
-    covers_up = [ups + (star,) if sub._geq[e] & below == 1 << e else ups
-                 for e, ups in enumerate(sub._covers_up)] + [()]
+    covers_up = list(sub._covers_up) + [()]
+    for e in _bits(below):
+        if sub._geq[e] & below == 1 << e:
+            if sub._rank[e] != L.n - 1:
+                raise NotGraded(f"cover ({e}, {star}) skips from rank {sub._rank[e]} to {L.n}")
+            covers_up[e] += (star,)
     return GradedPoset(L.n, range(star + 1), sub._rank + (L.n,), covers_up,
                        labels={**sub.labels, star: "*"},
                        provenance={**sub.provenance, star: "*"})

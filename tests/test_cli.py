@@ -72,6 +72,15 @@ class TestBuild:
         prime = poset_mod.from_json(out)
         assert prime.n == 2
 
+    @pytest.mark.parametrize("kind", ["semisusp", "collapse"])
+    def test_semisusp_of_a_chain_is_not_graded(self, capsys, tmp_path, kind):
+        # in the chain 0 < 1 < 2, * would cover the bottom from rank 2
+        chain = poset_mod.GradedPoset.from_covers(2, {0: 0, 1: 1, 2: 2}, [(0, 1), (1, 2)])
+        path = write_poset(tmp_path, chain)
+        code, out, err = run_cli(capsys, "build", kind, path, "--element", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: cover (0, 3) skips from rank 0 to 2\n"
+
     def test_subdivision_target_emits_map_json(self, capsys, tmp_path):
         p6 = write_poset(tmp_path, cons.polygon(6))
         code, out, _ = run_cli(capsys, "build", "subdivision-target", p6,

@@ -51,7 +51,7 @@ def _map_to_json(phi):
     return json.dumps({
         "source": poset_mod.to_json_dict(phi.source),
         "target": poset_mod.to_json_dict(phi.target),
-        "assignment": sorted([x, y] for x, y in phi.assignment.items()),
+        "assignment": sorted([x, phi.target._ids[t]] for x, t in zip(phi.source._ids, phi.image)),
     }, indent=2, sort_keys=True)
 
 
@@ -67,7 +67,7 @@ def _map_from_json(text):
         if x in assignment:
             raise PosetError(f"assignment maps {x} twice")
         assignment[x] = y
-    return cons.PosetMap(source, target, assignment)
+    return cons.PosetMap.from_assignment(source, target, assignment)
 
 
 def _parse_boundary(P, value):
@@ -117,6 +117,8 @@ def _cmd_build(args):
                          f"argument(s), got {got}")
     if needs_element and args.element is None:
         raise ValueError(f"build {kind} requires --element")
+    if not needs_element and args.element is not None:
+        raise ValueError(f"build {kind} takes no --element")
     out = build(args.args, args.element)
     print(_map_to_json(out) if isinstance(out, cons.PosetMap)
           else poset_mod.to_json(out, indent=2))
@@ -182,10 +184,22 @@ def _cmd_check(args):
     return 0 if cert else MATH_FAIL
 
 
+# each verify target's inputs, named in this order when missing; any other
+# input given is named as stray
+_VERIFY_INPUTS = {"decomposition": ("--map",), "main-inequality": ("a poset file", "--element"),
+                  "stanley": ("a poset file",), "semisusp": ("a poset file", "--element")}
+
+
 def _cmd_verify(args):
+    given = {"--map": args.map, "a poset file": args.poset, "--element": args.element}
+    wanted = _VERIFY_INPUTS[args.what]
+    for name in wanted:
+        if given[name] is None:
+            raise ValueError(f"verify {args.what} requires {name}")
+    for name, value in given.items():
+        if value is not None and name not in wanted:
+            raise ValueError(f"verify {args.what} does not take {name}")
     if args.what == "decomposition":
-        if args.map is None:
-            raise ValueError("verify decomposition requires --map")
         phi = _map_from_json(_read_text(args.map))
         dec = subdivision.decompose(phi)
         print(f"assembled = {to_text(dec.assembled)}")
@@ -196,10 +210,6 @@ def _cmd_verify(args):
         ineq = subdivision.verify_subdivision_inequality(phi)
         print("subdivision inequality:", "holds" if ineq else f"fails at {ineq.witness}")
         return 0 if ineq else MATH_FAIL
-    if args.poset is None:
-        raise ValueError(f"verify {args.what} requires a poset file")
-    if args.element is None and args.what != "stanley":
-        raise ValueError(f"verify {args.what} requires --element")
     P = _load_poset(args.poset)
     if args.what == "main-inequality":
         rep = subdivision.verify_main_inequality(P, args.element)
@@ -304,11 +314,10 @@ def build_parser():
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("verify", help="theorem-level verification")
-    p.add_argument("what", choices=["decomposition", "main-inequality",
-                                    "stanley", "semisusp"])
+    p.add_argument("what", choices=list(_VERIFY_INPUTS))
     p.add_argument("poset", nargs="?", help="poset file (not for decomposition)")
     p.add_argument("--map", help="map JSON file (decomposition)")
-    p.add_argument("--element", type=int, help="element id (inequalities)")
+    p.add_argument("--element", type=int, help="element id (main-inequality, semisusp)")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("sheaf-cd", help="C/D coefficient extraction table")

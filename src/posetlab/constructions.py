@@ -10,7 +10,9 @@ index records and passed to the `GradedPoset` constructor unchecked, but
 for the covers of the semisuspension's *, which skip a rank when L is not
 thin.  Its ids keep the (rank, id) order and equal its indices, except in
 `with_top`, which keeps P's ids, and `_pair_product`, whose ids are its
-pair numbers in (P, Q) order, not its indices.  `provenance` maps each new
+pair numbers in (P, Q) order, not its indices (in Pyr(P), the cell (a, e)
+over P's index a, len(P) for the top, is pair 2a + e).  Maps are index
+records too, read off their targets' layouts.  `provenance` maps each new
 id back to the source data (an id, a pair, a chain tuple, or "*"), and
 labels stay human readable because debugging subdivision maps without them
 is hopeless.
@@ -18,7 +20,7 @@ is hopeless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -29,15 +31,17 @@ from .poset import TOP, GradedPoset, NotALattice, NotGraded, UnknownElement, _bi
 
 @dataclass(frozen=True)
 class PosetMap:
-    """An order-preserving map between graded posets (rank may drop)."""
+    """An order-preserving map between graded posets (rank may drop): image[i]
+    is the target index of source index i.  Builders pass it unchecked, with
+    a proof; `from_assignment` checks an id assignment from outside."""
 
     source: GradedPoset
     target: GradedPoset
-    assignment: dict = field(compare=False)
+    image: tuple
 
-    def __post_init__(self):
+    @classmethod
+    def from_assignment(cls, source, target, assignment):
         # one bit test per cover; the first failure in covers() order is named
-        source, target, assignment = self.source, self.target, self.assignment
         image = []
         for x in source.elements():
             if x not in assignment:
@@ -50,6 +54,9 @@ class PosetMap:
                           if not target.leq(assignment[lo], assignment[hi]))
             raise ValueError(
                 f"map does not preserve order on cover ({lo!r}, {hi!r})")
+        if stray := assignment.keys() - source._idx.keys():
+            raise UnknownElement(f"map defined on unknown element {min(stray)!r}")
+        return cls(source, target, tuple(image))
 
 
 def single_point():
@@ -133,13 +140,13 @@ def star_product(P, Q):
                        provenance=dict(enumerate(prov)))
 
 
-def _pair_product(P, Q, n, drop=None, through=False):
-    """The index pairs (a, b) of P x Q other than `drop`, ranked rank a +
-    rank b, each covered by raising one coordinate along a factor cover.
-    Each pair's id is its number in (a, b) order, and its index its place
-    by (rank, id), so the ids are not the indices.  Provenance is the
-    factors' ids (x, y), or their own provenance of x and y when
-    `through`."""
+def _pair_product(P, Q, n, drop=(-1, -1)):
+    """The index pairs (a, b) of P x Q other than `drop`, the pair of tops
+    that `with_top` adjoined, ranked rank a + rank b, each covered by
+    raising one coordinate along a factor cover.  Each pair's id is its
+    number in (a, b) order, and its index its place by (rank, id), so the
+    ids are not the indices.  Provenance is the factors' ids (x, y), with
+    TOP for an adjoined top."""
     pairs = [(a, b) for a in range(len(P)) for b in range(len(Q)) if (a, b) != drop]
     rank = [P._rank[a] + Q._rank[b] for a, b in pairs]
     order = sorted(range(len(pairs)), key=rank.__getitem__)  # stable: ties by id
@@ -151,7 +158,7 @@ def _pair_product(P, Q, n, drop=None, through=False):
     for k, (a, b) in enumerate(pairs):
         x, y = P._ids[a], Q._ids[b]
         labels[k] = f"({P.label(x)},{Q.label(y)})"
-        prov[k] = (P.provenance[x], Q.provenance[y]) if through else (x, y)
+        prov[k] = (TOP if a == drop[0] else x, TOP if b == drop[1] else y)
     return GradedPoset(n, order, map(rank.__getitem__, order), covers_up,
                        labels=labels, provenance=prov)
 
@@ -164,8 +171,7 @@ def cartesian_product(P, Q):
     the pair (x, y) with TOP standing for the adjoined maxima.
     """
     PT, QT = with_top(P), with_top(Q)
-    return _pair_product(PT, QT, P.n + Q.n + 1, through=True,
-                         drop=(len(P), len(Q)))
+    return _pair_product(PT, QT, P.n + Q.n + 1, drop=(len(P), len(Q)))
 
 
 def polytope_product(P, Q):
@@ -285,38 +291,51 @@ def subdivision_target_and_map(L, nu):
     """Build T = [0,nu) * Pyr[nu,top) and the three-case map phi: L -> T:
     tau < nu goes to itself, tau >= nu goes to (tau, top-coordinate), and
     anything else goes to (tau v nu, bottom-coordinate), with the virtual
-    join landing on the apex cell (top, bottom-coordinate)."""
+    join landing on the apex cell (top, bottom-coordinate).
+
+    phi preserves order on every lattice L.  T orders the pyramid cells
+    (sigma, eps) componentwise and puts every tau < nu below each of them
+    but (nu, 0), the bottom of the pyramid, which T drops.  Let tau <= tau'.
+    If tau < nu, phi(tau') is tau' < nu or a pyramid cell other than
+    (nu, 0), above tau either way.  If tau >= nu, so is tau', and (tau, 1) <=
+    (tau', 1).  Otherwise tau' is not below nu either; if tau' >= nu, it
+    bounds tau and nu, so tau v nu <= tau' < top and (tau v nu, 0) <=
+    (tau', 1), and if not, (tau v nu, 0) <= (tau' v nu, 0).  The apex
+    (top, 0) lies below no (sigma, 1), and the case split never needs it
+    to: tau v nu = top forces tau' v nu = top."""
     ni = _proper_nu(L, nu, "the subdivision target")
     lower, upper = L.interval(L.bottom, nu), L.interval(nu, TOP)
     pyr = pyr_poset(upper)
     target = star_product(lower, pyr)
-
-    # target id by L-level key: tau for tau < nu, and (sigma, eps) for the
-    # pyramid cells, sigma in [nu, top] (TOP for the apex side) and eps true
-    # iff the point coordinate is the adjoined top
-    at = {}
-    for e, (side, old) in target.provenance.items():
-        if side == "L":
-            at[lower.provenance[old]] = e
-        else:
-            sigma, pt = pyr.provenance[old]
-            at[(TOP if sigma is TOP else upper.provenance[sigma], pt is TOP)] = e
-
-    above, below = L._geq[ni], L._leq[ni]
-    assignment = {}
-    for i, tau in enumerate(L._ids):
+    # tau < nu keeps its place in leq[nu], and cell (sigma, eps) is pyr's
+    # pair 2a + eps, a sigma's place in geq[nu] (nu's too) or len(upper) for
+    # the apex; star_product moves pyr's index j to len(lower) + j - 1
+    shift, above, below = len(lower) - 1, L._geq[ni], L._leq[ni]
+    place = {i: a for mask in (below, above) for a, i in enumerate(_bits(mask))}
+    image = []
+    for i, up in enumerate(L._geq):
         if above >> i & 1:
-            assignment[tau] = at[(tau, True)]
+            image.append(shift + pyr._idx[2 * place[i] + 1])
         elif below >> i & 1:
-            assignment[tau] = at[tau]
-        else:
-            assignment[tau] = at[(L.join(tau, nu), False)]
-    return target, PosetMap(L, target, assignment)
+            image.append(place[i])
+        else:  # tau v nu, or the apex when only the virtual top bounds both
+            ub = up & above
+            image.append(shift + pyr._idx[2 * (place[L._join_idx(ub)] if ub else len(upper))])
+    return target, PosetMap(L, target, tuple(image))
 
 
 def collapse_map(L, nu):
-    """The map L -> Lambda'_nu: identity on Lambda_nu, star elsewhere."""
+    """The map L -> Lambda'_nu: identity on Lambda_nu (index i to its
+    place in the mask), star (the last index) elsewhere.
+
+    It preserves order.  Let tau <= tau'.  Lambda_nu is an order ideal,
+    so either both lie in it and keep their order, or both go to *, or
+    only tau lies in it.  Then tau is not above nu, since nu <= tau <= tau'
+    would give tau' v nu = tau' < top, putting tau' in Lambda_nu; and *
+    lies above every element of Lambda_nu not above nu, an order ideal
+    whose maximal elements it covers."""
     prime = semisuspension(L, nu)
-    back = {old: e for e, old in prime.provenance.items()}
-    assignment = {tau: back.get(tau, back["*"]) for tau in L.elements()}
-    return PosetMap(L, prime, assignment)
+    image = [len(prime) - 1] * len(L)
+    for e, i in enumerate(_bits(_lambda_nu_mask(L, L._index(nu)))):
+        image[i] = e
+    return PosetMap(L, prime, tuple(image))

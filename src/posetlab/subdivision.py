@@ -71,11 +71,10 @@ def _fiber_masks(phi):
     """Two lists by target index: the masks (over source indices) of the
     closed fiber phi^-1[0,sigma], bottom-up its image or'ed with the closed
     fibers of its lower covers, and of the image phi^-1(sigma)."""
-    src, tgt = phi.source, phi.target
+    tgt = phi.target
     image = [0] * len(tgt._ids)
-    assignment, index = phi.assignment, tgt._idx
-    for i, x in enumerate(src._ids):
-        image[index[assignment[x]]] |= 1 << i
+    for i, t in enumerate(phi.image):
+        image[t] |= 1 << i
     closed = image[:]
     for t, ups in enumerate(tgt._covers_up):
         for u in ups:

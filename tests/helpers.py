@@ -776,7 +776,12 @@ def subdivision_map_oracle(L, nu):
 
 
 def identity_map(P):
-    return cons.PosetMap(P, P, {e: e for e in P.elements()})
+    return cons.PosetMap.from_assignment(P, P, {e: e for e in P.elements()})
+
+
+def assignment_of(phi):
+    """A PosetMap read by ids: source id -> target id."""
+    return dict(zip(phi.source._ids, map(phi.target._ids.__getitem__, phi.image)))
 
 
 # -- cd-splits by solving in a span ------------------------------------------

@@ -338,9 +338,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("assignment", [
         [[0, 0, 0]], [[0, "x"]], "none", [[0, 0], [1, 1], [2, 2], [2, 1]],
-        [[0, 0], [1, True]], [[0, 0], [1.0, 1]],
+        [[0, 0], [1, True]], [[0, 0], [1.0, 1]], [[0, 0], [1, 1], [2, 2], [99, 0]],
     ], ids=["triple", "string-id", "not-a-list", "duplicate-source", "bool-id",
-            "float-id"])
+            "float-id", "unknown-source-id"])
     def test_malformed_map_assignment(self, capsys, tmp_path, assignment):
         seg = poset_mod.to_json_dict(cons.segment())
         path = tmp_path / "map.json"
@@ -412,6 +412,16 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "--element" in err
 
+    @pytest.mark.parametrize("kind", [k for k, (_, needs, _) in cli._BUILD.items() if not needs])
+    def test_build_with_stray_element(self, capsys, tmp_path, kind):
+        p3 = write_poset(tmp_path, cons.polygon(3))
+        counts = cli._BUILD[kind][0]
+        args = ["3"] if kind in ("boolean", "polygon", "cube", "cross") else [p3] * counts[-1]
+        assert run_cli(capsys, "build", kind, *args)[0] == 0
+        code, out, err = run_cli(capsys, "build", kind, *args, "--element", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: build {kind} takes no --element\n"
+
     @pytest.mark.parametrize("argv,named", [
         (["verify", "decomposition"], "--map"),
         (["verify", "stanley"], "a poset file"),
@@ -427,16 +437,27 @@ class TestExitCodes:
         (["corpus", "list", "--max-rank", "-1"], "--max-rank >= 1"),
         (["corpus", "list", "--max-rank", "0"], "--max-rank >= 1"),
         (["sheaf-cd", "{poset}", "--word", ""], "must have degree 2"),
+        (["build", "boolean", "3", "--element", "1"], "takes no --element"),
+        (["verify", "stanley", "{poset}", "--element", "1"], "does not take --element"),
+        (["verify", "stanley", "{poset}", "--map", "{map}"], "does not take --map"),
+        (["verify", "decomposition", "{poset}", "--map", "{map}"], "does not take a poset file"),
+        (["verify", "semisusp", "{poset}", "--element", "1", "--map", "{map}"],
+         "does not take --map"),
     ], ids=["decomposition-without-map", "stanley-without-poset",
             "main-inequality-without-element", "semisusp-without-element",
             "directory-as-poset", "cm-with-boundary", "gorenstein-star-with-boundary",
             "cube-zero", "run-all-rank-0", "run-all-rank-1", "run-all-no-sweeps",
-            "list-rank-negative", "list-rank-0", "sheaf-cd-empty-word"])
+            "list-rank-negative", "list-rank-0", "sheaf-cd-empty-word",
+            "boolean-with-element", "stanley-with-element", "stanley-with-map",
+            "decomposition-with-poset", "semisusp-with-map"])
     def test_malformed_invocation(self, capsys, tmp_path, argv, named):
         """One `error:` line naming what is missing or wrong, exit 2, no
         output and no traceback."""
-        paths = {"poset": write_poset(tmp_path, cons.boolean_algebra(3)),
-                 "directory": str(tmp_path)}
+        b3 = cons.boolean_algebra(3)
+        map_path = tmp_path / "map.json"
+        map_path.write_text(cli._map_to_json(cons.subdivision_target_and_map(b3, 1)[1]))
+        paths = {"poset": write_poset(tmp_path, b3), "directory": str(tmp_path),
+                 "map": str(map_path)}
         code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
         assert code == 2
         assert out == ""

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from helpers import (cartesian_product_oracle, isomorphic, lambda_nu_mask_oracle,
+from helpers import (assignment_of, cartesian_product_oracle, isomorphic, lambda_nu_mask_oracle,
                      order_complex_oracle, polytope_product_oracle, relabelled,
                      remove_upset_oracle, semisuspension_oracle, star_product_oracle,
                      subdivision_map_oracle, with_top_oracle)
@@ -166,7 +166,8 @@ _LATTICES = [(label, L) for name, P in lattice_corpus(4)
 @pytest.mark.parametrize("which", range(len(_LATTICES)), ids=lambda i: _LATTICES[i][0])
 def test_nu_constructions_match_their_id_space_oracles(which):
     """Lambda_nu, Lambda'_nu, the remove_upset pair and both maps of every
-    proper nu equal the id-space builders' output."""
+    proper nu equal the id-space builders' output; a map's image is the
+    oracle's assignment in target indices."""
     L = _LATTICES[which][1]
     for nu in L.elements()[1:]:
         assert _same_poset(cons.lambda_nu_poset(L, nu),
@@ -178,11 +179,12 @@ def test_nu_constructions_match_their_id_space_oracles(which):
         assert _same_poset(sub, want) and boundary == want_boundary
         target, phi = cons.subdivision_target_and_map(L, nu)
         want, assignment = subdivision_map_oracle(L, nu)
-        assert _same_poset(target, want) and phi.assignment == assignment
+        assert _same_poset(target, want)
+        assert phi.image == tuple(want._idx[assignment[tau]] for tau in L._ids)
         phi = cons.collapse_map(L, nu)
         back = {old: e for e, old in prime.provenance.items()}
         assert _same_poset(phi.target, prime)
-        assert phi.assignment == {tau: back.get(tau, back["*"]) for tau in L.elements()}
+        assert phi.image == tuple(prime._idx[back.get(tau, back["*"])] for tau in L._ids)
 
 
 def _chain(k):
@@ -190,8 +192,11 @@ def _chain(k):
                                    [(i, i + 1) for i in range(k - 1)])
 
 
-@pytest.mark.parametrize("L", [_chain(3), _chain(4), cons.cartesian_product(_chain(3), _chain(2))],
-                         ids=["chain3", "chain4", "chain3_x_chain2"])
+_NOT_THIN = [("chain3", _chain(3)), ("chain4", _chain(4)),
+             ("chain3_x_chain2", cons.cartesian_product(_chain(3), _chain(2)))]
+
+
+@pytest.mark.parametrize("L", [L for _, L in _NOT_THIN], ids=[name for name, _ in _NOT_THIN])
 def test_semisuspension_of_a_lattice_that_is_not_thin(L):
     """On a lattice that is not thin, * can cover an element below rank
     n-1; that cover raises NotGraded as the cover-list builder does, and
@@ -209,6 +214,25 @@ def test_semisuspension_of_a_lattice_that_is_not_thin(L):
             assert _same_poset(cons.semisuspension(L, nu), want)
             assert _same_poset(cons.collapse_map(L, nu).target, want)
     assert raised
+
+
+@pytest.mark.parametrize("which", range(len(_LATTICES) + len(_NOT_THIN)),
+                         ids=lambda i: (_LATTICES + _NOT_THIN)[i][0])
+def test_constructed_maps_pass_the_checked_constructor(which):
+    """Every map the builders pass unchecked, read back by ids, passes
+    `from_assignment` with the same image, on lattices that are thin and
+    on chains and chain products, which are not (there `collapse_map`
+    raises NotGraded for some nu)."""
+    L = (_LATTICES + _NOT_THIN)[which][1]
+    for nu in L.elements()[1:]:
+        maps = [cons.subdivision_target_and_map(L, nu)[1]]
+        try:
+            maps.append(cons.collapse_map(L, nu))
+        except NotGraded:
+            assert which >= len(_LATTICES)
+        for phi in maps:
+            checked = cons.PosetMap.from_assignment(L, phi.target, assignment_of(phi))
+            assert checked.image == phi.image
 
 
 class TestPyramid:
@@ -356,13 +380,13 @@ class TestSubdivisionTarget:
         for L, nu in [(cons.polygon(5), 1), (cons.boolean_algebra(4), 1),
                       (cons.cube_poset(3), 1)]:
             _T, phi = cons.subdivision_target_and_map(L, nu)
-            assert set(phi.assignment.values()) == set(phi.target.elements())
+            assert set(assignment_of(phi).values()) == set(phi.target.elements())
 
     def test_three_cases_of_the_map(self, boolean4):
         nu = next(e for e in boolean4.elements() if boolean4.rank(e) == 2)
         T, phi = cons.subdivision_target_and_map(boolean4, nu)
         for tau in boolean4.elements():
-            img = phi.assignment[tau]
+            img = assignment_of(phi)[tau]
             if boolean4.leq(tau, nu) and tau != nu:
                 assert T.rank(img) == boolean4.rank(tau)
             elif boolean4.leq(nu, tau):
@@ -387,7 +411,7 @@ class TestCollapseMap:
         phi = cons.collapse_map(polygon3, 1)
         prime = phi.target
         star = next(e for e in prime.elements() if prime.provenance[e] == "*")
-        fiber = [x for x in polygon3.elements() if phi.assignment[x] == star]
+        fiber = [x for x in polygon3.elements() if assignment_of(phi)[x] == star]
         e23 = next(e for e in polygon3.elements()
                    if polygon3.rank(e) == 2 and not polygon3.leq(1, e))
         assert fiber == [e23]
@@ -396,7 +420,7 @@ class TestCollapseMap:
         phi = cons.collapse_map(boolean4, 1)
         prime = phi.target
         star = next(e for e in prime.elements() if prime.provenance[e] == "*")
-        fiber = {x for x in boolean4.elements() if phi.assignment[x] == star}
+        fiber = {x for x in boolean4.elements() if assignment_of(phi)[x] == star}
         lam = {lamel for lamel in boolean4.elements()
                if boolean4.join(lamel, 1) is not TOP}
         assert fiber == set(boolean4.elements()) - lam
@@ -404,9 +428,9 @@ class TestCollapseMap:
 
 class TestPosetMap:
     def test_must_be_total(self, polygon3):
-        with pytest.raises(UnknownElement):
-            cons.PosetMap(polygon3, polygon3,
-                          {e: e for e in polygon3.elements() if e != 1})
+        with pytest.raises(UnknownElement, match="^map not defined on 1$"):
+            cons.PosetMap.from_assignment(polygon3, polygon3,
+                                          {e: e for e in polygon3.elements() if e != 1})
 
     def test_first_failing_cover_in_covers_order(self):
         """A JSON source whose ids are not its indices: the chain
@@ -420,7 +444,7 @@ class TestPosetMap:
         assert source._ids == (0, 7, 1, 4)
         target = GradedPoset.from_covers(1, {0: 0, 1: 1, 2: 1}, [(0, 1), (0, 2)])
         with pytest.raises(ValueError, match=re.escape("on cover (1, 4)")):
-            cons.PosetMap(source, target, {0: 0, 7: 1, 1: 2, 4: 1})
+            cons.PosetMap.from_assignment(source, target, {0: 0, 7: 1, 1: 2, 4: 1})
 
     def test_must_preserve_order(self, polygon3):
         bad = {e: e for e in polygon3.elements()}
@@ -429,5 +453,21 @@ class TestPosetMap:
         e2 = next(e for e in polygon3.elements()
                   if polygon3.rank(e) == 2 and not polygon3.leq(1, e))
         bad[e1] = e2
-        with pytest.raises(ValueError):
-            cons.PosetMap(polygon3, polygon3, bad)
+        with pytest.raises(ValueError, match=re.escape(f"on cover (1, {e1})")):
+            cons.PosetMap.from_assignment(polygon3, polygon3, bad)
+
+    def test_unknown_target_id(self, polygon3):
+        with pytest.raises(UnknownElement, match="^unknown element 99$"):
+            cons.PosetMap.from_assignment(polygon3, polygon3,
+                                          {e: e or 99 for e in polygon3.elements()})
+
+    def test_unknown_source_ids_name_the_smallest(self, polygon3):
+        identity = {e: e for e in polygon3.elements()}
+        with pytest.raises(UnknownElement, match="^map defined on unknown element 50$"):
+            cons.PosetMap.from_assignment(polygon3, polygon3, {**identity, 99: 0, 50: 0})
+
+    def test_unknown_source_id_reported_after_the_other_checks(self, polygon3):
+        """An assignment that the other checks reject keeps their message."""
+        partial = {e: e for e in polygon3.elements() if e != 1}
+        with pytest.raises(UnknownElement, match="^map not defined on 1$"):
+            cons.PosetMap.from_assignment(polygon3, polygon3, {**partial, 99: 0})

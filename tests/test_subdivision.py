@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import identity_map, relabelled
+from helpers import assignment_of, identity_map, relabelled
 from posetlab import constructions as cons
 from posetlab import flags
 from posetlab import subdivision as sd
@@ -34,8 +34,8 @@ class TestIsSubdivision:
 
     def test_rank_mismatch(self, polygon3):
         seg = cons.segment()
-        phi = cons.PosetMap(polygon3, seg,
-                            {e: seg.bottom for e in polygon3.elements()})
+        phi = cons.PosetMap.from_assignment(polygon3, seg,
+                                            {e: seg.bottom for e in polygon3.elements()})
         with pytest.raises(sd.RankMismatch):
             sd.is_subdivision(phi)
 
@@ -45,8 +45,8 @@ class TestIsSubdivision:
             sd.is_subdivision(identity_map(P))
 
     def test_not_surjective_reported(self, polygon2, polygon3):
-        phi = cons.PosetMap(polygon3, polygon3,
-                            {e: polygon3.bottom for e in polygon3.elements()})
+        phi = cons.PosetMap.from_assignment(polygon3, polygon3,
+                                            {e: polygon3.bottom for e in polygon3.elements()})
         rep = sd.is_subdivision(phi)
         assert not rep and "surjective" in rep.reason
         assert rep.failing_sigma == 1
@@ -57,8 +57,8 @@ class TestIsSubdivision:
         square = cons.polygon(4)
         target, _ = relabelled(square, random.Random(0))
         assert target._ids[1] == 2 and target.rank(1) == 2
-        phi = cons.PosetMap(square, target,
-                            {e: target.bottom for e in square.elements()})
+        phi = cons.PosetMap.from_assignment(square, target,
+                                            {e: target.bottom for e in square.elements()})
         rep = sd.is_subdivision(phi)
         assert not rep and rep.reason == "map is not surjective"
         assert rep.failing_sigma == 1
@@ -67,7 +67,7 @@ class TestIsSubdivision:
         # fold the square onto the 2-gon: fibers over edges are two
         # disjoint segments, not balls
         square, gon2 = cons.polygon(4), cons.polygon(2)
-        phi = cons.PosetMap(square, gon2, {
+        phi = cons.PosetMap.from_assignment(square, gon2, {
             0: 0, 1: 1, 2: 2, 3: 1, 4: 2,   # vertices alternate
             5: 3, 6: 4, 7: 3, 8: 4})        # edges alternate
         rep = sd.is_subdivision(phi)
@@ -180,8 +180,8 @@ class TestDecompose:
                      cons.collapse_map(L2, lnew[nu]))
             for phi, built_phi in zip(maps, built):
                 T2, tnew = relabelled(phi.target, rng)
-                phi2 = cons.PosetMap(L2, T2, {lnew[x]: tnew[y]
-                                              for x, y in phi.assignment.items()})
+                phi2 = cons.PosetMap.from_assignment(
+                    L2, T2, {lnew[x]: tnew[y] for x, y in assignment_of(phi).items()})
                 dec, dec2 = sd.decompose(phi), sd.decompose(phi2)
                 assert dec2.assembled == dec.assembled
                 assert dec2.terms == {tnew[s]: p for s, p in dec.terms.items()}
@@ -189,8 +189,8 @@ class TestDecompose:
                     map(to_text, sd.decompose(built_phi).terms.values())), nu
 
     def test_not_a_subdivision_raises(self, polygon3):
-        phi = cons.PosetMap(polygon3, polygon3,
-                            {e: polygon3.bottom for e in polygon3.elements()})
+        phi = cons.PosetMap.from_assignment(polygon3, polygon3,
+                                            {e: polygon3.bottom for e in polygon3.elements()})
         with pytest.raises(sd.NotASubdivision):
             sd.decompose(phi)
 

@@ -6,8 +6,8 @@ commands compose in pipelines:
     posetlab build polygon 6 | posetlab cd-index -
 
 Exit codes: 0 verified/success, 1 mathematical failure (with a witness) or
-a closed stdout, 2 usage or precondition error or an order complex (built
-for homology or by `build order-complex`) past homology.FACE_BUDGET.
+a closed stdout, 2 usage or precondition error: an OSError or a ValueError,
+the base of every input exception (homology.FaceBudgetExceeded included).
 POSETLAB_SEED sets the default seed.
 """
 
@@ -48,10 +48,11 @@ def _emit_poly(p, as_json):
 
 
 def _map_to_json(phi):
+    sid, tid = poset_mod._json_ids(phi.source), poset_mod._json_ids(phi.target)
     return json.dumps({
         "source": poset_mod.to_json_dict(phi.source),
         "target": poset_mod.to_json_dict(phi.target),
-        "assignment": sorted([x, phi.target._ids[t]] for x, t in zip(phi.source._ids, phi.image)),
+        "assignment": sorted([sid[i], tid[t]] for i, t in enumerate(phi.image)),
     }, indent=2, sort_keys=True)
 
 
@@ -347,18 +348,13 @@ def run(argv=None):
         return USAGE_FAIL if exc.code not in (0, None) else 0
     except BrokenPipeError:
         raise  # a closed stdout is main()'s to handle, not a usage error
-    except (PosetError, subdivision.RankMismatch, subdivision.SourceNotGorenstein,
-            subdivision.TargetNotGorenstein, subdivision.NotGorensteinStar,
-            homology.BoundaryNotIdeal, homology.BoundaryWrongRank,
-            homology.NotNearGorenstein, sheaves.BadBase, sheaves.BadSupport,
-            sheaves.NotCohenMacaulay, ncpoly.NotHomogeneous, OSError,
-            ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_FAIL
     except (subdivision.NotASubdivision, subdivision.DecompositionMismatch,
             ncpoly.NotExpressible, sheaves.SurjectivityFailed) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return MATH_FAIL
+    except (ValueError, OSError) as exc:  # every input or precondition error
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_FAIL
 
 
 def main():

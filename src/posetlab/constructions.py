@@ -4,18 +4,19 @@ Boolean algebras, polygons, star and Cartesian products, pyramids, order
 complexes, the semisuspension family, upset removal, and the subdivision
 target [0,nu) * Pyr[nu,1) with its three-case map.
 
-Cover lists (`single_point`, `boolean_algebra`, `polygon`) are validated
-by `GradedPoset.from_covers`; a derived poset is built from its inputs'
-index records and passed to the `GradedPoset` constructor unchecked, but
-for the covers of the semisuspension's *, which skip a rank when L is not
-thin.  Its ids keep the (rank, id) order and equal its indices, except in
-`with_top`, which keeps P's ids, and `_pair_product`, whose ids are its
-pair numbers in (P, Q) order, not its indices (in Pyr(P), the cell (a, e)
-over P's index a, len(P) for the top, is pair 2a + e).  Maps are index
-records too, read off their targets' layouts.  `provenance` maps each new
-id back to the source data (an id, a pair, a chain tuple, or "*"), and
-labels stay human readable because debugging subdivision maps without them
-is hopeless.
+Face posets of simplicial complexes (the point, Boolean algebras, order
+complexes) come from one kernel, `_face_poset`, and a derived poset from
+its inputs' index records; both go to the `GradedPoset` constructor
+unchecked, but for the covers of the semisuspension's *, which skip a rank
+when L is not thin.  Only `polygon` (its 2-gon is no simplicial complex)
+has a cover list, validated by `GradedPoset.from_covers`.  Each poset's
+ids keep the (rank, id) order and equal its indices, except in `with_top`,
+which keeps P's ids, and `_pair_product`, whose ids are its pair numbers
+in (P, Q) order, not its indices (in Pyr(P), the cell (a, e) over P's
+index a, len(P) for the top, is pair 2a + e).  Maps are index records too,
+read off their targets' layouts.  `provenance` maps each new id back to
+its source data (an id, a pair, a chain tuple, or "*"); labels stay human
+readable, since debugging subdivision maps without them is hopeless.
 """
 
 from __future__ import annotations
@@ -59,29 +60,36 @@ class PosetMap:
         return cls(source, target, tuple(image))
 
 
+def _face_poset(n, faces, labels, provenance=None):
+    """The face poset of a simplicial complex whose facets have n vertices:
+    `faces` are ascending vertex tuples, closed under taking faces, grouped
+    by size with the empty face first.  Face i gets id and index i, rank
+    len(face), labels[i] and provenance[i]; the faces one vertex larger
+    cover it.  Valid unchecked: ranks ascend with the indices from the one
+    empty face; a face minus a vertex is a face (closure) one rank lower;
+    and f < g climbs through f plus one vertex of g at a time, all faces,
+    so these covers generate inclusion, every face above the empty one."""
+    index = {f: i for i, f in enumerate(faces)}
+    covers_up = [[] for _ in faces]
+    for i, f in enumerate(faces):
+        for k in range(len(f)):
+            covers_up[index[f[:k] + f[k + 1:]]].append(i)
+    return GradedPoset(n, range(len(faces)), map(len, faces), covers_up,
+                       dict(enumerate(labels)), dict(enumerate(provenance or ())))
+
+
 def single_point():
-    return GradedPoset.from_covers(0, {0: 0}, [], labels={0: "0"})
+    """The face poset of the empty complex: its empty face alone."""
+    return _face_poset(0, [()], ["0"])
 
 
 def boolean_algebra(k):
-    """All proper subsets of a k-set (the full set is the virtual top);
-    rank k-1, a Gorenstein* lattice."""
+    """The proper subsets of a k-set, faces of the (k-1)-simplex's boundary
+    (the full set is the virtual top); rank k-1, a Gorenstein* lattice."""
     if k < 1:
         raise ValueError("boolean_algebra needs k >= 1")
-    subsets = []
-    for size in range(k):
-        subsets.extend(combinations(range(k), size))
-    ids = {s: i for i, s in enumerate(subsets)}
-    ranks = {i: len(s) for s, i in ids.items()}
-    covers = []
-    for s, i in ids.items():
-        for x in range(k):
-            if x not in s:
-                t = tuple(sorted(s + (x,)))
-                if t in ids:
-                    covers.append((i, ids[t]))
-    labels = {i: "{" + ",".join(map(str, s)) + "}" for s, i in ids.items()}
-    return GradedPoset.from_covers(k - 1, ranks, covers, labels=labels)
+    faces = [s for size in range(k) for s in combinations(range(k), size)]
+    return _face_poset(k - 1, faces, ["{" + ",".join(map(str, s)) + "}" for s in faces])
 
 
 def segment():
@@ -217,16 +225,10 @@ def order_complex(P):
     root = P._root
     chains = sorted(budgeted_chains(root, P._mask & ~(1 << P._bottom_idx)),
                     key=lambda c: (len(c), c))
-    ids = {c: i for i, c in enumerate(chains)}
-    covers_up = [[] for _ in chains]
-    labels, prov = {}, {}
-    for i, c in enumerate(chains):
-        for k in range(len(c)):
-            covers_up[ids[c[:k] + c[k + 1:]]].append(i)
-        labels[i] = "<".join(root.label(root._ids[j]) for j in (P._bottom_idx,) + c)
-        prov[i] = tuple(root._ids[j] for j in c)
-    return GradedPoset(P.n, range(len(chains)), map(len, chains), covers_up,
-                       labels=labels, provenance=prov)
+    return _face_poset(
+        P.n, chains,
+        ["<".join(root.label(root._ids[j]) for j in (P._bottom_idx,) + c) for c in chains],
+        [tuple(root._ids[j] for j in c) for c in chains])
 
 
 def _proper_nu(L, nu, what):

@@ -103,23 +103,23 @@ from .linalg import betti_from_ranks, rank_mod2, sparse_rank
 from .poset import _bits, iter_chains
 
 
-class SimplexNotFound(Exception):
+class SimplexNotFound(ValueError):
     pass
 
 
-class NotPure(Exception):
+class NotPure(ValueError):
     pass
 
 
-class BoundaryNotIdeal(Exception):
+class BoundaryNotIdeal(ValueError):
     pass
 
 
-class BoundaryWrongRank(Exception):
+class BoundaryWrongRank(ValueError):
     pass
 
 
-class NotNearGorenstein(Exception):
+class NotNearGorenstein(ValueError):
     pass
 
 

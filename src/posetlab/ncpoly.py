@@ -24,7 +24,7 @@ class NotExpressible(Exception):
     """An ab-polynomial with no cd-expression (non-Eulerian data)."""
 
 
-class NotHomogeneous(Exception):
+class NotHomogeneous(ValueError):
     pass
 
 

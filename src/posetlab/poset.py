@@ -25,7 +25,7 @@ from itertools import combinations
 from operator import attrgetter, or_
 
 
-class PosetError(Exception):
+class PosetError(ValueError):
     """Base class for structural poset errors."""
 
 
@@ -445,26 +445,27 @@ def iter_chains(root, mask):
 # Element id 0 must be the bottom.  Round-trip stable after canonicalization.
 
 
+def _json_ids(P):
+    """The JSON id of each index of P, for every document naming P's elements:
+    its id if the ids are 0..m-1, bottom 0, else the index ((rank, id) order)."""
+    ids = P._ids
+    return ids if P.bottom == 0 and sorted(ids) == list(range(len(ids))) else range(len(ids))
+
+
 def to_json_dict(P):
     """The JSON document of P; a SubPoset view is written as its materialized
     document read back, raising what reading it would (covers may skip a rank)."""
     if isinstance(P, SubPoset):
         base = P.root._rank[P.bottom_idx]
         P = from_json_dict(to_json_dict(P.root._materialize(P.mask, P.n, base)))
-    ids = P.elements()
-    if P.bottom != 0 or sorted(ids) != list(range(len(ids))):
-        # renumber deterministically: bottom first, then by (rank, id)
-        order = sorted(ids, key=lambda e: (P.rank(e), e))
-        remap = {e: k for k, e in enumerate(order)}
-    else:
-        remap = {e: e for e in ids}
+    jid = _json_ids(P)
     elements = []
-    for e in sorted(ids, key=lambda e: remap[e]):
-        entry = {"id": remap[e], "rank": P.rank(e)}
-        if e in P.labels:
-            entry["label"] = P.labels[e]
+    for i in sorted(range(len(jid)), key=jid.__getitem__):
+        entry = {"id": jid[i], "rank": P._rank[i]}
+        if P._ids[i] in P.labels:
+            entry["label"] = P.labels[P._ids[i]]
         elements.append(entry)
-    covers = sorted([remap[a], remap[b]] for a, b in P.covers())
+    covers = sorted([jid[i], jid[j]] for i, ups in enumerate(P._covers_up) for j in ups)
     return {"n": P.n, "elements": elements, "covers": covers}
 
 

@@ -62,15 +62,15 @@ from .ncpoly import word_degree
 from .poset import GradedPoset, _bits, interval_view
 
 
-class BadSupport(Exception):
+class BadSupport(ValueError):
     pass
 
 
-class NotCohenMacaulay(Exception):
+class NotCohenMacaulay(ValueError):
     pass
 
 
-class BadBase(Exception):
+class BadBase(ValueError):
     pass
 
 

@@ -28,15 +28,15 @@ from .ncpoly import NcPoly, coeffwise_witness, pyr_op, to_text
 from .poset import NotALattice, SubPoset, _bits, interval_view
 
 
-class RankMismatch(Exception):
+class RankMismatch(ValueError):
     pass
 
 
-class SourceNotGorenstein(Exception):
+class SourceNotGorenstein(ValueError):
     pass
 
 
-class TargetNotGorenstein(Exception):
+class TargetNotGorenstein(ValueError):
     pass
 
 
@@ -48,7 +48,7 @@ class DecompositionMismatch(Exception):
     pass
 
 
-class NotGorensteinStar(Exception):
+class NotGorensteinStar(ValueError):
     pass
 
 

@@ -12,10 +12,11 @@ covers, near-Gorenstein* certification walking every ball, op_D's random
 combination summed in Fractions, the cellular complex built per up-set,
 the kernel sheaf with every restriction solved for when it is built, the
 interval walk asking about every interval, and cd-contraction peeling
-leading letters off NcPoly words.  The construction oracles (`with_top`,
-`star_product`, the products, `order_complex`, Lambda_nu,
-`semisuspension`, `remove_upset` and the subdivision map) keep the
-builders' form in element ids, each poset sent through `from_covers`.
+leading letters off NcPoly words.  The construction oracles (the
+Boolean algebra and the point, `with_top`, `star_product`, the products,
+`order_complex`, Lambda_nu, `semisuspension`, `remove_upset` and the
+subdivision map) keep the builders' form in element ids, each poset sent
+through `from_covers`.
 `uncertified_copy` sends the sheaf layer down the route of a base that no
 walk certifies, the oracle of its certificate route.  The `composed_posets`, `graded_posets`
 and `eulerian_lattices` strategies draw the posets that the property tests
@@ -648,6 +649,25 @@ def polytope_product_oracle(P, Q):
 
 
 # -- constructions in id space -------------------------------------------
+
+
+def boolean_algebra_oracle(k, label=lambda s: "{" + ",".join(map(str, s)) + "}"):
+    """`constructions.boolean_algebra` through a subset-keyed cover list and
+    `from_covers`; B1 with `label` giving "0" is `single_point`."""
+    subsets = []
+    for size in range(k):
+        subsets.extend(combinations(range(k), size))
+    ids = {s: i for i, s in enumerate(subsets)}
+    ranks = {i: len(s) for s, i in ids.items()}
+    covers = []
+    for s, i in ids.items():
+        for x in range(k):
+            if x not in s:
+                t = tuple(sorted(s + (x,)))
+                if t in ids:
+                    covers.append((i, ids[t]))
+    labels = {i: label(s) for s, i in ids.items()}
+    return GradedPoset.from_covers(k - 1, ranks, covers, labels=labels)
 
 
 def with_top_oracle(P):

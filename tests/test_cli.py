@@ -1,19 +1,27 @@
+import contextlib
+import importlib
 import io
 import json
 import os
+import pkgutil
+import tempfile
 import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import pinched_disks_poset, rp2_face_poset
 from posetlab import cli
 from posetlab import constructions as cons
+from posetlab.corpus import gorenstein_corpus
+import posetlab
 from posetlab import homology, ncpoly
 from posetlab import poset as poset_mod
-from posetlab import sheaves
+from posetlab import sheaves, subdivision
 from posetlab.ncpoly import ab, cd
 
 
@@ -464,6 +472,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named.format(**paths) in err and "Traceback" not in err
 
+    def test_every_library_exception_is_an_input_error_or_a_verdict(self):
+        """`run` exits 2 on any ValueError or OSError and names only the
+        verdict classes for exit 1, so each exception class the library
+        defines must be one or the other."""
+        verdicts = {subdivision.NotASubdivision, subdivision.DecompositionMismatch,
+                    ncpoly.NotExpressible, sheaves.SurjectivityFailed}
+        defined = {obj for info in pkgutil.iter_modules(posetlab.__path__)
+                   for obj in vars(importlib.import_module(f"posetlab.{info.name}")).values()
+                   if isinstance(obj, type) and issubclass(obj, BaseException)
+                   and obj.__module__.startswith("posetlab.")}
+        assert verdicts <= defined and len(defined) > len(verdicts)
+        assert not any(issubclass(cls, ValueError) for cls in verdicts)
+        assert all(issubclass(cls, ValueError) for cls in defined - verdicts), sorted(
+            cls.__name__ for cls in defined - verdicts if not issubclass(cls, ValueError))
+
     def test_closed_stdout_exits_quietly(self):
         """A reader that stops early (`build boolean 11 | head -1`) gets
         exit 1 and nothing on stderr: no traceback, no "Exception ignored"
@@ -494,3 +517,79 @@ def test_seed_sweep_exit_code(monkeypatch, capsys, fake, code):
         runpy.run_path(str(script), run_name="__main__")
     assert exc.value.code == code
     assert ("UNSTABLE" in capsys.readouterr().out) == bool(code)
+
+
+# -- documents of posets whose ids leave gaps ---------------------------------
+
+_SMALL = gorenstein_corpus(3)
+_TINY = [i for i, (_, P) in enumerate(_SMALL) if len(P) <= 9]
+
+
+def _cli(*argv):
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def _gapped_document(draw, P):
+    """P's document, and a copy under a drawn injective relabelling that
+    keeps the bottom at 0 and leaves a gap; the labels travel with the
+    elements, so a verdict names the same elements in both."""
+    doc = poset_mod.to_json_dict(P)
+    m = len(doc["elements"])
+    # permute 1..m-1, then move the ids from `gap` on up by `width`
+    gap, width = draw(st.integers(1, m - 1)), draw(st.integers(1, 2 * m))
+    new = {0: 0, **{k: j + width * (j >= gap)
+                    for k, j in enumerate(draw(st.permutations(range(1, m))), 1)}}
+    gapped = {"n": doc["n"], "elements": [{**e, "id": new[e["id"]]} for e in doc["elements"]],
+              "covers": [[new[a], new[b]] for a, b in doc["covers"]]}
+    return doc, gapped, new
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=500, derandomize=True)  # at most 20 x 0.5 s = 10 s
+def test_documents_of_gapped_ids_read_back(data):
+    """Every build kind that reads posets writes, from posets whose ids
+    leave gaps, a document that its matching check or verify accepts, with
+    the verdicts of the same run on the ungapped documents; a map document
+    reads back as the map the builder made."""
+    P = _SMALL[data.draw(st.integers(0, len(_SMALL) - 1))][1]
+    Q = _SMALL[data.draw(st.sampled_from(_TINY))][1]
+    (p_doc, p_gap, new), (q_doc, q_gap, _) = (data.draw(_gapped_document(R)) for R in (P, Q))
+    nu = data.draw(st.integers(1, len(P) - 1))
+    runs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for key, docs, element in (("plain", (p_doc, q_doc), nu), ("gapped", (p_gap, q_gap), new[nu])):
+            p, q = (os.path.join(tmp, f"{key}{i}.json") for i in range(2))
+            for path, doc in zip((p, q), docs):
+                with open(path, "w") as fh:
+                    json.dump(doc, fh)
+            for kind, args in (("pyr", [p]), ("order-complex", [p]), ("star", [p, q]),
+                               ("product", [p, q]), ("polytope-product", [q, p]),
+                               ("semisusp", [p, "--element", str(element)]),
+                               ("subdivision-target", [p, "--element", str(element)]),
+                               ("collapse", [p, "--element", str(element)])):
+                code, out, err = built = _cli("build", kind, *args)
+                runs[key, kind] = [(code, err)]
+                if code:  # the element kinds need a lattice
+                    assert (code, out) == (2, "") and not P.is_lattice(), built
+                    continue
+                out_path = os.path.join(tmp, f"{key}-{kind}.json")
+                with open(out_path, "w") as fh:
+                    fh.write(out)
+                if kind in ("subdivision-target", "collapse"):
+                    verdict = _cli("verify", "decomposition", "--map", out_path)
+                    L = poset_mod.from_json(open(p).read())
+                    build = cons.collapse_map if kind == "collapse" else (
+                        lambda L, nu: cons.subdivision_target_and_map(L, nu)[1])
+                    assert cli._map_from_json(out).image == build(L, element).image
+                else:
+                    verdict = _cli("check", "gorenstein-star", out_path)
+                assert verdict[0] == 0, (kind, verdict)
+                # Phi lines come in the target's (rank, id) order
+                runs[key, kind].append((verdict[0], sorted(verdict[1].splitlines()), verdict[2]))
+    for (key, kind), results in runs.items():
+        assert runs["plain", kind] == results, kind

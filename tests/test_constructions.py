@@ -1,11 +1,12 @@
 import random
 import re
+from functools import partial
 
 import pytest
 
-from helpers import (assignment_of, cartesian_product_oracle, isomorphic, lambda_nu_mask_oracle,
-                     order_complex_oracle, polytope_product_oracle, relabelled,
-                     remove_upset_oracle, semisuspension_oracle, star_product_oracle,
+from helpers import (assignment_of, boolean_algebra_oracle, cartesian_product_oracle, isomorphic,
+                     lambda_nu_mask_oracle, order_complex_oracle, polytope_product_oracle,
+                     relabelled, remove_upset_oracle, semisuspension_oracle, star_product_oracle,
                      subdivision_map_oracle, with_top_oracle)
 from posetlab import constructions as cons
 from posetlab import flags
@@ -150,13 +151,27 @@ def test_pyramid_towers_match_the_pair_by_pair_oracle(height):
                        polytope_product_oracle(slow, cons.segment()))
 
 
-@pytest.mark.parametrize("left", range(len(_FACTORS)), ids=lambda i: _FACTORS[i][0])
-def test_constructions_match_their_id_space_oracles(left):
-    """The one-poset builders equal their id-space oracles record for
-    record: ids, ranks, covers, labels, provenance and JSON."""
-    P = _FACTORS[left][1]
-    assert _same_poset(cons.with_top(P), with_top_oracle(P))
-    assert _same_poset(cons.order_complex(P), order_complex_oracle(P))
+def _one_poset_builders(P):
+    return [(cons.with_top(P), with_top_oracle(P)),
+            (cons.order_complex(P), order_complex_oracle(P))]
+
+
+# each case: its name, and a function giving (builder output, oracle) pairs
+_ONE_POSET_CASES = (
+    [(name, partial(_one_poset_builders, P)) for name, P in _FACTORS]
+    + [("point_kernel", lambda: [(cons.single_point(), boolean_algebra_oracle(1, lambda s: "0"))])]
+    + [(f"B{k}_kernel", lambda k=k: [(cons.boolean_algebra(k), boolean_algebra_oracle(k))])
+       for k in range(1, 10)])
+
+
+@pytest.mark.parametrize("case", range(len(_ONE_POSET_CASES)),
+                         ids=lambda i: _ONE_POSET_CASES[i][0])
+def test_constructions_match_their_id_space_oracles(case):
+    """The one-poset builders, and the face posets of the simplicial kernel
+    (the point and B1-B9), equal their id-space oracles record for record:
+    ids, ranks, covers, labels, provenance and JSON."""
+    for built, oracle in _ONE_POSET_CASES[case][1]():
+        assert _same_poset(built, oracle)
 
 
 _LATTICES = [(label, L) for name, P in lattice_corpus(4)

@@ -204,10 +204,11 @@ def _cmd_verify(args):
         phi = _map_from_json(_read_text(args.map))
         dec = subdivision.decompose(phi)
         print(f"assembled = {to_text(dec.assembled)}")
-        for s in phi.target.elements():
-            poly = dec.terms[s]
-            if not poly.is_zero():
-                print(f"  Phi[{phi.target.label(s)}] = {to_text(poly)}")
+        # by rank, then by the line itself, so no element id sets the order
+        T = phi.target
+        for _, line in sorted((T.rank(s), f"  Phi[{T.label(s)}] = {to_text(poly)}")
+                              for s, poly in dec.terms.items() if not poly.is_zero()):
+            print(line)
         ineq = subdivision.verify_subdivision_inequality(phi)
         print("subdivision inequality:", "holds" if ineq else f"fails at {ineq.witness}")
         return 0 if ineq else MATH_FAIL

@@ -72,6 +72,36 @@ popcount, with no precondition, so the kernel only sees gaps that reach two
 levels.  And every predicate accepts a real interval that is a sphere, so
 the walk asks `fits` only about each (x, top) and the real non-spheres.
 
+Most gaps that reach two levels need no complex either.  Lemma: if every
+proper subinterval of an interval of dimension d = 1 or 2 is a GF(2)
+sphere of its expected dimension, (u, top) for each u in the gap included
+when the interval is (x, top), then the interval is a sphere iff it is
+connected and, for d = 2, c0 - c1 + c2 = 2, where c_i counts the gap's
+elements of rank rank(x) + 1 + i; and it is connected when it has at most
+3 atoms.  Proof.  The link of a nonempty chain in the order complex is the
+join of the chain's gap intervals, passed subintervals, so it is a GF(2)
+sphere of dimension d minus the chain's size: the complex is a closed
+GF(2)-homology d-manifold.  Its gap has exactly d + 1 levels, since a
+cover that skips a rank, or an element maximal below the top rank, would
+bound an empty subinterval whose expected dimension is at least 0.  At
+d = 1 every vertex link is two points, so the complex is a disjoint union
+of cycles, a circle iff connected.  At d = 2 every edge link is two
+points, so every vertex link is a disjoint union of cycles, and a
+connected one, one cycle: the complex is a closed surface, and each
+component has Euler characteristic at most 2, with equality only for the
+sphere.  By Hall's theorem chi - 1 = mu(x, y) = -(1 + the sum of mu(x, z)
+over z in the gap), and mu(x, z) = (-1)^(rank z - rank x), the reduced
+Euler characteristic of the sphere (x, z); so chi = c0 - c1 + c2.
+Connectivity: each component holds an element w of the top level, and
+(x, w), a sphere of dimension d - 1, holds at least two atoms; the atoms
+below any element are joined through the level-2 elements below it
+((x, w) is a connected circle for w of level 3).  So the complex is
+connected iff its atoms are, through the level-2 elements, which a bitmask
+flood decides, and with at most 3 atoms it is.  `_counted_sphere` applies
+the lemma, and the walk keeps its hypothesis (see `_first_bad_interval`).
+The count only ever certifies a sphere: every other gap goes on to the
+kernel, so each non-sphere keeps its exact Betti numbers and witness.
+
 `derive_boundary` runs the same walk.  In a homology ball every real
 interval is a sphere and each (x, top) a sphere or acyclic; a walk that
 accepts exactly that reads the boundary off as the bottom plus the x whose
@@ -347,6 +377,32 @@ def _points_betti(gap):
     return {0: points - 1} if points > 1 else {} if points else {-1: 1}
 
 
+def _counted_sphere(leq, gap, s, t, d):
+    """True when the gap of an interval above x, of dimension d = 1 or 2,
+    is a sphere by the module docstring's counting lemma; False when it is
+    not.  The gap reaches two levels above x, s and t are the first indices
+    of ranks rank(x) + 2 and rank(x) + 3, and the caller guarantees the
+    lemma's hypothesis: every proper subinterval of the interval, each
+    (u, top) with u in the gap included for (x, top), is a GF(2) sphere of
+    its expected dimension."""
+    atoms = gap & ((1 << s) - 1)
+    high = gap >> t << t
+    middle = gap >> s << s & ~high
+    if d == 2 and atoms.bit_count() - middle.bit_count() + high.bit_count() != 2:
+        return False
+    if atoms.bit_count() <= 3:
+        return True
+    pairs = [leq[e] & atoms for e in _bits(middle)]
+    reached, grown = atoms & -atoms, True
+    while grown:
+        grown = False
+        for pair in pairs:
+            if pair & reached and pair & ~reached:
+                reached |= pair
+                grown = True
+    return reached == atoms
+
+
 def _cellular_betti_mod2(x, gap, levels, rows):
     """GF(2) Betti numbers {degree: dim} of the open interval above x whose
     elements are `gap`, from its cellular complex, with the levels and
@@ -468,22 +524,41 @@ def _first_bad_interval(root, mask, bottom_idx, n, fits):
     The kernel reads its rows from one `_cell_table` per x, built at the
     first gap above x that misses the cache: for z in (x, y) the elements
     below z and above x all lie in (x, y), so the table's row of z is the
-    row of z in every interval (x, y) that contains z, and in (x, top)."""
+    row of z in every interval (x, y) that contains z, and in (x, top).
+
+    Before the kernel, `_counted_sphere` certifies a gap of dimension 1 or
+    2 by the module docstring's counting lemma, whose hypothesis is that
+    every proper subinterval has passed as a GF(2) sphere.  For a real
+    (x, y) that is the kernel's precondition, `spheres`: its subintervals
+    are real intervals visited earlier.  (x, top) also contains the upper
+    interval (u, top) of each u above x, all visited earlier, so the walk
+    keeps `top_bad`, the mask of the x whose (x, top) was no GF(2) sphere,
+    and counts (x, top) only while `spheres` holds and `top_bad` has no
+    element above x.  The order complex is then a closed GF(2)-homology
+    manifold: for d = 1 a union of cycles, a sphere iff connected; for
+    d = 2 a closed surface, a sphere iff connected with c0 - c1 + c2 = 2.
+    A gap the count does not certify goes on to the kernel unchanged."""
     geq, leq, rank = root._geq, root._leq, root._rank
     known = root._cache.setdefault("subset_betti", {})
     mod2 = root._cache.setdefault("subset_betti_mod2", {})
-    spheres = True
+    spheres, top_bad = True, 0
     for x in reversed(list(_bits(geq[bottom_idx] & mask))):
         above = geq[x] & mask & ~(1 << x)
         s = bisect_left(rank, rank[x] + 2)
+        t = bisect_left(rank, rank[x] + 3, s)
         table = None
         for y in [*_bits(above >> s << s), None]:
             if y is None:
                 gap, d = above, rank[bottom_idx] + n - 1 - rank[x]
+                closed = not above & top_bad
             else:
                 gap, d = above & leq[y] & ~(1 << y), rank[y] - rank[x] - 2
+                closed = True
+            sphere = {d: 1}
             if not gap >> s:
                 betti = gf2 = _points_betti(gap)
+            elif spheres and closed and d <= 2 and _counted_sphere(leq, gap, s, t, d):
+                betti = gf2 = sphere
             elif spheres:
                 if gap not in mod2:
                     table = table or _cell_table(root, x, above)
@@ -493,13 +568,15 @@ def _first_bad_interval(root, mask, bottom_idx, n, fits):
                          else _subset_betti(root, gap))
             else:
                 betti = _subset_betti(root, gap)
+            # gf2 is unset only when spheres already is False, and then no
+            # later gap is counted; (x, top) lies inside no interval visited
+            # later, but inside the (u, top) of every u below x
             if y is not None:
-                sphere = {d: 1}
-                # gf2 is unset only when spheres already is False; (x, top)
-                # lies inside no interval visited later
                 spheres = spheres and gf2 == sphere
                 if betti == sphere:
                     continue
+            elif spheres and gf2 != sphere:
+                top_bad |= 1 << x
             if not fits(x, y is None, betti, d):
                 chain = _climb(root, mask & leq[x], bottom_idx)
                 if y is not None:

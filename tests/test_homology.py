@@ -3,6 +3,7 @@ import gc
 import re
 from contextlib import contextmanager
 from itertools import combinations, islice
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from helpers import (all_chains, cellular_betti_mod2_oracle, cellular_rows_oracl
                      closure, composed_posets, derive_boundary_oracle, first_bad_interval_oracle,
                      near_gorenstein_walk_oracle, pinched_disks_poset, rp2_face_poset,
                      rp3_face_poset, structural_check_oracle, torus_face_poset,
-                     uncertified_copy)
+                     uncertified_copy, wedge_at_bottom)
 from posetlab import constructions as cons
 from posetlab import homology as hm
 from posetlab.corpus import gorenstein_corpus, lattice_corpus, proper_elements
@@ -523,32 +524,59 @@ class TestFaceBudget:
 
 
 @contextmanager
-def _checked_cellular_kernel():
-    """Wrap `_cellular_betti_mod2` so that every call the walk makes is
-    checked against the GF(2) chain complex of the same interval, and its
-    gap checked to reach two levels above x (a gap inside one level is a
-    set of points, which the walk answers itself); yields the list of
-    (root, x, gap) calls.  `_cell_table` is wrapped too, to tell each kernel
-    call which root poset its table rows come from."""
-    kernel, build, calls, roots = hm._cellular_betti_mod2, hm._cell_table, [], {}
+def _checked_routes():
+    """Check every gap that the walk answers under the cellular
+    precondition, reaching two levels above x, against the GF(2) chain
+    complex of the same interval.  `_counted_sphere` must say True exactly
+    when that complex is a sphere of the gap's dimension d, 1 or 2 (under
+    the precondition the count decides both ways), and
+    `_cellular_betti_mod2` must give its Betti numbers, for a gap that
+    reaches two levels.  Yields `routes`: `routes.kernel` lists the
+    (root, x, gap) of each kernel call, `routes.counts` the (root, gap,
+    answer) of each count.  `_first_bad_interval` and `_cell_table` are
+    wrapped too, to tell each call which root poset its bitmasks index."""
+    walk, build = hm._first_bad_interval, hm._cell_table
+    kernel, count = hm._cellular_betti_mod2, hm._counted_sphere
+    routes, roots = SimpleNamespace(kernel=[], counts=[]), {}
+
+    def walked(root, *args):
+        roots[id(root._leq)] = root, root._leq  # holding leq keeps its id unique
+        return walk(root, *args)
 
     def table(root, x, above):
         levels, rows = build(root, x, above)
-        roots[id(rows)] = root, rows  # holding rows keeps its id unique
+        roots[id(rows)] = root, rows
         return levels, rows
+
+    def counted(leq, gap, s, t, d):
+        sphere = count(leq, gap, s, t, d)
+        root = roots[id(leq)][0]
+        assert d in (1, 2), (gap, d)
+        assert sphere == (hm._faces_betti_mod2(hm._chain_faces(root, gap)) == {d: 1}), gap
+        routes.counts.append((root, gap, sphere))
+        return sphere
 
     def checked(x, gap, levels, rows):
         betti = kernel(x, gap, levels, rows)
         root = roots[id(rows)][0]
         assert betti == hm._faces_betti_mod2(hm._chain_faces(root, gap)), (x, gap)
         assert max(root._rank[z] for z in _bits(gap)) >= root._rank[x] + 2, (x, gap)
-        calls.append((root, x, gap))
+        routes.kernel.append((root, x, gap))
         return betti
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hm, "_first_bad_interval", walked)
         mp.setattr(hm, "_cell_table", table)
+        mp.setattr(hm, "_counted_sphere", counted)
         mp.setattr(hm, "_cellular_betti_mod2", checked)
-        yield calls
+        yield routes
+
+
+def _answered(routes):
+    """The number of gaps the kernel or the count answered: each kernel
+    call, and each gap the count certified a sphere (one it does not
+    certify goes on to the kernel)."""
+    return len(routes.kernel) + sum(sphere for *_, sphere in routes.counts)
 
 
 def _literal_cm(K):
@@ -589,10 +617,10 @@ class TestCellularKernel:
                    hm.cohen_macaulay_report: _literal_cm(K)}
         chain_route = {}
         for report, want in oracles.items():
-            with _checked_cellular_kernel() as calls, _chain_route_calls() as gaps:
+            with _checked_routes() as routes, _chain_route_calls() as gaps:
                 rep = report(pendant_edge_poset())
             chain_route[report] = gaps
-            assert (P._bottom_idx, gap) not in {(x, g) for _, x, g in calls}
+            assert (P._bottom_idx, gap) not in {(x, g) for _, x, g in routes.kernel}
             assert bool(rep) == want
             if not rep:
                 assert rep.betti == hm.reduced_homology(hm.link(K, rep.witness))
@@ -602,9 +630,9 @@ class TestCellularKernel:
     def test_kernel_sees_only_gaps_that_reach_two_levels(self):
         """Under all four predicates over both corpora and one
         `remove_upset` ball per lattice, the walk answers every gap inside
-        one level itself: each kernel call's gap reaches rank(x) + 2, which
-        `_checked_cellular_kernel` asserts."""
-        with _checked_cellular_kernel() as calls:
+        one level itself: each kernel call's gap reaches rank(x) + 2, and
+        each count is right, which `_checked_routes` asserts."""
+        with _checked_routes() as routes:
             for _, P in gorenstein_corpus(4) + lattice_corpus(4):
                 hm.gorenstein_star_report(P)
                 hm.cohen_macaulay_report(P)
@@ -612,17 +640,18 @@ class TestCellularKernel:
             for _, L in lattice_corpus(4):
                 ball, boundary = cons.remove_upset(L, L.elements()[1])
                 assert hm.near_gorenstein_star_report(ball, boundary)
-        assert len(calls) > 100, len(calls)
+        assert _answered(routes) > 100, _answered(routes)
 
     def test_kernel_against_chain_complex_on_the_corpus(self):
-        """Every interval the walk hands to the kernel, over the Gorenstein*
-        corpus, RP^2 and one `remove_upset` ball per lattice and rank."""
+        """Every interval the walk hands to the kernel or counts, over the
+        Gorenstein* corpus, RP^2 and one `remove_upset` ball per lattice and
+        rank."""
         balls = []
         for _, L in lattice_corpus(4):
             for r in range(1, L.n + 1):
                 nu = next(e for e in L.elements() if L.rank(e) == r)
                 balls.append(cons.remove_upset(L, nu))
-        with _checked_cellular_kernel() as calls:
+        with _checked_routes() as routes:
             for _, P in gorenstein_corpus(4):
                 assert hm.is_gorenstein_star(P) and hm.is_cohen_macaulay(P)
             for ball, boundary in balls:
@@ -630,7 +659,30 @@ class TestCellularKernel:
                 assert hm.derive_boundary(ball) == frozenset(boundary)
             rp2 = rp2_face_poset()
             assert not hm.is_gorenstein_star(rp2) and hm.is_cohen_macaulay(rp2)
-        assert len(calls) > 1000, len(calls)
+        assert _answered(routes) > 1000, _answered(routes)
+
+    @pytest.mark.parametrize("build, betti", [
+        # two disjoint 4-cycles under the rank-3 top: 4 atoms, not connected
+        (lambda: wedge_at_bottom(cons.polygon(2), cons.polygon(2)), {0: 1, 1: 2}),
+        # the 7-vertex torus: connected, Euler characteristic 0
+        (torus_face_poset, {1: 2, 2: 1}),
+        # a tetrahedron's boundary and the torus: Euler characteristic 2,
+        # which alone would make it a sphere, but not connected
+        (lambda: wedge_at_bottom(cons.boolean_algebra(4), torus_face_poset()),
+         {0: 1, 1: 2, 2: 2})])
+    def test_closed_manifolds_the_count_refutes_reach_the_kernel(self, build, betti):
+        """Each proper part is a closed manifold whose every subinterval
+        passes, so the count is asked about it, says no, and the kernel
+        answers: every report equals the literal oracle's, and the
+        Gorenstein* one names the empty chain with the exact Betti
+        numbers."""
+        P = build()
+        whole = P._mask & ~(1 << P._bottom_idx)
+        with _checked_routes() as routes:
+            reports = _assert_walk_against_literal_oracle(P)
+        assert (whole, False) in {(gap, sphere) for _, gap, sphere in routes.counts}
+        assert (P._bottom_idx, whole) in {(x, gap) for _, x, gap in routes.kernel}
+        assert reports[0] == hm.CertResult(False, "link homology not a sphere", (), betti)
 
     def test_rp3_torsion_takes_the_chain_route(self):
         """Two 4-cells over RP^3: the whole is a Q homology sphere, but the
@@ -644,22 +696,25 @@ class TestCellularKernel:
                                     R.covers() + [(t, w) for t in tets for w in ("w1", "w2")])
         root, bottom = P._root, P._bottom_idx
         rp3 = P._mask & ~(1 << bottom) & ~root._mask_of(["w1", "w2"])
-        with _checked_cellular_kernel() as calls:
+        with _checked_routes() as routes:
             assert hm.is_gorenstein_star(P)
-        seen = {g for _, x, g in calls}
+        seen = {g for _, x, g in routes.kernel}
         assert rp3 in seen and P._mask & ~(1 << bottom) not in seen
         assert hm._faces_betti_mod2(hm._chain_faces(root, rp3)) == {1: 1, 2: 1, 3: 1}
         assert hm._subset_betti(root, rp3) == {3: 1}
         assert hm._subset_betti(root, P._mask & ~(1 << bottom)) == {4: 1}
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(composed_posets(("perturbed", "disjoint", "wrong_boundary")))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(composed_posets(("sphere", "cone", "ball", "ball_boundary", "perturbed",
+                        "disjoint", "wrong_boundary")))
 def test_cellular_kernel_against_chain_complex(drawn):
-    """Every interval the walk hands to the kernel, over posets that fail
-    deep down: the kernel's GF(2) Betti numbers equal the chain complex's."""
+    """Every interval the walk hands to the kernel or counts, over every
+    family, posets that fail deep down included: the kernel's GF(2) Betti
+    numbers equal the chain complex's, and the count certifies exactly the
+    chain complex's spheres."""
     P, boundary = drawn
-    with _checked_cellular_kernel():
+    with _checked_routes():
         hm.gorenstein_star_report(P)
         hm.cohen_macaulay_report(P)
         if boundary is not None:

@@ -149,6 +149,12 @@ def _cmd_poly(args):
 def _cmd_near_cd_index(args):
     P = _load_poset(args.poset)
     boundary = _parse_boundary(P, args.boundary)
+    # the split reads a nonempty boundary with the bottom in it, and holds
+    # only for a certified pair
+    cert = homology.near_gorenstein_star_report(P, boundary and {*boundary, P.bottom})
+    if not cert:
+        raise homology.NotNearGorenstein(
+            f"near-cd-index needs a near-Gorenstein* pair: {cert.reason}")
     nc = flags.near_cd_index(P, boundary)
     if args.json:
         print(json.dumps({"phi": ncpoly.to_json_dict(nc.phi),

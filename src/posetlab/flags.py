@@ -3,45 +3,42 @@
 The ab-index is Stanley's sum over rank sets S of {1..n} of h_S times the
 ab-word with b exactly at the positions in S (Flag f-vectors and the
 cd-index, Math. Z. 1994), where h_S = sum over T in S of (-1)^|S-T| f_T
-and f_T counts the chains bottom < x_1 < ... < x_k with rank set T, each
-weighted by `scale` at its largest element (Ehrenborg-Karu's sheaf sums).
+and f_T counts the chains bottom < x_1 < ... < x_k with rank set T.
 
 Flag f-vectors are counted by rank set in integer bit arithmetic, in one
-packed walk (`_pack`).  Each element i gets a level l_i >= 1 and a packed
+packed walk (`_walk`).  Each element i gets a level l_i >= 1 and a packed
 integer with a W-bit slot per set S of levels (slot S at bit W*S, level l
 at bit l - 1 of S):
 
     acc_i = 1 + sum over j in near(i) of acc_j << (W * 2^(l_j - 1)),
 
 since adding level l_j to sets of smaller levels is one uniform shift.  A
-slot of acc_i is at most the number of chains acc_i counts, which the same
-walk with W = 0 computes, so W = the bit length of the largest count (and,
-in `ab_index`, of the weighted total) leaves no carry.  Subset Moebius
-inversion (n * 2^n steps) of the slots gives the h_S (`_flag_h`), unpacked
-by halving f with one mask and one shift, so each bit is copied once per
-halving (`_unpack`).
+slot of acc_i is at most the number of chains acc_i counts, and a slot of
+any sum of out_i at most the number of chains of the walk, which the same
+walk with W = 0 counts; so W = the bit length of 1 + that total leaves no
+carry.  Subset Moebius inversion (n * 2^n steps) of the slots gives the
+h_S (`_flag_h`), unpacked by halving f with one mask and one shift, so
+each bit is copied once per halving (`_unpack`).
 
 Bottom-up (elements above the bottom, l_i = rank above the bottom, near(i)
 = the elements strictly between) acc_pi is the flag f-vector of [0-hat, pi)
 (`lower_intervals`); `ab_index` adds the bottom and each acc_i shifted by
-its own level, weighted by scale(i).  Top-down (reverse rank order, near(x)
-= the elements above x, l_x = rank gap to the virtual top) acc_x is the
-flag f-vector of [x, 1-hat) (`upper_intervals`), a rank r above x at bit
-n_x - r: slots keyed on gaps to the top rather than on absolute ranks keep
-acc_x at 2^(n_x) slots, and one bit reversal of S re-indexes it.  So one
-walk gives every lower or every upper interval's ab-index, the coproduct of
-flag f-vectors (Psi is a coalgebra map: Ehrenborg-Readdy, Coproducts and
-the cd-index, J. Algebraic Combin. 1998).
+its own level.  Top-down (reverse rank order, near(x) = the elements above
+x, l_x = rank gap to the virtual top) acc_x is the flag f-vector of
+[x, 1-hat) (`upper_intervals`), a rank r above x at bit n_x - r: slots
+keyed on gaps to the top rather than on absolute ranks keep acc_x at
+2^(n_x) slots, and one bit reversal of S re-indexes it.  So one walk gives
+every lower or every upper interval's ab-index, the coproduct of flag
+f-vectors (Psi is a coalgebra map: Ehrenborg-Readdy, Coproducts and the
+cd-index, J. Algebraic Combin. 1998).
 
-Each root poset caches one bottom-up walk (`_root_walk`), W the bit length
-of its total chain count.  An order ideal I of the root on its bottom
-holds [0-hat, i) for each member i, so acc_i is I's too and I's flag
-f-vector is 1 + the sum of out_i over its members: `_ab_key` reads the
-root, the fibers and boundaries of `decompose` and [0-hat, nu) so, and
-`lower_intervals` of a root reads acc.  No slot carries: each counts
-chains of the root, at most its total count, below 2^W.  Every other view
-(upper intervals, intervals off the bottom, scaled sums, non-ideals) walks
-itself.
+Each root poset caches one bottom-up walk (`_root_walk`).  An order ideal
+I of the root on its bottom holds [0-hat, i) for each member i, so acc_i
+is I's too and I's flag f-vector is 1 + the sum of out_i over its
+members: `_ab_key` reads the root, the fibers and boundaries of
+`decompose` and [0-hat, nu) so, and `lower_intervals` of a root reads acc.
+No slot carries: each counts chains of the root, below 2^W.  Every other
+view (upper intervals, intervals off the bottom, non-ideals) walks itself.
 
 An interval's index is read as the key (n, h), h in `ncpoly._ab_words(n)`
 order, and `cd_of` contracts each key once per memo.  The memo lives in the
@@ -69,19 +66,6 @@ from .ncpoly import (NcPoly, NotExpressible, ab_of, alpha, alpha_ab_lambda,
                      alpha_ab_star, cd_contract, pyr_op)
 from .poset import (TOP, GradedPoset, NotALattice, NotComparable, NotEulerian,
                     SubPoset, _bits, interval_view)
-
-
-def _pack(order, near, level, width):
-    """One packed walk (see the module docstring): for each i in `order`,
-    acc_i = 1 + the sum of out_j over j in near(i), where near is aligned
-    with `order` and lists indices earlier in it, and out_i = acc_i <<
-    (width << (level[i] - 1)).  Returns (acc, out); with width 0 every
-    shift is 0 and acc_i counts the chains it packs."""
-    acc, out = {}, {}
-    for i, down in zip(order, near):
-        a = acc[i] = 1 + sum(map(out.__getitem__, down))
-        out[i] = a << (width << (level[i] - 1))
-    return acc, out
 
 
 def _members(P):
@@ -113,14 +97,31 @@ def _plan(root, bot, members, n, top_down):
     return order, near, level
 
 
+def _walk(plan):
+    """(width, acc, out) of one packed walk over plan = (order, near, level)
+    (see the module docstring): for each i in `order`, acc_i = 1 + the sum
+    of out_j over j in near(i), where near is aligned with `order` and
+    lists indices earlier in it, and out_i = acc_i << (width << (level[i] -
+    1)).  A first pass at width 0 counts the chains each acc_i packs, and
+    width is the bit length of 1 + their total, which bounds every slot and
+    every sum of outs."""
+    order, near, level = plan
+    width = 0
+    for _ in range(2):
+        acc, out = {}, {}
+        for i, down in zip(order, near):
+            a = acc[i] = 1 + sum(map(out.__getitem__, down))
+            out[i] = a << (width << (level[i] - 1))
+        width = width or (1 + sum(acc.values())).bit_length()
+    return width, acc, out
+
+
 def _root_walk(root):
-    """(width, acc, out) of the root poset's one bottom-up walk, cached."""
+    """`_walk` of the root poset's one bottom-up plan, cached."""
     walk = root._cache.get("flag_walk")
     if walk is None:
-        plan = _plan(root, root._bottom, root._geq[root._bottom], root.n, False)
-        count, _ = _pack(*plan, 0)
-        width = (1 + sum(count.values())).bit_length()
-        walk = root._cache["flag_walk"] = (width, *_pack(*plan, width))
+        walk = root._cache["flag_walk"] = _walk(
+            _plan(root, root._bottom, root._geq[root._bottom], root.n, False))
     return walk
 
 
@@ -148,39 +149,26 @@ def _flag_h(f, width, n):
     return h
 
 
-def ab_index(P, scale=None):
+def ab_index(P):
     """Sum of the weights of all chains of P (the singleton {0-hat}
-    included); homogeneous of degree n.  With `scale`, each chain's
-    weight is multiplied by scale(i) at the root index i of its largest
-    element (the sheaf engine passes dim F); scale must be a nonnegative
-    integer, since negative slots cannot be packed."""
-    return ab_of(_ab_key(P, scale))
+    included); homogeneous of degree n."""
+    return ab_of(_ab_key(P))
 
 
-def _ab_key(P, scale=None):
-    """The key (n, h) of `ab_index(P, scale)`, h in ncpoly's word order:
-    read off the root's walk when P is an order ideal on the root's bottom
-    and unscaled (see the module docstring), else from P's own walk."""
+def _ab_key(P):
+    """The key (n, h) of `ab_index(P)`, h in ncpoly's word order, from
+    1 + the sum of out_i over the members above the bottom: read off the
+    root's walk when P is an order ideal on the root's bottom (see the
+    module docstring), else off P's own walk."""
     members = _members(P)
     root, bot = P._root, P._bottom_idx
-    if scale is None and bot == root._bottom:
+    inner = list(_bits(members & ~(1 << bot)))
+    down = reduce(operator.or_, map(root._leq.__getitem__, inner), 0)
+    if bot == root._bottom and not down & root._geq[bot] & ~P._mask:
         width, _, out = _root_walk(root)
-        inner = list(_bits(members & ~(1 << bot)))
-        down = reduce(operator.or_, map(root._leq.__getitem__, inner), 0)
-        if not down & root._geq[bot] & ~P._mask:
-            f = 1 + sum(map(out.__getitem__, inner))
-            return P.n, tuple(_flag_h(f, width, P.n))
-    order, near, level = _plan(root, bot, members, P.n, False)
-    w_bot = 1 if scale is None else scale(bot)
-    weights = [1 if scale is None else scale(i) for i in order]
-    if w_bot < 0 or any(w < 0 for w in weights):
-        raise ValueError("scale must be nonnegative to pack flag f-vectors")
-    count, _ = _pack(order, near, level, 0)
-    total = w_bot + sum(w * count[i] for w, i in zip(weights, order))
-    width = max(total, max(count.values(), default=0)).bit_length()
-    _, out = _pack(order, near, level, width)
-    f = w_bot + sum(w * out[i] for w, i in zip(weights, order))
-    return P.n, tuple(_flag_h(f, width, P.n))
+    else:
+        width, _, out = _walk(_plan(root, bot, members, P.n, False))
+    return P.n, tuple(_flag_h(1 + sum(map(out.__getitem__, inner)), width, P.n))
 
 
 def _intervals(P, top_down, among):
@@ -192,10 +180,9 @@ def _intervals(P, top_down, among):
         width, acc, _ = _root_walk(P)
         level = P._rank
     else:
-        order, near, level = _plan(P._root, P._bottom_idx, members, P.n, top_down)
-        count, _ = _pack(order, near, level, 0)
-        width = max(count.values(), default=0).bit_length()
-        acc, _ = _pack(order, near, level, width)
+        plan = _plan(P._root, P._bottom_idx, members, P.n, top_down)
+        width, acc, _ = _walk(plan)
+        level = plan[2]
     keys = {}
     for i in _bits(among):
         if i in acc:

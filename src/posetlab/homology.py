@@ -1,13 +1,11 @@
 """Exact simplicial homology and Gorenstein*/near-Gorenstein* certification.
 
-Two routes compute the same facts:
-
-* a generic simplicial route (SimplicialComplex, reduced_homology, link,
-  is_gorenstein_complex) that follows the definitions literally, and
-
-* a fast poset route used by the certification predicates, which walks the
-  open intervals (x, y) of a poset plus a virtual top, y = top included,
-  and checks each one's memoized homology in degree rank(y) - rank(x) - 2.
+The certification predicates walk the open intervals (x, y) of a poset
+plus a virtual top, y = top included, and check each one's memoized
+homology in degree rank(y) - rank(x) - 2.  Their independent oracle, a
+simplicial route that follows the definitions literally (complexes, links,
+reduced homology), lives in the test suite's helpers, and the tests check
+that the two agree.
 
 The walk rests on two facts.  The link of a chain in an order complex is
 the join of the order complexes of its gap intervals, and over a field
@@ -20,19 +18,18 @@ are the interval's.  Every predicate (Gorenstein*, near-Gorenstein*,
 Cohen-Macaulay) runs this one walk, `_first_bad_interval`, and differs
 only in what it expects of an interval.
 
-The generic route is the independent oracle for the fast one; the test
-suite checks they agree.  Both share one Betti kernel, `_faces_betti`:
-faces by dimension -> boundary rows -> `sparse_rank` -> reduced Betti
-numbers.  The kernel and the walk are the seams for any change to how
-interval homology is computed or certified.
+The walk's chain route and the tests' simplicial oracle share one Betti
+kernel, `_faces_betti`: faces by dimension -> boundary rows ->
+`sparse_rank` -> reduced Betti numbers.  The kernel and the walk are the
+seams for any change to how interval homology is computed or certified.
 
-Interval homology on the fast route is first computed over GF(2), which
+Interval homology is first computed over GF(2), which
 certifies the Q answer when it is supported in at most one degree: the
 boundary matrices are integer matrices, so each GF(2) rank is at most the Q
 rank and each GF(2) Betti number at least the Q one, while the reduced
-Euler characteristic is the same over both fields.  Every other profile,
-and the whole simplicial route, is computed exactly over Q by fraction-free
-elimination over the integers.  No floating point anywhere.
+Euler characteristic is the same over both fields.  Every other profile
+is computed exactly over Q by fraction-free elimination over the integers.
+No floating point anywhere.
 
 The GF(2) answer comes from one of two complexes.  The chain route
 (`_subset_betti`) builds the order complex of the interval and eliminates
@@ -127,18 +124,9 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
 
 from .linalg import betti_from_ranks, rank_mod2, sparse_rank
 from .poset import _bits, iter_chains
-
-
-class SimplexNotFound(ValueError):
-    pass
-
-
-class NotPure(ValueError):
-    pass
 
 
 class BoundaryNotIdeal(ValueError):
@@ -162,60 +150,6 @@ class FaceBudgetExceeded(ValueError):
 # B7's (47,293) is not.  The largest the test suite builds has 2,547 faces
 # (RP^3 with two 4-cells over it); the CI commands build none.
 FACE_BUDGET = 500_000
-
-
-# -- simplicial complexes ----------------------------------------------------
-
-
-class SimplicialComplex:
-    """Finite abstract simplicial complex; the empty simplex is implicit.
-
-    Simplices are stored by dimension as sorted vertex tuples and the
-    collection is validated to be closed under taking faces.
-    """
-
-    __slots__ = ("by_dim", "dim", "_faces")
-
-    def __init__(self, simplices):
-        by_dim = {}
-        seen = set()
-        for s in simplices:
-            t = tuple(sorted(s))
-            if len(set(t)) != len(t):
-                raise ValueError(f"repeated vertex in simplex {s!r}")
-            if t and t not in seen:
-                seen.add(t)
-                by_dim.setdefault(len(t) - 1, []).append(t)
-        for d, group in by_dim.items():
-            group.sort()
-            if d > 0:
-                for s in group:
-                    for face in combinations(s, d):
-                        if face not in seen:
-                            raise ValueError(f"complex not closed: missing {face}")
-        self.by_dim = by_dim
-        self.dim = max(by_dim) if by_dim else -1
-        self._faces = seen
-
-    def simplices(self, d):
-        return self.by_dim.get(d, [])
-
-    def all_simplices(self):
-        """Every simplex including the empty one, ordered by dimension."""
-        out = [()]
-        for d in sorted(self.by_dim):
-            out.extend(self.by_dim[d])
-        return out
-
-    def __contains__(self, s):
-        t = tuple(sorted(s))
-        return not t or t in self._faces
-
-    def f_vector(self):
-        return tuple(len(self.by_dim.get(d, ())) for d in range(self.dim + 1))
-
-    def __repr__(self):
-        return f"SimplicialComplex(dim={self.dim}, f={self.f_vector()})"
 
 
 def _boundary_betti(faces, rank, boundary_row):
@@ -246,58 +180,6 @@ def _faces_betti_mod2(faces):
     and become int bitmasks for `rank_mod2`."""
     return _boundary_betti(faces, rank_mod2, lambda s, col: sum(
         1 << col[s[:j] + s[j + 1:]] for j in range(len(s))))
-
-
-def reduced_homology(K):
-    """Reduced Betti numbers {degree: dim}, nonzero only, over Q via exact
-    ranks of the augmented boundary matrices: {-1: 1} for the empty
-    complex, {} for an acyclic one."""
-    return _faces_betti({-1: [()], **K.by_dim})
-
-
-def link(K, s):
-    """Link of a simplex: all t disjoint from s with t u s in K."""
-    t = tuple(sorted(s))
-    if t not in K:
-        raise SimplexNotFound(f"{s!r} is not a simplex of the complex")
-    sset = set(t)
-    out = []
-    for u in K.all_simplices():
-        if u and not (sset & set(u)) and tuple(sorted(t + u)) in K:
-            out.append(u)
-    return SimplicialComplex(out)
-
-
-def is_gorenstein_complex(K):
-    """Real homology sphere test: the complex must be pure and the link of
-    every simplex x (the empty one included) must have its reduced homology
-    equal to R concentrated in degree dim(K) - #vertices(x)."""
-    maximal_dims = {d for d in K.by_dim
-                    if any(_is_maximal(K, s) for s in K.simplices(d))}
-    if K.dim >= 0 and maximal_dims != {K.dim}:
-        raise NotPure(f"maximal simplices in dimensions {sorted(maximal_dims)}")
-    for s in K.all_simplices():
-        want = K.dim - len(s)
-        if reduced_homology(link(K, s)) != {want: 1}:
-            return False
-    return True
-
-
-def _is_maximal(K, s):
-    d = len(s) - 1
-    upper = K.simplices(d + 1)
-    sset = set(s)
-    return not any(sset <= set(u) for u in upper)
-
-
-def order_complex_simplicial(P):
-    """Chains of P avoiding the bottom, as a simplicial complex of
-    dimension n-1 on the vertex set P minus the bottom; FaceBudgetExceeded
-    past FACE_BUDGET chains."""
-    root = P._root
-    vmask = P._mask & ~(1 << P._bottom_idx)
-    return SimplicialComplex(tuple(root._ids[i] for i in c)
-                             for c in budgeted_chains(root, vmask) if c)
 
 
 # -- fast interval engine ------------------------------------------------------
@@ -711,10 +593,6 @@ def cohen_macaulay_report(P):
                               lambda x, top, betti, d: all(k == d for k in betti))
     return (CertResult(False, "link homology below top degree", *bad) if bad
             else CertResult(True))
-
-
-def is_cohen_macaulay(P):
-    return bool(cohen_macaulay_report(P))
 
 
 def derive_boundary(P):

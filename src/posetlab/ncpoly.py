@@ -9,8 +9,9 @@ The module owns the ab-word order (`_ab_words`: b at the set bits of S in
 the S-th word), so a degree-n ab-index is the array of 2^n coefficients the
 flag walk makes, and `cd_contract` contracts that array through c = a+b,
 d = ab+ba.  Also here: the pyramid derivation G(c) = d, G(d) = cd, the alpha
-polynomials of the semisuspension formulas, and the formats: JSON both
-ways, text for output only.
+polynomials of the semisuspension formulas, and the output formats, JSON
+and text.  Nothing in the library reads polynomial JSON back; the test
+suite's helpers hold that reader.
 """
 
 from __future__ import annotations
@@ -327,28 +328,6 @@ def to_json_dict(p):
             "terms": [{"word": w, "coeff": str(c)} for w, c in p.sorted_terms()]}
 
 
-def from_json_dict(doc):
-    """Inverse of `to_json_dict`; a malformed document raises ValueError."""
-    try:
-        alphabet = doc["alphabet"]
-        pairs = [(t["word"], t["coeff"]) for t in doc["terms"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed polynomial document: {exc!r}") from None
-    terms = NcPoly(alphabet).terms  # a fresh dict, once the alphabet is checked
-    for word, coeff in pairs:
-        if (type(word) is not str or set(word) - set(alphabet) or word in terms
-                or type(coeff) not in (str, int)):  # no floats, no bools
-            raise ValueError(f"malformed term {word!r}: {coeff!r} of an {alphabet}-polynomial")
-        try:
-            terms[word] = Fraction(coeff)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"malformed coefficient {coeff!r} of {word!r}") from None
-    return NcPoly(alphabet, terms)
-
-
 def to_json(p, indent=None):
     return json.dumps(to_json_dict(p), indent=indent, sort_keys=True)
 
-
-def from_json(text):
-    return from_json_dict(json.loads(text))

@@ -54,7 +54,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from . import flags, homology
+from . import homology
 from .linalg import (betti_from_ranks, mat_mul, nullspace_coords,
                      sparse_nullspace, sparse_rank)
 from .linalg import solve_in_span  # noqa: F401  (the perfbench self-test rebinds it)
@@ -174,8 +174,9 @@ def constant_sheaf(base, support=None):
 @dataclass
 class CellularComplex:
     """C^k = direct sum of stalks at corank-k elements, with the base's
-    orientation as incidence signs.  `_cochains` and `restrict` build it
-    unchecked; `cellular_complex` checks d o d = 0 on what it returns."""
+    orientation as incidence signs, built by `_cochains` and `restrict`:
+    d o d = 0 because restrictions commute and the signs of each length-2
+    interval sum to zero."""
 
     coords: list          # coords[k]: list of (base index, local index)
     diff_rows: list       # diff_rows[k]: rows of d_k: C^k -> C^(k+1),
@@ -285,29 +286,6 @@ def _cochains(F):
         diff_rows.append(rows)
     F._cochain_cache = CellularComplex(coords, diff_rows)
     return F._cochain_cache
-
-
-def cellular_complex(F, support=None):
-    """The cellular complex of F, restricted to the element ids `support`
-    when given (which must make the restriction a sheaf, e.g. an up-set or
-    interval-closed), read off `_cochains(F)`; d o d = 0 is checked."""
-    base = F.base
-    mask = base._mask if support is None else base._mask_of(support)
-    cc = _cochains(F).restrict(mask)
-    _check_d_squared(cc)
-    return cc
-
-
-def _check_d_squared(cc):
-    for k in range(len(cc.diff_rows) - 1):
-        lower, upper = cc.diff_rows[k], cc.diff_rows[k + 1]
-        for row in upper:
-            acc = {}
-            for mid, v in row.items():
-                for col, w in lower[mid].items():
-                    acc[col] = acc.get(col, 0) + v * w
-            if any(acc.values()):
-                raise ValueError("cellular differential does not square to zero")
 
 
 def _down_covers(base):
@@ -564,14 +542,6 @@ def _kernel_sheaf(cf, cf_dual, alpha):
         return out
 
     return Sheaf(target, stalks, res)
-
-
-# -- flag polynomials of sheaves ----------------------------------------------
-
-
-def sheaf_ab_index(F):
-    """Sum over chains of wt(chain) * dim F at the largest chain element."""
-    return flags.ab_index(F.base, F.dim)
 
 
 def cd_coefficient_via_CD(P, word, seed=0):

@@ -18,11 +18,16 @@ Boolean algebra and the point, `with_top`, `star_product`, the products,
 subdivision map) keep the builders' form in element ids, each poset sent
 through `from_covers`.
 `uncertified_copy` sends the sheaf layer down the route of a base that no
-walk certifies, the oracle of its certificate route.  The `composed_posets`, `graded_posets`
-and `eulerian_lattices` strategies draw the posets that the property tests
-share.
+walk certifies, the oracle of its certificate route.  Some oracles have no
+library caller at all and live only here: the literal simplicial route
+(`SimplicialComplex`, `reduced_homology`, `link`, `is_gorenstein_complex`,
+`order_complex_simplicial`), `is_cohen_macaulay`, the d o d = 0-checked
+`cellular_complex` of a sheaf and the polynomial JSON reader.  The
+`composed_posets`, `graded_posets` and `eulerian_lattices` strategies draw
+the posets that the property tests share.
 """
 
+import json
 import operator
 from fractions import Fraction
 from functools import reduce
@@ -40,10 +45,10 @@ from posetlab.ncpoly import (A, B, NcPoly, NotExpressible, NotHomogeneous,
                              cd_contract, cd_words, power, word_degree)
 from posetlab.poset import (TOP, GradedPoset, PosetError, SubPoset, _bits,
                             from_json_dict)
-from posetlab.sheaves import (CellularComplex, Sheaf, _check_d_squared,
-                              _orientation, cd_coefficient_via_CD,
-                              constant_sheaf, dual_dimension_formula,
-                              is_cm_sheaf, sheaf_ab_index, skeleton_poset)
+from posetlab.sheaves import (CellularComplex, Sheaf, _cochains, _orientation,
+                              cd_coefficient_via_CD, constant_sheaf,
+                              dual_dimension_formula, is_cm_sheaf,
+                              skeleton_poset)
 
 
 class InvalidChain(Exception):
@@ -133,11 +138,8 @@ def ab_key_walk_oracle(P):
     """The ab-index key (n, h) of the view P from its own bottom-up packed
     walk, never the root's: what `flags._ab_key` reads off the root walk
     for an order ideal must equal this."""
-    order, near, level = flags._plan(P._root, P._bottom_idx, flags._members(P),
-                                     P.n, False)
-    count, _ = flags._pack(order, near, level, 0)
-    width = (1 + sum(count.values())).bit_length()
-    _, out = flags._pack(order, near, level, width)
+    width, _, out = flags._walk(flags._plan(P._root, P._bottom_idx, flags._members(P),
+                                            P.n, False))
     return P.n, tuple(flag_h_oracle(1 + sum(out.values()), width, P.n))
 
 
@@ -165,11 +167,155 @@ def homogeneous_degree(p, who):
     return degrees.pop()
 
 
+def poly_from_json_dict(doc):
+    """Inverse of `ncpoly.to_json_dict`; a malformed document raises
+    ValueError."""
+    try:
+        alphabet = doc["alphabet"]
+        pairs = [(t["word"], t["coeff"]) for t in doc["terms"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed polynomial document: {exc!r}") from None
+    terms = NcPoly(alphabet).terms  # a fresh dict, once the alphabet is checked
+    for word, coeff in pairs:
+        if (type(word) is not str or set(word) - set(alphabet) or word in terms
+                or type(coeff) not in (str, int)):  # no floats, no bools
+            raise ValueError(f"malformed term {word!r}: {coeff!r} of an {alphabet}-polynomial")
+        try:
+            terms[word] = Fraction(coeff)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"malformed coefficient {coeff!r} of {word!r}") from None
+    return NcPoly(alphabet, terms)
+
+
+def poly_from_json(text):
+    """Inverse of `ncpoly.to_json`."""
+    return poly_from_json_dict(json.loads(text))
+
+
+# -- the literal simplicial route ---------------------------------------------
+
+
+class SimplexNotFound(ValueError):
+    pass
+
+
+class NotPure(ValueError):
+    pass
+
+
+class SimplicialComplex:
+    """Finite abstract simplicial complex; the empty simplex is implicit.
+
+    Simplices are stored by dimension as sorted vertex tuples and the
+    collection is validated to be closed under taking faces.
+    """
+
+    __slots__ = ("by_dim", "dim", "_faces")
+
+    def __init__(self, simplices):
+        by_dim = {}
+        seen = set()
+        for s in simplices:
+            t = tuple(sorted(s))
+            if len(set(t)) != len(t):
+                raise ValueError(f"repeated vertex in simplex {s!r}")
+            if t and t not in seen:
+                seen.add(t)
+                by_dim.setdefault(len(t) - 1, []).append(t)
+        for d, group in by_dim.items():
+            group.sort()
+            if d > 0:
+                for s in group:
+                    for face in combinations(s, d):
+                        if face not in seen:
+                            raise ValueError(f"complex not closed: missing {face}")
+        self.by_dim = by_dim
+        self.dim = max(by_dim) if by_dim else -1
+        self._faces = seen
+
+    def simplices(self, d):
+        return self.by_dim.get(d, [])
+
+    def all_simplices(self):
+        """Every simplex including the empty one, ordered by dimension."""
+        out = [()]
+        for d in sorted(self.by_dim):
+            out.extend(self.by_dim[d])
+        return out
+
+    def __contains__(self, s):
+        t = tuple(sorted(s))
+        return not t or t in self._faces
+
+    def f_vector(self):
+        return tuple(len(self.by_dim.get(d, ())) for d in range(self.dim + 1))
+
+    def __repr__(self):
+        return f"SimplicialComplex(dim={self.dim}, f={self.f_vector()})"
+
+
+def reduced_homology(K):
+    """Reduced Betti numbers {degree: dim}, nonzero only, over Q via exact
+    ranks of the augmented boundary matrices (`homology._faces_betti`, the
+    chain route's kernel): {-1: 1} for the empty complex, {} for an
+    acyclic one."""
+    return hm._faces_betti({-1: [()], **K.by_dim})
+
+
+def link(K, s):
+    """Link of a simplex: all t disjoint from s with t u s in K."""
+    t = tuple(sorted(s))
+    if t not in K:
+        raise SimplexNotFound(f"{s!r} is not a simplex of the complex")
+    sset = set(t)
+    out = []
+    for u in K.all_simplices():
+        if u and not (sset & set(u)) and tuple(sorted(t + u)) in K:
+            out.append(u)
+    return SimplicialComplex(out)
+
+
+def is_gorenstein_complex(K):
+    """Real homology sphere test: the complex must be pure and the link of
+    every simplex x (the empty one included) must have its reduced homology
+    equal to R concentrated in degree dim(K) - #vertices(x)."""
+    maximal_dims = {d for d in K.by_dim
+                    if any(_is_maximal(K, s) for s in K.simplices(d))}
+    if K.dim >= 0 and maximal_dims != {K.dim}:
+        raise NotPure(f"maximal simplices in dimensions {sorted(maximal_dims)}")
+    for s in K.all_simplices():
+        want = K.dim - len(s)
+        if reduced_homology(link(K, s)) != {want: 1}:
+            return False
+    return True
+
+
+def _is_maximal(K, s):
+    d = len(s) - 1
+    upper = K.simplices(d + 1)
+    sset = set(s)
+    return not any(sset <= set(u) for u in upper)
+
+
+def order_complex_simplicial(P):
+    """Chains of P avoiding the bottom, as a simplicial complex of
+    dimension n-1 on the vertex set P minus the bottom; FaceBudgetExceeded
+    past FACE_BUDGET chains."""
+    root = P._root
+    vmask = P._mask & ~(1 << P._bottom_idx)
+    return SimplicialComplex(tuple(root._ids[i] for i in c)
+                             for c in hm.budgeted_chains(root, vmask) if c)
+
+
+def is_cohen_macaulay(P):
+    return bool(hm.cohen_macaulay_report(P))
+
+
 def closure(maximal):
     """The simplicial complex of every nonempty face of the given simplices."""
-    return hm.SimplicialComplex({face for s in maximal
-                                 for k in range(1, len(s) + 1)
-                                 for face in combinations(sorted(s), k)})
+    return SimplicialComplex({face for s in maximal
+                              for k in range(1, len(s) + 1)
+                              for face in combinations(sorted(s), k)})
 
 
 def _split_leading(p):
@@ -839,7 +985,7 @@ def cd_split_with_a(p):
 def sheaf_cd_split(F):
     """Express the ab-index of F as f(c,d) + g(c,d)a (NotExpressible when
     no such split exists)."""
-    return cd_split_with_a(sheaf_ab_index(F))
+    return cd_split_with_a(ab_index_oracle(F.base, F.dim))
 
 
 # -- sheaves through the order complex ---------------------------------------
@@ -856,6 +1002,30 @@ def pullback(F):
            for lo, ups in enumerate(oc._covers_up) for hi in ups
            if stalks[hi] and stalks[lo]}
     return Sheaf(oc, stalks, res)
+
+
+def cellular_complex(F, support=None):
+    """The cellular complex of F, restricted to the element ids `support`
+    when given (which must make the restriction a sheaf, e.g. an up-set or
+    interval-closed), read off `sheaves._cochains(F)`; d o d = 0 is
+    checked."""
+    base = F.base
+    mask = base._mask if support is None else base._mask_of(support)
+    cc = _cochains(F).restrict(mask)
+    _check_d_squared(cc)
+    return cc
+
+
+def _check_d_squared(cc):
+    for k in range(len(cc.diff_rows) - 1):
+        lower, upper = cc.diff_rows[k], cc.diff_rows[k + 1]
+        for row in upper:
+            acc = {}
+            for mid, v in row.items():
+                for col, w in lower[mid].items():
+                    acc[col] = acc.get(col, 0) + v * w
+            if any(acc.values()):
+                raise ValueError("cellular differential does not square to zero")
 
 
 def simplicial_cellular_complex(F, support=None):
@@ -939,7 +1109,7 @@ def fraction_alpha_oracle(cf, family, rng):
 
 
 def cellular_complex_oracle(F, support):
-    """`sheaves.cellular_complex` as first written: the complex of F on
+    """`cellular_complex` as first written: the complex of F on
     `support` built from scratch, cell by cell, with no shared complex."""
     base = F.base
     eps = _orientation(base)

@@ -222,6 +222,27 @@ class TestNearCdIndex:
         code, out, err = run_cli(capsys, "near-cd-index", path, "--boundary", "2,3")
         assert (code, out, err) == (0, auto, "")
 
+    @pytest.mark.parametrize("given,reason", [
+        ("0,1,2", "interior chain link is not a sphere"),
+        ("", "boundary rank is not n-1"),
+    ])
+    def test_uncertified_boundary_is_refused(self, capsys, tmp_path, given, reason):
+        """The split is printed only for a pair that `check
+        near-gorenstein-star` certifies.  The 4-gon minus the upset of
+        vertex 1 is a ball with boundary {0, 1, 3}: with boundary {0, 1, 2}
+        an interior chain link is no sphere, and the empty boundary has the
+        wrong rank."""
+        ball, boundary = cons.remove_upset(cons.polygon(4), 1)
+        path = write_poset(tmp_path, ball)
+        assert sorted(boundary) == [0, 1, 3]
+        if given:
+            code, out, _ = run_cli(capsys, "check", "near-gorenstein-star", path,
+                                   "--boundary", given)
+            assert code == 1 and reason in out
+        code, out, err = run_cli(capsys, "near-cd-index", path, "--boundary", given)
+        assert (code, out) == (2, "")
+        assert err == f"error: near-cd-index needs a near-Gorenstein* pair: {reason}\n"
+
 
 class TestSheafCd:
     def test_table_and_verify(self, capsys, tmp_path):

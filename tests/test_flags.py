@@ -2,10 +2,9 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import (SEMISUSPENSION_ROUTES, InvalidChain, ab_index_oracle,
-                     ab_key_walk_oracle, all_chains, composed_posets,
+                     ab_key_walk_oracle, composed_posets,
                      count_maximal_chains, eulerian_lattices, eulerian_oracle,
                      flag_h_oracle, graded_posets, homogeneous_degree, lattice_oracle,
                      lattices_and_balls, near_cd_index_oracle,
@@ -76,11 +75,6 @@ class TestAbIndex:
             total = sum(flags.ab_index(P).terms.values())
             assert total == count_maximal_chains(P), name
 
-
-    def test_negative_scale_is_rejected(self, polygon3):
-        with pytest.raises(ValueError):
-            flags.ab_index(polygon3, lambda i: -1 if i == 1 else 1)
-
     def test_view_without_its_bottom_is_rejected(self, polygon3):
         root = polygon3._root
         with pytest.raises(ValueError):
@@ -91,26 +85,14 @@ class TestAbIndex:
         with pytest.raises(ValueError):
             flags.ab_index(SubPoset(root, root._mask, 0, polygon3.n - 1))
 
-    @pytest.mark.parametrize("big", [lambda i: 10 ** 6 if i == 0 else i % 3,
-                                     lambda i: 10 ** 6])
-    def test_large_scale(self, boolean4, big):
-        """A slot near the packed width: 10^6 on the singleton chain fills
-        the f-vector slot of the empty rank set on its own."""
-        want = NcPoly.zero("ab")
-        for chain in all_chains(boolean4):
-            want = want + weight(boolean4, chain) * big(chain[-1])
-        assert flags.ab_index(boolean4, big) == want
-
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(composed_posets(("sphere", "cone", "ball", "ball_boundary", "perturbed",
-                        "disjoint", "wrong_boundary")),
-       st.lists(st.integers(0, 7), min_size=32, max_size=32))
-def test_packed_ab_index_against_chain_oracles(drawn, dims):
+                        "disjoint", "wrong_boundary")))
+def test_packed_ab_index_against_chain_oracles(drawn):
     """The packed flag f-vector kernel against chain-by-chain summation on
-    P, on each upper-interval view and on a ball's boundary view, weighted
-    by a nonnegative scale; the popcount Euler test against the literal
-    alternating sums."""
+    P, on each upper-interval view and on a ball's boundary view; the
+    popcount Euler test against the literal alternating sums."""
     P, boundary = drawn
     assert flags.ab_index(P) == ab_index_oracle(P)
     views = [interval_view(P, i) for i in _bits(P._mask)]
@@ -118,11 +100,6 @@ def test_packed_ab_index_against_chain_oracles(drawn, dims):
         views.append(P.restrict(boundary | {P.bottom}, n=P.n - 1))
     for view in views:
         assert flags.ab_index(view) == ab_index_oracle(view)
-
-    def scale(i):
-        return dims[i]
-
-    assert flags.ab_index(P, scale) == ab_index_oracle(P, scale)
     if isinstance(P, GradedPoset):
         assert P.is_eulerian() == eulerian_oracle(P)
 

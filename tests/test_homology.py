@@ -8,9 +8,12 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 
-from helpers import (all_chains, cellular_betti_mod2_oracle, cellular_rows_oracle,
-                     closure, composed_posets, derive_boundary_oracle, first_bad_interval_oracle,
-                     near_gorenstein_walk_oracle, pinched_disks_poset, rp2_face_poset,
+from helpers import (NotPure, SimplexNotFound, SimplicialComplex, all_chains,
+                     cellular_betti_mod2_oracle, cellular_rows_oracle, closure,
+                     composed_posets, derive_boundary_oracle, first_bad_interval_oracle,
+                     is_cohen_macaulay, is_gorenstein_complex, link,
+                     near_gorenstein_walk_oracle, order_complex_simplicial,
+                     pinched_disks_poset, reduced_homology, rp2_face_poset,
                      rp3_face_poset, structural_check_oracle, torus_face_poset,
                      uncertified_copy, wedge_at_bottom)
 from posetlab import constructions as cons
@@ -32,7 +35,7 @@ def path_poset():
 class TestSimplicialComplex:
     def test_closure_validated(self):
         with pytest.raises(ValueError):
-            hm.SimplicialComplex([(1, 2, 3), (1, 2)])  # missing edges
+            SimplicialComplex([(1, 2, 3), (1, 2)])  # missing edges
 
     def test_contains_empty_simplex(self):
         K = closure([(1,)])
@@ -46,39 +49,39 @@ class TestSimplicialComplex:
 
 class TestOrderComplexSimplicial:
     def test_triangle_gives_hexagon_complex(self, polygon3):
-        K = hm.order_complex_simplicial(polygon3)
+        K = order_complex_simplicial(polygon3)
         assert K.f_vector() == (6, 6)
 
     def test_two_atoms_give_s0(self):
-        K = hm.order_complex_simplicial(cons.segment())
+        K = order_complex_simplicial(cons.segment())
         assert K.f_vector() == (2,)
 
     def test_b4_barycentric_f_vector(self, boolean4):
-        K = hm.order_complex_simplicial(boolean4)
+        K = order_complex_simplicial(boolean4)
         assert K.f_vector() == (14, 36, 24)
 
 
 class TestReducedHomology:
     def test_circle(self, polygon3):
-        K = hm.order_complex_simplicial(polygon3)
-        assert hm.reduced_homology(K) == {1: 1}
+        K = order_complex_simplicial(polygon3)
+        assert reduced_homology(K) == {1: 1}
 
     def test_s0(self):
-        K = hm.order_complex_simplicial(cons.segment())
-        assert hm.reduced_homology(K) == {0: 1}
+        K = order_complex_simplicial(cons.segment())
+        assert reduced_homology(K) == {0: 1}
 
     def test_contractible(self):
         K = closure([(1, 2, 3)])
-        assert hm.reduced_homology(K) == {}
+        assert reduced_homology(K) == {}
 
     def test_empty_complex(self):
-        K = hm.order_complex_simplicial(cons.single_point())
-        assert hm.reduced_homology(K) == {-1: 1}
+        K = order_complex_simplicial(cons.single_point())
+        assert reduced_homology(K) == {-1: 1}
 
     def test_euler_characteristic_consistency(self, small_gorenstein):
         for name, P in small_gorenstein:
-            K = hm.order_complex_simplicial(P)
-            betti = hm.reduced_homology(K)
+            K = order_complex_simplicial(P)
+            betti = reduced_homology(K)
             from_faces = sum((-1) ** d * len(K.simplices(d))
                              for d in range(K.dim + 1)) - 1
             assert sum((-1) ** d * b for d, b in betti.items()) == from_faces, name
@@ -86,41 +89,41 @@ class TestReducedHomology:
 
 class TestLink:
     def test_hexagon_vertex_link_is_s0(self, polygon3):
-        K = hm.order_complex_simplicial(polygon3)
+        K = order_complex_simplicial(polygon3)
         v = K.simplices(0)[0]
-        assert hm.reduced_homology(hm.link(K, v)) == {0: 1}
+        assert reduced_homology(link(K, v)) == {0: 1}
 
     def test_link_of_empty_is_whole(self, polygon3):
-        K = hm.order_complex_simplicial(polygon3)
-        assert hm.link(K, ()).f_vector() == K.f_vector()
+        K = order_complex_simplicial(polygon3)
+        assert link(K, ()).f_vector() == K.f_vector()
 
     def test_sphere_link_in_barycentric_tetrahedron(self, boolean4):
-        K = hm.order_complex_simplicial(boolean4)
+        K = order_complex_simplicial(boolean4)
         v = K.simplices(0)[0]
-        assert hm.reduced_homology(hm.link(K, v)) == {1: 1}
+        assert reduced_homology(link(K, v)) == {1: 1}
 
     def test_simplex_not_found(self, polygon3):
-        K = hm.order_complex_simplicial(polygon3)
-        with pytest.raises(hm.SimplexNotFound):
-            hm.link(K, (999,))
+        K = order_complex_simplicial(polygon3)
+        with pytest.raises(SimplexNotFound):
+            link(K, (999,))
 
 
 class TestGorensteinComplex:
     def test_hexagon_boundary(self, polygon3):
-        assert hm.is_gorenstein_complex(hm.order_complex_simplicial(polygon3))
+        assert is_gorenstein_complex(order_complex_simplicial(polygon3))
 
     def test_path_of_edges_fails(self):
         K = closure([(1, 2), (2, 3), (3, 4)])
-        assert not hm.is_gorenstein_complex(K)
+        assert not is_gorenstein_complex(K)
 
     def test_disjoint_circles_fail(self):
         K = closure([(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)])
-        assert not hm.is_gorenstein_complex(K)
+        assert not is_gorenstein_complex(K)
 
     def test_impure_raises(self):
         K = closure([(1, 2, 3), (4, 5)])
-        with pytest.raises(hm.NotPure):
-            hm.is_gorenstein_complex(K)
+        with pytest.raises(NotPure):
+            is_gorenstein_complex(K)
 
 
 class TestGorensteinStar:
@@ -136,7 +139,7 @@ class TestGorensteinStar:
 
     def test_fast_route_agrees_with_generic(self, small_gorenstein):
         for name, P in small_gorenstein:
-            generic = hm.is_gorenstein_complex(hm.order_complex_simplicial(P))
+            generic = is_gorenstein_complex(order_complex_simplicial(P))
             assert hm.is_gorenstein_star(P) == generic == True, name
 
     @pytest.mark.parametrize("ranks,covers,witness,betti", [
@@ -154,16 +157,16 @@ class TestGorensteinStar:
         points); in the reversed order the lower interval of coatom 1 is
         three points, not two."""
         P = GradedPoset.from_covers(2, ranks, covers)
-        K = hm.order_complex_simplicial(P)
-        assert hm.reduced_homology(K) == {1: 1}
+        K = order_complex_simplicial(P)
+        assert reduced_homology(K) == {1: 1}
         rep = hm.gorenstein_star_report(P)
         assert not rep
         assert rep.witness == witness and rep.betti == betti
-        assert hm.reduced_homology(hm.link(K, witness)) == betti
+        assert reduced_homology(link(K, witness)) == betti
 
     def test_fast_route_agrees_on_non_examples(self):
         for P in (path_poset(), cons.with_top(cons.polygon(3))):
-            generic = hm.is_gorenstein_complex(hm.order_complex_simplicial(P))
+            generic = is_gorenstein_complex(order_complex_simplicial(P))
             assert hm.is_gorenstein_star(P) == generic == False
 
 
@@ -195,19 +198,19 @@ class TestNearGorensteinStar:
 class TestCohenMacaulay:
     def test_gorenstein_implies_cm(self, small_gorenstein):
         for name, P in small_gorenstein:
-            assert hm.is_cohen_macaulay(P), name
+            assert is_cohen_macaulay(P), name
 
     def test_cm_and_eulerian_iff_gorenstein(self, small_gorenstein):
         posets = [P for _, P in small_gorenstein]
         posets += [path_poset(), cons.with_top(cons.polygon(3))]
         for P in posets:
-            want = hm.is_cohen_macaulay(P) and P.is_eulerian()
+            want = is_cohen_macaulay(P) and P.is_eulerian()
             assert hm.is_gorenstein_star(P) == want
 
     def test_disconnected_fails(self):
         P = GradedPoset.from_covers(
             2, {0: 0, 1: 1, 2: 1, 3: 2, 4: 2}, [(0, 1), (0, 2), (1, 3), (2, 4)])
-        assert not hm.is_cohen_macaulay(P)
+        assert not is_cohen_macaulay(P)
         rep = hm.cohen_macaulay_report(P)
         assert rep.reason == "link homology below top degree"
         assert rep.witness == () and rep.betti == {0: 1}
@@ -216,12 +219,12 @@ class TestCohenMacaulay:
         """Two triangles sharing vertex 1: the complex is contractible, but
         the link of the shared vertex is two disjoint arcs."""
         P = pinched_disks_poset()
-        K = hm.order_complex_simplicial(P)
-        assert hm.reduced_homology(K) == {}
+        K = order_complex_simplicial(P)
+        assert reduced_homology(K) == {}
         rep = hm.cohen_macaulay_report(P)
         assert not rep
         assert rep.witness == (1,) and rep.betti == {0: 1}
-        assert hm.reduced_homology(hm.link(K, (1,))) == {0: 1}
+        assert reduced_homology(link(K, (1,))) == {0: 1}
 
 
 class TestDeriveBoundary:
@@ -364,8 +367,8 @@ def _refutes_a_ball(P, chain, betti):
     numbers `betti`, which no chain of a homology ball of rank n has: its
     links are spheres in degree n - 1 - len(chain), or acyclic for chains
     inside the boundary, which lies below rank n."""
-    K = hm.order_complex_simplicial(P)
-    assert hm.reduced_homology(hm.link(K, chain)) == betti
+    K = order_complex_simplicial(P)
+    assert reduced_homology(link(K, chain)) == betti
     assert betti != {P.n - 1 - len(chain): 1}
     assert betti or (chain and P.rank(chain[-1]) == P.n)
 
@@ -439,7 +442,7 @@ class TestChainEngineAgainstGenericLinks:
             ("ball_boundary", ball.restrict(boundary, n=ball.n - 1)),
         ]
         for name, P in posets:
-            K = hm.order_complex_simplicial(P)
+            K = order_complex_simplicial(P)
             root = P._root
             chains = [tuple(root._ids[i] for i in c)
                       for c in iter_chains(root, P._mask & ~(1 << P._bottom_idx))]
@@ -455,7 +458,7 @@ class TestChainEngineAgainstGenericLinks:
                 betti = {len(simplex): 1}
                 for gap in gaps:
                     betti = _betti_product(betti, hm._subset_betti(root, gap))
-                generic = hm.reduced_homology(hm.link(K, simplex))
+                generic = reduced_homology(link(K, simplex))
                 assert betti == generic, (name, simplex)
 
 
@@ -486,7 +489,7 @@ class TestMod2Certificate:
         assert hm._faces_betti_mod2(hm._chain_faces(root, mask)) == {1: 1, 2: 1}
         betti = hm._subset_betti(root, mask)
         assert betti == {}
-        assert betti == hm.reduced_homology(hm.order_complex_simplicial(P))
+        assert betti == reduced_homology(order_complex_simplicial(P))
         assert not hm.is_gorenstein_star(P)
 
     def test_spheres_never_reach_exact_elimination(self, monkeypatch):
@@ -514,10 +517,10 @@ class TestFaceBudget:
         """The simplicial oracle and the order-complex construction count
         the same 13 chains first."""
         monkeypatch.setattr(hm, "FACE_BUDGET", 13)
-        assert len(hm.order_complex_simplicial(polygon3).all_simplices()) == 13
+        assert len(order_complex_simplicial(polygon3).all_simplices()) == 13
         assert len(cons.order_complex(polygon3)) == 13
         monkeypatch.setattr(hm, "FACE_BUDGET", 12)
-        for build in (hm.order_complex_simplicial, cons.order_complex):
+        for build in (order_complex_simplicial, cons.order_complex):
             with pytest.raises(hm.FaceBudgetExceeded,
                                match="of 6 elements has 13 faces"):
                 build(polygon3)
@@ -583,7 +586,7 @@ def _literal_cm(K):
     """Cohen-Macaulay by definition: every simplex link of K has homology
     only in its top degree."""
     return all(d == K.dim - len(s) for s in K.all_simplices()
-               for d in hm.reduced_homology(hm.link(K, s)))
+               for d in reduced_homology(link(K, s)))
 
 
 def pendant_edge_poset():
@@ -612,8 +615,8 @@ class TestCellularKernel:
         assert hm._cellular_betti_mod2(
             bottom, gap, *hm._cell_table(root, bottom, above)) == {1: -1}
         assert hm._faces_betti_mod2(hm._chain_faces(root, gap)) == {2: 1}
-        K = hm.order_complex_simplicial(P)
-        oracles = {hm.gorenstein_star_report: hm.is_gorenstein_complex(K),
+        K = order_complex_simplicial(P)
+        oracles = {hm.gorenstein_star_report: is_gorenstein_complex(K),
                    hm.cohen_macaulay_report: _literal_cm(K)}
         chain_route = {}
         for report, want in oracles.items():
@@ -623,7 +626,7 @@ class TestCellularKernel:
             assert (P._bottom_idx, gap) not in {(x, g) for _, x, g in routes.kernel}
             assert bool(rep) == want
             if not rep:
-                assert rep.betti == hm.reduced_homology(hm.link(K, rep.witness))
+                assert rep.betti == reduced_homology(link(K, rep.witness))
         assert gap in chain_route[hm.cohen_macaulay_report]
         assert gap not in chain_route[hm.gorenstein_star_report]
 
@@ -653,12 +656,12 @@ class TestCellularKernel:
                 balls.append(cons.remove_upset(L, nu))
         with _checked_routes() as routes:
             for _, P in gorenstein_corpus(4):
-                assert hm.is_gorenstein_star(P) and hm.is_cohen_macaulay(P)
+                assert hm.is_gorenstein_star(P) and is_cohen_macaulay(P)
             for ball, boundary in balls:
                 assert hm.is_near_gorenstein_star(ball, boundary)
                 assert hm.derive_boundary(ball) == frozenset(boundary)
             rp2 = rp2_face_poset()
-            assert not hm.is_gorenstein_star(rp2) and hm.is_cohen_macaulay(rp2)
+            assert not hm.is_gorenstein_star(rp2) and is_cohen_macaulay(rp2)
         assert _answered(routes) > 1000, _answered(routes)
 
     @pytest.mark.parametrize("build, betti", [
@@ -787,8 +790,8 @@ def test_mod2_certificate_against_exact_and_simplicial_oracle(drawn):
                 == sum((-1) ** d * b for d, b in mod2.items()))
         assert hm._subset_betti(root, mask) == exact
     try:
-        generic = hm.is_gorenstein_complex(hm.order_complex_simplicial(P))
-    except hm.NotPure:
+        generic = is_gorenstein_complex(order_complex_simplicial(P))
+    except NotPure:
         generic = False
     assert hm.is_gorenstein_star(P) == generic
 
@@ -803,18 +806,18 @@ def test_interval_walk_against_simplicial_oracles(drawn):
     Gorenstein* report names a chain whose link has its Betti numbers and
     is no sphere."""
     P, boundary = drawn
-    K = hm.order_complex_simplicial(P)
-    links = {s: hm.reduced_homology(hm.link(K, s))
+    K = order_complex_simplicial(P)
+    links = {s: reduced_homology(link(K, s))
              for s in K.all_simplices()}
     cm = all(d == K.dim - len(s) for s, betti in links.items() for d in betti)
-    assert hm.is_cohen_macaulay(P) == cm
+    assert is_cohen_macaulay(P) == cm
     if boundary is not None:
         ball = all(not betti if set(s) <= boundary else betti == {K.dim - len(s): 1}
                    for s, betti in links.items())
         assert hm.is_near_gorenstein_star(P, boundary) == ball
     rep = hm.gorenstein_star_report(P)
     if not rep:
-        betti = hm.reduced_homology(hm.link(K, rep.witness))
+        betti = reduced_homology(link(K, rep.witness))
         assert betti == rep.betti != {P.n - len(rep.witness) - 1: 1}
 
 

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cd_contract_oracle, cd_split_with_a, homogeneous_degree
+from helpers import (cd_contract_oracle, cd_split_with_a, homogeneous_degree,
+                     poly_from_json, poly_from_json_dict)
 from posetlab import constructions as cons
 from posetlab import corpus, flags
 from posetlab.ncpoly import (A, B, C, D, NcPoly, NotExpressible,
                              NotHomogeneous, ab, ab_expand, alpha,
                              alpha_ab_form, cd, cd_contract, cd_words,
-                             coeffwise_witness, derivation_G,
-                             from_json, from_json_dict, pyr_op,
+                             coeffwise_witness, derivation_G, pyr_op,
                              to_json, to_text)
 
 
@@ -289,15 +289,15 @@ class TestFormats:
     @settings(max_examples=40, deadline=None)
     @given(cd_polys(6))
     def test_json_round_trip(self, p):
-        assert from_json(to_json(p)) == p
+        assert poly_from_json(to_json(p)) == p
 
     def test_fraction_coefficients_in_json(self):
         p = NcPoly("cd", {"c": Fraction(1, 2)})
-        assert from_json(to_json(p)) == p
+        assert poly_from_json(to_json(p)) == p
 
     def test_integer_coefficients_in_json(self):
         doc = {"alphabet": "cd", "terms": [{"word": "cc", "coeff": 2}]}
-        assert from_json_dict(doc) == cd("cc", 2)
+        assert poly_from_json_dict(doc) == cd("cc", 2)
 
     @pytest.mark.parametrize("doc", [
         {"alphabet": "ab", "terms": [{"word": "x", "coeff": "1"}]},
@@ -322,7 +322,7 @@ class TestFormats:
     ])
     def test_malformed_json_rejected(self, doc):
         with pytest.raises(ValueError):
-            from_json_dict(doc)
+            poly_from_json_dict(doc)
 
 
 def test_acceptance_scale_round_trip():

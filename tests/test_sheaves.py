@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from helpers import (all_chains, cellular_complex_oracle,
-                     certificate_and_interval_routes, cohomology_dims,
-                     composed_posets, eager_kernel_sheaf_oracle,
-                     fraction_alpha_oracle, is_gorenstein_sheaf, pullback,
+from helpers import (ab_index_oracle, all_chains, cellular_complex,
+                     cellular_complex_oracle, certificate_and_interval_routes,
+                     cohomology_dims, composed_posets, eager_kernel_sheaf_oracle,
+                     fraction_alpha_oracle, is_gorenstein_sheaf,
+                     order_complex_simplicial, pullback, reduced_homology,
                      relabelled, sheaf_cd_split, simplicial_cellular_complex,
                      torus_face_poset, uncertified_copy, up_set,
                      wedge_at_bottom, weight, zero_sheaf)
@@ -112,9 +113,9 @@ class TestCellularComplex:
         # H^i of the cellular complex is reduced homology in degree n-i-1,
         # on the poset itself and on the oracle's order complex
         F = sh.constant_sheaf(polygon3)
-        betti = hm.reduced_homology(hm.order_complex_simplicial(polygon3))
+        betti = reduced_homology(order_complex_simplicial(polygon3))
         n = polygon3.n
-        for cc in (sh.cellular_complex(F),
+        for cc in (cellular_complex(F),
                    simplicial_cellular_complex(pullback(F))):
             dims = cohomology_dims(cc)
             for i, d in enumerate(dims):
@@ -122,7 +123,7 @@ class TestCellularComplex:
 
     def test_zero_sheaf_gives_zero_complex(self, polygon3):
         F = zero_sheaf(polygon3)
-        for cc in (sh.cellular_complex(F),
+        for cc in (cellular_complex(F),
                    simplicial_cellular_complex(pullback(F))):
             assert not any(cc.coords)
 
@@ -132,7 +133,7 @@ class TestCellularComplex:
         oc = pf.base
         v = next(e for e in oc.elements() if oc.rank(e) == 1)
         w = oc.provenance[v][0]
-        for cc in (sh.cellular_complex(F, up_set(polygon3, w)),
+        for cc in (cellular_complex(F, up_set(polygon3, w)),
                    simplicial_cellular_complex(pf, up_set(oc, v))):
             dims = cohomology_dims(cc)
             assert dims[0] == 1 and all(d == 0 for d in dims[1:])
@@ -140,19 +141,19 @@ class TestCellularComplex:
     def test_d_squared_validated(self):
         P = cons.polygon(3)
         F = sh.constant_sheaf(P)
-        sh.cellular_complex(F)  # raises on failure
+        cellular_complex(F)  # raises on failure
         simplicial_cellular_complex(pullback(F))
         eps = sh._orientation(P)
         eps[min(eps)] *= -1  # one flipped sign breaks d o d = 0
         # F keeps the complex it built; a new sheaf reads the flipped sign
         with pytest.raises(ValueError):
-            sh.cellular_complex(sh.constant_sheaf(P))
+            cellular_complex(sh.constant_sheaf(P))
 
     def test_poset_base_rejected(self):
         # a poset base needs an orientation; two edges on separate
         # vertices have none, and the error names the first element
         with pytest.raises(sh.BadBase, match="below 3"):
-            sh.cellular_complex(sh.constant_sheaf(two_edges()))
+            cellular_complex(sh.constant_sheaf(two_edges()))
 
     def test_orientable_non_sphere_rejected(self):
         # the cone over a torus has a +-1 top cycle below its apex, but the
@@ -197,7 +198,7 @@ def test_poset_complex_against_order_complex_oracle():
             chain = {oc.provenance[e]: e for e in oc.elements()}
             for sigma in base.elements():
                 x = chain[() if sigma == base.bottom else (sigma,)]
-                got = _upset_cohomology(sh.cellular_complex(F, up_set(base, sigma)))
+                got = _upset_cohomology(cellular_complex(F, up_set(base, sigma)))
                 want = _upset_cohomology(simplicial_cellular_complex(pf, up_set(oc, x)))
                 assert got == want, (name, base.n, sigma)
 
@@ -410,7 +411,7 @@ def _assert_complexes_match_per_upset_oracle(F, where):
     cm = True
     for x in base.elements():
         old = cellular_complex_oracle(F, up_set(base, x))
-        cc = sh.cellular_complex(F, up_set(base, x))
+        cc = cellular_complex(F, up_set(base, x))
         assert cc == old, (where, x)
         assert cc.restrict(base._geq[base._index(x)]) == old, (where, x)
         assert h0[base._index(x)] == old.kernel_deg0(), (where, x)
@@ -467,12 +468,16 @@ def test_tampered_alpha_raises_before_restrictions_are_read(monkeypatch):
 
 
 class TestSheafAbIndex:
+    """The chain sum weighted by dim F at each chain's largest element,
+    by the chain-by-chain oracle."""
+
     def test_constant_gives_ab_index(self, polygon3):
-        assert sh.sheaf_ab_index(sh.constant_sheaf(polygon3)) == \
-            flags.ab_index(polygon3)
+        F = sh.constant_sheaf(polygon3)
+        assert ab_index_oracle(F.base, F.dim) == flags.ab_index(polygon3)
 
     def test_zero_sheaf(self, polygon3):
-        assert sh.sheaf_ab_index(zero_sheaf(polygon3)).is_zero()
+        F = zero_sheaf(polygon3)
+        assert ab_index_oracle(F.base, F.dim).is_zero()
 
     def test_lower_interval_support(self, polygon3):
         from posetlab.ncpoly import NcPoly
@@ -484,7 +489,7 @@ class TestSheafAbIndex:
         for chain in all_chains(polygon3):
             if chain[-1] in supp:
                 total = total + weight(polygon3, chain)
-        assert sh.sheaf_ab_index(F) == total
+        assert ab_index_oracle(F.base, F.dim) == total
 
     def test_split_of_near_gorenstein_constant(self, polygon3):
         P = cons.with_top(polygon3)

@@ -8,7 +8,6 @@ commands compose in pipelines:
 Exit codes: 0 verified/success, 1 mathematical failure (with a witness) or
 a closed stdout, 2 usage or precondition error: an OSError or a ValueError,
 the base of every input exception (homology.FaceBudgetExceeded included).
-POSETLAB_SEED sets the default seed.
 """
 
 from __future__ import annotations
@@ -72,9 +71,12 @@ def _map_from_json(text):
 
 
 def _parse_boundary(P, value):
+    """'auto' derives the boundary; a nonempty id list gets the bottom in
+    front, as the near-Gorenstein* split reads a boundary."""
     if value == "auto":
         return sorted(homology.derive_boundary(P))
-    return [int(x) for x in value.split(",") if x.strip() != ""]
+    ids = [int(x) for x in value.split(",") if x.strip() != ""]
+    return ids and [P.bottom, *ids]
 
 
 def _from_posets(build):
@@ -149,9 +151,8 @@ def _cmd_poly(args):
 def _cmd_near_cd_index(args):
     P = _load_poset(args.poset)
     boundary = _parse_boundary(P, args.boundary)
-    # the split reads a nonempty boundary with the bottom in it, and holds
-    # only for a certified pair
-    cert = homology.near_gorenstein_star_report(P, boundary and {*boundary, P.bottom})
+    # the split holds only for a certified pair
+    cert = homology.near_gorenstein_star_report(P, boundary)
     if not cert:
         raise homology.NotNearGorenstein(
             f"near-cd-index needs a near-Gorenstein* pair: {cert.reason}")
@@ -239,14 +240,9 @@ def _cmd_sheaf_cd(args):
     P = _load_poset(args.poset)
     want = flags.cd_index(P)
     words = [args.word] if args.word is not None else cd_words(P.n)
-    rows = []
-    mismatches = 0
-    for w in words:
-        got = sheaves.cd_coefficient_via_CD(P, w, seed=args.seed)
-        expect = want.coeff(w)
-        rows.append((w, got, expect))
-        if got != expect:
-            mismatches += 1
+    rows = [(w, sheaves.cd_coefficient_via_CD(P, w, seed=args.seed), want.coeff(w))
+            for w in words]
+    mismatches = sum(got != expect for _, got, expect in rows)
     if args.json:
         print(json.dumps({"seed": args.seed,
                           "table": [{"word": w, "extracted": g, "flag": e}
@@ -257,9 +253,7 @@ def _cmd_sheaf_cd(args):
         for w, g, e in rows:
             mark = "" if g == e else "  <- MISMATCH"
             print(f"{w:<10} {g:>9} {e:>6}{mark}")
-    if args.verify and mismatches:
-        return MATH_FAIL
-    return 0
+    return MATH_FAIL if mismatches else 0
 
 
 def _cmd_corpus(args):
@@ -289,11 +283,6 @@ def build_parser():
         description="Flag enumeration, cd-indices, homology certification "
                     "and sheaf coefficient extraction on graded posets.")
     ap.add_argument("--json", action="store_true", help="emit JSON reports")
-    seed_text = os.environ.get("POSETLAB_SEED", "0")
-    try:
-        default_seed = int(seed_text)
-    except ValueError:
-        raise ValueError(f"POSETLAB_SEED must be an integer, got {seed_text!r}") from None
     sub = ap.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="construct a poset (JSON to stdout)")
@@ -331,14 +320,12 @@ def build_parser():
     p = sub.add_parser("sheaf-cd", help="C/D coefficient extraction table")
     p.add_argument("poset")
     p.add_argument("--word", help="single cd-word (default: all of degree n)")
-    p.add_argument("--seed", type=int, default=default_seed)
-    p.add_argument("--verify", action="store_true",
-                   help="exit nonzero on any mismatch with flag enumeration")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_sheaf_cd)
 
     p = sub.add_parser("corpus", help="corpus registry and acceptance battery")
     p.add_argument("action", choices=["list", "run-all"])
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sweeps", type=int, default=100,
                    help="random seeds per D application (run-all)")
     p.add_argument("--max-rank", type=int, default=4,

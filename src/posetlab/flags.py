@@ -271,7 +271,6 @@ def near_cd_index(P, boundary_ids):
     a NotExpressible escape here means it was not.  A nonempty boundary
     always contains the bottom, whether or not boundary_ids names it.
     """
-    boundary_ids = set(boundary_ids)
     n, h = _ab_key(P)
     if boundary_ids:
         root = P._root

@@ -1,6 +1,7 @@
 """Graded posets with a bottom element and a virtual top.
 
-A GradedPoset stores elements with ranks and cover relations.  The minimal
+A GradedPoset stores elements with ranks and cover relations, every cover
+one rank up, and a SubPoset is a convex view on some of them.  The minimal
 element 0-hat is always present; the maximal element 1-hat is never stored.
 By convention rho(1-hat) = n + 1, so the rank gap to the top from x is
 n + 1 - rho(x).
@@ -96,8 +97,9 @@ class GradedPoset:
                  "_bottom", "labels", "provenance", "_cache")
 
     def __init__(self, n, ids, rank_by_idx, covers_up, labels=None, provenance=None):
-        # Trusted input: index records derived from valid posets, ids in
-        # (rank, id) order.  from_covers validates cover lists.
+        """Trusted input: index records of valid posets, ids in (rank, id)
+        order (`from_covers` validates cover lists), every cover one rank up;
+        `semisuspension`, whose added covers could skip a rank, raises NotGraded."""
         self.n = n
         self._ids = tuple(ids)
         m = len(self._ids)
@@ -238,27 +240,16 @@ class GradedPoset:
         return self._materialize(view.mask, view.n, self._rank[xi])
 
     def _materialize(self, mask, new_n, rank_offset):
-        """Renumber the elements in `mask` into a standalone GradedPoset: a
-        convex mask keeps the root's covers, any other scans each up-set."""
+        """Renumber the elements in the convex index set `mask` into a
+        standalone GradedPoset, whose covers are the root's inside it."""
         members = list(_bits(mask))
         newid = {i: k for k, i in enumerate(members)}
         ranks = [self._rank[i] - rank_offset for i in members]
-        ups, downs = (reduce(or_, map(rel.__getitem__, members), 0)
-                      for rel in (self._geq, self._leq))
-        convex = ups & downs == mask
-        covers_up = [[newid[j] for j in (self._covers_up[i] if convex else self._minimal_in(
-                          self._geq[i] & mask & ~(1 << i))) if mask >> j & 1] for i in members]
+        covers_up = [[newid[j] for j in self._covers_up[i] if mask >> j & 1] for i in members]
         labels = {newid[i]: self.label(self._ids[i]) for i in members}
         prov = {newid[i]: self._ids[i] for i in members}
         return GradedPoset(new_n, range(len(members)), ranks, covers_up,
                            labels=labels, provenance=prov)
-
-    def _minimal_in(self, mask):
-        """Indices of the minimal elements of the index set `mask`, ascending:
-        with mask the common upper bounds of i and j, the minimal upper
-        bounds; with mask the members of a subset strictly above i, the
-        covers of i inside that subset."""
-        return [k for k in _bits(mask) if mask & self._leq[k] == 1 << k]
 
     def _mask_of(self, element_ids):
         """Bitmask of the indices of the given element ids."""
@@ -267,11 +258,21 @@ class GradedPoset:
             mask |= 1 << self._index(e)
         return mask
 
+    def _between(self, mask):
+        """The mask of the elements outside the index set `mask` that lie
+        above one member and below another: 0 iff `mask` is convex."""
+        ups, downs = (reduce(or_, map(rel.__getitem__, _bits(mask)), 0)
+                      for rel in (self._geq, self._leq))
+        return ups & downs & ~mask
+
     def restrict(self, element_ids, n=None):
-        """A lightweight SubPoset view on a subset of elements."""
+        """A lightweight SubPoset view on a convex subset of elements, the bottom included."""
         mask = self._mask_of(element_ids)
         if not (mask >> self._bottom) & 1:
             raise UnknownElement("bottom of the view must belong to it")
+        if between := self._between(mask):
+            i = (between & -between).bit_length() - 1
+            raise PosetError(f"view is not convex: {self._ids[i]!r} lies between its elements")
         return SubPoset(self, mask, self._bottom, self.n if n is None else n)
 
     # -- predicates ----------------------------------------------------------
@@ -347,8 +348,8 @@ class GradedPoset:
         k = self._join_idx(ub)
         if k is not None:
             return self._ids[k]
-        raise NotALattice(
-            f"join({x!r}, {y!r}) has {len(self._minimal_in(ub))} minimal upper bounds")
+        minimal = sum(ub & self._leq[k] == 1 << k for k in _bits(ub))
+        raise NotALattice(f"join({x!r}, {y!r}) has {minimal} minimal upper bounds")
 
     def is_lattice(self):
         """True iff every pair has a join (possibly the virtual top).  By the
@@ -390,6 +391,10 @@ class SubPoset:
     and homology caches.  A view is an index record (the root, the mask of
     its member indices, the root index of its bottom, its rank n) with no
     id-space API; materialize it, as `to_json_dict` does, to read it by ids.
+
+    A view is convex (`restrict` checks it; intervals, fibers, boundaries
+    and balls are intervals or ideals), so as every root cover goes one rank
+    up, a member's covers in the view are its root covers in the view.
     """
 
     root: GradedPoset
@@ -454,7 +459,8 @@ def _json_ids(P):
 
 def to_json_dict(P):
     """The JSON document of P; a SubPoset view is written as its materialized
-    document read back, raising what reading it would (covers may skip a rank)."""
+    document read back, raising what reading it would (a maximal element
+    may lie below rank n)."""
     if isinstance(P, SubPoset):
         base = P.root._rank[P.bottom_idx]
         P = from_json_dict(to_json_dict(P.root._materialize(P.mask, P.n, base)))

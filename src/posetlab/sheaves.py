@@ -40,7 +40,11 @@ seed sweeps only redo the cheap assembly, surjectivity check and kernel
 extraction.  The kernel is checked to be a subsheaf eagerly, but its
 restrictions are built when `res` is first read (never, after a word's
 last D).  Coordinates in degree-zero cohomology bases are read with
-`linalg.nullspace_coords` by one exact division, not solved for.
+`linalg.nullspace_coords` by one exact division, not solved for.  C and D
+keep Cohen-Macaulayness (Karu, same paper): C(F) restricts a CM sheaf to a
+skeleton, and D(F) is the kernel of a surjection of CM sheaves.  So op_C's
+output and op_D's kernel carry the CM flag, and op_C's CM test of its
+input is a flag read along every C/D chain from a CM sheaf.
 
 A k-skeleton of P is an index prefix with P's ids: P, its skeletons and
 every C/D image share one index space.  `cd_coefficient_via_CD` caches the
@@ -155,14 +159,14 @@ class Sheaf:
 def constant_sheaf(base, support=None):
     """Stalk 1 on the support ids (default: everywhere), identity restrictions.
 
-    The support must be interval-closed: no element outside it may sit
-    between two elements inside it.
+    The support must be convex: BadSupport names the lowest-index element
+    outside it that lies between two elements inside it.
     """
     # _mask_of raises UnknownElement for an unknown id
     inside = base._mask if support is None else base._mask_of(support)
-    for i in _bits(base._mask & ~inside):
-        if base._leq[i] & inside and base._geq[i] & inside:
-            raise BadSupport(f"{base._ids[i]!r} lies between support elements")
+    if between := base._between(inside):
+        i = (between & -between).bit_length() - 1
+        raise BadSupport(f"{base._ids[i]!r} lies between support elements")
     res = {(hi, lo): [{0: 1}] for lo in _bits(inside)
            for hi in base._covers_up[lo] if inside >> hi & 1}
     return Sheaf(base, [inside >> i & 1 for i in range(len(base))], res)
@@ -384,19 +388,21 @@ def skeleton_poset(P, k):
     return cache[k]
 
 
-def op_C(F, check=True):
-    """Restriction to the (n-1)-skeleton, an index prefix of the base;
-    Cohen-Macaulay stays.  F's restrictions, filtered when first read."""
+def op_C(F):
+    """Restriction of a CM sheaf to the (n-1)-skeleton, an index prefix of
+    the base, flagged CM (module docstring); F's restrictions, read lazily."""
     base = F.base
-    if check and not is_cm_sheaf(F):
+    if not is_cm_sheaf(F):
         raise NotCohenMacaulay("op_C needs a Cohen-Macaulay sheaf")
     sk = skeleton_poset(base, base.n - 1)
     m = len(sk)
-    return Sheaf(sk, F.stalk_dim[:m],
-                 lambda: {pair: rows for pair, rows in F.res.items() if pair[0] < m})
+    out = Sheaf(sk, F.stalk_dim[:m],
+                lambda: {pair: rows for pair, rows in F.res.items() if pair[0] < m})
+    out._is_cm = True
+    return out
 
 
-def _alpha_family(F, check=True):
+def _alpha_family(F):
     """Seed-independent data for op_D: the restriction C(F), its dual, and
     the stalkwise matrices of every alpha_f (one per basis section at each
     top-rank element), as an `_AlphaFamily`.  Cached on the sheaf instance.
@@ -412,7 +418,7 @@ def _alpha_family(F, check=True):
     base = F.base
     eps = _orientation(base)
     down = _down_covers(base)
-    cf = op_C(F, check=check)
+    cf = op_C(F)
     cf_dual = _dual_poset(cf)
     h0_cf = cf_dual._h0
     family = []
@@ -444,14 +450,14 @@ def _alpha_family(F, check=True):
     return out
 
 
-def op_D(F, rng, check=True):
+def op_D(F, rng):
     """Kernel of a generic surjection C(F)-dual -> C(F), landing on the
     (n-2)-skeleton.  Retries with fresh randomness; raises
     SurjectivityFailed naming the offending element after OP_D_RETRIES
     attempts."""
     if F.base.n < 2:
         raise ValueError(f"op_D needs a base of rank >= 2, not {F.base.n}")
-    cf, cf_dual, family = _alpha_family(F, check=check)
+    cf, cf_dual, family = _alpha_family(F)
     sk = cf.base
     failed_at = None
     for _attempt in range(OP_D_RETRIES):
@@ -541,7 +547,9 @@ def _kernel_sheaf(cf, cf_dual, alpha):
             out[(hi, lo)] = rows
         return out
 
-    return Sheaf(target, stalks, res)
+    kernel = Sheaf(target, stalks, res)
+    kernel._is_cm = True  # op_D found alpha surjective: CM (module docstring)
+    return kernel
 
 
 def cd_coefficient_via_CD(P, word, seed=0):
@@ -573,11 +581,11 @@ def cd_coefficient_via_CD(P, word, seed=0):
         trailing += 1
     for k in range(1, trailing + 1):
         if k not in prefix:
-            prefix[k] = op_C(prefix[k - 1], check=False)
+            prefix[k] = op_C(prefix[k - 1])
     current = prefix[trailing]
     for letter in reversed(word[:len(word) - trailing]):
         if letter == "c":
-            current = op_C(current, check=False)
+            current = op_C(current)
         else:
-            current = op_D(current, rng, check=False)
+            current = op_D(current, rng)
     return current.dim(current.base._bottom)

@@ -378,12 +378,20 @@ def eulerian_oracle(P):
     return True
 
 
+def minimal_in(P, mask):
+    """Indices of the minimal elements of the index set `mask` of P,
+    ascending: with mask the common upper bounds of i and j, the minimal
+    upper bounds; with mask the members of a subset strictly above i, the
+    covers of i inside that subset."""
+    return [k for k in _bits(mask) if mask & P._leq[k] == 1 << k]
+
+
 def lattice_oracle(P):
     """Every pair has a join: each pair that is incomparable and has a
     common upper bound scans those bounds for its minimal ones
-    (`GradedPoset._minimal_in`) and must find exactly one."""
+    (`minimal_in`) and must find exactly one."""
     geq = P._geq
-    return not any(len(P._minimal_in(ub)) > 1
+    return not any(len(minimal_in(P, ub)) > 1
                    for i, gi in enumerate(geq) for gj in geq[i + 1:]
                    if (ub := gi & gj) not in (0, gi, gj))
 
@@ -645,8 +653,8 @@ def cellular_betti_mod2_oracle(root, x, gap):
 
 def structural_check_oracle(root, mask, bottom_idx, n):
     """`homology._structural_check` finding every member's covers inside
-    `mask` by scanning its up-set, whatever the mask: the verdicts and
-    witnesses the `_covers_up` shortcut on closed masks must keep."""
+    `mask` by scanning its up-set: the verdicts and witnesses that the
+    check, which reads maximality off `_geq` on a convex mask, must keep."""
     if not (mask >> bottom_idx) & 1:
         return hm.CertResult(False, "bottom not in subset")
     base = root._rank[bottom_idx]
@@ -659,7 +667,7 @@ def structural_check_oracle(root, mask, bottom_idx, n):
         if root._rank[i] - base > n:
             return hm.CertResult(False, f"element above rank {n}", (root._ids[i],))
     for i in members:
-        covers = root._minimal_in(root._geq[i] & mask & ~(1 << i))
+        covers = minimal_in(root, root._geq[i] & mask & ~(1 << i))
         if not covers and root._rank[i] - base != n:
             return hm.CertResult(False, "maximal element below top rank", (root._ids[i],))
         for j in covers:
@@ -700,11 +708,11 @@ def near_gorenstein_walk_oracle(root, mask, bottom_idx, n, bmask):
 
 def materialize_oracle(P, mask, new_n, rank_offset):
     """`GradedPoset._materialize` finding every member's covers inside
-    `mask` by scanning its up-set, whatever the mask: the output the
-    `_covers_up` shortcut on convex masks must keep."""
+    `mask` by scanning its up-set: the output that reading `_covers_up` on
+    a convex mask must keep."""
     members = list(_bits(mask))
     newid = {i: k for k, i in enumerate(members)}
-    covers_up = [[newid[j] for j in P._minimal_in(P._geq[i] & mask & ~(1 << i))]
+    covers_up = [[newid[j] for j in minimal_in(P, P._geq[i] & mask & ~(1 << i))]
                  for i in members]
     return GradedPoset(new_n, range(len(members)), [P._rank[i] - rank_offset for i in members],
                        covers_up, labels={newid[i]: P.label(P._ids[i]) for i in members},

@@ -186,6 +186,18 @@ class TestCheck:
         assert err == ("error: not a homology ball: the link of chain (1,) "
                        "has reduced Betti numbers {0: 1}\n")
 
+    def test_explicit_boundary_without_bottom_matches_auto(self, capsys, tmp_path):
+        """An explicit boundary gets the bottom in front, as near-cd-index
+        reads it: on B3 minus its top, {2, 3} is the boundary {0, 2, 3}."""
+        B3 = cons.boolean_algebra(3)
+        ball, boundary = cons.remove_upset(B3, B3.elements()[-1])
+        path = write_poset(tmp_path, ball)
+        assert sorted(boundary) == [0, 2, 3]
+        auto = run_cli(capsys, "check", "near-gorenstein-star", path, "--boundary", "auto")
+        assert auto[0] == 0
+        assert run_cli(capsys, "check", "near-gorenstein-star", path,
+                       "--boundary", "2,3") == auto
+
     def test_cm(self, capsys, tmp_path):
         p3 = write_poset(tmp_path, cons.polygon(3))
         code, _, _ = run_cli(capsys, "check", "cm", p3)
@@ -222,6 +234,12 @@ class TestNearCdIndex:
         code, out, err = run_cli(capsys, "near-cd-index", path, "--boundary", "2,3")
         assert (code, out, err) == (0, auto, "")
 
+    @pytest.mark.parametrize("command", ["near-cd-index", "check near-gorenstein-star"])
+    def test_unknown_ids_are_named_in_the_order_given(self, capsys, tmp_path, command):
+        path = write_poset(tmp_path, cons.remove_upset(cons.polygon(4), 1)[0])
+        code, out, err = run_cli(capsys, *command.split(), path, "--boundary", "99,98")
+        assert (code, out, err) == (2, "", "error: unknown element 99\n")
+
     @pytest.mark.parametrize("given,reason", [
         ("0,1,2", "interior chain link is not a sphere"),
         ("", "boundary rank is not n-1"),
@@ -247,9 +265,18 @@ class TestNearCdIndex:
 class TestSheafCd:
     def test_table_and_verify(self, capsys, tmp_path):
         p3 = write_poset(tmp_path, cons.polygon(3))
-        code, out, _ = run_cli(capsys, "sheaf-cd", p3, "--verify", "--seed", "7")
+        code, out, _ = run_cli(capsys, "sheaf-cd", p3, "--seed", "7")
         assert code == 0
         assert "cc" in out and "d" in out
+
+    def test_mismatch_exits_1(self, capsys, tmp_path, monkeypatch):
+        """A coefficient that differs from flag enumeration is marked and
+        exits 1, with no option asking for it."""
+        monkeypatch.setattr(sheaves, "cd_coefficient_via_CD", lambda P, w, seed: 5)
+        p3 = write_poset(tmp_path, cons.polygon(3))
+        code, out, err = run_cli(capsys, "sheaf-cd", p3, "--word", "d")
+        assert (code, err) == (1, "")
+        assert out.splitlines()[1] == f"{'d':<10} {5:>9} {1:>6}  <- MISMATCH"
 
     def test_single_word_json(self, capsys, tmp_path):
         p6 = write_poset(tmp_path, cons.polygon(6))
@@ -338,12 +365,15 @@ class TestCorpus:
         assert code == 0
         assert out.count("PASS") == 8 and "144 subdivision maps" in out
 
-    def test_env_seed_default(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("POSETLAB_SEED", "11")
+    def test_seed_is_set_by_the_option_alone(self, capsys, tmp_path, monkeypatch):
+        """The environment sets no seed: --seed defaults to 0, and a stray
+        POSETLAB_SEED, even one that is no integer, changes nothing."""
+        monkeypatch.setenv("POSETLAB_SEED", "abc")
+        assert run_cli(capsys, "build", "polygon", "3")[0] == 0
         p3 = write_poset(tmp_path, cons.polygon(3))
         code, out, _ = run_cli(capsys, "--json", "sheaf-cd", p3, "--word", "d")
         assert code == 0
-        assert json.loads(out)["seed"] == 11
+        assert json.loads(out)["seed"] == 0
 
 
 class TestExitCodes:
@@ -406,13 +436,6 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: the order complex of 6 elements has 13 faces")
-
-    def test_non_integer_seed_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("POSETLAB_SEED", "abc")
-        code, out, err = run_cli(capsys, "build", "polygon", "3")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "POSETLAB_SEED" in err
 
     @pytest.mark.parametrize("argv", [
         ["boolean"], ["polygon"], ["pyr"], ["star"], ["product", "x.json"],

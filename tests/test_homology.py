@@ -19,8 +19,8 @@ from helpers import (NotPure, SimplexNotFound, SimplicialComplex, all_chains,
 from posetlab import constructions as cons
 from posetlab import homology as hm
 from posetlab.corpus import gorenstein_corpus, lattice_corpus, proper_elements
-from posetlab.poset import (GradedPoset, PosetError, _bits, from_json, iter_chains,
-                            to_json)
+from posetlab.poset import (GradedPoset, PosetError, SubPoset, _bits, from_json,
+                            iter_chains, to_json)
 from posetlab.subdivision import _fiber_masks
 
 
@@ -744,10 +744,12 @@ def _assert_cell_table_against_oracle(P):
 
 
 def test_cell_table_against_oracle_on_the_corpora():
-    """The corpora, and a view of B4 without its atoms, whose gaps above
-    the bottom skip the first level."""
+    """The corpora, and B4 without its atoms, a record that is no convex
+    view (`restrict` refuses it), whose gaps above the bottom skip the
+    first level."""
     B4 = cons.boolean_algebra(4)
-    skipped = B4.restrict([e for e in B4.elements() if B4.rank(e) != 1])
+    skipped = SubPoset(B4, sum(1 << i for i, r in enumerate(B4._rank) if r != 1),
+                       B4._bottom_idx, B4.n)
     for P in [P for _, P in gorenstein_corpus(4) + lattice_corpus(4)] + [skipped]:
         _assert_cell_table_against_oracle(P)
 
@@ -896,18 +898,7 @@ def test_interval_walk_against_literal_oracle(drawn):
 
 
 class TestStructuralCheckOnClosedMasks:
-    """Checks that the closed-mask path keeps."""
-
-    def test_root_with_a_rank_skipping_cover(self):
-        """`_materialize` of a non-convex mask builds its root through
-        `GradedPoset.__init__`: the chain {} < {0,1} of B3 keeps a cover
-        from rank 0 to rank 2, which from_covers would have refused."""
-        B3 = cons.boolean_algebra(3)
-        pair = next(e for e in B3.elements() if B3.rank(e) == 2)
-        root = B3._materialize(1 << B3._bottom_idx | 1 << B3._index(pair), 2, 0)
-        got = hm._structural_check(root, root._mask, root._bottom_idx, root.n)
-        assert got == hm.CertResult(False, "cover skips a rank", (0, 1))
-        assert got == structural_check_oracle(root, root._mask, root._bottom_idx, root.n)
+    """Verdicts of the structural check on convex masks."""
 
     def test_fiber_with_a_maximal_element_below_top_rank(self):
         """The down-sets of a rank-2 element of B4 and of an atom outside
@@ -925,17 +916,16 @@ class TestStructuralCheckOnClosedMasks:
 
 
 def test_structural_check_against_the_cover_scan_oracle():
-    """`_structural_check` reads covers from `_covers_up` on a mask closed
-    below its members; its verdicts and witnesses are the up-set scan's on
-    the corpus posets, every `remove_upset` ball and boundary, and every
-    closed and open fiber of the subdivision and collapse maps of the
-    lattice corpus, and the upper intervals of the corpus posets.  Each
-    mask is also checked without its atoms, its middle member and its last
-    member: the first two are mostly not closed, so the scan runs, and all
-    three may fail.  It is checked with members the whole-mask bit tests
-    must reject, alone and mixed: one below the bottom's rank, one outside
-    the bottom's up-set, one above rank n, and, at rank n - 1, the members
-    of its top rank."""
+    """`_structural_check` on convex masks: its verdicts and witnesses are
+    the up-set scan's on the corpus posets, every `remove_upset` ball and
+    boundary, and every closed and open fiber of the subdivision and
+    collapse maps of the lattice corpus, and the upper intervals of the
+    corpus posets.  Each mask is also checked without members that keep it
+    convex and may make it fail: its last member, its first maximal member
+    and its whole top rank.  It is checked with members the whole-mask bit
+    tests must reject, alone and mixed: one below the bottom's rank, one
+    outside the bottom's up-set, one above rank n, and, at rank n - 1, the
+    members of its top rank."""
     cases = [(P, P._mask, P._bottom_idx, P.n) for _, P in gorenstein_corpus(4)]
     for _, P in gorenstein_corpus(4):
         for x in list(_bits(P._mask))[1::7]:
@@ -955,10 +945,11 @@ def test_structural_check_against_the_cover_scan_oracle():
     for P, mask, bottom, n in cases:
         root = P._root
         others = [i for i in _bits(mask) if i != bottom]
-        atoms = sum(1 << i for i in others
-                    if root._rank[i] == root._rank[bottom] + 1)
-        drop = others[len(others) // 2:][:1] + others[-1:]
-        for m in [mask, mask & ~atoms] + [mask & ~(1 << i) for i in drop]:
+        maximal = [i for i in others if root._geq[i] & mask == 1 << i][:1]
+        last = root._rank[mask.bit_length() - 1]
+        top_rank = sum(1 << i for i in others if root._rank[i] == last)
+        for m in [mask, mask & ~top_rank] + [mask & ~(1 << i) for i in maximal + others[-1:]]:
+            assert not root._between(m), m
             checks[(id(root), m, bottom, n)] = root
         base, indices = root._rank[bottom], range(len(root._ids))
         below = [i for i in indices if root._rank[i] < base][-1:]
@@ -976,7 +967,7 @@ def test_structural_check_against_the_cover_scan_oracle():
         got = hm._structural_check(root, m, bottom, n)
         assert got == structural_check_oracle(root, m, bottom, n), (m, n)
         verdicts.add(got.reason)
-    assert {"", "maximal element below top rank", "cover skips a rank",
+    assert {"", "maximal element below top rank",
             "element below the bottom rank", "element not above the bottom"} <= verdicts
     assert any(reason.startswith("element above rank") for reason in verdicts)
 

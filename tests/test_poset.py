@@ -131,9 +131,8 @@ class TestInterval:
 def test_materialize_against_the_cover_scan_oracle():
     """`_materialize` reads a convex mask's covers off the root; its covers,
     ranks, labels and provenance are the up-set scan's on every interval
-    [x, y) and [x, top) of the corpus posets, every Lambda_nu and every
-    ideal left by `remove_upset` of the lattice corpus, and on B4 without
-    its atoms, which is not convex."""
+    [x, y) and [x, top) of the corpus posets, and every Lambda_nu and every
+    ideal left by `remove_upset` of the lattice corpus, all convex."""
     cases = []
     for _, P in corpus.gorenstein_corpus(4):
         for x in range(len(P)):
@@ -144,16 +143,12 @@ def test_materialize_against_the_cover_scan_oracle():
         for nu in corpus.proper_elements(L):
             cases.append((L, cons._lambda_nu_mask(L, L._index(nu)), L.n, 0))
             cases.append((L, L._mask & ~L._geq[L._index(nu)], L.n, 0))
-    B4 = cons.boolean_algebra(4)
-    cases.append((B4, sum(1 << i for i, r in enumerate(B4._rank) if r != 1), B4.n, 0))
-    convex = set()
     for P, mask, n, offset in cases:
+        assert all(P._geq[i] & P._leq[j] & ~mask == 0
+                   for i in _bits(mask) for j in _bits(mask))
         got, want = P._materialize(mask, n, offset), materialize_oracle(P, mask, n, offset)
         assert (got.n, got._ids, got._rank, got._covers_up, got.labels, got.provenance) == (
             want.n, want._ids, want._rank, want._covers_up, want.labels, want.provenance)
-        convex.add(all(P._geq[i] & P._leq[j] & ~mask == 0
-                       for i in _bits(mask) for j in _bits(mask)))
-    assert convex == {True, False}
 
 
 def test_sub_poset_is_an_index_record():
@@ -387,13 +382,14 @@ class TestJson:
         assert isomorphic(from_json(text), view_poset(view))
         assert to_json(from_json(text)) == text
 
-    def test_view_whose_covers_skip_a_rank_is_not_written(self):
-        """A non-convex view materializes to covers that skip a rank:
-        to_json raises the NotGraded that reading its document back would."""
+    def test_restrict_refuses_a_view_that_is_not_convex(self):
+        """B4 without its atoms is not convex: `restrict` names the atom of
+        lowest index, which lies between the bottom and a rank-2 element."""
         B = cons.boolean_algebra(4)
-        view = B.restrict([e for e in B.elements() if B.rank(e) != 1])
-        with pytest.raises(NotGraded, match=r"^cover \(0, 1\) skips from rank 0 to 2$"):
-            to_json(view)
+        atom = next(e for e in B.elements() if B.rank(e) == 1)
+        with pytest.raises(PosetError, match=f"^view is not convex: {atom!r} lies between "
+                                             f"its elements$"):
+            B.restrict([e for e in B.elements() if B.rank(e) != 1])
 
     def test_renumbered_export(self):
         # dual posets get nonzero bottoms internally; JSON must renumber

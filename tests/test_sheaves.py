@@ -341,16 +341,18 @@ class TestOpD:
         F = sh.op_C(sh.constant_sheaf(polygon3))
         for G in (F, sh.constant_sheaf(cons.segment())):
             with pytest.raises(ValueError, match="rank >= 2"):
-                sh.op_D(G, random.Random(0), check=False)
+                sh.op_D(G, random.Random(0))
 
-    def test_surjectivity_failure_on_rank_deficient_input(self, polygon3):
-        # support misses every top-rank element: no sections, alpha = 0
-        e = polygon3.maximal_elements()[0]
-        supp = [x for x in polygon3.elements()
-                if polygon3.leq(x, e) and x != e]
-        F = sh.constant_sheaf(polygon3, supp)
+    def test_surjectivity_failure_on_rank_deficient_input(self, polygon3, monkeypatch):
+        # every draw of alpha is zero, so no top-rank stalk is hit
+        monkeypatch.setattr(sh, "_draw_alpha", _zero_alpha)
         with pytest.raises(sh.SurjectivityFailed):
-            sh.op_D(F, random.Random(0), check=False)
+            sh.op_D(sh.constant_sheaf(polygon3), random.Random(0))
+
+
+def _zero_alpha(cf, family, rng):
+    """A combination of the alpha_f with every coefficient zero."""
+    return [[{} for _ in range(d)] for d in cf.stalk_dim]
 
 
 def _exact_entries(F):
@@ -377,9 +379,9 @@ def test_integer_alpha_is_as_generic_as_the_fraction_alpha():
                 for letter in reversed(w):
                     assert _exact_entries(F), (name, w)
                     if letter == "c":
-                        F = sh.op_C(F, check=False)
+                        F = sh.op_C(F)
                         continue
-                    cf, cf_dual, family = sh._alpha_family(F, check=False)
+                    cf, cf_dual, family = sh._alpha_family(F)
                     assert _exact_entries(cf) and _exact_entries(cf_dual), (name, w)
                     old_rng, want_rng = random.Random(), random.Random()
                     old_rng.setstate(rng.getstate())
@@ -423,7 +425,8 @@ def test_sheaf_pipeline_against_first_written_routes():
     """Along every word's C/D chain on gorenstein_corpus(4), for three
     seeds, and on sheaves that are not Cohen-Macaulay: the shared cochain
     complex gives the per-up-set route's complexes, H^0 bases and
-    Cohen-Macaulay verdicts, and each kernel sheaf's restrictions, read
+    Cohen-Macaulay verdicts, the CM flag that each C and D output carries
+    is the per-up-set verdict, and each kernel sheaf's restrictions, read
     after it is built, are those the eager kernel sheaf solved for."""
     cone = cons.with_top(cons.polygon(3))
     not_cm = [sh.constant_sheaf(two_triangles()),
@@ -438,16 +441,19 @@ def test_sheaf_pipeline_against_first_written_routes():
             for w in cd_words(P.n):
                 rng = random.Random(seed)
                 F = sh.constant_sheaf(P)
-                for letter in reversed(w):
+                for k, letter in enumerate(reversed(w)):
+                    # past the constant sheaf, is_cm_sheaf reads the carried flag
+                    assert k == 0 or F._is_cm is True, (name, seed, w)
                     _assert_complexes_match_per_upset_oracle(F, (name, seed, w))
                     if letter == "c":
-                        F = sh.op_C(F, check=False)
+                        F = sh.op_C(F)
                         continue
-                    cf, cf_dual, family = sh._alpha_family(F, check=False)
+                    cf, cf_dual, family = sh._alpha_family(F)
                     alpha = sh._draw_alpha(cf, family, rng)
                     F = sh._kernel_sheaf(cf, cf_dual, alpha)
                     old = eager_kernel_sheaf_oracle(cf, cf_dual, alpha)
                     assert (F.stalk_dim, F.res) == (old.stalk_dim, old.res), (name, w)
+                assert F._is_cm is True, (name, seed, w)
                 _assert_complexes_match_per_upset_oracle(F, (name, seed, w))
 
 
@@ -678,17 +684,16 @@ class TestRelabelledBase:
                 named.add(between[0] != Q._index(between[0]))
         assert True in named
 
-    def test_surjectivity_failure_names_the_relabelled_id(self, make):
-        # no section at any top-rank element: alpha is zero, and op_D fails
-        # at the lowest id of rank n - 1 in the support
+    def test_surjectivity_failure_names_the_relabelled_id(self, make, monkeypatch):
+        # alpha is zero on the Cohen-Macaulay constant sheaf, and op_D
+        # fails at the lowest id of rank n - 1
+        monkeypatch.setattr(sh, "_draw_alpha", _zero_alpha)
         for seed in range(3):
             Q, _ = relabelled(make(), random.Random(seed))
-            top = Q.maximal_elements()[0]
-            supp = [x for x in Q.elements() if Q.leq(x, top) and x != top]
-            want = min(x for x in supp if Q.rank(x) == Q.n - 1)
+            want = min(x for x in Q.elements() if Q.rank(x) == Q.n - 1)
             with pytest.raises(sh.SurjectivityFailed,
                                match=fr"\(last failure at {want!r}\)$"):
-                sh.op_D(sh.constant_sheaf(Q, supp), random.Random(0), check=False)
+                sh.op_D(sh.constant_sheaf(Q), random.Random(0))
 
 
 def test_bad_base_names_the_relabelled_id():

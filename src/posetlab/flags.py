@@ -32,13 +32,15 @@ every lower or every upper interval's ab-index, the coproduct of flag
 f-vectors (Psi is a coalgebra map: Ehrenborg-Readdy, Coproducts and the
 cd-index, J. Algebraic Combin. 1998).
 
-Each root poset caches one bottom-up walk (`_root_walk`).  An order ideal
-I of the root on its bottom holds [0-hat, i) for each member i, so acc_i
-is I's too and I's flag f-vector is 1 + the sum of out_i over its
-members: `_ab_key` reads the root, the fibers and boundaries of
-`decompose` and [0-hat, nu) so, and `lower_intervals` of a root reads acc.
-No slot carries: each counts chains of the root, below 2^W.  Every other
-view (upper intervals, intervals off the bottom, non-ideals) walks itself.
+Each root poset caches one bottom-up walk (`_root_walk`).  A view is
+convex and above its bottom (see `poset.SubPoset`), so a view that holds
+the root's bottom is an order ideal I of the root: I holds [0-hat, i) for
+each member i, so acc_i is I's too and I's flag f-vector is 1 + the sum of
+out_i over its members.  `_ab_key` reads the root, the fibers and
+boundaries of `decompose` and [0-hat, nu) so, and `lower_intervals` reads
+acc for the members of such a view.  No slot carries: each counts chains
+of the root, below 2^W.  Every other view (upper intervals, intervals off
+the bottom) walks itself top-down, and its key is its bottom's.
 
 An interval's index is read as the key (n, h), h in `ncpoly._ab_words(n)`
 order, and `cd_of` contracts each key once per memo.  The memo lives in the
@@ -68,35 +70,6 @@ from .poset import (TOP, GradedPoset, NotALattice, NotComparable, NotEulerian,
                     SubPoset, _bits, interval_view)
 
 
-def _members(P):
-    """The mask of the view P's elements above its bottom, after checking
-    that P contains its bottom and nothing ranked above its rank n."""
-    root, bot, n = P._root, P._bottom_idx, P.n
-    if not (P._mask >> bot) & 1:
-        raise ValueError("the view does not contain its bottom")
-    members = P._mask & root._geq[bot]
-    if root._rank[members.bit_length() - 1] - root._rank[bot] > n:
-        raise ValueError(f"the view has an element ranked above its rank {n}")
-    return members
-
-
-def _plan(root, bot, members, n, top_down):
-    """(order, near, level) of the bottom-up or top-down walk over `members`
-    of `root` above `bot`, with the virtual top n + 1 ranks above bot."""
-    base = root._rank[bot]
-    if top_down:
-        order = list(_bits(members))[::-1]
-        rel = root._geq
-        level = {i: n + 1 + base - root._rank[i] for i in order}
-    else:
-        members &= ~(1 << bot)
-        order = list(_bits(members))
-        rel = root._leq
-        level = {i: root._rank[i] - base for i in order}
-    near = [tuple(_bits(rel[i] & members & ~(1 << i))) for i in order]
-    return order, near, level
-
-
 def _walk(plan):
     """(width, acc, out) of one packed walk over plan = (order, near, level)
     (see the module docstring): for each i in `order`, acc_i = 1 + the sum
@@ -117,11 +90,14 @@ def _walk(plan):
 
 
 def _root_walk(root):
-    """`_walk` of the root poset's one bottom-up plan, cached."""
+    """`_walk` of the root poset's one bottom-up plan, cached: level =
+    rank, near(i) = the elements below i without the bottom."""
     walk = root._cache.get("flag_walk")
     if walk is None:
-        walk = root._cache["flag_walk"] = _walk(
-            _plan(root, root._bottom, root._geq[root._bottom], root.n, False))
+        inner = root._mask & ~(1 << root._bottom)
+        order = list(_bits(inner))
+        near = [tuple(_bits(root._leq[i] & inner & ~(1 << i))) for i in order]
+        walk = root._cache["flag_walk"] = _walk((order, near, root._rank))
     return walk
 
 
@@ -156,40 +132,38 @@ def ab_index(P):
 
 
 def _ab_key(P):
-    """The key (n, h) of `ab_index(P)`, h in ncpoly's word order, from
-    1 + the sum of out_i over the members above the bottom: read off the
-    root's walk when P is an order ideal on the root's bottom (see the
-    module docstring), else off P's own walk."""
-    members = _members(P)
+    """The key (n, h) of `ab_index(P)`, h in ncpoly's word order: 1 + the
+    sum of out_i over the members above the bottom in the root's walk when
+    P holds the root's bottom (see the module docstring), else the key of
+    P's bottom in P's own top-down walk."""
     root, bot = P._root, P._bottom_idx
-    inner = list(_bits(members & ~(1 << bot)))
-    down = reduce(operator.or_, map(root._leq.__getitem__, inner), 0)
-    if bot == root._bottom and not down & root._geq[bot] & ~P._mask:
-        width, _, out = _root_walk(root)
-    else:
-        width, _, out = _walk(_plan(root, bot, members, P.n, False))
-    return P.n, tuple(_flag_h(1 + sum(map(out.__getitem__, inner)), width, P.n))
+    if bot != root._bottom:
+        return upper_intervals(P, 1 << bot)[bot]
+    width, _, out = _root_walk(root)
+    f = 1 + sum(map(out.__getitem__, _bits(P._mask & ~(1 << bot))))
+    return P.n, tuple(_flag_h(f, width, P.n))
 
 
 def _intervals(P, top_down, among):
-    """{i: (n_i, h)} for each i of the walk that is in the mask `among`:
-    [0-hat, i) bottom-up, [i, 1-hat) top-down, h in ncpoly's word order.
-    A root's bottom-up walk is its cached one."""
-    members = _members(P)
-    if P is P._root and not top_down:
-        width, acc, _ = _root_walk(P)
-        level = P._rank
+    """{i: (n_i, h)} for each member i of the view P in the mask `among`,
+    h in ncpoly's word order: [i, 1-hat) from P's own top-down walk, or
+    [0-hat, i), i above the bottom, from the root's walk."""
+    root, bot = P._root, P._bottom_idx
+    if top_down:
+        order = list(_bits(P._mask))[::-1]
+        near = [tuple(_bits(root._geq[i] & P._mask & ~(1 << i))) for i in order]
+        level = {i: P.n + 1 + root._rank[bot] - root._rank[i] for i in order}
+        width, acc, _ = _walk((order, near, level))
+    elif bot == root._bottom:
+        (width, acc, _), level = _root_walk(root), root._rank
+        among &= ~(1 << bot)
     else:
-        plan = _plan(P._root, P._bottom_idx, members, P.n, top_down)
-        width, acc, _ = _walk(plan)
-        level = plan[2]
+        raise ValueError("lower intervals need a view on the root's bottom")
     keys = {}
-    for i in _bits(among):
-        if i in acc:
-            n = level[i] - 1
-            h = _flag_h(acc[i], width, n)
-            keys[i] = (n, tuple(map(h.__getitem__, _reversal(n))) if top_down
-                       else tuple(h))
+    for i in _bits(among & P._mask):
+        n = level[i] - 1
+        h = _flag_h(acc[i], width, n)
+        keys[i] = (n, tuple(map(h.__getitem__, _reversal(n))) if top_down else tuple(h))
     return keys
 
 
@@ -203,7 +177,8 @@ def upper_intervals(P, among):
 def lower_intervals(P, among):
     """{pi: (n, h)} for each element pi above the bottom of the view P in
     the root-index mask `among`: the rank n and the ab-index coefficients
-    h of [0-hat, pi), from one bottom-up walk."""
+    h of [0-hat, pi), from the root's one bottom-up walk.  A view off the
+    root's bottom raises ValueError."""
     return _intervals(P, False, among)
 
 
@@ -328,6 +303,8 @@ def pyr_alpha_recurrence_check(P, tau, pi=TOP):
     root = P._root
     ti = root._index(tau)
     hi = TOP if pi is TOP else root._index(pi)
+    if hi == ti:
+        raise NotComparable(f"{pi!r} is not strictly above {tau!r}")
     if hi is not TOP and not P.leq(tau, pi):
         raise NotComparable(f"{tau!r} is not below {pi!r}")
     whole = interval_view(P, ti, hi)

@@ -265,15 +265,15 @@ class GradedPoset:
                       for rel in (self._geq, self._leq))
         return ups & downs & ~mask
 
-    def restrict(self, element_ids, n=None):
-        """A lightweight SubPoset view on a convex subset of elements, the bottom included."""
+    def restrict(self, element_ids):
+        """A SubPoset view at the root's rank n on a convex subset of elements, the bottom included."""
         mask = self._mask_of(element_ids)
         if not (mask >> self._bottom) & 1:
             raise UnknownElement("bottom of the view must belong to it")
         if between := self._between(mask):
             i = (between & -between).bit_length() - 1
             raise PosetError(f"view is not convex: {self._ids[i]!r} lies between its elements")
-        return SubPoset(self, mask, self._bottom, self.n if n is None else n)
+        return SubPoset(self, mask, self._bottom, self.n)
 
     # -- predicates ----------------------------------------------------------
 
@@ -392,9 +392,14 @@ class SubPoset:
     its member indices, the root index of its bottom, its rank n) with no
     id-space API; materialize it, as `to_json_dict` does, to read it by ids.
 
-    A view is convex (`restrict` checks it; intervals, fibers, boundaries
-    and balls are intervals or ideals), so as every root cover goes one rank
-    up, a member's covers in the view are its root covers in the view.
+    Every view is convex, every member lies above its bottom and none more
+    than n ranks above it: `restrict` checks convexity and takes the root's
+    bottom and n, `interval_view` holds all three by construction, and the
+    fibers and boundaries that `decompose` and the `near-cd-index` command
+    read are ideals on the root's bottom, certified first.  So a member's
+    covers in the view are its root covers in the view (every root cover
+    goes one rank up), and a view holding the root's bottom is an order
+    ideal of the root.
     """
 
     root: GradedPoset

@@ -29,6 +29,7 @@ the posets that the property tests share.
 
 import json
 import operator
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
@@ -136,11 +137,23 @@ def flag_h_oracle(f, width, n):
 
 def ab_key_walk_oracle(P):
     """The ab-index key (n, h) of the view P from its own bottom-up packed
-    walk, never the root's: what `flags._ab_key` reads off the root walk
-    for an order ideal must equal this."""
-    width, _, out = flags._walk(flags._plan(P._root, P._bottom_idx, flags._members(P),
-                                            P.n, False))
+    walk, never the root's: level = rank above the bottom, near(i) = the
+    members strictly between; what `flags._ab_key` reads off the root walk
+    or off P's top-down walk must equal this."""
+    root, bot = P._root, P._bottom_idx
+    inner = P._mask & ~(1 << bot)
+    order = list(_bits(inner))
+    near = [tuple(_bits(root._leq[i] & inner & ~(1 << i))) for i in order]
+    level = {i: root._rank[i] - root._rank[bot] for i in order}
+    width, _, out = flags._walk((order, near, level))
     return P.n, tuple(flag_h_oracle(1 + sum(out.values()), width, P.n))
+
+
+def boundary_view(ball, ids):
+    """The view of the boundary `ids` of a ball, its bottom added, at rank
+    n - 1: `restrict` checks it convex, and a boundary reaches rank n - 1
+    at most."""
+    return replace(ball.restrict(set(ids) | {ball.bottom}), n=ball.n - 1)
 
 
 def near_cd_index_oracle(P, boundary_ids):
@@ -1305,7 +1318,7 @@ def composed_posets(draw, variants=("sphere", "cone", "ball", "ball_boundary",
         proper = [e for e in P.elements() if e != P.bottom]
         ball, boundary = cons.remove_upset(P, draw(st.sampled_from(proper)))
         if variant == "ball_boundary":
-            return ball.restrict(boundary, n=ball.n - 1), None
+            return boundary_view(ball, boundary), None
         if variant == "wrong_boundary" and ball.n >= 2:
             tops = sorted(e for e in boundary
                           if not any(f != e and ball.leq(e, f) for f in boundary))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (SEMISUSPENSION_ROUTES, InvalidChain, ab_index_oracle,
-                     ab_key_walk_oracle, composed_posets,
+                     ab_key_walk_oracle, boundary_view, composed_posets,
                      count_maximal_chains, eulerian_lattices, eulerian_oracle,
                      flag_h_oracle, graded_posets, homogeneous_degree, lattice_oracle,
                      lattices_and_balls, near_cd_index_oracle,
@@ -75,16 +75,6 @@ class TestAbIndex:
             total = sum(flags.ab_index(P).terms.values())
             assert total == count_maximal_chains(P), name
 
-    def test_view_without_its_bottom_is_rejected(self, polygon3):
-        root = polygon3._root
-        with pytest.raises(ValueError):
-            flags.ab_index(SubPoset(root, root._mask & ~1, 0, polygon3.n))
-
-    def test_view_ranked_above_its_rank_is_rejected(self, polygon3):
-        root = polygon3._root
-        with pytest.raises(ValueError):
-            flags.ab_index(SubPoset(root, root._mask, 0, polygon3.n - 1))
-
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(composed_posets(("sphere", "cone", "ball", "ball_boundary", "perturbed",
@@ -97,7 +87,7 @@ def test_packed_ab_index_against_chain_oracles(drawn):
     assert flags.ab_index(P) == ab_index_oracle(P)
     views = [interval_view(P, i) for i in _bits(P._mask)]
     if boundary is not None:
-        views.append(P.restrict(boundary | {P.bottom}, n=P.n - 1))
+        views.append(boundary_view(P, boundary))
     for view in views:
         assert flags.ab_index(view) == ab_index_oracle(view)
     if isinstance(P, GradedPoset):
@@ -105,18 +95,18 @@ def test_packed_ab_index_against_chain_oracles(drawn):
 
 
 def _assert_readers_match_views(P):
-    """Both interval readers of the view P against the per-view ab_index:
-    [x, 1-hat) for every element x, [0-hat, pi) for every pi above the
-    bottom."""
+    """Both interval readers of the view P, asked for every root element,
+    against the per-view ab_index: [x, 1-hat) for every element x of P,
+    [0-hat, pi) for every pi above the bottom."""
     root, bot = P._root, P._bottom_idx
     members = list(_bits(P._mask & root._geq[bot]))
-    upper = flags.upper_intervals(P, P._mask)
+    upper = flags.upper_intervals(P, root._mask)
     assert sorted(upper) == members
     for x, key in upper.items():
         view = interval_view(P, x)
         assert key[0] == view.n
         assert flags.ab_of(key) == flags.ab_index(view)
-    lower = flags.lower_intervals(P, P._mask)
+    lower = flags.lower_intervals(P, root._mask)
     assert sorted(lower) == members[1:]
     for pi, key in lower.items():
         view = interval_view(P, bot, pi)
@@ -131,7 +121,7 @@ def test_interval_readers_against_per_view_ab_index(drawn):
     P, boundary = drawn
     _assert_readers_match_views(P)
     if boundary is not None:
-        _assert_readers_match_views(P.restrict(boundary | {P.bottom}, n=P.n - 1))
+        _assert_readers_match_views(boundary_view(P, boundary))
 
 
 class TestIntervalReaders:
@@ -197,8 +187,8 @@ def test_flag_h_against_per_slot_unpacking():
 def _views_of_root(P, rng):
     """Views of the root P whose keys `_ab_key` must give as their own
     walk would: P, random order ideals (at their own top rank and at P's),
-    the same ideals with a member that has a member above it removed (no
-    ideal), and the lower and upper intervals of random elements."""
+    the lower and upper intervals of random elements, and intervals [x, y)
+    off the bottom."""
     root, bot = P._root, P._bottom_idx
     views = [P]
     others = [i for i in _bits(P._mask) if i != bot]
@@ -208,19 +198,20 @@ def _views_of_root(P, rng):
             mask |= root._leq[i]
         top = root._rank[mask.bit_length() - 1]
         views += [SubPoset(root, mask, bot, top), SubPoset(root, mask, bot, P.n)]
-        inner = [i for i in _bits(mask) if i != bot and root._geq[i] & mask != 1 << i]
-        if inner:
-            views.append(SubPoset(root, mask & ~(1 << rng.choice(inner)), bot, top))
     for i in rng.sample(others, min(6, len(others))):
         views += [interval_view(P, bot, i), interval_view(P, i)]
+        above = [j for j in _bits(root._geq[i] & P._mask) if j != i]
+        if above:
+            views.append(interval_view(P, i, rng.choice(above)))
     return views
 
 
 class TestRootWalk:
-    """`_ab_key` and `lower_intervals` read order ideals of a root off its
-    one cached walk; every answer equals the view's own walk."""
+    """`_ab_key` and `lower_intervals` read views on a root's bottom off its
+    one cached walk, and every other view off its own top-down walk; every
+    answer equals the view's own bottom-up walk."""
 
-    def test_ab_key_of_ideals_non_ideals_and_intervals(self):
+    def test_ab_key_of_ideals_and_intervals(self):
         rng = random.Random(1)
         read = 0
         for name, P in corpus.gorenstein_corpus(4):
@@ -229,11 +220,10 @@ class TestRootWalk:
             read += "flag_walk" in P._cache
         assert read == len(corpus.gorenstein_corpus(4))
 
-    def test_ideal_ranked_above_its_rank_raises(self, boolean4):
+    def test_lower_intervals_off_the_bottom_raise(self, boolean4):
         atom = boolean4._index(1)
-        ideal = SubPoset(boolean4, boolean4._leq[atom], boolean4._bottom_idx, 0)
-        with pytest.raises(ValueError, match="ranked above its rank 0"):
-            flags._ab_key(ideal)
+        with pytest.raises(ValueError, match="root's bottom"):
+            flags.lower_intervals(interval_view(boolean4, atom), boolean4._mask)
 
     def test_lower_intervals_of_a_root_among_random_masks(self):
         rng = random.Random(2)
@@ -301,7 +291,7 @@ class TestNearCdIndex:
         for nu in boolean4.elements()[1:]:
             ball, boundary = cons.remove_upset(boolean4, nu)
             nc = flags.near_cd_index(ball, boundary)
-            psi_b = flags.ab_index(ball.restrict(boundary, n=ball.n - 1))
+            psi_b = flags.ab_index(boundary_view(ball, boundary))
             assert nc.phi == cd_contract(flags.ab_index(ball) - psi_b * A)
             assert nc.boundary == cd_contract(psi_b)
             memo = flags.contraction_memo(ball)
@@ -440,6 +430,17 @@ class TestPyrAlphaRecurrence:
     def test_full_interval_with_top(self, boolean4):
         for tau in boolean4.elements():
             assert flags.pyr_alpha_recurrence_check(boolean4, tau, TOP)
+
+    def test_empty_interval_is_not_comparable(self, polygon3):
+        """[tau, tau) is empty: the error names the pair, not a view."""
+        for tau in polygon3.elements():
+            with pytest.raises(NotComparable, match="is not strictly above"):
+                flags.pyr_alpha_recurrence_check(polygon3, tau, tau)
+
+    def test_incomparable_pair_is_not_comparable(self, polygon3):
+        u, v = [e for e in polygon3.elements() if polygon3.rank(e) == 1][:2]
+        with pytest.raises(NotComparable, match=f"^{u!r} is not below {v!r}$"):
+            flags.pyr_alpha_recurrence_check(polygon3, u, v)
 
 
 class TestProductCompat:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (NotPure, SimplexNotFound, SimplicialComplex, all_chains,
-                     cellular_betti_mod2_oracle, cellular_rows_oracle, closure,
+                     boundary_view, cellular_betti_mod2_oracle, cellular_rows_oracle, closure,
                      composed_posets, derive_boundary_oracle, first_bad_interval_oracle,
                      is_cohen_macaulay, is_gorenstein_complex, link,
                      near_gorenstein_walk_oracle, order_complex_simplicial,
@@ -256,7 +256,7 @@ class TestDeriveBoundary:
                 assert _agrees_with_the_chain_route(ball) == boundary
                 if first[L.rank(nu)] != nu:
                     continue
-                for P in [ball.restrict(boundary, n=ball.n - 1),
+                for P in [boundary_view(ball, boundary),
                           *islice(_covers_dropped(ball), 1)]:
                     errors.add(_agrees_with_the_chain_route(P)[1].split(":")[0])
         assert errors == {"no boundary of rank n-1 exists", "not a homology ball",
@@ -439,7 +439,7 @@ class TestChainEngineAgainstGenericLinks:
             ("cone_polygon3", cons.with_top(polygon3)),
             ("path", path_poset()),
             ("ball", ball),
-            ("ball_boundary", ball.restrict(boundary, n=ball.n - 1)),
+            ("ball_boundary", boundary_view(ball, boundary)),
         ]
         for name, P in posets:
             K = order_complex_simplicial(P)

@@ -5,8 +5,8 @@ from inspect import signature
 import pytest
 from hypothesis import given, settings
 
-from helpers import (eulerian_oracle, graded_posets, isomorphic, lattice_oracle,
-                     lattices_and_balls, materialize_oracle, view_poset)
+from helpers import (boundary_view, eulerian_oracle, graded_posets, isomorphic,
+                     lattice_oracle, lattices_and_balls, materialize_oracle, view_poset)
 from posetlab import constructions as cons
 from posetlab import corpus
 from posetlab.poset import (TOP, GradedPoset, NoBottom, NotALattice,
@@ -167,7 +167,7 @@ def test_sub_poset_is_an_index_record():
     assert set(vars(SubPoset)) - set(vars(Record)) == {"_root", "_mask", "_bottom_idx"}
     assert not {"_rank_offset", "_vrank", "_indices"} & set(dir(GradedPoset))
     assert list(signature(GradedPoset.interval).parameters) == ["self", "x", "upper"]
-    assert list(signature(GradedPoset.restrict).parameters) == ["self", "element_ids", "n"]
+    assert list(signature(GradedPoset.restrict).parameters) == ["self", "element_ids"]
 
 
 class TestDual:
@@ -377,10 +377,17 @@ class TestJson:
         poset it spans."""
         L = dict(corpus.lattice_corpus(4))[name]
         ball, boundary = cons.remove_upset(L, corpus.proper_elements(L)[0])
-        view = ball.restrict(boundary, n=ball.n - 1)
+        view = boundary_view(ball, boundary)
         text = to_json(view)
         assert isomorphic(from_json(text), view_poset(view))
         assert to_json(from_json(text)) == text
+
+    def test_restrict_refuses_a_view_without_the_bottom(self):
+        """Every view on the root's bottom holds it; an id set without it,
+        convex as an upper interval is, is refused."""
+        B = cons.boolean_algebra(3)
+        with pytest.raises(UnknownElement, match="^bottom of the view must belong to it$"):
+            B.restrict(B.elements()[1:])
 
     def test_restrict_refuses_a_view_that_is_not_convex(self):
         """B4 without its atoms is not convex: `restrict` names the atom of

@@ -16,13 +16,15 @@ import argparse
 import json
 import os
 import sys
+from itertools import groupby
 
 from . import constructions as cons
-from . import corpus, flags, homology, sheaves, subdivision
+from . import corpus, flags, homology, subdivision
 from . import ncpoly
 from . import poset as poset_mod
-from .ncpoly import cd_words, to_text
+from .ncpoly import to_text
 from .poset import PosetError
+from .sheaves import SurjectivityFailed
 
 MATH_FAIL = 1
 USAGE_FAIL = 2
@@ -237,11 +239,16 @@ def _cmd_verify(args):
 
 
 def _cmd_sheaf_cd(args):
+    if args.sweeps < 1:
+        raise ValueError("sheaf-cd needs --sweeps >= 1")
     P = _load_poset(args.poset)
-    want = flags.cd_index(P)
-    words = [args.word] if args.word is not None else cd_words(P.n)
-    rows = [(w, sheaves.cd_coefficient_via_CD(P, w, seed=args.seed), want.coeff(w))
-            for w in words]
+    # one row per word: its value when all its seeds agree, else the sorted
+    # distinct values, a list that never equals the flag coefficient
+    rows = []
+    sweep = corpus.extraction_sweep(P, args.seed, args.sweeps, args.word)
+    for (w, flag), runs in groupby(sweep, key=lambda run: (run[0], run[3])):
+        got = sorted({run[2] for run in runs})
+        rows.append((w, got[0] if len(got) == 1 else got, flag))
     mismatches = sum(got != expect for _, got, expect in rows)
     if args.json:
         print(json.dumps({"seed": args.seed,
@@ -252,7 +259,7 @@ def _cmd_sheaf_cd(args):
         print(f"{'word':<10} {'extracted':>9} {'flag':>6}")
         for w, g, e in rows:
             mark = "" if g == e else "  <- MISMATCH"
-            print(f"{w:<10} {g:>9} {e:>6}{mark}")
+            print(f"{w:<10} {str(g):>9} {e:>6}{mark}")
     return MATH_FAIL if mismatches else 0
 
 
@@ -321,6 +328,8 @@ def build_parser():
     p.add_argument("poset")
     p.add_argument("--word", help="single cd-word (default: all of degree n)")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sweeps", type=int, default=1,
+                   help="seeds per word with a d, from --seed on (default: 1)")
     p.set_defaults(fn=_cmd_sheaf_cd)
 
     p = sub.add_parser("corpus", help="corpus registry and acceptance battery")
@@ -343,7 +352,7 @@ def run(argv=None):
     except BrokenPipeError:
         raise  # a closed stdout is main()'s to handle, not a usage error
     except (subdivision.NotASubdivision, subdivision.DecompositionMismatch,
-            ncpoly.NotExpressible, sheaves.SurjectivityFailed) as exc:
+            ncpoly.NotExpressible, SurjectivityFailed) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return MATH_FAIL
     except (ValueError, OSError) as exc:  # every input or precondition error

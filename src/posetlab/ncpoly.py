@@ -2,8 +2,8 @@
 
 Words are plain strings over a two-letter alphabet; a polynomial is a map
 word -> coefficient with zero coefficients never stored.  Degrees: a, b, c
-all count 1, d counts 2.  Coefficients are exact (int, with Fraction
-appearing transiently inside the alpha polynomials).
+all count 1, d counts 2.  Coefficients are exact: the library makes only
+ints, and a Fraction comes only from a caller.
 
 The module owns the ab-word order (`_ab_words`: b at the set bits of S in
 the S-th word), so a degree-n ab-index is the array of 2^n coefficients the
@@ -41,12 +41,6 @@ def _require_alphabet(alphabet, p):
             f"expected an {alphabet}-polynomial, got a {p.alphabet}-polynomial")
 
 
-def _norm_coeff(v):
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return int(v)
-    return v
-
-
 class NcPoly:
     """Polynomial in two non-commuting variables."""
 
@@ -56,12 +50,7 @@ class NcPoly:
         if alphabet not in ("ab", "cd"):
             raise ValueError(f"alphabet must be 'ab' or 'cd', not {alphabet!r}")
         self.alphabet = alphabet
-        clean = {}
-        for word, coeff in (terms or {}).items():
-            coeff = _norm_coeff(coeff)
-            if coeff:
-                clean[word] = coeff
-        self.terms = clean
+        self.terms = {word: coeff for word, coeff in (terms or {}).items() if coeff}
 
     @classmethod
     def zero(cls, alphabet):
@@ -234,23 +223,21 @@ def pyr_op(p):
 @lru_cache(maxsize=None)
 def alpha(k):
     """The alpha_k cd-polynomial: alpha_0 = -1, then the (c^2-2d)-power
-    formulas (even and odd cases).  Integer coefficients despite the 1/2.
-    Built once per k and shared, so callers must not mutate the result."""
+    formulas (even and odd cases).  Integer coefficients despite the 1/2:
+    twice alpha_k is formed and halved exactly.  Built once per k and
+    shared, so callers must not mutate the result."""
     if k < 0:
         raise ValueError("alpha needs k >= 0")
     if k == 0:
         return cd("", -1)
-    base = C * C - 2 * D
-    half = Fraction(1, 2)
+    base, j = C * C - 2 * D, k // 2
     if k % 2 == 0:
-        j = k // 2
-        res = (power(base, j) + C * power(base, j - 1) * C) * (-half)
+        twice = -(power(base, j) + C * power(base, j - 1) * C)
     else:
-        j = k // 2
-        res = (power(base, j) * C + C * power(base, j)) * half
-    if any(isinstance(c, Fraction) for c in res.terms.values()):
+        twice = power(base, j) * C + C * power(base, j)
+    if any(c % 2 for c in twice.terms.values()):
         raise ArithmeticError(f"alpha_{k} has a non-integer coefficient")
-    return res
+    return NcPoly("cd", {w: c // 2 for w, c in twice.terms.items()})
 
 
 @lru_cache(maxsize=None)

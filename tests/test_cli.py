@@ -5,7 +5,6 @@ import json
 import os
 import pkgutil
 import tempfile
-import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +21,7 @@ import posetlab
 from posetlab import homology, ncpoly
 from posetlab import poset as poset_mod
 from posetlab import sheaves, subdivision
-from posetlab.ncpoly import ab, cd
+from posetlab.ncpoly import ab, cd, cd_words
 
 
 def run_cli(capsys, *argv):
@@ -301,6 +300,46 @@ class TestSheafCd:
         assert code == 2
         assert "letter 'x'" in err
 
+    @pytest.mark.parametrize("build,text,rows", [
+        (lambda: cons.polygon(3),
+         "word       extracted   flag\n"
+         "cc                 1      1\n"
+         "d                  1      1\n", [("cc", 1), ("d", 1)]),
+        (lambda: cons.boolean_algebra(4),
+         "word       extracted   flag\n"
+         "ccc                1      1\n"
+         "cd                 2      2\n"
+         "dc                 2      2\n", [("ccc", 1), ("cd", 2), ("dc", 2)]),
+    ], ids=["polygon3", "boolean4"])
+    def test_default_tables(self, capsys, tmp_path, build, text, rows):
+        """Without --sweeps, one seed per word, in the text and JSON forms
+        the table had before the option came."""
+        path = write_poset(tmp_path, build())
+        assert run_cli(capsys, "sheaf-cd", path) == (0, text, "")
+        doc = {"mismatches": 0, "seed": 0,
+               "table": [{"extracted": v, "flag": v, "word": w} for w, v in rows]}
+        assert run_cli(capsys, "--json", "sheaf-cd", path) == (
+            0, json.dumps(doc, indent=2, sort_keys=True) + "\n", "")
+
+    @pytest.mark.parametrize("fake,code", [
+        (None, 0),
+        (lambda P, w, seed: seed, 1),  # every seed gives a different value
+    ])
+    def test_sweeps_exit_code(self, capsys, tmp_path, monkeypatch, fake, code):
+        """Two seeds per d-word on the 3-cube agree with flag enumeration; an
+        extractor that returns its seed shows both values of every d-word,
+        marks it and exits 1."""
+        if fake is not None:
+            monkeypatch.setattr(sheaves, "cd_coefficient_via_CD", fake)
+        cube = write_poset(tmp_path, cons.cube_poset(3))
+        got, out, err = run_cli(capsys, "sheaf-cd", cube, "--sweeps", "2")
+        assert (got, err) == (code, "")
+        rows = {line.split()[0]: line for line in out.splitlines()[1:]}
+        assert sorted(rows) == cd_words(3)
+        for w in ("cd", "dc"):
+            assert rows[w].endswith("<- MISMATCH") == bool(code)
+            assert ("[0, 1]" in rows[w]) == bool(code)
+
 
 class TestLambdaNuCommands:
     def test_lambda_nu(self, capsys, tmp_path):
@@ -364,6 +403,23 @@ class TestCorpus:
                                "--sweeps", "1")
         assert code == 0
         assert out.count("PASS") == 8 and "144 subdivision maps" in out
+
+    @pytest.mark.parametrize("error", [subdivision.NotASubdivision,
+                                       subdivision.DecompositionMismatch])
+    def test_failed_decomposition_is_a_fail_line(self, capsys, monkeypatch, error):
+        """A map that fails certification or assembly fails criterion 3 by
+        name; run-all still prints all eight lines and exits 1."""
+        def decompose(phi):
+            raise error("fiber not a ball")
+
+        monkeypatch.setattr(subdivision, "decompose", decompose)
+        code, out, err = run_cli(capsys, "corpus", "run-all", "--max-rank", "2",
+                                 "--sweeps", "1")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert len(lines) == 8 and out.count("PASS") == 7
+        assert lines[2].startswith("FAIL [3] decomposition theorem (")
+        assert lines[2].endswith(") polygon3, nu=v1: fiber not a ball")
 
     def test_seed_is_set_by_the_option_alone(self, capsys, tmp_path, monkeypatch):
         """The environment sets no seed: --seed defaults to 0, and a stray
@@ -489,6 +545,7 @@ class TestExitCodes:
         (["corpus", "list", "--max-rank", "-1"], "--max-rank >= 1"),
         (["corpus", "list", "--max-rank", "0"], "--max-rank >= 1"),
         (["sheaf-cd", "{poset}", "--word", ""], "must have degree 2"),
+        (["sheaf-cd", "{poset}", "--sweeps", "0"], "sheaf-cd needs --sweeps >= 1"),
         (["build", "boolean", "3", "--element", "1"], "takes no --element"),
         (["verify", "stanley", "{poset}", "--element", "1"], "does not take --element"),
         (["verify", "stanley", "{poset}", "--map", "{map}"], "does not take --map"),
@@ -499,7 +556,7 @@ class TestExitCodes:
             "main-inequality-without-element", "semisusp-without-element",
             "directory-as-poset", "cm-with-boundary", "gorenstein-star-with-boundary",
             "cube-zero", "run-all-rank-0", "run-all-rank-1", "run-all-no-sweeps",
-            "list-rank-negative", "list-rank-0", "sheaf-cd-empty-word",
+            "list-rank-negative", "list-rank-0", "sheaf-cd-empty-word", "sheaf-cd-no-sweeps",
             "boolean-with-element", "stanley-with-element", "stanley-with-map",
             "decomposition-with-poset", "semisusp-with-map"])
     def test_malformed_invocation(self, capsys, tmp_path, argv, named):
@@ -546,21 +603,6 @@ class TestExitCodes:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert err == b""
-
-
-@pytest.mark.parametrize("fake,code", [
-    (None, 0),
-    (lambda P, w, seed: seed, 1),  # every seed gives a different value
-])
-def test_seed_sweep_exit_code(monkeypatch, capsys, fake, code):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "sheaf_seed_sweep.py"
-    if fake is not None:
-        monkeypatch.setattr(sheaves, "cd_coefficient_via_CD", fake)
-    monkeypatch.setattr(sys, "argv", [str(script), "--sweeps", "2"])
-    with pytest.raises(SystemExit) as exc:
-        runpy.run_path(str(script), run_name="__main__")
-    assert exc.value.code == code
-    assert ("UNSTABLE" in capsys.readouterr().out) == bool(code)
 
 
 # -- documents of posets whose ids leave gaps ---------------------------------

@@ -1,10 +1,10 @@
 """The library keeps only what the library calls.
 
-Every top-level function, class and method in src/posetlab and scripts/
-must be referenced outside its own body, be a dunder, or sit on the
-allowlist below with its reason.  The callers are the package's modules,
-scripts/ and perfbench/ (its self-test excluded); `__init__` is no caller,
-so an export alone keeps nothing alive.
+Every top-level function, class and method in src/posetlab must be
+referenced outside its own body, be a dunder, or sit on the allowlist below
+with its reason.  The callers are the package's modules and perfbench/ (its
+self-test excluded); `__init__` is no caller, so an export alone keeps
+nothing alive.
 
 A top-level definition counts as referenced only through its own module:
 a bare name read, not assigned, inside that module; an import of it from
@@ -34,9 +34,8 @@ ALLOWLIST = {
 
 def _trees():
     """(module, tree, checked) of every caller: the package's modules but
-    `__init__`, scripts/ and perfbench/; only the first two are checked."""
+    `__init__`, and perfbench/; only the package's are checked."""
     checked = [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"]
-    checked += sorted((ROOT / "scripts").glob("*.py"))
     bench = [p for p in sorted((ROOT / "perfbench").glob("*.py"))
              if p.stem != "test_perfbench"]
     return [(path.stem, ast.parse(path.read_text(encoding="utf-8")), path in checked)

@@ -251,7 +251,7 @@ def _cmd_sheaf_cd(args):
         rows.append((w, got[0] if len(got) == 1 else got, flag))
     mismatches = sum(got != expect for _, got, expect in rows)
     if args.json:
-        print(json.dumps({"seed": args.seed,
+        print(json.dumps({"seed": args.seed, "sweeps": args.sweeps,
                           "table": [{"word": w, "extracted": g, "flag": e}
                                     for w, g, e in rows],
                           "mismatches": mismatches}, indent=2, sort_keys=True))

@@ -116,6 +116,24 @@ every ring, as x in the boundary or the bottom requires; and (a, top) is
 empty, the (-1)-sphere.  When F is all of [bottom, a] in a root whose own
 Gorenstein* certificate is cached, F - a is an interval of a Gorenstein*
 poset, and not even its walk is needed.
+
+A walk of a whole root that ends without a failure and finds every real
+interval a GF(2) sphere, whatever it asks of each (x, top), flags the root
+("gf2_spheres" in its cache).  Lemma: a walk of any view on a flagged
+root's bottom need visit only its (x, top).  Proof.  The view is convex and
+holds the root's bottom, so it is an order ideal, and each of its real
+intervals (x, y) is the root's own, all of whose elements lie below y.  The
+root's walk found that interval a GF(2) sphere, hence a Q sphere (a GF(2)
+profile in one degree is the Q profile, above): every predicate accepts it
+without asking `fits`, `spheres` stays true, and the cellular precondition
+and the count's hypothesis hold for every (x, top) as if the real
+intervals had been visited.  So the walk's verdict, witness and Betti
+numbers are the full walk's, and fibers, their boundaries and a ball's
+boundary walk only their (x, top).  The flag reads the GF(2) profile, not
+the Q verdict that "gor_cert" caches: RP^3 is a Q sphere but no GF(2)
+sphere, so a Gorenstein* root with an RP^3 interval stays unflagged, and
+an ideal holding that interval walks it, leaving the cellular route there.
+A walk that fails, or of a proper view, never flags.
 """
 
 from __future__ import annotations
@@ -397,17 +415,24 @@ def _first_bad_interval(root, mask, bottom_idx, n, fits):
     element above x.  The order complex is then a closed GF(2)-homology
     manifold: for d = 1 a union of cycles, a sphere iff connected; for
     d = 2 a closed surface, a sphere iff connected with c0 - c1 + c2 = 2.
-    A gap the count does not certify goes on to the kernel unchanged."""
+    A gap the count does not certify goes on to the kernel unchanged.
+
+    On a root flagged "gf2_spheres", a view on its bottom, an order ideal,
+    visits only its (x, top), since its real intervals are the root's GF(2)
+    spheres; a walk of the whole root that ends with `spheres` true sets
+    the flag (see the module docstring)."""
     geq, leq, rank = root._geq, root._leq, root._rank
     known = root._cache.setdefault("subset_betti", {})
     mod2 = root._cache.setdefault("subset_betti_mod2", {})
+    on_bottom = bottom_idx == root._bottom
+    skip = on_bottom and root._cache.get("gf2_spheres")
     spheres, top_bad = True, 0
     for x in reversed(list(_bits(geq[bottom_idx] & mask))):
         above = geq[x] & mask & ~(1 << x)
         s = bisect_left(rank, rank[x] + 2)
         t = bisect_left(rank, rank[x] + 3, s)
         table = None
-        for y in [*_bits(above >> s << s), None]:
+        for y in [None] if skip else [*_bits(above >> s << s), None]:
             if y is None:
                 gap, d = above, rank[bottom_idx] + n - 1 - rank[x]
                 closed = not above & top_bad
@@ -442,6 +467,8 @@ def _first_bad_interval(root, mask, bottom_idx, n, fits):
                 if y is not None:
                     chain += [y] + _climb(root, mask, y)
                 return tuple(root._ids[i] for i in chain), betti
+    if spheres and on_bottom and mask == root._mask:
+        root._cache["gf2_spheres"] = True
     return None
 
 

@@ -16,7 +16,10 @@ once, in a memo on the same source poset.
 Most fibers are cones [0-hat, tau] of the certified source, balls with no
 walk of their own (the cone lemma in `homology`): for the subdivision map
 those over the tau below nu and over the top-coordinate cells (tau, top),
-tau >= nu; for the collapse map those over Lambda_nu.
+tau >= nu; for the collapse map those over Lambda_nu.  Every other fiber,
+and every boundary, is an ideal of a source whose certificate flagged all
+its real intervals GF(2) spheres, so its walk visits only its (x, top)
+(the flag lemma in `homology`).
 """
 
 from __future__ import annotations

@@ -561,6 +561,19 @@ def rp3_face_poset():
         4, {0: 0, **{i: len(S) for (S, _), i in ids.items()}}, covers)
 
 
+def misglued(P):
+    """P with one facet replaced by a cell glued over all but one of its
+    ridges, as the benchmark's certify workload builds its negatives: that
+    ridge then lies in a single facet, so no sphere."""
+    pi = next(e for e in P.elements() if P.rank(e) == P.n)
+    ridges = [a for a, b in P.covers() if b == pi]
+    ranks = {e: P.rank(e) for e in P.elements() if e != pi}
+    new = max(P.elements()) + 1
+    covers = [(a, b) for a, b in P.covers() if pi not in (a, b)]
+    return GradedPoset.from_covers(P.n, {**ranks, new: P.n},
+                                   covers + [(r, new) for r in ridges[1:]])
+
+
 def torus_face_poset():
     """Face poset of the 7-vertex torus: orientable, so its triangles carry
     a +-1 top cycle, but no sphere."""

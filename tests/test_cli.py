@@ -285,6 +285,13 @@ class TestSheafCd:
         doc = json.loads(out)
         assert doc["table"] == [{"word": "d", "extracted": 4, "flag": 4}]
 
+    def test_json_records_sweeps(self, capsys, tmp_path):
+        """A report names how many seeds each word took."""
+        p3 = write_poset(tmp_path, cons.polygon(3))
+        code, out, _ = run_cli(capsys, "--json", "sheaf-cd", p3, "--sweeps", "3")
+        assert code == 0
+        assert json.loads(out)["sweeps"] == 3
+
     def test_empty_word_on_a_point(self, capsys, tmp_path):
         """On a rank-0 poset the empty word is the one cd-word, so
         `--word ''` gives the default table."""
@@ -316,7 +323,7 @@ class TestSheafCd:
         the table had before the option came."""
         path = write_poset(tmp_path, build())
         assert run_cli(capsys, "sheaf-cd", path) == (0, text, "")
-        doc = {"mismatches": 0, "seed": 0,
+        doc = {"mismatches": 0, "seed": 0, "sweeps": 1,
                "table": [{"extracted": v, "flag": v, "word": w} for w, v in rows]}
         assert run_cli(capsys, "--json", "sheaf-cd", path) == (
             0, json.dumps(doc, indent=2, sort_keys=True) + "\n", "")

@@ -14,14 +14,14 @@ from helpers import (NotPure, SimplexNotFound, SimplicialComplex, all_chains,
                      is_cohen_macaulay, is_gorenstein_complex, link,
                      near_gorenstein_walk_oracle, order_complex_simplicial,
                      pinched_disks_poset, reduced_homology, rp2_face_poset,
-                     rp3_face_poset, structural_check_oracle, torus_face_poset,
-                     uncertified_copy, wedge_at_bottom)
+                     misglued, rp3_face_poset, structural_check_oracle,
+                     torus_face_poset, uncertified_copy, wedge_at_bottom)
 from posetlab import constructions as cons
 from posetlab import homology as hm
 from posetlab.corpus import gorenstein_corpus, lattice_corpus, proper_elements
 from posetlab.poset import (GradedPoset, PosetError, SubPoset, _bits, from_json,
                             iter_chains, to_json)
-from posetlab.subdivision import _fiber_masks
+from posetlab.subdivision import _fiber_masks, is_subdivision
 
 
 def path_poset():
@@ -589,6 +589,16 @@ def _literal_cm(K):
                for d in reduced_homology(link(K, s)))
 
 
+def two_cells_over_rp3():
+    """RP^3 with two 4-cells, w1 and w2, glued over all its tetrahedra: a Q
+    homology sphere whose intervals (bottom, w1) and (bottom, w2) are RP^3."""
+    R = rp3_face_poset()
+    ranks = {e: R.rank(e) for e in R.elements()}
+    tets = [e for e in R.elements() if ranks[e] == 4]
+    return GradedPoset.from_covers(5, {**ranks, "w1": 5, "w2": 5},
+                                   R.covers() + [(t, w) for t in tets for w in ("w1", "w2")])
+
+
 def pendant_edge_poset():
     """Every lower interval (0, z) with z < 9 is a GF(2) sphere, but (0, 7)
     is a circle 1-4-2-5 with a pendant path 1-6-3, so it is no
@@ -692,11 +702,7 @@ class TestCellularKernel:
         interval below each 4-cell is RP^3, whose GF(2) homology sits in
         three degrees.  From there on the walk must use the chain route, so
         the whole proper part never reaches the kernel."""
-        R = rp3_face_poset()
-        ranks = {e: R.rank(e) for e in R.elements()}
-        tets = [e for e in R.elements() if ranks[e] == 4]
-        P = GradedPoset.from_covers(5, {**ranks, "w1": 5, "w2": 5},
-                                    R.covers() + [(t, w) for t in tets for w in ("w1", "w2")])
+        P = two_cells_over_rp3()
         root, bottom = P._root, P._bottom_idx
         rp3 = P._mask & ~(1 << bottom) & ~root._mask_of(["w1", "w2"])
         with _checked_routes() as routes:
@@ -1059,3 +1065,188 @@ class TestConePairs:
             assert hm.certify_near_gorenstein(*args)
             assert calls == [args[4], args[1]][:walks], args[1:]
             assert near_gorenstein_walk_oracle(*args)
+
+
+def _flagged(root):
+    return root._cache.get("gf2_spheres", False)
+
+
+def _unflagged(root, mask, n):
+    """The view (mask, the root's bottom, n) as a fresh root that no walk
+    has flagged: `_materialize`d, its ids read back through its provenance,
+    so that witnesses, boundaries and messages name the root's ids."""
+    F = root._materialize(mask, n, 0)
+    return GradedPoset(n, [F.provenance[k] for k in F._ids], F._rank, F._covers_up)
+
+
+@contextmanager
+def _flag_watch():
+    """Check every walk against the flag's rule: only a walk of a whole
+    root that returns None sets it.  Yields `skipped`, the list of the
+    (root, mask) of each walk on a flagged root's bottom, which skips its
+    real intervals."""
+    walk, skipped = hm._first_bad_interval, []
+
+    def watched(root, mask, bottom_idx, n, fits):
+        before = _flagged(root)
+        if before and bottom_idx == root._bottom:
+            skipped.append((root, mask))
+        bad = walk(root, mask, bottom_idx, n, fits)
+        if _flagged(root) and not before:
+            assert bad is None and mask == root._mask and bottom_idx == root._bottom
+        return bad
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hm, "_first_bad_interval", watched)
+        yield skipped
+
+
+def _flag_holds(root):
+    """Every real interval (x, y) of the root, y two or more ranks above x,
+    is a GF(2) sphere of dimension rank y - rank x - 2 by its chain complex."""
+    geq, leq, rank = root._geq, root._leq, root._rank
+    return all(hm._faces_betti_mod2(hm._chain_faces(root, geq[x] & leq[y] & ~(1 << x | 1 << y)))
+               == {rank[y] - rank[x] - 2: 1}
+               for x in range(len(root)) for y in _bits(geq[x]) if rank[y] >= rank[x] + 2)
+
+
+def _ideal_reports(P):
+    """For every principal ideal [bottom, z] of P, as a view on P's root
+    and as a fresh unflagged root, the Gorenstein* and Cohen-Macaulay
+    reports and `derive_boundary`'s boundary or error; each report on the
+    fresh route gets a root of its own, since a passing whole walk flags
+    it.  Returns the number of ideals."""
+    root, bottom = P._root, P._bottom_idx
+    reports = [hm.gorenstein_star_report, hm.cohen_macaulay_report,
+               lambda Q: _derive_outcome(hm.derive_boundary, Q)]
+    for z in _bits(P._mask):
+        mask, r = root._leq[z] & P._mask, root._rank[z]
+        got = [report(SubPoset(root, mask, bottom, r)) for report in reports]
+        assert got == [report(_unflagged(root, mask, r)) for report in reports], z
+    return P._mask.bit_count()
+
+
+class TestGf2Flag:
+    """A whole walk that finds every real interval a GF(2) sphere flags its
+    root, and a walk of an ideal on a flagged root's bottom visits only its
+    (x, top): the lemma in the `homology` module docstring."""
+
+    def test_fibers_on_a_flagged_source_against_fresh_roots(self):
+        """Every distinct fiber pair and fiber boundary of the subdivision
+        and collapse maps of the lattice corpus: on the flagged source and
+        on a fresh root of its own, the same verdict, reason, witness and
+        Betti numbers."""
+        records = 0
+        with _flag_watch() as skipped:
+            for _, L in lattice_corpus(4):
+                assert hm.is_gorenstein_star(L) and _flagged(L)
+                fibers = set()
+                for nu in proper_elements(L):
+                    for phi in (cons.subdivision_target_and_map(L, nu)[1],
+                                cons.collapse_map(L, nu)):
+                        closed, image = _fiber_masks(phi)
+                        fibers.update((cmask, cmask & ~imask, r) for cmask, imask, r
+                                      in zip(closed, image, phi.target._rank))
+                for cmask, bmask, r in sorted(fibers):
+                    got = [hm.certify_gorenstein(L, bmask, L._bottom, r - 1),
+                           hm.certify_near_gorenstein(L, cmask, L._bottom, r, bmask)]
+                    F = _unflagged(L, cmask, r)
+                    fb = F._mask_of(L._ids[i] for i in _bits(bmask))
+                    # the boundary first: F's own pair walk may flag F
+                    want = [hm.certify_gorenstein(F, fb, F._bottom, r - 1)]
+                    want.append(hm.certify_near_gorenstein(F, F._mask, F._bottom, r, fb))
+                    assert got == want, (L, cmask, bmask)
+                    records += 2
+        assert records > 3000 and len(skipped) > 1000, (records, len(skipped))
+
+    def test_ideals_and_balls_against_fresh_roots(self):
+        """Every principal ideal of the Gorenstein* corpus, and the boundary
+        of one `remove_upset` ball per lattice and rank, walked again after
+        `derive_boundary` flags the ball: the same reports as on fresh
+        roots."""
+        ideals = 0
+        with _flag_watch() as skipped:
+            for _, P in gorenstein_corpus(4):
+                assert hm.is_gorenstein_star(P) and _flagged(P)
+                ideals += _ideal_reports(P)
+            for _, L in lattice_corpus(4):
+                for r in range(1, L.n + 1):
+                    nu = next(e for e in L.elements() if L.rank(e) == r)
+                    ball, boundary = cons.remove_upset(L, nu)
+                    assert hm.derive_boundary(ball) == frozenset(boundary)
+                    assert _flagged(ball) and _flag_holds(ball)
+                    bmask = ball._mask_of(boundary)
+                    got = [hm.gorenstein_star_report(boundary_view(ball, boundary)),
+                           hm.near_gorenstein_star_report(ball, boundary)]
+                    assert got == [
+                        hm.gorenstein_star_report(_unflagged(ball, bmask, ball.n - 1)),
+                        hm.near_gorenstein_star_report(_unflagged(ball, ball._mask, ball.n),
+                                                       boundary)]
+        assert ideals > 500 and len(skipped) > ideals, (ideals, len(skipped))
+
+    @pytest.mark.parametrize("family", ["dropped", "added", "misglued"])
+    def test_damaged_posets_against_fresh_roots(self, family):
+        """Corpus posets with a cover dropped or added, and misglued ones:
+        each whole walk and every principal ideal as on fresh roots, no
+        failed walk flags its root, and a flag, when set, is true of every
+        real interval."""
+        corpus = dict(gorenstein_corpus(4) + lattice_corpus(4)).values()
+        damaged = {"dropped": [D for P in corpus if len(P) <= _DAMAGE_SIZE
+                               for D in _covers_dropped(P)],
+                   "added": [D for P in corpus if len(P) <= _ADDED_SIZE
+                             for D in _covers_added(P)],
+                   "misglued": [misglued(P) for P in corpus if 2 <= P.n]}[family]
+        with _flag_watch():
+            for D in damaged:
+                assert not hm.gorenstein_star_report(D)
+                hm.cohen_macaulay_report(D)
+                _derive_outcome(hm.derive_boundary, D)
+                assert not _flagged(D) or _flag_holds(D)
+                _ideal_reports(D)
+        assert len(damaged) > 20, len(damaged)
+
+    def test_rp3_interval_leaves_the_root_unflagged(self):
+        """Two 4-cells over RP^3 pass as a Q sphere, but (bottom, w1) is no
+        GF(2) sphere, so the root stays unflagged.  The cone pair (P minus
+        w2, RP^3) keeps its verdict, and the walks of P minus w2 still take
+        its (bottom, top), the cone over RP^3, by the chain route: a skip
+        of its real intervals would hand that cone to the kernel, whose
+        precondition fails there, and `_checked_routes` would refute it."""
+        P = two_cells_over_rp3()
+        bottom, w2 = P._bottom_idx, P._index("w2")
+        assert hm.is_gorenstein_star(P) and not _flagged(P)
+        rp3 = frozenset(e for e in P.elements() if e not in ("w1", "w2"))
+        ball = SubPoset(P, P._mask & ~(1 << w2), bottom, P.n)
+        cone = ball.mask & ~(1 << bottom)
+        assert hm.near_gorenstein_star_report(ball, rp3)
+        with _checked_routes() as routes, _chain_route_calls() as gaps:
+            assert hm.derive_boundary(ball) == rp3
+            assert hm.cohen_macaulay_report(ball)
+        assert cone in gaps
+        assert cone not in {g for *_, g in routes.kernel} | {g for _, g, _ in routes.counts}
+
+    def test_fiber_walks_on_a_flagged_root_see_only_their_tops(self):
+        """The fiber walks of a map of a flagged B5 hand `fits`, the count
+        and the kernel only (x, top) gaps."""
+        L = cons.boolean_algebra(5)
+        assert hm.is_gorenstein_star(L) and _flagged(L)
+        nu = next(e for e in L.elements() if L.rank(e) == 2)
+        masks, asked = [], []
+        with _checked_routes() as routes, pytest.MonkeyPatch.context() as mp:
+            walk = hm._first_bad_interval
+
+            def watched(root, mask, bottom_idx, n, fits):
+                if root is not L:  # the target's walk
+                    return walk(root, mask, bottom_idx, n, fits)
+                masks.append(mask)
+                return walk(root, mask, bottom_idx, n,
+                            lambda x, top, *rest: asked.append(top) or fits(x, top, *rest))
+
+            mp.setattr(hm, "_first_bad_interval", watched)
+            for phi in (cons.subdivision_target_and_map(L, nu)[1], cons.collapse_map(L, nu)):
+                assert is_subdivision(phi)
+        tops = {L._geq[x] & m & ~(1 << x) for m in masks for x in _bits(m)}
+        handed = ([g for root, _, g in routes.kernel if root is L]
+                  + [g for root, g, _ in routes.counts if root is L])
+        assert masks and all(asked) and handed, (masks, asked, handed)
+        assert set(handed) <= tops
